@@ -1,9 +1,11 @@
 #include "dmt/common/parse.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 namespace dmt {
 
@@ -27,12 +29,21 @@ std::optional<double> ParseDouble(std::string_view text, bool require_finite) {
   // Leading whitespace is strtod-legal but flag/protocol garbage.
   const char first = text.front();
   if (first == ' ' || first == '\t') return std::nullopt;
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || end == buffer.c_str()) {
-    return std::nullopt;
+  // Fast path: from_chars is locale-free, needs no NUL-terminated copy and
+  // rounds correctly, so a field it consumes whole gets strtod's value.
+  // Everything else -- a '+' sign, hex, out-of-range exponents, NaN
+  // payloads and signs -- takes the strtod path for its exact old result.
+  double value = 0.0;
+  const char* const last = text.data() + text.size();
+  const std::from_chars_result fast =
+      std::from_chars(text.data(), last, value);
+  if (fast.ec != std::errc() || fast.ptr != last || std::isnan(value)) {
+    const std::string buffer(text);
+    char* end = nullptr;
+    value = std::strtod(buffer.c_str(), &end);
+    if (end != buffer.c_str() + buffer.size() || end == buffer.c_str()) {
+      return std::nullopt;
+    }
   }
   if (require_finite && !std::isfinite(value)) return std::nullopt;
   return value;

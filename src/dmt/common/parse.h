@@ -20,12 +20,13 @@ namespace dmt {
 // whitespace, sign characters, trailing garbage and out-of-range values.
 std::optional<std::uint64_t> ParseU64(std::string_view text);
 
-// Parses a double with strtod syntax. Rejects empty input, leading
-// whitespace and trailing garbage; with `require_finite` (the default,
-// right for flag values) NaN and +/-Inf are rejected too. Data-plane
-// callers (the dmt_serve CSV row parser) pass false: non-finite values are
-// legitimate hostile *input* there, handled by the sanitization policy
-// rather than refused at parse time.
+// Parses a double with strtod syntax and strtod's exact result (plain
+// decimal fields take a locale-free std::from_chars fast path). Rejects
+// empty input, leading whitespace and trailing garbage; with
+// `require_finite` (the default, right for flag values) NaN and +/-Inf are
+// rejected too. Data-plane callers (the dmt_serve CSV row parser) pass
+// false: non-finite values are legitimate hostile *input* there, handled
+// by the sanitization policy rather than refused at parse time.
 std::optional<double> ParseDouble(std::string_view text,
                                   bool require_finite = true);
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -31,12 +32,14 @@ bool WriteAll(int fd, const std::string& data) {
   return true;
 }
 
-// Moves buffered response bytes out to the fd and resets the buffer.
+// Moves buffered response bytes out to the fd and empties the buffer,
+// handing its storage back so the next window writes without regrowing.
 bool Drain(std::ostringstream* pending, int out_fd) {
-  std::string text = pending->str();
-  if (text.empty()) return true;
-  pending->str(std::string());
-  return WriteAll(out_fd, text);
+  std::string text = std::move(*pending).str();
+  const bool ok = WriteAll(out_fd, text);
+  text.clear();
+  pending->str(std::move(text));
+  return ok;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "dmt/serve/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -31,10 +32,13 @@ std::size_t ShardOf(const std::string& id, std::size_t num_shards) {
   return static_cast<std::size_t>(SplitMix64(h) % num_shards);
 }
 
-void AppendG(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  out->append(buffer);
+// Appends `value` in decimal, exactly as std::to_string spells it.
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buffer[24];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
 }
 
 // Textual mt19937_64 state (the standard's portable stream format), so a
@@ -201,19 +205,24 @@ void ServeEngine::InjectFaults(Request* request, StreamState* stream) {
   if (injected) ++injected_rows_;
 }
 
-void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
+void ServeEngine::RouteRequest(std::size_t slot) {
+  Request& request = request_;
+  std::string& response = responses_[slot];
   if (request.verb == Verb::kStats) {
-    responses_[slot] = StatsLine();
+    AppendStatsLine(&response);
     return;
   }
   if (request.verb == Verb::kSnapshot && !streams_.count(request.stream_id)) {
-    responses_[slot] = "ERR unknown_stream " + request.stream_id;
+    response.append("ERR unknown_stream ").append(request.stream_id);
     return;
   }
   std::string warm_error;
   StreamState* stream = FindOrCreateStream(request.stream_id, &warm_error);
   if (stream == nullptr) {
-    responses_[slot] = "ERR warm_start " + request.stream_id + " " + warm_error;
+    response.append("ERR warm_start ")
+        .append(request.stream_id)
+        .append(" ")
+        .append(warm_error);
     return;
   }
   // Touch bookkeeping for LRU/TTL eviction: the request ordinal is unique,
@@ -266,11 +275,16 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
     if (drop_row) {
       const char* what = request.verb == Verb::kTrain ? "train" : "score";
       if (config_.bad_input_policy == BadInputPolicy::kThrow) {
-        responses_[slot] =
-            "ERR bad_row " + std::string(what) + " " + request.stream_id;
+        response.append("ERR bad_row ")
+            .append(what)
+            .append(" ")
+            .append(request.stream_id);
       } else {
-        responses_[slot] =
-            "OK " + std::string(what) + " " + request.stream_id + " dropped";
+        response.append("OK ")
+            .append(what)
+            .append(" ")
+            .append(request.stream_id)
+            .append(" dropped");
       }
       return;
     }
@@ -283,8 +297,11 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   if (queue.size() >= config_.queue_capacity) {
     ++rejected_;
     *shard->rejected += 1;
-    responses_[slot] = "ERR retry-after=1 " + request.stream_id + " shard=" +
-                       std::to_string(stream->shard) + " queue_full";
+    response.append("ERR retry-after=1 ")
+        .append(request.stream_id)
+        .append(" shard=");
+    AppendInt(&response, stream->shard);
+    response.append(" queue_full");
     return;
   }
 
@@ -292,8 +309,10 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   routed.verb = request.verb;
   routed.stream = stream;
   routed.slot = slot;
-  routed.values = std::move(request.values);
-  routed.path = std::move(request.path);
+  routed.values = row_arena_.size();
+  row_arena_.insert(row_arena_.end(), request.values.begin(),
+                    request.values.end());
+  routed.path = request.path;
   switch (request.verb) {
     case Verb::kTrain:
       routed.ordinal = ++stream->rows_trained;
@@ -316,20 +335,18 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
 
 void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
   ++requests_;
-  Request request;
-  std::string error;
   const bool parsed =
-      ParseRequestLine(line, config_.num_features, &request, &error);
-  if (parsed && request.verb == Verb::kDrop) {
+      ParseRequestLine(line, config_.num_features, &request_, &parse_error_);
+  if (parsed && request_.verb == Verb::kDrop) {
     // A drop is a window boundary: everything routed so far (possibly
     // including requests for this stream) executes first, then the stream
     // is destroyed on the routing thread while no shard task is running.
     // Its response is emitted directly -- still in request order, right
     // after the flushed window's responses.
     Flush(out);
-    const auto it = streams_.find(request.stream_id);
+    const auto it = streams_.find(request_.stream_id);
     if (it == streams_.end()) {
-      out << "ERR unknown_stream " << request.stream_id << '\n';
+      out << "ERR unknown_stream " << request_.stream_id << '\n';
     } else {
       StreamState& state = it->second;
       if (state.model != nullptr) {
@@ -339,30 +356,33 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
         --resident_;
       } else if (!config_.state_dir.empty()) {
         // A dropped stream must not be resurrectable from its parked file.
-        RemoveEvictionArchive(config_.state_dir, request.stream_id);
+        RemoveEvictionArchive(config_.state_dir, request_.stream_id);
       }
       streams_.erase(it);
       ++drops_;
-      out << "OK drop " << request.stream_id << '\n';
+      out << "OK drop " << request_.stream_id << '\n';
     }
     return;
   }
-  const std::size_t slot = responses_.size();
-  responses_.emplace_back();
+  const std::size_t slot = num_responses_++;
+  if (slot == responses_.size()) responses_.emplace_back();
+  responses_[slot].clear();
   if (!parsed) {
     ++parse_errors_;
-    responses_[slot] = "ERR parse " + error;
+    responses_[slot].append("ERR parse ").append(parse_error_);
   } else {
-    RouteRequest(std::move(request), slot);
+    RouteRequest(slot);
   }
-  if (responses_.size() >= config_.batch_window) Flush(out);
+  if (num_responses_ >= config_.batch_window) Flush(out);
 }
 
 void ServeEngine::Flush(std::ostream& out) {
   // An empty flush (bridge idle tick, drop at a window start, double
   // Finish) is a no-op: it must not advance the window clock, evict, or
   // checkpoint, or interactive serving would diverge from batch replay.
-  if (responses_.empty()) return;
+  if (num_responses_ == 0) return;
+  // Unique per window: tags ProcessShard's per-stream grouping.
+  const std::uint64_t tag = windows_ + 1;
   bool any = false;
   for (const std::vector<Routed>& queue : shard_queues_) {
     if (!queue.empty()) any = true;
@@ -373,9 +393,9 @@ void ServeEngine::Flush(std::ostream& out) {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (shard_queues_[s].empty()) continue;
         Shard* shard = shards_[s].get();
-        std::vector<Routed>* items = &shard_queues_[s];
-        futures.push_back(
-            pool_->Submit([this, shard, items]() { ProcessShard(shard, items); }));
+        const std::vector<Routed>* items = &shard_queues_[s];
+        futures.push_back(pool_->Submit(
+            [this, shard, items, tag]() { ProcessShard(shard, *items, tag); }));
       }
       for (std::future<void>& future : futures) {
         GetHelping(pool_.get(), &future);
@@ -383,15 +403,20 @@ void ServeEngine::Flush(std::ostream& out) {
     } else {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (!shard_queues_[s].empty()) {
-          ProcessShard(shards_[s].get(), &shard_queues_[s]);
+          ProcessShard(shards_[s].get(), shard_queues_[s], tag);
         }
       }
     }
     for (std::vector<Routed>& queue : shard_queues_) queue.clear();
+    row_arena_.clear();
   }
-  for (const std::string& response : responses_) out << response << '\n';
+  for (std::size_t i = 0; i < num_responses_; ++i) {
+    out.write(responses_[i].data(),
+              static_cast<std::streamsize>(responses_[i].size()));
+    out.put('\n');
+  }
   out.flush();
-  responses_.clear();
+  num_responses_ = 0;
   ++windows_;
   EvictAtBoundary();
   if (!config_.state_dir.empty() && config_.checkpoint_every > 0 &&
@@ -638,111 +663,132 @@ void ServeEngine::RecoverFromStateDir() {
   }
 }
 
-void ServeEngine::ProcessShard(Shard* shard, std::vector<Routed>* items) {
+void ServeEngine::ProcessShard(Shard* shard, const std::vector<Routed>& items,
+                               std::uint64_t tag) {
   // Regroup per stream, preserving each stream's own request order but
   // ignoring interleaving by other streams: streams are independent, so
   // this is semantically equivalent to global order -- and it makes run
   // coalescing identical at any shard count (see the header contract).
-  std::vector<std::vector<Routed*>> per_stream;
-  std::unordered_map<const StreamState*, std::size_t> stream_index;
-  for (Routed& item : *items) {
-    const auto [it, inserted] =
-        stream_index.emplace(item.stream, per_stream.size());
-    if (inserted) per_stream.emplace_back();
-    per_stream[it->second].push_back(&item);
+  // A stable counting sort by first appearance: number the streams and
+  // count their requests, turn the counts into group offsets, then place
+  // each request's queue index at its group's next position.
+  std::vector<std::size_t>& offsets = shard->group_offsets;
+  offsets.clear();
+  for (const Routed& item : items) {
+    StreamState* stream = item.stream;
+    if (stream->group_tag != tag) {
+      stream->group_tag = tag;
+      stream->group = offsets.size();
+      offsets.push_back(0);
+    }
+    ++offsets[stream->group];
+  }
+  std::size_t next = 0;
+  for (std::size_t& offset : offsets) {
+    const std::size_t count = offset;
+    offset = next;
+    next += count;
+  }
+  std::vector<std::size_t>& grouped = shard->grouped;
+  grouped.resize(items.size());
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    grouped[offsets[items[k].stream->group]++] = k;
   }
 
   const std::size_t features = static_cast<std::size_t>(config_.num_features);
-  for (std::vector<Routed*>& sequence : per_stream) {
-    std::size_t i = 0;
-    while (i < sequence.size()) {
-      Routed* head = sequence[i];
-      StreamState* stream = head->stream;
-      if (head->verb == Verb::kTrain || head->verb == Verb::kScore) {
-        // Maximal same-verb run of this stream -> one batched model call.
-        std::size_t end = i;
-        while (end < sequence.size() && sequence[end]->verb == head->verb) {
-          ++end;
-        }
-        Batch& batch = shard->scratch_batch;
-        batch.clear();
-        for (std::size_t j = i; j < end; ++j) {
-          const std::vector<double>& values = sequence[j]->values;
-          batch.Add(std::span<const double>(values.data(), features),
-                    head->verb == Verb::kTrain
-                        ? static_cast<int>(values[features])
-                        : 0);
-        }
-        if (head->verb == Verb::kTrain) {
-          try {
-            stream->model->PartialFit(batch);
-            *shard->train_rows += batch.size();
-            for (std::size_t j = i; j < end; ++j) {
-              responses_[sequence[j]->slot] =
-                  "OK train " + stream->id +
-                  " n=" + std::to_string(sequence[j]->ordinal);
-            }
-          } catch (const std::exception& e) {
-            for (std::size_t j = i; j < end; ++j) {
-              responses_[sequence[j]->slot] =
-                  std::string("ERR train ") + e.what();
-            }
-          }
-        } else {
-          try {
-            stream->model->PredictBatch(batch, &shard->scratch_proba);
-            *shard->score_rows += batch.size();
-            for (std::size_t j = i; j < end; ++j) {
-              const std::span<const double> proba =
-                  shard->scratch_proba.row(j - i);
-              std::string& response = responses_[sequence[j]->slot];
-              response = "OK score " + stream->id + " pred=" +
-                         std::to_string(ArgMax(proba)) + " p=";
-              for (std::size_t c = 0; c < proba.size(); ++c) {
-                if (c > 0) response.push_back(',');
-                AppendG(&response, proba[c]);
-              }
-            }
-          } catch (const std::exception& e) {
-            for (std::size_t j = i; j < end; ++j) {
-              responses_[sequence[j]->slot] =
-                  std::string("ERR score ") + e.what();
-            }
-          }
-        }
-        i = end;
-        continue;
+  std::size_t i = 0;
+  while (i < grouped.size()) {
+    const Routed& head = items[grouped[i]];
+    StreamState* stream = head.stream;
+    if (head.verb == Verb::kTrain || head.verb == Verb::kScore) {
+      // Maximal same-verb run of this stream -> one batched model call.
+      std::size_t end = i + 1;
+      while (end < grouped.size() && items[grouped[end]].stream == stream &&
+             items[grouped[end]].verb == head.verb) {
+        ++end;
       }
-      if (head->verb == Verb::kSnapshot) {
+      Batch& batch = shard->scratch_batch;
+      batch.clear();
+      for (std::size_t j = i; j < end; ++j) {
+        const double* row = row_arena_.data() + items[grouped[j]].values;
+        batch.Add(std::span<const double>(row, features),
+                  head.verb == Verb::kTrain ? static_cast<int>(row[features])
+                                            : 0);
+      }
+      if (head.verb == Verb::kTrain) {
         try {
-          serial::SaveClassifierToFile(*stream->model, head->path);
-          *shard->snapshots += 1;
-          responses_[head->slot] =
-              "OK snapshot " + stream->id + " " + head->path;
-        } catch (const std::exception& e) {
-          responses_[head->slot] = std::string("ERR snapshot ") + e.what();
-        }
-      } else {  // kRestore: blue-green -- decode fully, then swap
-        try {
-          std::unique_ptr<Classifier> loaded =
-              serial::LoadClassifierFromFile(head->path);
-          if (loaded->num_classes() != config_.num_classes) {
-            responses_[head->slot] =
-                "ERR restore archive has " +
-                std::to_string(loaded->num_classes()) + " classes, engine " +
-                std::to_string(config_.num_classes);
-          } else {
-            loaded->AttachTelemetry(&shard->telemetry);
-            stream->model = std::move(loaded);
-            *shard->restores += 1;
-            responses_[head->slot] = "OK restore " + stream->id;
+          stream->model->PartialFit(batch);
+          *shard->train_rows += batch.size();
+          for (std::size_t j = i; j < end; ++j) {
+            const Routed& item = items[grouped[j]];
+            std::string& response = responses_[item.slot];
+            response.assign("OK train ").append(stream->id).append(" n=");
+            AppendInt(&response, item.ordinal);
           }
         } catch (const std::exception& e) {
-          responses_[head->slot] = std::string("ERR restore ") + e.what();
+          for (std::size_t j = i; j < end; ++j) {
+            responses_[items[grouped[j]].slot].assign("ERR train ").append(
+                e.what());
+          }
+        }
+      } else {
+        try {
+          stream->model->PredictBatch(batch, &shard->scratch_proba);
+          *shard->score_rows += batch.size();
+          for (std::size_t j = i; j < end; ++j) {
+            const std::span<const double> proba =
+                shard->scratch_proba.row(j - i);
+            std::string& response = responses_[items[grouped[j]].slot];
+            response.assign("OK score ").append(stream->id).append(" pred=");
+            AppendInt(&response, ArgMax(proba));
+            response.append(" p=");
+            for (std::size_t c = 0; c < proba.size(); ++c) {
+              if (c > 0) response.push_back(',');
+              AppendResponseDouble(&response, proba[c]);
+            }
+          }
+        } catch (const std::exception& e) {
+          for (std::size_t j = i; j < end; ++j) {
+            responses_[items[grouped[j]].slot].assign("ERR score ").append(
+                e.what());
+          }
         }
       }
-      ++i;
+      i = end;
+      continue;
     }
+    std::string& response = responses_[head.slot];
+    if (head.verb == Verb::kSnapshot) {
+      try {
+        serial::SaveClassifierToFile(*stream->model, head.path);
+        *shard->snapshots += 1;
+        response.assign("OK snapshot ")
+            .append(stream->id)
+            .append(" ")
+            .append(head.path);
+      } catch (const std::exception& e) {
+        response.assign("ERR snapshot ").append(e.what());
+      }
+    } else {  // kRestore: blue-green -- decode fully, then swap
+      try {
+        std::unique_ptr<Classifier> loaded =
+            serial::LoadClassifierFromFile(head.path);
+        if (loaded->num_classes() != config_.num_classes) {
+          response.assign("ERR restore archive has ");
+          AppendInt(&response, loaded->num_classes());
+          response.append(" classes, engine ");
+          AppendInt(&response, config_.num_classes);
+        } else {
+          loaded->AttachTelemetry(&shard->telemetry);
+          stream->model = std::move(loaded);
+          *shard->restores += 1;
+          response.assign("OK restore ").append(stream->id);
+        }
+      } catch (const std::exception& e) {
+        response.assign("ERR restore ").append(e.what());
+      }
+    }
+    ++i;
   }
 }
 
@@ -753,14 +799,15 @@ void ServeEngine::ExportTelemetry() {
   }
 }
 
-std::string ServeEngine::StatsLine() const {
+void ServeEngine::AppendStatsLine(std::string* line) const {
   // Routing-time tallies only: everything here is a pure function of the
   // request sequence, so `stats` responses match at any shard count.
-  std::string line = "OK stats {";
-  const auto field = [&line](const char* name, std::uint64_t value,
-                             bool first = false) {
-    if (!first) line += ", ";
-    line += std::string("\"") + name + "\": " + std::to_string(value);
+  line->append("OK stats {");
+  const auto field = [line](const char* name, std::uint64_t value,
+                            bool first = false) {
+    if (!first) line->append(", ");
+    line->append("\"").append(name).append("\": ");
+    AppendInt(line, value);
   };
   field("streams", streams_.size(), /*first=*/true);
   field("resident_streams", resident_);
@@ -781,8 +828,7 @@ std::string ServeEngine::StatsLine() const {
   field("checkpoints", checkpoints_);
   field("injected_rows", injected_rows_);
   field("state_errors", state_errors_);
-  line += "}";
-  return line;
+  line->append("}");
 }
 
 void ServeEngine::Finish(std::ostream& out) {

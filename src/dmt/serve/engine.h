@@ -162,6 +162,11 @@ class ServeEngine {
     // Lazily created on the first injected draw; survives eviction in
     // memory and checkpoints as textual mt19937_64 state.
     std::unique_ptr<Rng> inject_rng;
+    // ProcessShard's per-stream grouping: `group` is valid while
+    // `group_tag` equals the current window's tag. Only the stream's own
+    // shard task touches them, so no synchronization is needed.
+    std::uint64_t group_tag = 0;
+    std::size_t group = 0;
   };
 
   // One routed request waiting for its shard task.
@@ -169,7 +174,8 @@ class ServeEngine {
     Verb verb = Verb::kTrain;
     StreamState* stream = nullptr;
     std::size_t slot = 0;            // response index within the window
-    std::vector<double> values;      // train: F features + label; score: F
+    // train: F features + label; score: F -- at this offset of row_arena_
+    std::size_t values = 0;
     std::string path;                // snapshot / restore
     std::uint64_t ordinal = 0;       // train: rows_trained after this row
   };
@@ -180,26 +186,38 @@ class ServeEngine {
   StreamState* FindOrCreateStream(const std::string& id, std::string* error);
   bool WarmStart(StreamState* stream, std::string* error);
   void InjectFaults(Request* request, StreamState* stream);
-  void RouteRequest(Request&& request, std::size_t slot);
-  void ProcessShard(Shard* shard, std::vector<Routed>* items);
+  void RouteRequest(std::size_t slot);
+  void ProcessShard(Shard* shard, const std::vector<Routed>& items,
+                    std::uint64_t tag);
   void EvictAtBoundary();
   bool EvictStream(StreamState* stream);
   void WriteCheckpoint();
   void RecoverFromStateDir();
   void ExportTelemetry();
-  std::string StatsLine() const;
+  void AppendStatsLine(std::string* line) const;
 
   ServeConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;  // only when num_shards > 1
   std::unordered_map<std::string, StreamState> streams_;
 
-  // Current window: per-request response slots plus per-shard queues.
-  std::vector<std::string> responses_;
-  std::vector<std::vector<Routed>> shard_queues_;
+  // The request being served; its buffers are reused line after line.
+  Request request_;
+  std::string parse_error_;
 
-  // Routing-time tallies (main thread only). StatsLine reports these, so
-  // `stats` responses are shard-count-independent by construction.
+  // Current window: per-request response slots plus per-shard queues. All
+  // of it is grow-only: the first num_responses_ strings are the window's
+  // responses, and every string keeps its capacity for later windows.
+  std::vector<std::string> responses_;
+  std::size_t num_responses_ = 0;
+  std::vector<std::vector<Routed>> shard_queues_;
+  // Rows of the window's train/score requests, back to back; read-only
+  // while the shard tasks run.
+  std::vector<double> row_arena_;
+
+  // Routing-time tallies (main thread only). AppendStatsLine reports
+  // these, so `stats` responses are shard-count-independent by
+  // construction.
   std::uint64_t requests_ = 0;
   std::uint64_t parse_errors_ = 0;
   std::uint64_t rejected_ = 0;

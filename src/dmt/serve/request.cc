@@ -1,5 +1,7 @@
 #include "dmt/serve/request.h"
 
+#include <array>
+#include <charconv>
 #include <optional>
 
 #include "dmt/common/parse.h"
@@ -8,15 +10,28 @@ namespace dmt::serve {
 
 namespace {
 
+// The first three whitespace-separated tokens of a line plus the total
+// token count; no request has more than three, so the rest are only
+// counted.
+struct Tokens {
+  std::array<std::string_view, 3> views;
+  std::size_t count = 0;
+};
+
 // Splits on runs of spaces/tabs; the csv-row is a single token.
-std::vector<std::string_view> Tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
+Tokens Tokenize(std::string_view line) {
+  Tokens tokens;
   std::size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
     std::size_t start = i;
     while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
+    if (i > start) {
+      if (tokens.count < tokens.views.size()) {
+        tokens.views[tokens.count] = line.substr(start, i - start);
+      }
+      ++tokens.count;
+    }
   }
   return tokens;
 }
@@ -57,35 +72,40 @@ bool ParseRequestLine(std::string_view line, int num_features, Request* out,
                       std::string* error) {
   // Tolerate trailing \r so scripts written on any platform parse.
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  *out = Request{};
-  const std::vector<std::string_view> tokens = Tokenize(line);
-  if (tokens.empty()) {
+  out->verb = Verb::kStats;
+  out->stream_id.clear();
+  out->values.clear();
+  out->path.clear();
+  const Tokens tokenized = Tokenize(line);
+  const std::size_t num_tokens = tokenized.count;
+  const std::array<std::string_view, 3>& tokens = tokenized.views;
+  if (num_tokens == 0) {
     *error = "empty request";
     return false;
   }
   const std::string_view verb = tokens[0];
   if (verb == "stats") {
-    if (tokens.size() != 1) {
+    if (num_tokens != 1) {
       *error = "stats takes no arguments";
       return false;
     }
     out->verb = Verb::kStats;
     return true;
   }
-  if (tokens.size() < 2) {
+  if (num_tokens < 2) {
     *error = "missing stream id";
     return false;
   }
-  out->stream_id = std::string(tokens[1]);
+  out->stream_id.assign(tokens[1]);
   if (verb == "drop") {
-    if (tokens.size() != 2) {
+    if (num_tokens != 2) {
       *error = "drop takes exactly one argument";
       return false;
     }
     out->verb = Verb::kDrop;
     return true;
   }
-  if (tokens.size() != 3) {
+  if (num_tokens != 3) {
     *error = std::string(verb) + " takes exactly two arguments";
     return false;
   }
@@ -101,16 +121,26 @@ bool ParseRequestLine(std::string_view line, int num_features, Request* out,
   }
   if (verb == "snapshot") {
     out->verb = Verb::kSnapshot;
-    out->path = std::string(tokens[2]);
+    out->path.assign(tokens[2]);
     return true;
   }
   if (verb == "restore") {
     out->verb = Verb::kRestore;
-    out->path = std::string(tokens[2]);
+    out->path.assign(tokens[2]);
     return true;
   }
   *error = "unknown verb '" + std::string(verb) + "'";
   return false;
+}
+
+void AppendResponseDouble(std::string* out, double value) {
+  // to_chars with a precision is specified as printf's %.*g in the C
+  // locale; "-1.234567891e-308" is the longest it writes.
+  char buffer[32];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 10);
+  out->append(buffer, result.ptr);
 }
 
 }  // namespace dmt::serve

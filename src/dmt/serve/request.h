@@ -32,13 +32,20 @@ struct Request {
   std::string path;  // snapshot / restore target
 };
 
-// Parses one request line into `out` (cleared first). Returns true on
-// success; on failure returns false with a short reason in `error`
+// Parses one request line into `out`. Every field is reset first, but
+// `out`'s string and vector buffers keep their capacity, so a caller that
+// reuses one Request parses well-formed lines without allocating. Returns
+// true on success; on failure returns false with a short reason in `error`
 // (single-line, suitable for an "ERR parse ..." response). `num_features`
 // gates the row arity: train rows need exactly num_features + 1 values,
 // score rows exactly num_features.
 bool ParseRequestLine(std::string_view line, int num_features, Request* out,
                       std::string* error);
+
+// Appends `value` to `out` in the response number format, printf's
+// "%.10g" in the C locale ("0.25", "1e-07", "inf", "-nan"), without
+// locale lookups or a temporary string.
+void AppendResponseDouble(std::string* out, double value);
 
 }  // namespace dmt::serve
 

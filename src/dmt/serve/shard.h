@@ -4,9 +4,9 @@
 // at a time (the shard's worker task during a window, the engine's routing
 // thread between windows -- the window barrier separates the two).
 //
-// The shard owns the resources the ISSUE calls the "arena": grow-only
-// reusable scratch (one Batch for coalesced train/score runs, one
-// ProbaMatrix for batch scoring) and the shard's TelemetryRegistry, which
+// The shard owns grow-only reusable scratch (the per-stream regrouping
+// buffers, one Batch for coalesced train/score runs, one ProbaMatrix for
+// batch scoring) and the shard's TelemetryRegistry, which
 // aggregates serve.* counters and the model-level counters of every stream
 // homed on the shard (models are attached to it at creation).
 #ifndef DMT_SERVE_SHARD_H_
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dmt/common/types.h"
 #include "dmt/obs/telemetry.h"
@@ -52,9 +53,16 @@ struct Shard {
   // resident_streams gauge.
   std::size_t num_streams = 0;
 
-  // Grow-only scratch reused across windows: coalesced per-stream request
-  // runs are staged here, so steady-state serving does not allocate
-  // per request beyond the parsed request itself.
+  // Grow-only scratch reused across windows: the per-stream regrouping of
+  // the shard's queue (a counting sort by first appearance: per-stream
+  // group offsets, then the queue indices in grouped order) and the
+  // coalesced request runs handed to the models. With the engine's own
+  // grow-only window buffers, a train or score request on an existing
+  // stream makes no heap allocation outside the model once the buffers
+  // are warm (tests/allocation_test.cc pins 0 per request for a GLM
+  // engine).
+  std::vector<std::size_t> group_offsets;
+  std::vector<std::size_t> grouped;
   Batch scratch_batch;
   ProbaMatrix scratch_proba;
 

@@ -83,7 +83,7 @@ CsvStream::CsvStream(const CsvStreamConfig& config) : config_(config) {
     if (!std::getline(scan, line)) Fail(config_.path, 0, "empty file");
     header.resize(SplitLine(line, config_.delimiter).size());
     for (std::size_t c = 0; c < header.size(); ++c) {
-      header[c] = "x" + std::to_string(c);
+      header[c] = std::string("x").append(std::to_string(c));
     }
     scan.seekg(position);
   }

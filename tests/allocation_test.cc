@@ -5,7 +5,11 @@
 //
 // This test replaces the global allocator, so it builds as its own binary
 // (dmt_allocation_test) and must never join the dmt_tests glob.
+#include <cstdint>
 #include <memory>
+#include <ostream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +20,9 @@
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/linear/glm.h"
+#include "dmt/linear/glm_classifier.h"
 #include "dmt/obs/telemetry.h"
+#include "dmt/serve/engine.h"
 #include "dmt/trees/vfdt.h"
 
 DMT_DEFINE_COUNTING_ALLOCATOR();
@@ -236,6 +242,70 @@ TEST(AllocationRegressionTest, GlmTrainsWithoutAllocating) {
   alloc_count::Reset();
   for (const Batch& batch : measured) model.Fit(batch);
   EXPECT_EQ(alloc_count::allocations, 0u) << "Glm::Fit allocated";
+#endif
+}
+
+// --- Serving: with every stream created and the engine's window buffers
+// warm, the request path around the model -- parse, route, per-stream
+// regrouping, response formatting and emission -- must not touch the heap
+// for train and score requests.
+
+// Accepts and drops every byte, so the measurement sees only the engine.
+class DiscardBuf : public std::streambuf {
+ protected:
+  int overflow(int c) override { return c; }
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    return n;
+  }
+};
+
+TEST(AllocationRegressionTest, ServeRequestsWithoutAllocating) {
+#ifdef DMT_UNDER_SANITIZER
+  GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
+#else
+  constexpr int kServeFeatures = 4;
+  constexpr int kServeClasses = 2;
+  serve::ServeConfig config;
+  config.num_features = kServeFeatures;
+  config.num_classes = kServeClasses;
+  config.factory = [](const std::string& /*id*/,
+                      std::uint64_t seed) -> std::unique_ptr<Classifier> {
+    linear::GlmConfig glm;
+    glm.num_features = kServeFeatures;
+    glm.num_classes = kServeClasses;
+    glm.seed = seed;
+    return std::make_unique<linear::GlmClassifier>(glm);
+  };
+  serve::ServeEngine engine(std::move(config));
+
+  // 70% train, 30% score over 300 streams; lines are built up front.
+  Rng rng(301);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 6000; ++i) {
+    const bool train = rng.Uniform() < 0.7;
+    std::string line = train ? "train" : "score";
+    line += " user" + std::to_string(rng.UniformInt(0, 299)) + " ";
+    for (int f = 0; f < kServeFeatures; ++f) {
+      if (f > 0) line += ',';
+      line += std::to_string(rng.Uniform());
+    }
+    if (train) line += rng.Uniform() < 0.5 ? ",0" : ",1";
+    lines.push_back(std::move(line));
+  }
+
+  DiscardBuf discard;
+  std::ostream out(&discard);
+  for (const std::string& line : lines) engine.ServeLine(line, out);
+  engine.Flush(out);
+  ASSERT_EQ(engine.num_streams(), 300u);
+
+  alloc_count::Reset();
+  for (const std::string& line : lines) engine.ServeLine(line, out);
+  engine.Flush(out);
+  EXPECT_EQ(alloc_count::allocations, 0u)
+      << static_cast<double>(alloc_count::allocations) /
+             static_cast<double>(lines.size())
+      << " allocations per request";
 #endif
 }
 

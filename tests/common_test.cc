@@ -1,9 +1,16 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dmt/common/math.h"
+#include "dmt/common/parse.h"
 #include "dmt/common/random.h"
 #include "dmt/common/stats.h"
 #include "dmt/common/table.h"
@@ -129,6 +136,63 @@ TEST(TableTest, RendersAlignedColumnsAndCsv) {
   EXPECT_NE(text.find("DMT"), std::string::npos);
   EXPECT_NE(text.find("0.78 +- 0.10"), std::string::npos);
   EXPECT_NE(table.ToCsv().find("DMT,0.78 +- 0.10"), std::string::npos);
+}
+
+// The strtod-only ParseDouble that the from_chars fast path must match
+// bit for bit: whole field consumed, no empty input, no leading blank.
+std::optional<double> StrtodParse(const std::string& text) {
+  if (text.empty() || text[0] == ' ' || text[0] == '\t') return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) return std::nullopt;
+  return value;
+}
+
+void ExpectParsesLikeStrtod(const std::string& text) {
+  const std::optional<double> expected = StrtodParse(text);
+  const std::optional<double> actual =
+      ParseDouble(text, /*require_finite=*/false);
+  ASSERT_EQ(actual.has_value(), expected.has_value()) << "'" << text << "'";
+  if (expected.has_value()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*actual),
+              std::bit_cast<std::uint64_t>(*expected))
+        << "'" << text << "'";
+  }
+  // The finite-only flavour refuses exactly the non-finite values.
+  const bool finite = expected.has_value() && std::isfinite(*expected);
+  EXPECT_EQ(ParseDouble(text).has_value(), finite) << "'" << text << "'";
+}
+
+TEST(ParseDoubleTest, MatchesStrtodOnEdgeCases) {
+  for (const char* text :
+       {"+1", "0x10", "0X1p3", "1e400", "-1e400", "1e-400", "4.9e-324",
+        "2.4703282292062327e-324", "2.2250738585072011e-308", "nan", "-nan",
+        "nan(12)", "NaN", "Infinity", "-inf", "infinit", "1e", "1e+", ".5",
+        "5.", ".", "-", "--1", "+-1", "1.2.3", "0.1", "-0", "+0", "1,5",
+        " 1", "\t1", "\n1", "1 ", "", "0.99999999995",
+        "179769313486231570000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000"
+        "0000.0",
+        "0.30000000000000000000000000000000000000001"}) {
+    ExpectParsesLikeStrtod(text);
+  }
+}
+
+TEST(ParseDoubleTest, MatchesStrtodOnPrintedDoubles) {
+  Rng rng(11);
+  char buffer[64];
+  for (int i = 0; i < 20000; ++i) {
+    const double value = std::bit_cast<double>(rng.engine()());
+    for (const char* format : {"%.17g", "%.10g", "%.4f", "%a"}) {
+      std::snprintf(buffer, sizeof(buffer), format, value);
+      ExpectParsesLikeStrtod(buffer);
+    }
+    std::snprintf(buffer, sizeof(buffer), "%.6f", rng.Uniform());
+    ExpectParsesLikeStrtod(buffer);
+  }
 }
 
 }  // namespace

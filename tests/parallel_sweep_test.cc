@@ -394,8 +394,8 @@ TEST_F(SweepCacheTest, ConcurrentStoresAndLoadsAreSafe) {
     futures.push_back(pool.Submit([&cache, t]() {
       for (int i = 0; i < 25; ++i) {
         bench::CellResult cell;
-        cell.dataset = "ds" + std::to_string(i);
-        cell.model = "m" + std::to_string(t);
+        cell.dataset = std::string("ds").append(std::to_string(i));
+        cell.model = std::string("m").append(std::to_string(t));
         cell.f1_mean = t + i;
         cache.Store({cell.dataset, cell.model, 100, 1}, cell);
         cache.Load({cell.dataset, cell.model, 100, 1});

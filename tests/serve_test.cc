@@ -3,7 +3,10 @@
 // any shard count), explicit back-pressure, live snapshot/restore parity
 // with the offline serial archives, and JSONL telemetry validity under
 // NaN traffic.
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +15,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -143,6 +147,228 @@ TEST(RequestParseTest, RejectsMalformedLines) {
   EXPECT_FALSE(serve::ParseRequestLine("drop u1 extra", 2, &request, &error));
 }
 
+// -------------------------------------------------- request grammar fuzz
+
+// The request grammar restated with a strtod number parser: the oracle the
+// in-place parser (from_chars fast path, reused Request buffers) must match
+// on every input.
+struct ReferenceRequest {
+  bool ok = false;
+  serve::Verb verb = serve::Verb::kStats;
+  std::string stream_id;
+  std::vector<double> values;
+  std::string path;
+  std::string error;
+};
+
+ReferenceRequest ReferenceParse(std::string_view line, int num_features) {
+  ReferenceRequest out;
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  std::vector<std::string> tokens;
+  std::string token;
+  for (const char c : line) {
+    if (c == ' ' || c == '\t') {
+      if (!token.empty()) tokens.push_back(token);
+      token.clear();
+    } else {
+      token.push_back(c);
+    }
+  }
+  if (!token.empty()) tokens.push_back(token);
+
+  const auto fail = [&out](const std::string& error) {
+    out.error = error;
+    return out;
+  };
+  if (tokens.empty()) return fail("empty request");
+  const std::string& verb = tokens[0];
+  if (verb == "stats") {
+    if (tokens.size() != 1) return fail("stats takes no arguments");
+    out.ok = true;
+    return out;
+  }
+  if (tokens.size() < 2) return fail("missing stream id");
+  out.stream_id = tokens[1];
+  if (verb == "drop") {
+    if (tokens.size() != 2) return fail("drop takes exactly one argument");
+    out.verb = serve::Verb::kDrop;
+    out.ok = true;
+    return out;
+  }
+  if (tokens.size() != 3) return fail(verb + " takes exactly two arguments");
+  if (verb == "train" || verb == "score") {
+    out.verb = verb == "train" ? serve::Verb::kTrain : serve::Verb::kScore;
+    const std::size_t expected =
+        static_cast<std::size_t>(num_features) + (verb == "train" ? 1 : 0);
+    std::size_t start = 0;
+    while (true) {
+      const std::size_t comma = tokens[2].find(',', start);
+      const std::string field = tokens[2].substr(
+          start, comma == std::string::npos ? std::string::npos
+                                            : comma - start);
+      char* end = nullptr;
+      const double value = std::strtod(field.c_str(), &end);
+      if (field.empty() || field[0] == ' ' || field[0] == '\t' ||
+          end != field.c_str() + field.size()) {
+        return fail("bad csv value '" + field + "'");
+      }
+      out.values.push_back(value);
+      if (comma == std::string::npos) break;
+      start = comma + 1;
+    }
+    if (out.values.size() != expected) {
+      return fail(std::string("expected ")
+                      .append(std::to_string(expected))
+                      .append(" csv values, got ")
+                      .append(std::to_string(out.values.size())));
+    }
+    out.ok = true;
+    return out;
+  }
+  if (verb == "snapshot" || verb == "restore") {
+    out.verb =
+        verb == "snapshot" ? serve::Verb::kSnapshot : serve::Verb::kRestore;
+    out.path = tokens[2];
+    out.ok = true;
+    return out;
+  }
+  return fail("unknown verb '" + verb + "'");
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Parses `line` with the engine's parser into the shared `request` (stale
+// fields from earlier lines must never leak) and with the oracle, and
+// compares everything a caller can observe.
+void ExpectParsesLikeReference(const std::string& line,
+                               serve::Request* request) {
+  constexpr int kFeatures = 2;
+  std::string error;
+  const bool ok = serve::ParseRequestLine(line, kFeatures, request, &error);
+  const ReferenceRequest expected = ReferenceParse(line, kFeatures);
+  ASSERT_EQ(ok, expected.ok) << "line '" << line << "'";
+  if (!ok) {
+    EXPECT_EQ(error, expected.error) << "line '" << line << "'";
+    return;
+  }
+  EXPECT_EQ(request->verb, expected.verb) << "line '" << line << "'";
+  EXPECT_EQ(request->stream_id, expected.stream_id) << "line '" << line << "'";
+  EXPECT_EQ(request->path, expected.path) << "line '" << line << "'";
+  ASSERT_EQ(request->values.size(), expected.values.size())
+      << "line '" << line << "'";
+  for (std::size_t i = 0; i < expected.values.size(); ++i) {
+    EXPECT_EQ(Bits(request->values[i]), Bits(expected.values[i]))
+        << "line '" << line << "' value " << i;
+  }
+}
+
+TEST(RequestParseFuzzTest, TruncationsAndByteFlipsMatchStrtodReference) {
+  const std::vector<std::string> corpus = {
+      "train u1 0.5,1.5,1",
+      "score u1 -0.25,3e-2",
+      "train\tuser-42  1e3,-inf,0\r",
+      "score u2 nan,+1.5",
+      "score u3 0x1p3,.5",
+      "train u4 4.9e-324,1e400,1",
+      "snapshot u1 /tmp/m.dmts",
+      "restore u1 ../models/m.dmts",
+      "drop u1",
+      "stats",
+  };
+  // Substitutions that steer a byte into the grammar's interesting
+  // corners: separators, signs, exponents, hex and special-value letters.
+  const std::string alphabet = std::string(" \t\r,.+-eExXpPnNiI019") + '\0';
+  serve::Request request;
+  std::size_t inputs = 0;
+  for (const std::string& line : corpus) {
+    for (std::size_t cut = 0; cut <= line.size(); ++cut) {
+      ExpectParsesLikeReference(line.substr(0, cut), &request);
+      ++inputs;
+    }
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      std::string mutated = line;
+      for (int bit = 0; bit < 8; ++bit) {
+        mutated[i] = static_cast<char>(line[i] ^ (1 << bit));
+        ExpectParsesLikeReference(mutated, &request);
+        ++inputs;
+      }
+      for (const char c : alphabet) {
+        mutated[i] = c;
+        ExpectParsesLikeReference(mutated, &request);
+        ++inputs;
+      }
+    }
+  }
+  EXPECT_GT(inputs, 4000u);
+}
+
+TEST(RequestParseFuzzTest, HostileStreamIdsMatchStrtodReference) {
+  const std::vector<std::string> ids = {
+      std::string(300, 'x'), "/", "..", "../../etc/passwd", "a/b",
+      "id\twith\ttabs", "cr\rinside", "trailing\r", "\xff\xfe", "-", ",",
+      "0.5,1.5", "stats", "train"};
+  const std::vector<std::string> tails = {"", " 0.5,1.5,1", " 0.5,1.5",
+                                          " /tmp/m.dmts", " a b"};
+  serve::Request request;
+  for (const std::string& id : ids) {
+    for (const char* verb :
+         {"train", "score", "snapshot", "restore", "drop", "stats"}) {
+      for (const std::string& tail : tails) {
+        ExpectParsesLikeReference(std::string(verb) + " " + id + tail,
+                                  &request);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ response number format
+
+TEST(ResponseFormatTest, MatchesPrintfG10) {
+  const auto snprintf_g10 = [](double value) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.10g", value);
+    return std::string(buffer);
+  };
+  const auto formatted = [](double value) {
+    std::string out = "p=";
+    serve::AppendResponseDouble(&out, value);
+    return out.substr(2);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                2.2250738585072009e-308,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                inf,
+                                -inf,
+                                nan,
+                                -nan,
+                                1.0 / 3.0,
+                                0.99999999995,
+                                0.999999999949999,
+                                1e-5,
+                                1e-4,
+                                1e10,
+                                1e9,
+                                9999999999.5,
+                                0.5,
+                                1.0};
+  // Plus probabilities and arbitrary bit patterns.
+  Rng rng(77);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(rng.Uniform());
+    values.push_back(std::bit_cast<double>(rng.engine()()));
+  }
+  for (const double value : values) {
+    EXPECT_EQ(formatted(value), snprintf_g10(value))
+        << "bits " << std::hex << Bits(value);
+  }
+}
+
 // ---------------------------------------------------------- determinism
 
 std::vector<std::string> ManyStreamScript(std::size_t num_requests,
@@ -156,7 +382,8 @@ std::vector<std::string> ManyStreamScript(std::size_t num_requests,
   std::vector<std::string> lines;
   lines.reserve(num_requests + 2);
   for (std::size_t i = 0; i < num_requests; ++i) {
-    const std::string id = "s" + std::to_string(next() % num_streams);
+    const std::string id =
+        std::string("s").append(std::to_string(next() % num_streams));
     const double a = static_cast<double>(next() % 1000) / 1000.0;
     const double b = static_cast<double>(next() % 1000) / 1000.0;
     std::ostringstream line;
@@ -528,7 +755,7 @@ std::vector<std::string> RevisitingScript(std::size_t num_requests,
     const std::size_t hot = (i / 7) % num_streams;
     const std::size_t id_index = next() % 4 == 0 ? (next() % num_streams)
                                                  : hot;
-    const std::string id = "s" + std::to_string(id_index);
+    const std::string id = std::string("s").append(std::to_string(id_index));
     const double a = static_cast<double>(next() % 1000) / 1000.0;
     const double b = static_cast<double>(next() % 1000) / 1000.0;
     std::ostringstream line;

@@ -40,8 +40,8 @@ TEST(TelemetryRegistryTest, GaugeAndTimerPointersAreStable) {
   double* gauge = registry.Gauge("g");
   obs::PhaseTimer* timer = registry.Timer("t");
   for (int i = 0; i < 100; ++i) {
-    registry.Gauge("g" + std::to_string(i));
-    registry.Timer("t" + std::to_string(i));
+    registry.Gauge(std::string("g").append(std::to_string(i)));
+    registry.Timer(std::string("t").append(std::to_string(i)));
   }
   EXPECT_EQ(registry.Gauge("g"), gauge);
   EXPECT_EQ(registry.Timer("t"), timer);
