@@ -15,8 +15,9 @@
 // stores, proposal buffers and recursion scratch are all grow-only).
 //
 // Flags (see harness.h): --samples N (total per dataset, default 50000),
-// --models a,b (default DMT,VFDT(MC),FIMT-DD,GLM), --datasets a,b (default
-// SEA,Agrawal,Hyperplane), --seed S. The DMT scheduler knobs (--dmt-exact /
+// --models a,b (default DMT,VFDT(MC),FIMT-DD,GLM,ForestEns,BaggingEns),
+// --datasets a,b (default SEA,Agrawal,Hyperplane), --seed S. The ensembles
+// train sequentially here (no pool). The DMT scheduler knobs (--dmt-exact /
 // --dmt-gain-*) apply to the DMT cells. --telemetry attaches a counter
 // registry per cell and writes TELEMETRY_<dataset>__<model>.json artifacts
 // (counters only -- the seed-deterministic surface; CI greps these to pin
@@ -146,7 +147,9 @@ int Main(int argc, char** argv) {
     options.datasets = {"SEA", "Agrawal", "Hyperplane"};
   }
   std::vector<std::string> models = options.models;
-  if (models.empty()) models = {"DMT", "VFDT(MC)", "FIMT-DD", "GLM"};
+  if (models.empty()) {
+    models = {"DMT", "VFDT(MC)", "FIMT-DD", "GLM", "ForestEns", "BaggingEns"};
+  }
 
   std::printf("Training micro-benchmark: %zu samples/dataset (half warm-up), "
               "seed %llu\n",

@@ -74,10 +74,12 @@ void AdaptiveRandomForest::TrainMemberInstance(Member* member,
     ++member->promotions;
   }
 
+  // The trees share no state, so one weighted update each equals the
+  // interleaved repetition.
   const int weight = member->rng.Poisson(config_.poisson_lambda);
-  for (int w = 0; w < weight; ++w) {
-    member->tree->TrainInstance(x, y);
-    if (member->background != nullptr) member->background->TrainInstance(x, y);
+  member->tree->TrainInstance(x, y, weight);
+  if (member->background != nullptr) {
+    member->background->TrainInstance(x, y, weight);
   }
 }
 

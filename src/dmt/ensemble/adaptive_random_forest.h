@@ -6,6 +6,9 @@
 // and a drift ADWIN detector: a warning starts a background tree that is
 // trained in parallel and promoted when the drift detector fires. The paper
 // runs it with 3 members configured like the stand-alone VFDT (Sec. VI-C).
+// A Poisson draw k reaches the tree (and the background tree) as one
+// weighted update, Vfdt::TrainInstance(x, y, k), bit-identical to k
+// repeated unit updates.
 #ifndef DMT_ENSEMBLE_ADAPTIVE_RANDOM_FOREST_H_
 #define DMT_ENSEMBLE_ADAPTIVE_RANDOM_FOREST_H_
 

@@ -76,8 +76,8 @@ void LeveragingBagging::TrainInstance(std::span<const double> x, int y) {
     const bool fired = detectors_[i].Update(error);
     change |= fired;
     member_detections_[i] += fired ? 1 : 0;
-    const int weight = member_rngs_[i].Poisson(config_.poisson_lambda);
-    for (int w = 0; w < weight; ++w) members_[i]->TrainInstance(x, y);
+    members_[i]->TrainInstance(
+        x, y, member_rngs_[i].Poisson(config_.poisson_lambda));
   }
   if (change) ResetWorstMember();
 }
@@ -92,8 +92,8 @@ bool LeveragingBagging::TrainMemberBatch(std::size_t m, const Batch& batch) {
     const bool detected = detectors_[m].Update(error);
     fired |= detected;
     member_detections_[m] += detected ? 1 : 0;
-    const int weight = member_rngs_[m].Poisson(config_.poisson_lambda);
-    for (int w = 0; w < weight; ++w) members_[m]->TrainInstance(x, y);
+    members_[m]->TrainInstance(
+        x, y, member_rngs_[m].Poisson(config_.poisson_lambda));
   }
   return fired;
 }

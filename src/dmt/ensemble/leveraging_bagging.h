@@ -4,7 +4,9 @@
 // Poisson(1)) and one ADWIN change detector per ensemble member; when any
 // detector fires, the member with the highest windowed error is reset. The
 // paper runs it with 3 basic Hoeffding trees configured like the
-// stand-alone VFDT (Sec. VI-C).
+// stand-alone VFDT (Sec. VI-C). A Poisson draw k is applied as one weighted
+// member update, Vfdt::TrainInstance(x, y, k), bit-identical to k repeated
+// unit updates.
 #ifndef DMT_ENSEMBLE_LEVERAGING_BAGGING_H_
 #define DMT_ENSEMBLE_LEVERAGING_BAGGING_H_
 

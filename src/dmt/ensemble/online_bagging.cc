@@ -30,10 +30,8 @@ void OnlineBagging::PartialFit(const Batch& batch) {
       continue;
     }
     for (auto& member : members_) {
-      const int weight = rng_.Poisson(config_.poisson_lambda);
-      for (int w = 0; w < weight; ++w) {
-        member->TrainInstance(batch.row(i), batch.label(i));
-      }
+      member->TrainInstance(batch.row(i), batch.label(i),
+                            rng_.Poisson(config_.poisson_lambda));
     }
   }
 }

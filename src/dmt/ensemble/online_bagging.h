@@ -1,7 +1,9 @@
 // Online (Oza) Bagging, Oza & Russell 2001: each incoming observation is
 // presented to every base learner k ~ Poisson(1) times, which converges to
 // bootstrap resampling as the stream grows. The plain, drift-oblivious
-// baseline that Leveraging Bagging extends with Poisson(6) and ADWIN.
+// baseline that Leveraging Bagging extends with Poisson(6) and ADWIN. The
+// draw k is applied as one weighted member update,
+// Vfdt::TrainInstance(x, y, k), bit-identical to k repeated unit updates.
 #ifndef DMT_ENSEMBLE_ONLINE_BAGGING_H_
 #define DMT_ENSEMBLE_ONLINE_BAGGING_H_
 

@@ -31,8 +31,7 @@ void OnlineBoosting::PartialFit(const Batch& batch) {
     if (!RowIsFinite(x) || y < 0 || y >= config_.num_classes) continue;
     double lambda = 1.0;
     for (Member& member : members_) {
-      const int weight = rng_.Poisson(lambda);
-      for (int w = 0; w < weight; ++w) member.tree->TrainInstance(x, y);
+      member.tree->TrainInstance(x, y, rng_.Poisson(lambda));
       if (member.tree->Predict(x) == y) {
         member.correct_weight += lambda;
         // Scale down: this part of the stream is already handled.

@@ -2,7 +2,9 @@
 // Each base learner k sees the instance with a Poisson(lambda_k) weight,
 // where lambda_k is scaled up if the previous learners misclassified the
 // instance and down otherwise; prediction combines the learners with
-// log(1/beta) weights derived from their running error rates.
+// log(1/beta) weights derived from their running error rates. The draw k is
+// applied as one weighted member update, Vfdt::TrainInstance(x, y, k),
+// bit-identical to k repeated unit updates.
 #ifndef DMT_ENSEMBLE_ONLINE_BOOSTING_H_
 #define DMT_ENSEMBLE_ONLINE_BOOSTING_H_
 

@@ -23,17 +23,19 @@ NumericObserver::NumericObserver(int num_classes)
   DMT_CHECK(num_classes >= 2);
 }
 
-void NumericObserver::Add(double value, int y, double weight) {
+void NumericObserver::Add(double value, int y, int count) {
   DMT_DCHECK(y >= 0 && y < num_classes_);
+  DMT_DCHECK(count >= 1);
   // A non-finite value would poison the Gaussian estimator and the min_/
   // max_ split range permanently (std::min(x, NaN) is NaN); treat it as
-  // missing. std::lround(NaN) below is also unspecified behavior.
-  if (!std::isfinite(value) || !std::isfinite(weight)) return;
-  // The Gaussian estimator is unweighted; integer weights (Poisson sampling
-  // in the ensembles) are applied by repetition.
-  const int repeats = std::max(1, static_cast<int>(std::lround(weight)));
-  for (int r = 0; r < repeats; ++r) per_class_[y].Add(value);
-  class_weights_[y] += repeats;
+  // missing.
+  if (!std::isfinite(value)) return;
+  // The Gaussian estimator is unweighted: one Welford step per observation
+  // keeps the mean/m2 bits of `count` unit calls. The class weight is an
+  // exact integer in a double, so one `+= count` equals `count` `+= 1`.
+  bayes::GaussianEstimator& estimator = per_class_[y];
+  for (int r = 0; r < count; ++r) estimator.Add(value);
+  class_weights_[y] += count;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }
@@ -149,11 +151,12 @@ NominalObserver::NominalObserver(int num_classes)
   DMT_CHECK(num_classes >= 2);
 }
 
-void NominalObserver::Add(double value, int y, double weight) {
+void NominalObserver::Add(double value, int y, int count) {
   DMT_DCHECK(y >= 0 && y < num_classes_);
+  DMT_DCHECK(count >= 1);
   // A NaN key breaks std::map's strict weak ordering (NaN compares false
   // against everything), corrupting the tree; treat non-finite as missing.
-  if (!std::isfinite(value) || !std::isfinite(weight)) return;
+  if (!std::isfinite(value)) return;
   // find-then-emplace so the steady state (value already seen) stays off
   // the heap; try_emplace would build its vector argument on every call.
   auto it = value_counts_.find(value);
@@ -162,7 +165,7 @@ void NominalObserver::Add(double value, int y, double weight) {
              .emplace(value, std::vector<double>(num_classes_, 0.0))
              .first;
   }
-  it->second[y] += weight;
+  it->second[y] += count;
 }
 
 void NominalObserver::Save(serial::Writer& writer) const {

@@ -47,7 +47,11 @@ class NumericObserver {
  public:
   explicit NumericObserver(int num_classes);
 
-  void Add(double value, int y, double weight = 1.0);
+  // Records `count` (>= 1) observations of `value` with label `y`: exactly
+  // the state `count` unit calls would leave, since the Gaussian estimator
+  // still takes one Welford step per observation. Weighted tree updates
+  // (Vfdt::TrainInstance with a Poisson weight) pass their chunk here.
+  void Add(double value, int y, int count = 1);
 
   // Best split for this feature by `criterion` merit, where the criterion
   // is information gain over the projected class distributions.
@@ -98,7 +102,8 @@ class NominalObserver {
  public:
   explicit NominalObserver(int num_classes);
 
-  void Add(double value, int y, double weight = 1.0);
+  // Adds `count` (>= 1) to the class-`y` count of `value`.
+  void Add(double value, int y, int count = 1);
 
   // Best equality split "x == v vs x != v" over observed values.
   SplitSuggestion BestSplit(int feature,

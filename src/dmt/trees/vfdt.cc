@@ -170,34 +170,54 @@ Vfdt::Node* Vfdt::RouteToLeaf(std::span<const double> x) const {
   return node;
 }
 
-void Vfdt::TrainInstance(std::span<const double> x, int y) {
+void Vfdt::TrainInstance(std::span<const double> x, int y, int weight) {
   // Non-finite rows are unusable: a NaN would corrupt the per-leaf
   // Gaussian observers and class counts permanently (DESIGN.md Sec. 8).
-  if (!RowIsFinite(x) || y < 0 || y >= config_.num_classes) return;
+  if (weight <= 0 || !RowIsFinite(x) || y < 0 || y >= config_.num_classes) {
+    return;
+  }
+  const bool nba =
+      config_.leaf_prediction == LeafPrediction::kNaiveBayesAdaptive;
+  const double grace = static_cast<double>(config_.grace_period);
   Node* leaf = RouteToLeaf(x);
-  if (config_.leaf_prediction == LeafPrediction::kNaiveBayesAdaptive &&
-      leaf->weight_seen > 0.0) {
-    // Track which of MC / NB would have been right, before learning x.
-    if (leaf->MajorityClass() == y) leaf->mc_correct += 1.0;
-    if (nb_scratch_.size() != static_cast<std::size_t>(config_.num_classes)) {
-      nb_scratch_.resize(config_.num_classes);
+  while (weight > 0) {
+    // A chunk stops at the leaf's next split attempt, so the attempt sees
+    // the statistics it would after unit calls. Counts are exact integers
+    // in double, so `+= chunk` equals `chunk` times `+= 1.0`. NBA leaves
+    // score x before every unit, so they take one unit per chunk.
+    const double until_attempt =
+        grace - (leaf->weight_seen - leaf->weight_at_last_attempt);
+    int chunk = 1;
+    if (!nba && until_attempt > 1.0) {
+      chunk = until_attempt >= weight ? weight
+                                      : static_cast<int>(until_attempt);
     }
-    leaf->NaiveBayesProbaInto(x, nb_scratch_);
-    if (ArgMax(nb_scratch_) == y) leaf->nb_correct += 1.0;
-  }
-  leaf->class_counts[y] += 1.0;
-  leaf->weight_seen += 1.0;
-  for (int j = 0; j < config_.num_features; ++j) {
-    if (IsNominal(j)) {
-      leaf->nominal_observers[j].Add(x[j], y);
-    } else {
-      leaf->observers[j].Add(x[j], y);
+    if (nba && leaf->weight_seen > 0.0) {
+      // Track which of MC / NB would have been right, before learning x.
+      if (leaf->MajorityClass() == y) leaf->mc_correct += 1.0;
+      if (nb_scratch_.size() !=
+          static_cast<std::size_t>(config_.num_classes)) {
+        nb_scratch_.resize(config_.num_classes);
+      }
+      leaf->NaiveBayesProbaInto(x, nb_scratch_);
+      if (ArgMax(nb_scratch_) == y) leaf->nb_correct += 1.0;
     }
-  }
-  if (leaf->weight_seen - leaf->weight_at_last_attempt >=
-      static_cast<double>(config_.grace_period)) {
-    leaf->weight_at_last_attempt = leaf->weight_seen;
-    AttemptSplit(leaf);
+    leaf->class_counts[y] += chunk;
+    leaf->weight_seen += chunk;
+    for (int j = 0; j < config_.num_features; ++j) {
+      if (IsNominal(j)) {
+        leaf->nominal_observers[j].Add(x[j], y, chunk);
+      } else {
+        leaf->observers[j].Add(x[j], y, chunk);
+      }
+    }
+    weight -= chunk;
+    if (leaf->weight_seen - leaf->weight_at_last_attempt >= grace) {
+      leaf->weight_at_last_attempt = leaf->weight_seen;
+      AttemptSplit(leaf);
+      // A split sends the remaining units to the new child.
+      if (!leaf->is_leaf()) leaf = RouteToLeaf(x);
+    }
   }
 }
 

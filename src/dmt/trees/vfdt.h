@@ -78,8 +78,14 @@ class Vfdt : public Classifier {
   std::size_t NumLeaves() const;
   std::size_t Depth() const;
 
-  // Trains on a single observation (instance-incremental mode).
-  void TrainInstance(std::span<const double> x, int y);
+  // Trains on one observation repeated `weight` times (instance-
+  // incremental mode; weight <= 0 is a no-op). The result is bit-identical
+  // to `weight` unit calls: the row is checked and routed once, each leaf
+  // takes the units up to its next split attempt in one chunk, and a split
+  // mid-weight sends the remaining units to the new child. NBA leaves score
+  // before every unit, so they take one unit per chunk. The Poisson
+  // ensembles pass their draw here instead of repeating the call.
+  void TrainInstance(std::span<const double> x, int y, int weight = 1);
 
   const VfdtConfig& config() const { return config_; }
 
@@ -109,7 +115,7 @@ class Vfdt : public Classifier {
   Rng rng_;
   std::unique_ptr<Node> root_;
   // Reused by the NBA bookkeeping in TrainInstance (one NB scoring per
-  // observation) so training allocates nothing per sample either.
+  // unit of weight) so training allocates nothing per sample either.
   std::vector<double> nb_scratch_;
   // Grow-only scratch for AttemptSplit: the feature pool and the projected
   // class-count buffers of the per-feature split scans. Keeps the periodic

@@ -11,8 +11,13 @@ namespace {
 
 class CsvStreamTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs each case as its own process, so a
+  // shared name would let parallel cases overwrite each other's input.
   void WriteFile(const std::string& content) {
-    path_ = ::testing::TempDir() + "csv_stream_test.csv";
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir();
+    path_.append("csv_stream_test_").append(test->name()).append(".csv");
     std::ofstream out(path_);
     out << content;
   }

@@ -1,11 +1,21 @@
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
+#include "dmt/drift/adwin.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
+#include "dmt/ensemble/online_bagging.h"
+#include "dmt/ensemble/online_boosting.h"
+#include "dmt/serial/archive.h"
+#include "dmt/serial/model_io.h"
 
 namespace dmt::ensemble {
 namespace {
@@ -222,6 +232,299 @@ TEST(ArfTest, ProbabilitiesAreAveraged) {
   double sum = 0.0;
   for (double p : proba) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+// --- Weighted member updates vs. the repeat loop ---------------------------
+//
+// Each ensemble applies a Poisson draw k as one Vfdt::TrainInstance(x, y, k).
+// The references below are the ensembles' training loops with the draw
+// applied as k unit calls instead. They write their member records and the
+// ensemble tail with the archive primitives, and the ensemble's archive
+// must end with exactly those bytes (everything before is the config).
+
+using trees::Vfdt;
+using trees::VfdtConfig;
+
+std::unique_ptr<Vfdt> MakeReferenceTree(VfdtConfig base, int num_features,
+                                        int num_classes, int subspace_size,
+                                        Rng* rng) {
+  base.num_features = num_features;
+  base.num_classes = num_classes;
+  if (subspace_size > 0) base.subspace_size = subspace_size;
+  base.seed = rng->Fork().engine()();
+  return std::make_unique<Vfdt>(base);
+}
+
+void RepeatTrain(Vfdt* tree, std::span<const double> x, int y, int k) {
+  for (int w = 0; w < k; ++w) tree->TrainInstance(x, y);
+}
+
+// A drifting stream: the concept flips halfway.
+std::vector<Batch> DriftingBatches() {
+  Rng rng(21);
+  std::vector<Batch> batches;
+  for (int b = 0; b < 12; ++b) {
+    batches.emplace_back(2);
+    FillAxisConcept(&rng, &batches.back(), 250, /*flipped=*/b >= 6);
+  }
+  return batches;
+}
+
+// grace_period 10 against Poisson(6) draws: weights cross split attempts.
+const VfdtConfig kSmallGrace{.grace_period = 10};
+
+template <typename Model>
+void ExpectArchiveEndsWith(const Model& model, const std::string& expected) {
+  const std::string archive = serial::SaveClassifierToString(model);
+  ASSERT_GT(archive.size(), expected.size());
+  EXPECT_TRUE(archive.ends_with(expected))
+      << "weighted member updates diverged from the repeat loop";
+}
+
+TEST(WeightedMemberTest, OnlineBaggingMatchesRepeatLoop) {
+  const OnlineBaggingConfig config{.num_features = 2,
+                                   .num_classes = 2,
+                                   .num_learners = 3,
+                                   .poisson_lambda = 6.0,
+                                   .base = kSmallGrace,
+                                   .seed = 5};
+  OnlineBagging ensemble(config);
+  Rng rng(config.seed);
+  std::vector<std::unique_ptr<Vfdt>> members;
+  for (int i = 0; i < config.num_learners; ++i) {
+    members.push_back(MakeReferenceTree(config.base, 2, 2, 0, &rng));
+  }
+  for (const Batch& batch : DriftingBatches()) {
+    ensemble.PartialFit(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      for (auto& member : members) {
+        RepeatTrain(member.get(), batch.row(i), batch.label(i),
+                    rng.Poisson(config.poisson_lambda));
+      }
+    }
+  }
+  std::ostringstream expected;
+  serial::Writer writer(expected);
+  for (const auto& member : members) member->SaveBody(writer);
+  writer.Engine(rng.engine());
+  ExpectArchiveEndsWith(ensemble, expected.str());
+}
+
+TEST(WeightedMemberTest, OnlineBoostingMatchesRepeatLoop) {
+  const OnlineBoostingConfig config{
+      .num_features = 2, .num_classes = 2, .base = kSmallGrace, .seed = 6};
+  OnlineBoosting ensemble(config);
+  struct Member {
+    std::unique_ptr<Vfdt> tree;
+    double correct = 0.0;
+    double wrong = 0.0;
+  };
+  Rng rng(config.seed);
+  std::vector<Member> members;
+  for (int i = 0; i < config.num_learners; ++i) {
+    members.push_back({MakeReferenceTree(config.base, 2, 2, 0, &rng)});
+  }
+  for (const Batch& batch : DriftingBatches()) {
+    ensemble.PartialFit(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::span<const double> x = batch.row(i);
+      const int y = batch.label(i);
+      double lambda = 1.0;
+      for (Member& member : members) {
+        RepeatTrain(member.tree.get(), x, y, rng.Poisson(lambda));
+        double& hits =
+            member.tree->Predict(x) == y ? member.correct : member.wrong;
+        hits += lambda;
+        lambda *= (member.correct + member.wrong) / (2.0 * hits);
+        lambda = std::min(lambda, 100.0);
+      }
+    }
+  }
+  std::ostringstream expected;
+  serial::Writer writer(expected);
+  for (const Member& member : members) {
+    member.tree->SaveBody(writer);
+    writer.F64(member.correct);
+    writer.F64(member.wrong);
+  }
+  writer.Engine(rng.engine());
+  ExpectArchiveEndsWith(ensemble, expected.str());
+}
+
+// Leveraging Bagging reference; `per_batch` mirrors the parallel mode
+// (TrainMemberBatch), where the worst-member reset waits for the batch end.
+std::string LeveragingBaggingReference(const LeveragingBaggingConfig& config,
+                                       const std::vector<Batch>& batches,
+                                       bool per_batch) {
+  Rng rng(config.seed);
+  std::vector<Rng> member_rngs;
+  std::vector<std::unique_ptr<Vfdt>> members;
+  std::vector<drift::Adwin> detectors;
+  std::vector<std::size_t> detections(config.num_learners, 0);
+  std::size_t num_resets = 0;
+  const auto make = [&](Rng* member_rng) {
+    return MakeReferenceTree(config.base, config.num_features,
+                             config.num_classes, 0, member_rng);
+  };
+  for (int i = 0; i < config.num_learners; ++i) {
+    member_rngs.push_back(rng.Fork());
+    members.push_back(make(&member_rngs.back()));
+    detectors.emplace_back(config.adwin_delta);
+  }
+  const auto reset_worst = [&]() {
+    std::size_t worst = 0;
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      if (detectors[i].mean() > detectors[worst].mean()) worst = i;
+    }
+    members[worst] = make(&member_rngs[worst]);
+    detectors[worst] = drift::Adwin(config.adwin_delta);
+    ++num_resets;
+  };
+  // One member's step on one row; true when its detector fired.
+  const auto step = [&](std::size_t m, std::span<const double> x, int y) {
+    const bool fired = detectors[m].Update(members[m]->Predict(x) == y ? 0.0
+                                                                       : 1.0);
+    detections[m] += fired ? 1 : 0;
+    RepeatTrain(members[m].get(), x, y,
+                member_rngs[m].Poisson(config.poisson_lambda));
+    return fired;
+  };
+  for (const Batch& batch : batches) {
+    if (per_batch) {
+      bool change = false;
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          change |= step(m, batch.row(i), batch.label(i));
+        }
+      }
+      if (change) reset_worst();
+      continue;
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      bool change = false;
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        change |= step(m, batch.row(i), batch.label(i));
+      }
+      if (change) reset_worst();
+    }
+  }
+  EXPECT_GE(num_resets, 1u) << "the stream must trigger a member reset";
+  std::ostringstream expected;
+  serial::Writer writer(expected);
+  writer.Size(num_resets);
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    members[m]->SaveBody(writer);
+    detectors[m].Save(writer);
+    writer.Size(detections[m]);
+    writer.Engine(member_rngs[m].engine());
+  }
+  writer.Size(0);  // telemetry flush baseline (no registry attached)
+  writer.Engine(rng.engine());
+  return expected.str();
+}
+
+TEST(WeightedMemberTest, LeveragingBaggingMatchesRepeatLoop) {
+  const LeveragingBaggingConfig config{
+      .num_features = 2, .num_classes = 2, .base = kSmallGrace, .seed = 7};
+  const std::vector<Batch> batches = DriftingBatches();
+  LeveragingBagging ensemble(config);
+  for (const Batch& batch : batches) ensemble.PartialFit(batch);
+  ExpectArchiveEndsWith(ensemble, LeveragingBaggingReference(
+                                      config, batches, /*per_batch=*/false));
+}
+
+TEST(WeightedMemberTest, LeveragingBaggingMemberBatchMatchesRepeatLoop) {
+  LeveragingBaggingConfig config{
+      .num_features = 2, .num_classes = 2, .base = kSmallGrace, .seed = 8};
+  config.num_threads = 2;
+  const std::vector<Batch> batches = DriftingBatches();
+  LeveragingBagging ensemble(config);
+  for (const Batch& batch : batches) ensemble.PartialFit(batch);
+  ExpectArchiveEndsWith(ensemble, LeveragingBaggingReference(
+                                      config, batches, /*per_batch=*/true));
+}
+
+TEST(WeightedMemberTest, AdaptiveRandomForestMatchesRepeatLoop) {
+  const AdaptiveRandomForestConfig config{
+      .num_features = 2, .num_classes = 2, .base = kSmallGrace, .seed = 9};
+  AdaptiveRandomForest ensemble(config);
+  const int subspace =
+      static_cast<int>(std::sqrt(static_cast<double>(config.num_features))) +
+      1;
+  struct Member {
+    std::unique_ptr<Vfdt> tree;
+    std::unique_ptr<Vfdt> background;
+    drift::Adwin warning;
+    drift::Adwin drift;
+    Rng rng;
+    std::size_t promotions = 0;
+    std::size_t background_starts = 0;
+    std::size_t background_promotions = 0;
+    std::size_t warnings = 0;
+    std::size_t drifts = 0;
+  };
+  Rng rng(config.seed);
+  std::vector<Member> members;
+  const auto make = [&](Rng* member_rng) {
+    return MakeReferenceTree(config.base, config.num_features,
+                             config.num_classes, subspace, member_rng);
+  };
+  for (int i = 0; i < config.num_learners; ++i) {
+    members.push_back({nullptr, nullptr, drift::Adwin(config.warning_delta),
+                       drift::Adwin(config.drift_delta), rng.Fork()});
+    members.back().tree = make(&members.back().rng);
+  }
+  std::size_t total_promotions = 0;
+  for (const Batch& batch : DriftingBatches()) {
+    ensemble.PartialFit(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::span<const double> x = batch.row(i);
+      const int y = batch.label(i);
+      for (Member& m : members) {
+        const double error = m.tree->Predict(x) == y ? 0.0 : 1.0;
+        const bool warn = m.warning.Update(error);
+        const bool drift = m.drift.Update(error);
+        m.warnings += warn ? 1 : 0;
+        m.drifts += drift ? 1 : 0;
+        if (warn && m.background == nullptr) {
+          m.background = make(&m.rng);
+          ++m.background_starts;
+        }
+        if (drift) {
+          if (m.background != nullptr) ++m.background_promotions;
+          m.tree = m.background != nullptr ? std::move(m.background)
+                                           : make(&m.rng);
+          m.background.reset();
+          m.warning = drift::Adwin(config.warning_delta);
+          m.drift = drift::Adwin(config.drift_delta);
+          ++m.promotions;
+          ++total_promotions;
+        }
+        const int k = m.rng.Poisson(config.poisson_lambda);
+        RepeatTrain(m.tree.get(), x, y, k);
+        if (m.background != nullptr) RepeatTrain(m.background.get(), x, y, k);
+      }
+    }
+  }
+  EXPECT_GE(total_promotions, 1u) << "the stream must promote a tree";
+  std::ostringstream expected;
+  serial::Writer writer(expected);
+  for (const Member& m : members) {
+    m.tree->SaveBody(writer);
+    writer.Bool(m.background != nullptr);
+    if (m.background != nullptr) m.background->SaveBody(writer);
+    m.warning.Save(writer);
+    m.drift.Save(writer);
+    writer.Size(m.promotions);
+    writer.Size(m.background_starts);
+    writer.Size(m.background_promotions);
+    writer.Size(m.warnings);
+    writer.Size(m.drifts);
+    writer.Engine(m.rng.engine());
+  }
+  for (int i = 0; i < 4; ++i) writer.Size(0);  // telemetry flush baselines
+  writer.Engine(rng.engine());
+  ExpectArchiveEndsWith(ensemble, expected.str());
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
+#include "dmt/obs/telemetry.h"
+#include "dmt/serial/model_io.h"
 #include "dmt/streams/sea.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
@@ -200,6 +205,154 @@ TEST(VfdtTest, SubspaceRestrictsSplitFeatures) {
   a.PartialFit(batch);
   b.PartialFit(batch);
   EXPECT_EQ(a.NumInnerNodes(), b.NumInnerNodes());
+}
+
+// Three features: two uniform, one discrete in {0, 1, 2, 3}; the class
+// mixes an axis threshold on x0 with the discrete value, plus label noise,
+// so the tree keeps splitting for the whole stream.
+Batch MixedConcept(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  Batch batch(3);
+  for (int i = 0; i < n; ++i) {
+    const double level = std::floor(rng.Uniform() * 4.0);
+    std::vector<double> x = {rng.Uniform(), rng.Uniform(), level};
+    int y = (x[0] <= 0.3 + 0.1 * level) ? 0 : 1;
+    if (rng.Bernoulli(0.1)) y = 1 - y;
+    batch.Add(x, y);
+  }
+  return batch;
+}
+
+// Weight of row i: cycles through 0, 1 and 40 among Poisson-like draws, so
+// a weight routinely spans several grace periods.
+int WeightOf(std::size_t i) {
+  static constexpr int kWeights[] = {1, 0, 40, 6, 2, 9, 1, 13, 0, 5, 40, 3};
+  return kWeights[i % (sizeof(kWeights) / sizeof(kWeights[0]))];
+}
+
+// Trains one tree with TrainInstance(x, y, w) and one with w unit calls,
+// and requires identical archives and "vfdt.*" counters.
+void ExpectWeightedMatchesRepetition(const VfdtConfig& config,
+                                     const Batch& batch) {
+  Vfdt weighted(config);
+  Vfdt repeated(config);
+  obs::TelemetryRegistry weighted_telemetry;
+  obs::TelemetryRegistry repeated_telemetry;
+  weighted.AttachTelemetry(&weighted_telemetry);
+  repeated.AttachTelemetry(&repeated_telemetry);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    weighted.TrainInstance(batch.row(i), batch.label(i), WeightOf(i));
+    for (int w = 0; w < WeightOf(i); ++w) {
+      repeated.TrainInstance(batch.row(i), batch.label(i));
+    }
+  }
+  EXPECT_GT(*repeated_telemetry.Counter("vfdt.splits"), 2u)
+      << "the stream must split mid-weight to exercise re-routing";
+  EXPECT_EQ(weighted_telemetry.CountersJson(),
+            repeated_telemetry.CountersJson());
+  EXPECT_EQ(serial::SaveClassifierToString(weighted),
+            serial::SaveClassifierToString(repeated));
+}
+
+TEST(VfdtWeightTest, MajorityClassMatchesRepetition) {
+  // grace_period 7 < the weight 40, so several split attempts (and
+  // splits) fall inside one weighted update.
+  ExpectWeightedMatchesRepetition(
+      {.num_features = 3, .num_classes = 2, .grace_period = 7},
+      MixedConcept(3, 3000));
+}
+
+TEST(VfdtWeightTest, NominalFeatureMatchesRepetition) {
+  ExpectWeightedMatchesRepetition({.num_features = 3,
+                                   .num_classes = 2,
+                                   .grace_period = 11,
+                                   .nominal_features = {2}},
+                                  MixedConcept(4, 3000));
+}
+
+TEST(VfdtWeightTest, NaiveBayesAdaptiveMatchesRepetition) {
+  ExpectWeightedMatchesRepetition(
+      {.num_features = 3,
+       .num_classes = 2,
+       .grace_period = 7,
+       .leaf_prediction = LeafPrediction::kNaiveBayesAdaptive},
+      MixedConcept(5, 3000));
+}
+
+TEST(VfdtWeightTest, SubspaceMatchesRepetition) {
+  // The Adaptive Random Forest member configuration: split attempts draw
+  // from the tree's RNG, so the attempt count must match exactly too.
+  ExpectWeightedMatchesRepetition({.num_features = 3,
+                                   .num_classes = 2,
+                                   .grace_period = 5,
+                                   .subspace_size = 2,
+                                   .seed = 9},
+                                  MixedConcept(6, 3000));
+}
+
+TEST(VfdtWeightTest, EdgeWeights) {
+  const Batch batch = MixedConcept(7, 200);
+  const VfdtConfig config{.num_features = 3, .num_classes = 2,
+                          .grace_period = 7};
+  Vfdt untouched(config);
+  const std::string empty = serial::SaveClassifierToString(untouched);
+
+  // Weight 0 (and a negative weight) leave the tree untouched.
+  Vfdt zero(config);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    zero.TrainInstance(batch.row(i), batch.label(i), 0);
+    zero.TrainInstance(batch.row(i), batch.label(i), -3);
+  }
+  EXPECT_EQ(serial::SaveClassifierToString(zero), empty);
+
+  // Weight 1 is the unit update, and a non-finite row is skipped at any
+  // weight.
+  Vfdt unit(config);
+  Vfdt one(config);
+  const std::vector<double> bad = {
+      0.5, std::numeric_limits<double>::quiet_NaN(), 1.0};
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    unit.TrainInstance(batch.row(i), batch.label(i));
+    one.TrainInstance(batch.row(i), batch.label(i), 1);
+    one.TrainInstance(bad, 0, 40);
+  }
+  EXPECT_EQ(serial::SaveClassifierToString(one),
+            serial::SaveClassifierToString(unit));
+
+  // A single large weight on a fresh leaf crosses many grace periods.
+  Vfdt heavy(config);
+  Vfdt heavy_repeated(config);
+  heavy.TrainInstance(batch.row(0), batch.label(0), 40);
+  heavy.TrainInstance(batch.row(1), batch.label(1), 40);
+  for (int w = 0; w < 40; ++w) {
+    heavy_repeated.TrainInstance(batch.row(0), batch.label(0));
+  }
+  for (int w = 0; w < 40; ++w) {
+    heavy_repeated.TrainInstance(batch.row(1), batch.label(1));
+  }
+  EXPECT_EQ(serial::SaveClassifierToString(heavy),
+            serial::SaveClassifierToString(heavy_repeated));
+}
+
+TEST(NumericObserverTest, CountedAddMatchesRepeatedAdds) {
+  NumericObserver counted(2);
+  NumericObserver repeated(2);
+  Rng rng(8);
+  for (int i = 0; i < 200; ++i) {
+    const double v = rng.Uniform() * 10.0 - 5.0;
+    const int y = i % 2;
+    const int count = 1 + i % 7;
+    counted.Add(v, y, count);
+    for (int r = 0; r < count; ++r) repeated.Add(v, y);
+  }
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(counted.class_weight(c), repeated.class_weight(c));
+    EXPECT_EQ(counted.estimator(c).n, repeated.estimator(c).n);
+    EXPECT_EQ(counted.estimator(c).mean, repeated.estimator(c).mean);
+    EXPECT_EQ(counted.estimator(c).m2, repeated.estimator(c).m2);
+  }
+  EXPECT_EQ(counted.min_value(), repeated.min_value());
+  EXPECT_EQ(counted.max_value(), repeated.max_value());
 }
 
 TEST(EfdtTest, SplitsFasterThanVfdtOnEasyConcept) {
