@@ -28,7 +28,10 @@ int main() {
   struct Candidate {
     int feature;
     double value;
-    core::CandidateStats stats;
+    // Accumulated left-side statistics at the parent's parameters.
+    double loss = 0.0;
+    std::vector<double> grad;
+    double count = 0.0;
     linear::Glm child;  // ground truth: actually trained on the left side
     double child_loss = 0.0;
   };
@@ -37,8 +40,8 @@ int main() {
   for (int feature : {0, 1}) {
     for (double value : {0.25, 0.5, 0.75}) {
       candidates.push_back(
-          {feature, value,
-           core::CandidateStats(feature, value, parent.params().size()),
+          {feature, value, 0.0,
+           std::vector<double>(parent.params().size(), 0.0), 0.0,
            linear::Glm({.num_features = 2, .num_classes = 2, .seed = 2}),
            0.0});
       candidates.back().child.WarmStartFrom(parent);
@@ -71,11 +74,11 @@ int main() {
       }
       for (Candidate& candidate : candidates) {
         if (batch.row(i)[candidate.feature] > candidate.value) continue;
-        candidate.stats.loss += loss;
-        for (std::size_t p = 0; p < candidate.stats.grad.size(); ++p) {
-          candidate.stats.grad[p] += grad_one[p];
+        candidate.loss += loss;
+        for (std::size_t p = 0; p < candidate.grad.size(); ++p) {
+          candidate.grad[p] += grad_one[p];
         }
-        candidate.stats.count += 1.0;
+        candidate.count += 1.0;
       }
     }
     parent_count += static_cast<double>(batch.size());
@@ -106,22 +109,21 @@ int main() {
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& candidate = candidates[i];
     const double approx = core::ApproxCandidateLoss(
-        candidate.stats.loss, candidate.stats.grad, candidate.stats.count,
-        kLambda);
-    const double approx_gain = candidate.stats.loss - approx;
-    const double true_gain = candidate.stats.loss - candidate.child_loss;
+        candidate.loss, candidate.grad, candidate.count, kLambda);
+    const double approx_gain = candidate.loss - approx;
+    const double true_gain = candidate.loss - candidate.child_loss;
     std::printf("x%d <= %.2f   %14.1f %18.1f\n", candidate.feature,
                 candidate.value, approx_gain, true_gain);
     if (approx_gain >
-        candidates[best_approx].stats.loss -
-            core::ApproxCandidateLoss(candidates[best_approx].stats.loss,
-                                      candidates[best_approx].stats.grad,
-                                      candidates[best_approx].stats.count,
+        candidates[best_approx].loss -
+            core::ApproxCandidateLoss(candidates[best_approx].loss,
+                                      candidates[best_approx].grad,
+                                      candidates[best_approx].count,
                                       kLambda)) {
       best_approx = static_cast<int>(i);
     }
-    if (true_gain > candidates[best_true].stats.loss -
-                        candidates[best_true].child_loss) {
+    if (true_gain >
+        candidates[best_true].loss - candidates[best_true].child_loss) {
       best_true = static_cast<int>(i);
     }
   }

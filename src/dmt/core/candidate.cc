@@ -76,14 +76,6 @@ double ApproxComplementLoss(double parent_loss,
   return (parent_loss - left_loss) - (lambda / count) * grad_norm_sq;
 }
 
-double ApproxComplementLoss(double parent_loss,
-                            const std::vector<double>& parent_grad,
-                            double parent_count, const CandidateStats& left,
-                            double lambda) {
-  return ApproxComplementLoss(parent_loss, parent_grad, parent_count,
-                              left.loss, left.grad, left.count, lambda);
-}
-
 double CandidateGain(const CandidateStore& store, std::size_t i,
                      double node_loss, std::span<const double> node_grad,
                      double node_count, double reference_loss, double lambda) {

@@ -18,8 +18,7 @@
 // the gradient scatter of Algorithm 1 line 9 is a kernels::Add into a
 // matrix row -- instead of chasing N independent heap vectors, and the
 // store is grow-only (Clear keeps capacity), so steady-state training
-// performs no allocations. The legacy AoS CandidateStats struct is kept
-// as the reference implementation for tests and the approximation bench.
+// performs no allocations.
 #ifndef DMT_CORE_CANDIDATE_H_
 #define DMT_CORE_CANDIDATE_H_
 
@@ -38,20 +37,6 @@ class Reader;
 }  // namespace dmt::serial
 
 namespace dmt::core {
-
-struct CandidateStats {
-  int feature = -1;
-  double value = 0.0;
-  // Accumulated left-child statistics, evaluated at the parent's parameters
-  // of each respective time step.
-  double loss = 0.0;
-  std::vector<double> grad;
-  double count = 0.0;
-
-  CandidateStats() = default;
-  CandidateStats(int feature_in, double value_in, std::size_t num_params)
-      : feature(feature_in), value(value_in), grad(num_params, 0.0) {}
-};
 
 // SoA candidate store of one node. Rows are stable under Append/Reset;
 // Clear only rewinds the logical size, so capacity reached once is never
@@ -268,12 +253,6 @@ double ApproxComplementLoss(double parent_loss,
                             double parent_count, double left_loss,
                             std::span<const double> left_grad,
                             double left_count, double lambda);
-
-// Legacy AoS form, kept for tests/bench_micro_approx.
-double ApproxComplementLoss(double parent_loss,
-                            const std::vector<double>& parent_grad,
-                            double parent_count, const CandidateStats& left,
-                            double lambda);
 
 // Gain (Eq. 3/4) of stored candidate `i` against `reference_loss`, given
 // the node's accumulated statistics. Degenerate candidates (one empty

@@ -1,6 +1,6 @@
-// The shared per-node training engine of the Dynamic Model Trees
-// (classifier and regressor): Algorithm 1 lines 1-11 over the SoA
-// CandidateStore, allocation-free in steady state.
+// The per-node training engine of the Dynamic Model Tree core
+// (model_tree.h): Algorithm 1 lines 1-11 over the SoA CandidateStore,
+// allocation-free in steady state.
 //
 // Since the dirty-node gain scheduler the engine is two-phase. Every batch
 // runs the accumulate-only fast path; the expensive evaluation half runs
@@ -94,7 +94,7 @@
 
 namespace dmt::core {
 
-// The DmtConfig/DmtRegressorConfig fields the engine needs.
+// The ModelTreeConfig fields the engine needs.
 struct CandidateUpdateParams {
   int num_features = 0;
   std::size_t max_candidates = 0;

@@ -2,105 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "dmt/common/check.h"
-#include "dmt/common/math.h"
 #include "dmt/common/sanitize.h"
 #include "dmt/serial/model_io.h"
 
 namespace dmt::core {
 
-struct DmtRegressor::Node {
-  int split_feature = -1;  // < 0 marks a leaf
-  double split_value = 0.0;
-  std::unique_ptr<Node> left;
-  std::unique_ptr<Node> right;
-
-  linear::LinearRegressor model;
-  double loss_sum = 0.0;
-  std::vector<double> grad_sum;
-  double count = 0.0;
-  CandidateStore candidates;  // SoA split-candidate store (Sec. V-D)
-
-  // Dirty-node scheduler state (see DmtRegressorConfig::gain_test_*).
-  double samples_since_test = 0.0;
-  double loss_since_test = 0.0;
-
-  Node(const linear::LinearRegressorConfig& model_config, Rng* rng,
-       bool grad_f32)
-      : model(model_config, rng),
-        grad_sum(model.num_params(), 0.0),
-        candidates(static_cast<std::size_t>(model.num_params()), grad_f32) {}
-
-  bool is_leaf() const { return split_feature < 0; }
-
-  void ResetStats() {
-    loss_sum = 0.0;
-    std::fill(grad_sum.begin(), grad_sum.end(), 0.0);
-    count = 0.0;
-    candidates.Clear();
-    samples_since_test = 0.0;
-    loss_since_test = 0.0;
-  }
-};
-
 DmtRegressor::DmtRegressor(const DmtRegressorConfig& config)
-    : config_(config), rng_(config.seed) {
-  DMT_CHECK(config.num_features >= 1);
-  DMT_CHECK(config.epsilon > 0.0 && config.epsilon <= 1.0);
-  DMT_CHECK(config.gain_test_every >= 1);
-  DMT_CHECK(std::isfinite(config.gain_test_threshold) &&
-            config.gain_test_threshold >= 0.0);
-  DMT_CHECK(config.order_buckets <= (std::size_t{1} << 20));
-  if (config_.max_candidates == 0) {
-    config_.max_candidates =
-        3 * static_cast<std::size_t>(config.num_features);
-  }
-  root_ = MakeLeaf(nullptr);
-  model_params_ = root_->model.num_params();
-  standardized_ =
-      std::make_unique<linear::RegressionBatch>(config_.num_features);
-}
+    : DmtRegressor(ModelTreeConfigOf(config), RunningStats()) {}
 
-DmtRegressor::~DmtRegressor() = default;
-
-std::unique_ptr<DmtRegressor::Node> DmtRegressor::MakeLeaf(
-    const linear::LinearRegressor* warm_start) {
-  linear::LinearRegressorConfig model_config;
-  model_config.num_features = config_.num_features;
-  model_config.learning_rate = config_.learning_rate;
-  auto node =
-      std::make_unique<Node>(model_config, &rng_, config_.candidate_grad_f32);
-  if (warm_start != nullptr) node->model.WarmStartFrom(*warm_start);
-  return node;
-}
-
-double DmtRegressor::SplitThreshold() const {
-  return static_cast<double>(model_params_) - std::log(config_.epsilon);
-}
-
-double DmtRegressor::ReplaceThreshold(std::size_t subtree_leaves) const {
-  const double param_delta = (2.0 - static_cast<double>(subtree_leaves)) *
-                             static_cast<double>(model_params_);
-  return std::max(param_delta, 0.0) - std::log(config_.epsilon);
-}
-
-double DmtRegressor::PruneThreshold(std::size_t subtree_leaves) const {
-  const double param_delta = (1.0 - static_cast<double>(subtree_leaves)) *
-                             static_cast<double>(model_params_);
-  return std::max(param_delta, 0.0) - std::log(config_.epsilon);
-}
-
-int DmtRegressor::BestCandidateOf(const Node& node, double reference_loss,
-                                  double* best_gain) const {
-  return BestCandidate(node.candidates, node.loss_sum, node.grad_sum,
-                       node.count, reference_loss,
-                       config_.gradient_step_size, best_gain);
-}
+DmtRegressor::DmtRegressor(const ModelTreeConfig& config,
+                           const RunningStats& target_stats)
+    : ModelTree(config, {}),
+      target_stats_(target_stats),
+      standardized_(static_cast<std::size_t>(config.num_features)) {}
 
 void DmtRegressor::PartialFit(const linear::RegressionBatch& batch) {
-  DMT_CHECK(static_cast<int>(batch.num_features()) == config_.num_features);
+  DMT_CHECK(static_cast<int>(batch.num_features()) == config().num_features);
   // Rows with a non-finite feature or target are unusable: they would
   // poison the running target statistics and break ComputeFeatureOrders'
   // sort comparator (NaN violates strict weak ordering). Skip them here;
@@ -115,236 +34,24 @@ void DmtRegressor::PartialFit(const linear::RegressionBatch& batch) {
   }
   const double mean = target_stats_.mean();
   const double std = std::max(target_stats_.stddev(), 1e-9);
-  standardized_->clear();
+  standardized_.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (usable(i)) {
-      standardized_->Add(batch.row(i), (batch.target(i) - mean) / std);
+      standardized_.Add(batch.row(i), (batch.target(i) - mean) / std);
     }
   }
-  if (standardized_->empty()) return;
-  ++time_step_;
-  scratch_.root_rows.resize(standardized_->size());
-  for (std::size_t i = 0; i < standardized_->size(); ++i) {
-    scratch_.root_rows[i] = i;
-  }
-  // Lazy ascending-value orders, shared by every node; only evaluating
-  // nodes trigger the per-feature sort.
-  BeginFeatureOrders(*standardized_, config_.num_features, &scratch_);
-  UpdateNode(root_.get(), *standardized_, scratch_.root_rows, 0);
-}
-
-void DmtRegressor::UpdateNode(Node* node,
-                              const linear::RegressionBatch& batch,
-                              std::span<const std::size_t> rows,
-                              std::size_t depth) {
-  if (rows.empty()) return;
-  if (!node->is_leaf()) {
-    if (scratch_.left_rows.size() <= depth) {
-      scratch_.left_rows.resize(depth + 1);
-      scratch_.right_rows.resize(depth + 1);
-    }
-    std::vector<std::size_t>& left_rows = scratch_.left_rows[depth];
-    std::vector<std::size_t>& right_rows = scratch_.right_rows[depth];
-    left_rows.clear();
-    right_rows.clear();
-    for (std::size_t r : rows) {
-      if (batch.row(r)[node->split_feature] <= node->split_value) {
-        left_rows.push_back(r);
-      } else {
-        right_rows.push_back(r);
-      }
-    }
-    // Spans taken before recursing: deeper calls may grow the outer
-    // scratch vectors, which moves the inner vector objects but keeps
-    // their heap buffers, so the spans stay valid.
-    const std::span<const std::size_t> left_span(left_rows);
-    const std::span<const std::size_t> right_span(right_rows);
-    UpdateNode(node->left.get(), batch, left_span, depth + 1);
-    UpdateNode(node->right.get(), batch, right_span, depth + 1);
-  }
-  const bool evaluated = UpdateStatistics(node, batch, rows);
-  if (!evaluated) return;  // deferred: no structural checks this batch
-  if (node->is_leaf()) {
-    CheckLeafSplit(node, depth);
-  } else {
-    CheckInnerReplacement(node, depth);
-  }
-}
-
-bool DmtRegressor::UpdateStatistics(Node* node,
-                                    const linear::RegressionBatch& batch,
-                                    std::span<const std::size_t> rows) {
-  const CandidateUpdateParams params{
-      .num_features = config_.num_features,
-      .max_candidates = config_.max_candidates,
-      .replacement_rate = config_.replacement_rate,
-      .max_proposals_per_feature = config_.max_proposals_per_feature,
-      .gradient_step_size = config_.gradient_step_size,
-      .order_buckets = config_.order_buckets,
-  };
-  const double batch_loss = AccumulateNodeStatistics(
-      batch, rows, &node->model, &node->loss_sum,
-      std::span<double>(node->grad_sum), &node->count, &scratch_);
-
-  // Scheduler decision after absorbing the batch (gain_test_every = 1
-  // therefore always evaluates: exact mode).
-  node->samples_since_test += static_cast<double>(rows.size());
-  node->loss_since_test += batch_loss;
-  const bool due = node->samples_since_test >=
-                   static_cast<double>(config_.gain_test_every);
-  const bool dirty = node->loss_since_test >= config_.gain_test_threshold;
-  if (!due && !dirty) {
-    ScatterStoredOnly(batch, rows, &node->candidates, &scratch_);
-    return false;
-  }
-  ScatterAndPropose(params, batch, rows, batch_loss, node->loss_sum,
-                    std::span<const double>(node->grad_sum), node->count,
-                    &node->candidates, &scratch_);
-  node->samples_since_test = 0.0;
-  node->loss_since_test = 0.0;
-  return true;
-}
-
-void DmtRegressor::CheckLeafSplit(Node* node, std::size_t depth) {
-  double gain = 0.0;
-  const int best = BestCandidateOf(*node, node->loss_sum, &gain);
-  if (best < 0 || gain < SplitThreshold()) return;
-  node->split_feature = node->candidates.feature(best);
-  node->split_value = node->candidates.value(best);
-  node->left = MakeLeaf(&node->model);
-  node->right = MakeLeaf(&node->model);
-  node->ResetStats();
-  ++splits_performed_;
-  RecordEvent({.kind = StructuralEvent::Kind::kSplit,
-               .time_step = time_step_,
-               .feature = node->split_feature,
-               .value = node->split_value,
-               .gain = gain,
-               .threshold = SplitThreshold(),
-               .depth = depth});
-}
-
-namespace {
-
-template <typename NodeT>
-void SubtreeLeafLossR(const NodeT* node, double* loss, std::size_t* leaves) {
-  if (node->is_leaf()) {
-    *loss += node->loss_sum;
-    ++*leaves;
-    return;
-  }
-  SubtreeLeafLossR(node->left.get(), loss, leaves);
-  SubtreeLeafLossR(node->right.get(), loss, leaves);
-}
-
-}  // namespace
-
-void DmtRegressor::CheckInnerReplacement(Node* node, std::size_t depth) {
-  double leaf_loss = 0.0;
-  std::size_t leaves = 0;
-  SubtreeLeafLossR(node, &leaf_loss, &leaves);
-
-  double replace_gain = 0.0;
-  const int best = BestCandidateOf(*node, leaf_loss, &replace_gain);
-  const bool candidate_is_current =
-      best >= 0 && node->candidates.feature(best) == node->split_feature &&
-      node->candidates.value(best) == node->split_value;
-  const bool replace_ok = best >= 0 && !candidate_is_current &&
-                          replace_gain >= ReplaceThreshold(leaves);
-  const double prune_gain = leaf_loss - node->loss_sum;
-  const bool prune_ok = prune_gain >= PruneThreshold(leaves);
-  if (!replace_ok && !prune_ok) return;
-
-  if (prune_ok && (!replace_ok || prune_gain >= replace_gain)) {
-    node->split_feature = -1;
-    node->left.reset();
-    node->right.reset();
-    ++prunes_;
-    RecordEvent({.kind = StructuralEvent::Kind::kPruneToLeaf,
-                 .time_step = time_step_,
-                 .feature = -1,
-                 .value = 0.0,
-                 .gain = prune_gain,
-                 .threshold = PruneThreshold(leaves),
-                 .depth = depth});
-    return;
-  }
-  node->split_feature = node->candidates.feature(best);
-  node->split_value = node->candidates.value(best);
-  node->left = MakeLeaf(&node->model);
-  node->right = MakeLeaf(&node->model);
-  node->ResetStats();
-  ++replacements_;
-  RecordEvent({.kind = StructuralEvent::Kind::kReplaceSplit,
-               .time_step = time_step_,
-               .feature = node->split_feature,
-               .value = node->split_value,
-               .gain = replace_gain,
-               .threshold = ReplaceThreshold(leaves),
-               .depth = depth});
-}
-
-void DmtRegressor::RecordEvent(StructuralEvent event) {
-  if (events_.size() >= kMaxEvents) {
-    events_.erase(events_.begin(), events_.begin() + kMaxEvents / 2);
-  }
-  events_.push_back(event);
+  if (!standardized_.empty()) FitClean(standardized_);
 }
 
 double DmtRegressor::Predict(std::span<const double> x) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
   // De-standardize back to the original target units.
   const double std = std::max(target_stats_.stddev(), 1e-9);
-  return node->model.Predict(x) * std + target_stats_.mean();
+  return LeafFor(x).model.Predict(x) * std + target_stats_.mean();
 }
 
 std::vector<double> DmtRegressor::LeafFeatureWeights(
     std::span<const double> x) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  return node->model.FeatureWeights();
-}
-
-std::size_t DmtRegressor::NumInnerNodes() const {
-  std::size_t inner = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) return;
-    ++inner;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return inner;
-}
-
-std::size_t DmtRegressor::NumLeaves() const {
-  std::size_t leaves = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) {
-      ++leaves;
-      return;
-    }
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return leaves;
-}
-
-std::size_t DmtRegressor::Depth() const {
-  auto walk = [&](auto&& self, const Node* node) -> std::size_t {
-    if (node->is_leaf()) return 0;
-    return 1 + std::max(self(self, node->left.get()),
-                        self(self, node->right.get()));
-  };
-  return walk(walk, root_.get());
+  return LeafFor(x).model.FeatureWeights();
 }
 
 std::size_t DmtRegressor::NumSplits() const {
@@ -354,130 +61,33 @@ std::size_t DmtRegressor::NumSplits() const {
 
 std::size_t DmtRegressor::NumParameters() const {
   return NumInnerNodes() +
-         NumLeaves() * static_cast<std::size_t>(config_.num_features);
+         NumLeaves() * static_cast<std::size_t>(config().num_features);
 }
 
 void DmtRegressor::Save(std::ostream& out) const {
   serial::Writer writer(out);
   writer.Header(serial::kTagDmtRegressor);
-  writer.I32(config_.num_features);
-  writer.F64(config_.learning_rate);
-  writer.F64(config_.gradient_step_size);
-  writer.F64(config_.epsilon);
-  writer.Size(config_.max_candidates);
-  writer.F64(config_.replacement_rate);
-  writer.Size(config_.max_proposals_per_feature);
-  writer.Size(config_.gain_test_every);
-  writer.F64(config_.gain_test_threshold);
-  // v3 fields: training hot-path knobs (version-gated on load).
-  writer.Size(config_.order_buckets);
-  writer.Bool(config_.candidate_grad_f32);
-  writer.U64(config_.seed);
+  writer.I32(config().num_features);
+  SaveConfig(writer);
   writer.Size(target_stats_.count());
   writer.F64(target_stats_.mean());
   writer.F64(target_stats_.m2());
-  writer.Size(time_step_);
-  writer.Size(splits_performed_);
-  writer.Size(replacements_);
-  writer.Size(prunes_);
-
-  auto save_node = [&](auto&& self, const Node* node) -> void {
-    writer.I32(node->split_feature);
-    writer.F64(node->split_value);
-    writer.F64(node->loss_sum);
-    writer.F64(node->count);
-    writer.F64(node->samples_since_test);
-    writer.F64(node->loss_since_test);
-    node->model.SaveState(writer);
-    writer.VecF64(node->grad_sum);
-    node->candidates.Save(writer);
-    if (!node->is_leaf()) {
-      self(self, node->left.get());
-      self(self, node->right.get());
-    }
-  };
-  save_node(save_node, root_.get());
-  // Engine last: MakeLeaf draws initial weights during Load.
-  writer.Engine(rng_.engine());
+  SaveState(writer);
 }
 
 std::unique_ptr<DmtRegressor> DmtRegressor::Load(std::istream& in) {
   serial::Reader reader(in);
   reader.Header(serial::kTagDmtRegressor);
-  DmtRegressorConfig config;
-  config.num_features = static_cast<int>(serial::CheckedRange(
+  const int num_features = static_cast<int>(serial::CheckedRange(
       reader.I32(), 1, serial::kMaxFeatures, "DMT-R feature count"));
-  config.learning_rate =
-      serial::CheckedFinite(reader.F64(), "DMT-R learning rate");
-  config.gradient_step_size =
-      serial::CheckedFinite(reader.F64(), "DMT-R gradient step size");
-  config.epsilon = reader.F64();
-  // The constructor DMT_CHECKs this range; a hostile archive must throw.
-  serial::Check(std::isfinite(config.epsilon) && config.epsilon > 0.0 &&
-                    config.epsilon <= 1.0,
-                "DMT-R epsilon out of range");
-  config.max_candidates = reader.Size(std::size_t{1} << 62);
-  config.replacement_rate = reader.F64();
-  serial::Check(std::isfinite(config.replacement_rate) &&
-                    config.replacement_rate >= 0.0 &&
-                    config.replacement_rate <= 1.0,
-                "DMT-R replacement rate out of range");
-  config.max_proposals_per_feature = reader.Size(std::size_t{1} << 62);
-  config.gain_test_every = reader.Size(std::size_t{1} << 62);
-  serial::Check(config.gain_test_every >= 1,
-                "DMT-R gain test period out of range");
-  config.gain_test_threshold =
-      serial::CheckedFinite(reader.F64(), "DMT-R gain test threshold");
-  serial::Check(config.gain_test_threshold >= 0.0,
-                "DMT-R gain test threshold out of range");
-  if (reader.version() >= 3) {
-    config.order_buckets = reader.Size(std::size_t{1} << 20);
-    config.candidate_grad_f32 = reader.Bool();
-  } else {
-    // v2 archives predate the hot-path knobs: keep the exact-sort, f64
-    // behavior of the build that wrote them.
-    config.order_buckets = 0;
-    config.candidate_grad_f32 = false;
-  }
-  config.seed = reader.U64();
-  auto tree = std::make_unique<DmtRegressor>(config);
+  const ModelTreeConfig config = LoadConfig(reader, num_features);
+  RunningStats target_stats;
   const std::size_t stats_n = reader.Size(std::size_t{1} << 62);
   const double stats_mean = reader.F64();
   const double stats_m2 = reader.F64();
-  tree->target_stats_.Restore(stats_n, stats_mean, stats_m2);
-  tree->time_step_ = reader.Size(std::size_t{1} << 62);
-  tree->splits_performed_ = reader.Size(std::size_t{1} << 62);
-  tree->replacements_ = reader.Size(std::size_t{1} << 62);
-  tree->prunes_ = reader.Size(std::size_t{1} << 62);
-
-  auto load_node = [&](auto&& self,
-                       std::size_t depth) -> std::unique_ptr<Node> {
-    serial::Check(depth <= serial::kMaxTreeDepth,
-                  "DMT-R node depth exceeds the archive limit");
-    std::unique_ptr<Node> node = tree->MakeLeaf(nullptr);
-    const std::int32_t split_feature = reader.I32();
-    serial::Check(
-        split_feature >= -1 && split_feature < config.num_features,
-        "DMT-R split feature out of range");
-    node->split_feature = static_cast<int>(split_feature);
-    node->split_value = reader.F64();
-    node->loss_sum = reader.F64();
-    node->count = reader.F64();
-    node->samples_since_test = reader.F64();
-    node->loss_since_test = reader.F64();
-    node->model.LoadState(reader);
-    node->grad_sum = reader.VecF64Exact(
-        static_cast<std::size_t>(node->model.num_params()));
-    node->candidates.Load(reader);
-    if (!node->is_leaf()) {
-      node->left = self(self, depth + 1);
-      node->right = self(self, depth + 1);
-    }
-    return node;
-  };
-  tree->root_ = load_node(load_node, 0);
-  // Engine last: the MakeLeaf calls above consumed construction-time draws.
-  reader.Engine(&tree->rng_.engine());
+  target_stats.Restore(stats_n, stats_mean, stats_m2);
+  std::unique_ptr<DmtRegressor> tree(new DmtRegressor(config, target_stats));
+  tree->LoadState(reader);
   return tree;
 }
 

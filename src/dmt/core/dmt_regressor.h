@@ -1,13 +1,16 @@
-// Regression instantiation of the Dynamic Model Tree.
+// Regression front-end of the Dynamic Model Tree.
 //
 // The paper's framework is generic in the simple model and loss (Sec. IV-V);
-// this class instantiates it with incremental linear regression under the
-// Gaussian negative log-likelihood (half squared error), the setting of its
-// closest competitor FIMT-DD (Ikonomovska et al., 2011). All structural
-// machinery is the paper's: loss-based gains (Eqs. 3-5), gradient candidate
-// approximation (Eqs. 6-7), AIC thresholds (Eq. 11) with k = m + 1 free
-// parameters per node model, bounded candidate store (Sec. V-D), and
-// drift adaptation purely through the gains.
+// this class runs the ModelTree core (model_tree.h) with incremental linear
+// regression under the Gaussian negative log-likelihood (half squared
+// error), the setting of its closest competitor FIMT-DD (Ikonomovska et al.,
+// 2011). All structural machinery is the core's: loss-based gains
+// (Eqs. 3-5), gradient candidate approximation (Eqs. 6-7), AIC thresholds
+// (Eq. 11) with k = m + 1 free parameters per node model, bounded candidate
+// store (Sec. V-D), drift adaptation purely through the gains, the audit
+// log and the "dmt.*" telemetry. This front-end adds the target
+// standardization, the de-standardized Predict, and the target statistics
+// in the archive.
 #ifndef DMT_CORE_DMT_REGRESSOR_H_
 #define DMT_CORE_DMT_REGRESSOR_H_
 
@@ -19,11 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "dmt/common/random.h"
 #include "dmt/common/stats.h"
-#include "dmt/core/candidate.h"
-#include "dmt/core/candidate_update.h"
-#include "dmt/core/dynamic_model_tree.h"
+#include "dmt/core/model_tree.h"
 #include "dmt/linear/linear_regressor.h"
 
 namespace dmt::core {
@@ -53,10 +53,9 @@ struct DmtRegressorConfig {
   std::uint64_t seed = 42;
 };
 
-class DmtRegressor {
+class DmtRegressor : public ModelTree<linear::LinearRegressor> {
  public:
   explicit DmtRegressor(const DmtRegressorConfig& config);
-  ~DmtRegressor();
 
   // Trains on a batch. Targets are standardized internally with running
   // mean/std estimates so the half-squared-error loss is the NLL of a
@@ -74,59 +73,22 @@ class DmtRegressor {
   std::size_t NumParameters() const;
   std::string name() const { return "DMT-R"; }
 
-  std::size_t NumInnerNodes() const;
-  std::size_t NumLeaves() const;
-  std::size_t Depth() const;
-  std::size_t num_splits_performed() const { return splits_performed_; }
-  std::size_t num_subtree_replacements() const { return replacements_; }
-  std::size_t num_prunes() const { return prunes_; }
-  const std::vector<StructuralEvent>& events() const { return events_; }
-
-  double SplitThreshold() const;
-  double ReplaceThreshold(std::size_t subtree_leaves) const;
-  double PruneThreshold(std::size_t subtree_leaves) const;
-
   // Feature weights of the leaf model responsible for x.
   std::vector<double> LeafFeatureWeights(std::span<const double> x) const;
 
   // --- Persistence (binary archive; see serial/archive.h) ------------------
-  // Complete state: config, target standardization statistics, structural
-  // counters, recursive node records and the RNG engine (written last; see
-  // DynamicModelTree). The audit log is not persisted.
+  // Complete state: num_features, the ModelTree config half, the target
+  // standardization statistics, then the ModelTree state half (structural
+  // counters, node records, RNG engine). The audit log is not persisted.
   void Save(std::ostream& out) const;
   static std::unique_ptr<DmtRegressor> Load(std::istream& in);
 
  private:
-  struct Node;
+  DmtRegressor(const ModelTreeConfig& config, const RunningStats& target_stats);
 
-  std::unique_ptr<Node> MakeLeaf(const linear::LinearRegressor* warm_start);
-  void UpdateNode(Node* node, const linear::RegressionBatch& batch,
-                  std::span<const std::size_t> rows, std::size_t depth);
-  // Two-phase update; returns true when the scheduler evaluated this node
-  // (the caller runs the structural checks only then).
-  bool UpdateStatistics(Node* node, const linear::RegressionBatch& batch,
-                        std::span<const std::size_t> rows);
-  void CheckLeafSplit(Node* node, std::size_t depth);
-  void CheckInnerReplacement(Node* node, std::size_t depth);
-  int BestCandidateOf(const Node& node, double reference_loss,
-                      double* best_gain) const;
-  void RecordEvent(StructuralEvent event);
-
-  DmtRegressorConfig config_;
-  Rng rng_;
   RunningStats target_stats_;  // online target standardization
-  int model_params_ = 0;
-  std::unique_ptr<Node> root_;
-  TrainScratch scratch_;  // grow-only training buffers (zero-alloc steady state)
   // Reused standardized-target copy of the incoming batch (grow-only).
-  std::unique_ptr<linear::RegressionBatch> standardized_;
-  std::size_t time_step_ = 0;
-  std::vector<StructuralEvent> events_;
-  std::size_t splits_performed_ = 0;
-  std::size_t replacements_ = 0;
-  std::size_t prunes_ = 0;
-
-  static constexpr std::size_t kMaxEvents = 1024;
+  linear::RegressionBatch standardized_;
 };
 
 }  // namespace dmt::core

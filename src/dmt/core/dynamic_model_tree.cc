@@ -2,169 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <sstream>
 
-#include <memory>
-
 #include "dmt/common/check.h"
-#include "dmt/common/math.h"
 #include "dmt/common/sanitize.h"
-#include "dmt/obs/telemetry.h"
 #include "dmt/serial/model_io.h"
 
 namespace dmt::core {
 
-struct DynamicModelTree::Node {
-  // Split predicate; split_feature < 0 marks a leaf.
-  int split_feature = -1;
-  double split_value = 0.0;
-  std::unique_ptr<Node> left;
-  std::unique_ptr<Node> right;
-
-  // The simple model, trained at every time step regardless of node type
-  // (inner nodes keep learning -- Sec. V-D of the paper).
-  linear::Glm model;
-
-  // Accumulated node statistics (Algorithm 1, lines 1-3), covering the
-  // window since the node's last structural change.
-  double loss_sum = 0.0;
-  std::vector<double> grad_sum;
-  double count = 0.0;
-
-  // Bounded split-candidate store (Sec. V-D), SoA layout.
-  CandidateStore candidates;
-
-  // Dirty-node scheduler state: samples and loss absorbed since this
-  // node's last AIC evaluation (the deterministic schedule inputs; see
-  // DmtConfig::gain_test_every / gain_test_threshold).
-  double samples_since_test = 0.0;
-  double loss_since_test = 0.0;
-
-  Node(const linear::GlmConfig& glm_config, Rng* rng, bool grad_f32)
-      : model(glm_config, rng),
-        grad_sum(model.num_params(), 0.0),
-        candidates(static_cast<std::size_t>(model.num_params()), grad_f32) {}
-
-  bool is_leaf() const { return split_feature < 0; }
-
-  void ResetStats() {
-    loss_sum = 0.0;
-    std::fill(grad_sum.begin(), grad_sum.end(), 0.0);
-    count = 0.0;
-    candidates.Clear();
-    samples_since_test = 0.0;
-    loss_since_test = 0.0;
-  }
-};
-
 DynamicModelTree::DynamicModelTree(const DmtConfig& config)
-    : config_(config), rng_(config.seed) {
-  DMT_CHECK(config.num_features >= 1);
-  DMT_CHECK(config.num_classes >= 2);
-  DMT_CHECK(config.epsilon > 0.0 && config.epsilon <= 1.0);
-  DMT_CHECK(config.replacement_rate >= 0.0 && config.replacement_rate <= 1.0);
-  DMT_CHECK(config.gain_test_every >= 1);
-  DMT_CHECK(std::isfinite(config.gain_test_threshold) &&
-            config.gain_test_threshold >= 0.0);
-  DMT_CHECK(config.order_buckets <= (std::size_t{1} << 20));
-  if (config_.max_candidates == 0) {
-    config_.max_candidates = 3 * static_cast<std::size_t>(config.num_features);
-  }
-  root_ = MakeLeaf(nullptr);
-  model_params_ = root_->model.num_params();
-}
+    : DynamicModelTree(ModelTreeConfigOf(config), config.num_classes) {}
 
-DynamicModelTree::~DynamicModelTree() = default;
-
-void DynamicModelTree::AttachTelemetry(obs::TelemetryRegistry* registry) {
-  if (registry == nullptr) return;
-  telemetry_.splits = registry->Counter("dmt.splits");
-  telemetry_.replacements = registry->Counter("dmt.replacements");
-  telemetry_.prunes = registry->Counter("dmt.prunes");
-  telemetry_.gain_tests = registry->Counter("dmt.gain_tests");
-  telemetry_.gain_tests_passed = registry->Counter("dmt.gain_tests_passed");
-  telemetry_.gain_tests_run = registry->Counter("dmt.gain_tests_run");
-  telemetry_.gain_tests_skipped =
-      registry->Counter("dmt.gain_tests_skipped");
-  telemetry_.dirty_nodes = registry->Counter("dmt.dirty_nodes");
-  telemetry_.candidate_proposals =
-      registry->Counter("dmt.candidate_proposals");
-  telemetry_.candidate_appends = registry->Counter("dmt.candidate_appends");
-  telemetry_.candidate_evictions =
-      registry->Counter("dmt.candidate_evictions");
-  telemetry_.bucket_evals = registry->Counter("dmt.bucket_evals");
-  telemetry_.bucket_proposals = registry->Counter("dmt.bucket_proposals");
-  telemetry_.phase_route = registry->Timer("dmt.phase.route");
-  telemetry_.phase_model_step = registry->Timer("dmt.phase.model_step");
-  telemetry_.phase_scatter = registry->Timer("dmt.phase.scatter");
-  telemetry_.phase_gain_battery = registry->Timer("dmt.phase.gain_battery");
-}
-
-std::unique_ptr<DynamicModelTree::Node> DynamicModelTree::MakeLeaf(
-    const linear::Glm* warm_start_from) {
-  linear::GlmConfig glm_config;
-  glm_config.num_features = config_.num_features;
-  glm_config.num_classes = config_.num_classes;
-  glm_config.learning_rate = config_.learning_rate;
-  auto node =
-      std::make_unique<Node>(glm_config, &rng_, config_.candidate_grad_f32);
-  if (warm_start_from != nullptr) node->model.WarmStartFrom(*warm_start_from);
-  return node;
-}
-
-// --- Thresholds (Sec. V-C) --------------------------------------------------
-//
-// Eq. (11) for a leaf split: G >= k_C + k_Cbar - k_S - log(eps) = k - log(eps)
-// with a single model type. The analogous derivation for Eqs. (4)/(5)
-// compares 2 (respectively 1) new models against the #leaves models of the
-// replaced subtree, giving parameter deltas (2 - #leaves) * k and
-// (1 - #leaves) * k. Those deltas are NEGATIVE for any real subtree, and a
-// raw AIC threshold would prune every fresh split before its children could
-// learn; the paper therefore requires "G >= threshold >= 0" for structural
-// reductions (Sec. V-C), so the parameter-delta term is clamped at zero and
-// every reduction must still clear the -log(eps) confidence margin.
-
-double DynamicModelTree::SplitThreshold() const {
-  return static_cast<double>(model_params_) - std::log(config_.epsilon);
-}
-
-double DynamicModelTree::ReplaceThreshold(std::size_t subtree_leaves) const {
-  const double param_delta = (2.0 - static_cast<double>(subtree_leaves)) *
-                             static_cast<double>(model_params_);
-  return std::max(param_delta, 0.0) - std::log(config_.epsilon);
-}
-
-double DynamicModelTree::PruneThreshold(std::size_t subtree_leaves) const {
-  const double param_delta = (1.0 - static_cast<double>(subtree_leaves)) *
-                             static_cast<double>(model_params_);
-  return std::max(param_delta, 0.0) - std::log(config_.epsilon);
-}
-
-// --- Gains -------------------------------------------------------------------
-
-int DynamicModelTree::BestCandidateOf(const Node& node, double reference_loss,
-                                      double* best_gain) const {
-  return BestCandidate(node.candidates, node.loss_sum, node.grad_sum,
-                       node.count, reference_loss,
-                       config_.gradient_step_size, best_gain);
-}
+DynamicModelTree::DynamicModelTree(const ModelTreeConfig& config,
+                                   int num_classes)
+    : ModelTree(config, {.num_classes = num_classes}),  // GLM checks >= 2
+      num_classes_(num_classes) {}
 
 // --- Training ----------------------------------------------------------------
 
 void DynamicModelTree::PartialFit(const Batch& batch) {
-  DMT_CHECK(static_cast<int>(batch.num_features()) == config_.num_features);
-  bool clean = true;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  DMT_CHECK(static_cast<int>(batch.num_features()) == config().num_features);
+  // Rows with a non-finite feature or an invalid label are dropped: a NaN
+  // inside ComputeFeatureOrders' sort comparator would violate strict weak
+  // ordering (undefined behavior), so bad rows must never reach the sort.
+  auto usable = [&](std::size_t i) {
     const int y = batch.label(i);
-    if (y < 0 || y >= config_.num_classes || !RowIsFinite(batch.row(i))) {
-      clean = false;
-      break;
-    }
-  }
+    return y >= 0 && y < num_classes_ && RowIsFinite(batch.row(i));
+  };
+  bool clean = true;
+  for (std::size_t i = 0; i < batch.size() && clean; ++i) clean = usable(i);
   if (clean) {
-    PartialFitClean(batch);
+    FitClean(batch);
     return;
   }
   // Contaminated batch: copy the usable rows aside (DESIGN.md Sec. 8).
@@ -173,317 +41,41 @@ void DynamicModelTree::PartialFit(const Batch& batch) {
   }
   clean_batch_->clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const int y = batch.label(i);
-    if (y >= 0 && y < config_.num_classes && RowIsFinite(batch.row(i))) {
-      clean_batch_->Add(batch.row(i), y);
-    }
+    if (usable(i)) clean_batch_->Add(batch.row(i), batch.label(i));
   }
-  if (!clean_batch_->empty()) PartialFitClean(*clean_batch_);
-}
-
-void DynamicModelTree::PartialFitClean(const Batch& batch) {
-  ++time_step_;
-  scratch_.root_rows.resize(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) scratch_.root_rows[i] = i;
-  // Lazy ascending-value orders, shared by every node: a feature is sorted
-  // the first time an evaluating node asks for it, so batches on which the
-  // scheduler defers every node never sort at all.
-  BeginFeatureOrders(batch, config_.num_features, &scratch_);
-  UpdateNode(root_.get(), batch, scratch_.root_rows, 0);
-}
-
-void DynamicModelTree::UpdateNode(Node* node, const Batch& batch,
-                                  std::span<const std::size_t> rows,
-                                  std::size_t depth) {
-  if (rows.empty()) return;
-  if (!node->is_leaf()) {
-    if (scratch_.left_rows.size() <= depth) {
-      scratch_.left_rows.resize(depth + 1);
-      scratch_.right_rows.resize(depth + 1);
-    }
-    std::vector<std::size_t>& left_rows = scratch_.left_rows[depth];
-    std::vector<std::size_t>& right_rows = scratch_.right_rows[depth];
-    left_rows.clear();
-    right_rows.clear();
-    {
-      obs::ScopedPhaseTimer route_timer(telemetry_.phase_route);
-      for (std::size_t r : rows) {
-        if (batch.row(r)[node->split_feature] <= node->split_value) {
-          left_rows.push_back(r);
-        } else {
-          right_rows.push_back(r);
-        }
-      }
-    }
-    // Bottom-up: children update (and possibly restructure) first. Both
-    // spans are taken before recursing: a deeper call may grow the outer
-    // scratch vectors, which moves the inner vector objects (invalidating
-    // references to them) but keeps their heap buffers, so the spans stay
-    // valid.
-    const std::span<const std::size_t> left_span(left_rows);
-    const std::span<const std::size_t> right_span(right_rows);
-    UpdateNode(node->left.get(), batch, left_span, depth + 1);
-    UpdateNode(node->right.get(), batch, right_span, depth + 1);
-  }
-
-  const bool evaluated = UpdateStatistics(node, batch, rows);
-  if (!evaluated) return;  // deferred: no structural checks this batch
-
-  if (node->is_leaf()) {
-    CheckLeafSplit(node, depth);
-  } else {
-    CheckInnerReplacement(node, depth);
-  }
-}
-
-bool DynamicModelTree::UpdateStatistics(Node* node, const Batch& batch,
-                                        std::span<const std::size_t> rows) {
-  const CandidateUpdateParams params{
-      .num_features = config_.num_features,
-      .max_candidates = config_.max_candidates,
-      .replacement_rate = config_.replacement_rate,
-      .max_proposals_per_feature = config_.max_proposals_per_feature,
-      .gradient_step_size = config_.gradient_step_size,
-      .order_buckets = config_.order_buckets,
-      .proposals_counter = telemetry_.candidate_proposals,
-      .appends_counter = telemetry_.candidate_appends,
-      .evictions_counter = telemetry_.candidate_evictions,
-      .bucket_evals_counter = telemetry_.bucket_evals,
-      .bucket_proposals_counter = telemetry_.bucket_proposals,
-  };
-  // Phase 1, every batch: tile gather, model step, tallies, per-sample
-  // gradients.
-  double batch_loss = 0.0;
-  {
-    obs::ScopedPhaseTimer model_timer(telemetry_.phase_model_step);
-    batch_loss = AccumulateNodeStatistics(
-        batch, rows, &node->model, &node->loss_sum,
-        std::span<double>(node->grad_sum), &node->count, &scratch_);
-  }
-
-  // Scheduler decision AFTER absorbing this batch, so gain_test_every = 1
-  // always evaluates (exact mode) and a node is tested the moment the
-  // evidence since its last test crosses either trigger.
-  node->samples_since_test += static_cast<double>(rows.size());
-  node->loss_since_test += batch_loss;
-  const bool due = node->samples_since_test >=
-                   static_cast<double>(config_.gain_test_every);
-  const bool dirty = node->loss_since_test >= config_.gain_test_threshold;
-  if (!due && !dirty) {
-    // Phase 2, skip path: stored candidates still absorb the batch.
-    obs::ScopedPhaseTimer scatter_timer(telemetry_.phase_scatter);
-    ScatterStoredOnly(batch, rows, &node->candidates, &scratch_);
-    DMT_TELEMETRY_COUNT(telemetry_.gain_tests_skipped);
-    return false;
-  }
-  if (dirty && !due) DMT_TELEMETRY_COUNT(telemetry_.dirty_nodes);
-
-  // Phase 2, evaluation path: scatter + fresh proposals + replacement.
-  {
-    obs::ScopedPhaseTimer gain_timer(telemetry_.phase_gain_battery);
-    ScatterAndPropose(params, batch, rows, batch_loss, node->loss_sum,
-                      std::span<const double>(node->grad_sum), node->count,
-                      &node->candidates, &scratch_);
-  }
-  node->samples_since_test = 0.0;
-  node->loss_since_test = 0.0;
-  DMT_TELEMETRY_COUNT(telemetry_.gain_tests_run);
-  return true;
-}
-
-void DynamicModelTree::CheckLeafSplit(Node* node, std::size_t depth) {
-  double gain = 0.0;
-  const int best = BestCandidateOf(*node, node->loss_sum, &gain);  // Eq. (3)
-  if (best < 0) return;
-  DMT_TELEMETRY_COUNT(telemetry_.gain_tests);
-  if (gain < SplitThreshold()) return;
-  DMT_TELEMETRY_COUNT(telemetry_.gain_tests_passed);
-  DMT_TELEMETRY_COUNT(telemetry_.splits);
-
-  const int feature = node->candidates.feature(best);
-  const double value = node->candidates.value(best);
-  node->split_feature = feature;
-  node->split_value = value;
-  node->left = MakeLeaf(&node->model);
-  node->right = MakeLeaf(&node->model);
-  // Restart this node's statistics window so the subtree comparisons of
-  // Eqs. (4)-(5) are made over aligned windows.
-  node->ResetStats();
-  ++splits_performed_;
-  RecordEvent({.kind = StructuralEvent::Kind::kSplit,
-               .time_step = time_step_,
-               .feature = feature,
-               .value = value,
-               .gain = gain,
-               .threshold = SplitThreshold(),
-               .depth = depth});
-}
-
-namespace {
-
-// Sum of accumulated leaf losses and leaf count of a subtree.
-template <typename NodeT>
-void SubtreeLeafLoss(const NodeT* node, double* loss, std::size_t* leaves) {
-  if (node->is_leaf()) {
-    *loss += node->loss_sum;
-    ++*leaves;
-    return;
-  }
-  SubtreeLeafLoss(node->left.get(), loss, leaves);
-  SubtreeLeafLoss(node->right.get(), loss, leaves);
-}
-
-}  // namespace
-
-void DynamicModelTree::CheckInnerReplacement(Node* node, std::size_t depth) {
-  double leaf_loss = 0.0;
-  std::size_t leaves = 0;
-  SubtreeLeafLoss(node, &leaf_loss, &leaves);
-
-  // Eq. (4): best alternate split candidate vs. the current subtree.
-  double replace_gain = 0.0;
-  const int best = BestCandidateOf(*node, leaf_loss, &replace_gain);
-  const bool candidate_is_current =
-      best >= 0 && node->candidates.feature(best) == node->split_feature &&
-      node->candidates.value(best) == node->split_value;
-  const bool replace_tested = best >= 0 && !candidate_is_current;
-  if (replace_tested) DMT_TELEMETRY_COUNT(telemetry_.gain_tests);
-  const bool replace_ok =
-      replace_tested && replace_gain >= ReplaceThreshold(leaves);
-  if (replace_ok) DMT_TELEMETRY_COUNT(telemetry_.gain_tests_passed);
-
-  // Eq. (5): the inner node's own model vs. the subtree.
-  DMT_TELEMETRY_COUNT(telemetry_.gain_tests);
-  const double prune_gain = leaf_loss - node->loss_sum;
-  const bool prune_ok = prune_gain >= PruneThreshold(leaves);
-  if (prune_ok) DMT_TELEMETRY_COUNT(telemetry_.gain_tests_passed);
-
-  if (!replace_ok && !prune_ok) return;
-
-  if (prune_ok && (!replace_ok || prune_gain >= replace_gain)) {
-    // Make the inner node a leaf: the smaller of the two alternatives
-    // (Sec. IV-A: "to obtain the overall smaller tree").
-    node->split_feature = -1;
-    node->left.reset();
-    node->right.reset();
-    ++prunes_;
-    DMT_TELEMETRY_COUNT(telemetry_.prunes);
-    RecordEvent({.kind = StructuralEvent::Kind::kPruneToLeaf,
-                 .time_step = time_step_,
-                 .feature = -1,
-                 .value = 0.0,
-                 .gain = prune_gain,
-                 .threshold = PruneThreshold(leaves),
-                 .depth = depth});
-    return;
-  }
-
-  node->split_feature = node->candidates.feature(best);
-  node->split_value = node->candidates.value(best);
-  node->left = MakeLeaf(&node->model);
-  node->right = MakeLeaf(&node->model);
-  node->ResetStats();
-  ++replacements_;
-  DMT_TELEMETRY_COUNT(telemetry_.replacements);
-  RecordEvent({.kind = StructuralEvent::Kind::kReplaceSplit,
-               .time_step = time_step_,
-               .feature = node->split_feature,
-               .value = node->split_value,
-               .gain = replace_gain,
-               .threshold = ReplaceThreshold(leaves),
-               .depth = depth});
-}
-
-void DynamicModelTree::RecordEvent(StructuralEvent event) {
-  if (events_.size() >= kMaxEvents) {
-    events_.erase(events_.begin(), events_.begin() + kMaxEvents / 2);
-  }
-  events_.push_back(event);
+  if (!clean_batch_->empty()) FitClean(*clean_batch_);
 }
 
 // --- Prediction ----------------------------------------------------------------
 
 void DynamicModelTree::PredictProbaInto(std::span<const double> x,
                                         std::span<double> out) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  node->model.PredictProbaInto(x, out);
+  LeafFor(x).model.PredictProbaInto(x, out);
 }
 
 std::vector<double> DynamicModelTree::LeafFeatureWeights(
     std::span<const double> x, int c) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  return node->model.FeatureWeights(c);
+  return LeafFor(x).model.FeatureWeights(c);
 }
 
 // --- Introspection ---------------------------------------------------------------
 
-std::size_t DynamicModelTree::NumInnerNodes() const {
-  std::size_t inner = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) return;
-    ++inner;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return inner;
-}
-
-std::size_t DynamicModelTree::NumLeaves() const {
-  std::size_t leaves = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) {
-      ++leaves;
-      return;
-    }
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return leaves;
-}
-
-std::size_t DynamicModelTree::Depth() const {
-  auto walk = [&](auto&& self, const Node* node) -> std::size_t {
-    if (node->is_leaf()) return 0;
-    return 1 + std::max(self(self, node->left.get()),
-                        self(self, node->right.get()));
-  };
-  return walk(walk, root_.get());
-}
-
 DynamicModelTree::RootDiagnostics DynamicModelTree::DiagnoseRoot() const {
   RootDiagnostics diagnostics;
-  diagnostics.count = root_->count;
-  diagnostics.num_candidates = root_->candidates.size();
+  diagnostics.count = root()->count;
+  diagnostics.num_candidates = root()->candidates.size();
   double gain = 0.0;
-  if (BestCandidateOf(*root_, root_->loss_sum, &gain) >= 0) {
+  if (BestCandidateOf(*root(), root()->loss_sum, &gain) >= 0) {
     diagnostics.best_gain = gain;
   }
   return diagnostics;
-}
-
-double DynamicModelTree::AccumulatedLeafLoss() const {
-  double loss = 0.0;
-  std::size_t leaves = 0;
-  SubtreeLeafLoss(root_.get(), &loss, &leaves);
-  return loss;
 }
 
 std::size_t DynamicModelTree::NumSplits() const {
   // Paper Sec. VI-D2: inner nodes plus one split per model leaf (c splits
   // for multiclass leaf classifiers).
   const std::size_t per_leaf =
-      config_.num_classes == 2 ? 1
-                               : static_cast<std::size_t>(config_.num_classes);
+      num_classes_ == 2 ? 1 : static_cast<std::size_t>(num_classes_);
   return NumInnerNodes() + NumLeaves() * per_leaf;
 }
 
@@ -491,147 +83,9 @@ std::size_t DynamicModelTree::NumParameters() const {
   // 1 split value per inner node; m weights per class per leaf model
   // (binary leaves count m, paper Sec. VI-D2).
   const std::size_t per_leaf =
-      static_cast<std::size_t>(config_.num_features) *
-      (config_.num_classes == 2 ? 1 : config_.num_classes);
+      static_cast<std::size_t>(config().num_features) *
+      (num_classes_ == 2 ? 1 : num_classes_);
   return NumInnerNodes() + NumLeaves() * per_leaf;
-}
-
-// --- Persistence ---------------------------------------------------------------
-
-void DynamicModelTree::SaveBody(serial::Writer& writer) const {
-  writer.I32(config_.num_features);
-  writer.I32(config_.num_classes);
-  writer.F64(config_.learning_rate);
-  writer.F64(config_.gradient_step_size);
-  writer.F64(config_.epsilon);
-  writer.Size(config_.max_candidates);
-  writer.F64(config_.replacement_rate);
-  writer.Size(config_.max_proposals_per_feature);
-  writer.Size(config_.gain_test_every);
-  writer.F64(config_.gain_test_threshold);
-  // v3 fields: training hot-path knobs (gated on reader.version() in
-  // LoadBody so v2 archives keep decoding).
-  writer.Size(config_.order_buckets);
-  writer.Bool(config_.candidate_grad_f32);
-  writer.U64(config_.seed);
-  writer.Size(time_step_);
-  writer.Size(splits_performed_);
-  writer.Size(replacements_);
-  writer.Size(prunes_);
-
-  auto save_node = [&](auto&& self, const Node* node) -> void {
-    writer.I32(node->split_feature);
-    writer.F64(node->split_value);
-    writer.F64(node->loss_sum);
-    writer.F64(node->count);
-    writer.F64(node->samples_since_test);
-    writer.F64(node->loss_since_test);
-    node->model.SaveState(writer);
-    writer.VecF64(node->grad_sum);
-    node->candidates.Save(writer);
-    if (!node->is_leaf()) {
-      self(self, node->left.get());
-      self(self, node->right.get());
-    }
-  };
-  save_node(save_node, root_.get());
-  // Engine last: MakeLeaf draws initial GLM weights during Load, so the
-  // engine is restored only after the whole tree has been rebuilt.
-  writer.Engine(rng_.engine());
-}
-
-void DynamicModelTree::Save(std::ostream& out) const {
-  serial::Writer writer(out);
-  writer.Header(serial::kTagDmtClassifier);
-  SaveBody(writer);
-}
-
-std::unique_ptr<DynamicModelTree> DynamicModelTree::LoadBody(
-    serial::Reader& reader) {
-  DmtConfig config;
-  config.num_features = static_cast<int>(serial::CheckedRange(
-      reader.I32(), 1, serial::kMaxFeatures, "DMT feature count"));
-  config.num_classes = static_cast<int>(serial::CheckedRange(
-      reader.I32(), 2, serial::kMaxClasses, "DMT class count"));
-  serial::Check(static_cast<std::uint64_t>(config.num_features) *
-                        static_cast<std::uint64_t>(config.num_classes) <=
-                    static_cast<std::uint64_t>(serial::kMaxVector),
-                "DMT model dimensions exceed the archive limit");
-  config.learning_rate =
-      serial::CheckedFinite(reader.F64(), "DMT learning rate");
-  config.gradient_step_size =
-      serial::CheckedFinite(reader.F64(), "DMT gradient step size");
-  config.epsilon = reader.F64();
-  // The constructor DMT_CHECKs this range; a hostile archive must throw.
-  serial::Check(std::isfinite(config.epsilon) && config.epsilon > 0.0 &&
-                    config.epsilon <= 1.0,
-                "DMT epsilon out of range");
-  config.max_candidates = reader.Size(std::size_t{1} << 62);
-  config.replacement_rate = reader.F64();
-  serial::Check(std::isfinite(config.replacement_rate) &&
-                    config.replacement_rate >= 0.0 &&
-                    config.replacement_rate <= 1.0,
-                "DMT replacement rate out of range");
-  config.max_proposals_per_feature = reader.Size(std::size_t{1} << 62);
-  config.gain_test_every = reader.Size(std::size_t{1} << 62);
-  serial::Check(config.gain_test_every >= 1,
-                "DMT gain test period out of range");
-  config.gain_test_threshold =
-      serial::CheckedFinite(reader.F64(), "DMT gain test threshold");
-  serial::Check(config.gain_test_threshold >= 0.0,
-                "DMT gain test threshold out of range");
-  if (reader.version() >= 3) {
-    config.order_buckets = reader.Size(std::size_t{1} << 20);
-    config.candidate_grad_f32 = reader.Bool();
-  } else {
-    // v2 archives predate the hot-path knobs: restore the exact-sort, f64
-    // behavior of the build that wrote them, so training continues
-    // identically.
-    config.order_buckets = 0;
-    config.candidate_grad_f32 = false;
-  }
-  config.seed = reader.U64();
-  auto tree = std::make_unique<DynamicModelTree>(config);
-  tree->time_step_ = reader.Size(std::size_t{1} << 62);
-  tree->splits_performed_ = reader.Size(std::size_t{1} << 62);
-  tree->replacements_ = reader.Size(std::size_t{1} << 62);
-  tree->prunes_ = reader.Size(std::size_t{1} << 62);
-
-  auto load_node = [&](auto&& self,
-                       std::size_t depth) -> std::unique_ptr<Node> {
-    serial::Check(depth <= serial::kMaxTreeDepth,
-                  "DMT node depth exceeds the archive limit");
-    std::unique_ptr<Node> node = tree->MakeLeaf(nullptr);
-    const std::int32_t split_feature = reader.I32();
-    serial::Check(
-        split_feature >= -1 && split_feature < config.num_features,
-        "DMT split feature out of range");
-    node->split_feature = static_cast<int>(split_feature);
-    node->split_value = reader.F64();
-    node->loss_sum = reader.F64();
-    node->count = reader.F64();
-    node->samples_since_test = reader.F64();
-    node->loss_since_test = reader.F64();
-    node->model.LoadState(reader);
-    node->grad_sum = reader.VecF64Exact(
-        static_cast<std::size_t>(node->model.num_params()));
-    node->candidates.Load(reader);
-    if (!node->is_leaf()) {
-      node->left = self(self, depth + 1);
-      node->right = self(self, depth + 1);
-    }
-    return node;
-  };
-  tree->root_ = load_node(load_node, 0);
-  // Engine last: the MakeLeaf calls above consumed construction-time draws.
-  reader.Engine(&tree->rng_.engine());
-  return tree;
-}
-
-std::unique_ptr<DynamicModelTree> DynamicModelTree::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagDmtClassifier);
-  return LoadBody(reader);
 }
 
 std::string DynamicModelTree::Describe(int max_weights_per_leaf) const {
@@ -649,7 +103,7 @@ std::string DynamicModelTree::Describe(int max_weights_per_leaf) const {
     // Largest-magnitude feature weights of the model (class 1 for binary,
     // the per-class blocks otherwise would be verbose, so class 1 is shown).
     const std::vector<double> weights =
-        node->model.FeatureWeights(config_.num_classes == 2 ? 1 : 0);
+        node->model.FeatureWeights(num_classes_ == 2 ? 1 : 0);
     std::vector<int> idx(weights.size());
     for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
     std::sort(idx.begin(), idx.end(), [&](int a, int b) {
@@ -662,8 +116,45 @@ std::string DynamicModelTree::Describe(int max_weights_per_leaf) const {
     }
     out << "\n";
   };
-  walk(walk, root_.get(), "");
+  walk(walk, root(), "");
   return out.str();
+}
+
+// --- Persistence ---------------------------------------------------------------
+
+void DynamicModelTree::SaveBody(serial::Writer& writer) const {
+  writer.I32(config().num_features);
+  writer.I32(num_classes_);
+  SaveConfig(writer);
+  SaveState(writer);
+}
+
+void DynamicModelTree::Save(std::ostream& out) const {
+  serial::Writer writer(out);
+  writer.Header(serial::kTagDmtClassifier);
+  SaveBody(writer);
+}
+
+std::unique_ptr<DynamicModelTree> DynamicModelTree::LoadBody(
+    serial::Reader& reader) {
+  const int num_features = static_cast<int>(serial::CheckedRange(
+      reader.I32(), 1, serial::kMaxFeatures, "DMT feature count"));
+  const int num_classes = static_cast<int>(serial::CheckedRange(
+      reader.I32(), 2, serial::kMaxClasses, "DMT class count"));
+  serial::Check(static_cast<std::uint64_t>(num_features) *
+                        static_cast<std::uint64_t>(num_classes) <=
+                    static_cast<std::uint64_t>(serial::kMaxVector),
+                "DMT model dimensions exceed the archive limit");
+  std::unique_ptr<DynamicModelTree> tree(new DynamicModelTree(
+      LoadConfig(reader, num_features), num_classes));
+  tree->LoadState(reader);
+  return tree;
+}
+
+std::unique_ptr<DynamicModelTree> DynamicModelTree::Load(std::istream& in) {
+  serial::Reader reader(in);
+  reader.Header(serial::kTagDmtClassifier);
+  return LoadBody(reader);
 }
 
 }  // namespace dmt::core

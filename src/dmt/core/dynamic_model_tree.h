@@ -1,33 +1,11 @@
-// The Dynamic Model Tree (DMT) -- the paper's contribution (Sections IV-V).
-//
-// A model tree that maintains an incrementally trained simple model (a
-// binary logit or multinomial softmax GLM, Sec. V-A) at EVERY node, leaf and
-// inner alike. Structural updates are driven purely by the negative
-// log-likelihood loss:
-//
-//  * Leaves split on the stored candidate with the largest loss-based gain,
-//    Eq. (3); candidate losses are approximated by one warm-started gradient
-//    step, Eqs. (6)-(7), so no candidate models are ever trained.
-//  * Inner nodes keep learning and keep scoring candidates. A subtree is
-//    replaced by a fresh split when Eq. (4) turns positive, or collapsed
-//    into a leaf when Eq. (5) does -- this is how DMT adapts to concept
-//    drift without any dedicated drift detector, and what yields the
-//    consistency (Property 1 / Lemma 1) and minimality (Property 2 /
-//    Lemma 2) guarantees.
-//  * Robustness thresholds follow the AIC confidence test of Eq. (11):
-//    a structural change must improve the loss by at least
-//    (#params added) - log(epsilon) nats.
-//
-// Bounded memory: each node stores at most `max_candidates` candidate
-// statistics (default 3m); per batch, at most a `replacement_rate` fraction
-// of them may be replaced by fresh candidates with larger estimated gain
-// (Sec. V-D).
-//
-// Window alignment note: statistics of a node are reset whenever its
-// sub-structure changes (it splits, replaces its split, or its children are
-// created), so the loss sums compared by Eqs. (4)-(5) cover comparable
-// observation windows; deeper restructuring below an old inner node biases
-// the comparison conservatively (see DESIGN.md).
+// The Dynamic Model Tree (DMT) classifier -- the paper's contribution
+// (Sections IV-V): the ModelTree core (model_tree.h) with a binary logit or
+// multinomial softmax GLM (Sec. V-A) at every node, trained on the negative
+// log-likelihood. This front-end adds what is specific to classification:
+// the Classifier interface, the filter that drops rows with a non-finite
+// feature or an out-of-range label, per-leaf class probabilities, the
+// paper's split/parameter counting (Sec. VI-D2), the readable tree
+// rendering, and the class count in the archive.
 #ifndef DMT_CORE_DYNAMIC_MODEL_TREE_H_
 #define DMT_CORE_DYNAMIC_MODEL_TREE_H_
 
@@ -40,9 +18,7 @@
 #include <vector>
 
 #include "dmt/common/classifier.h"
-#include "dmt/common/random.h"
-#include "dmt/core/candidate.h"
-#include "dmt/core/candidate_update.h"
+#include "dmt/core/model_tree.h"
 #include "dmt/linear/glm.h"
 
 namespace dmt::core {
@@ -109,43 +85,25 @@ struct DmtConfig {
   std::uint64_t seed = 42;
 };
 
-// One structural change, kept in an audit log so that every model update is
-// attributable to a loss change -- the paper's notion of interpretable
-// online learning ("Why have you split this node at time step u?", Sec. I-A).
-struct StructuralEvent {
-  enum class Kind { kSplit, kReplaceSplit, kPruneToLeaf };
-  Kind kind = Kind::kSplit;
-  std::size_t time_step = 0;  // PartialFit invocation index
-  int feature = -1;           // split feature involved (new split, if any)
-  double value = 0.0;
-  double gain = 0.0;       // realized loss gain, Eqs. (3)-(5)
-  double threshold = 0.0;  // AIC threshold the gain had to clear
-  std::size_t depth = 0;   // depth of the affected node
-};
-
-class DynamicModelTree : public Classifier {
+class DynamicModelTree : public Classifier,
+                         public ModelTree<linear::Glm> {
  public:
   explicit DynamicModelTree(const DmtConfig& config);
-  ~DynamicModelTree() override;
 
   void PartialFit(const Batch& batch) override;
-  int num_classes() const override { return config_.num_classes; }
+  int num_classes() const override { return num_classes_; }
   // Routes to the responsible leaf and scores its simple model in place.
   void PredictProbaInto(std::span<const double> x,
                         std::span<double> out) const override;
   std::size_t NumSplits() const override;
   std::size_t NumParameters() const override;
   std::string name() const override { return "DMT"; }
-  // Caches raw counter pointers for structural events, gain-test outcomes
-  // and candidate-store churn ("dmt.*" namespace; see obs/telemetry.h).
-  void AttachTelemetry(obs::TelemetryRegistry* registry) override;
+  void AttachTelemetry(obs::TelemetryRegistry* registry) override {
+    ModelTree::AttachTelemetry(registry);
+  }
 
   // --- Introspection / interpretability API -------------------------------
-
-  std::size_t NumInnerNodes() const;
-  std::size_t NumLeaves() const;
-  std::size_t Depth() const;
-  std::size_t time_step() const { return time_step_; }
+  // (tree shape, audit log and AIC thresholds: see ModelTree)
 
   // Per-class feature weights of the leaf model responsible for `x` (local
   // feature-based explanation, Sec. I-C).
@@ -155,15 +113,6 @@ class DynamicModelTree : public Classifier {
   // Human-readable rendering of the tree: split predicates and, per leaf,
   // the largest-magnitude model weights.
   std::string Describe(int max_weights_per_leaf = 3) const;
-
-  // Structural audit log (most recent `max_events` events are retained).
-  const std::vector<StructuralEvent>& events() const { return events_; }
-  std::size_t num_splits_performed() const { return splits_performed_; }
-  std::size_t num_subtree_replacements() const { return replacements_; }
-  std::size_t num_prunes() const { return prunes_; }
-
-  // Accumulated NLL over all leaves (the tree loss of Lemma 1).
-  double AccumulatedLeafLoss() const;
 
   // Diagnostics of the root node's split search: the current best candidate
   // gain (Eq. 3/4), its observation count, and the number of stored
@@ -180,95 +129,21 @@ class DynamicModelTree : public Classifier {
   // Serializes the complete learner state (configuration, tree structure,
   // model parameters, node and candidate statistics, RNG engine) with exact
   // floating-point round-trip, so a restored tree continues training
-  // identically. The engine is written last because Load's node
-  // construction draws initial GLM weights. The structural audit log is not
+  // identically. The layout is num_features, num_classes, then the
+  // ModelTree config and state halves. The structural audit log is not
   // persisted. Load throws serial::SerialError on malformed input.
   void Save(std::ostream& out) const override;
   static std::unique_ptr<DynamicModelTree> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<DynamicModelTree> LoadBody(serial::Reader& reader);
 
-  // AIC-derived gain thresholds (Sec. V-C; Eq. 11 and its analogues).
-  double SplitThreshold() const;
-  double ReplaceThreshold(std::size_t subtree_leaves) const;
-  double PruneThreshold(std::size_t subtree_leaves) const;
-
  private:
-  struct Node;
+  DynamicModelTree(const ModelTreeConfig& config, int num_classes);
 
-  std::unique_ptr<Node> MakeLeaf(const linear::Glm* warm_start_from);
-  // PartialFit body for a batch known to be all-finite with valid labels.
-  // Contaminated batches are copied minus the bad rows first: a NaN inside
-  // ComputeFeatureOrders' sort comparator would violate strict weak
-  // ordering (undefined behavior), so bad rows must never reach the sort.
-  void PartialFitClean(const Batch& batch);
-  // Bottom-up batch update (Algorithm 1 at every node on the paths). The
-  // row span stays valid for the call's duration (it points into
-  // scratch_.root_rows or a depth-indexed partition buffer).
-  void UpdateNode(Node* node, const Batch& batch,
-                  std::span<const std::size_t> rows, std::size_t depth);
-  // Two-phase statistics update (candidate_update.h engine): always
-  // accumulates the model step, tallies and stored-candidate scatter, then
-  // consults the dirty-node scheduler. Returns true when this node was
-  // evaluated this batch (fresh proposals made, counters reset) -- the
-  // caller runs the structural checks only then.
-  bool UpdateStatistics(Node* node, const Batch& batch,
-                        std::span<const std::size_t> rows);
-  void CheckLeafSplit(Node* node, std::size_t depth);
-  void CheckInnerReplacement(Node* node, std::size_t depth);
-  // Best stored candidate (row into the node's store, -1 if none) by gain
-  // (3)/(4) against `reference_loss` (the node's own accumulated loss for
-  // leaves; the subtree leaf-loss sum for inner nodes).
-  int BestCandidateOf(const Node& node, double reference_loss,
-                      double* best_gain) const;
-  void RecordEvent(StructuralEvent event);
-
-  DmtConfig config_;
-  Rng rng_;
-  int model_params_ = 0;  // k: free parameters of one simple model
-  std::unique_ptr<Node> root_;
-  TrainScratch scratch_;  // grow-only training buffers (zero-alloc steady state)
+  int num_classes_;
   // Lazily allocated copy buffer for batches containing non-finite rows;
   // never touched on the clean path.
   std::unique_ptr<Batch> clean_batch_;
-  std::size_t time_step_ = 0;
-  std::vector<StructuralEvent> events_;
-  std::size_t splits_performed_ = 0;
-  std::size_t replacements_ = 0;
-  std::size_t prunes_ = 0;
-
-  // Telemetry destinations, all null until AttachTelemetry (the registry
-  // must outlive this tree).
-  struct Telemetry {
-    std::uint64_t* splits = nullptr;
-    std::uint64_t* replacements = nullptr;
-    std::uint64_t* prunes = nullptr;
-    std::uint64_t* gain_tests = nullptr;
-    std::uint64_t* gain_tests_passed = nullptr;
-    // Dirty-node scheduler outcomes: node evaluations run, node
-    // evaluations deferred, and evaluations forced early by the loss
-    // threshold (before the amortized schedule was due).
-    std::uint64_t* gain_tests_run = nullptr;
-    std::uint64_t* gain_tests_skipped = nullptr;
-    std::uint64_t* dirty_nodes = nullptr;
-    std::uint64_t* candidate_proposals = nullptr;
-    std::uint64_t* candidate_appends = nullptr;
-    std::uint64_t* candidate_evictions = nullptr;
-    // Bucketed order-statistics engine: evaluation batches routed through
-    // radix buckets, and the proposals they produced.
-    std::uint64_t* bucket_evals = nullptr;
-    std::uint64_t* bucket_proposals = nullptr;
-    // Training phase timers (wall clock; excluded from the golden counter
-    // surface): inner-node routing, model step + per-sample gradients,
-    // skip-path stored scatter, and the evaluation-path gain battery.
-    obs::PhaseTimer* phase_route = nullptr;
-    obs::PhaseTimer* phase_model_step = nullptr;
-    obs::PhaseTimer* phase_scatter = nullptr;
-    obs::PhaseTimer* phase_gain_battery = nullptr;
-  };
-  Telemetry telemetry_;
-
-  static constexpr std::size_t kMaxEvents = 1024;
 };
 
 }  // namespace dmt::core

@@ -17,10 +17,12 @@
 #include "dmt/common/alloc_count.h"
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
+#include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/linear/glm.h"
 #include "dmt/linear/glm_classifier.h"
+#include "dmt/linear/linear_regressor.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/serve/engine.h"
 #include "dmt/trees/vfdt.h"
@@ -154,15 +156,15 @@ std::vector<Batch> MakeBatches(int rounds, int per_batch, std::uint64_t seed,
   return batches;
 }
 
-template <typename Model>
-void ExpectZeroAllocTraining(Model* model, const std::vector<Batch>& warmup,
-                             const std::vector<Batch>& measured) {
+template <typename Model, typename BatchT>
+void ExpectZeroAllocTraining(Model* model, const std::vector<BatchT>& warmup,
+                             const std::vector<BatchT>& measured) {
 #ifdef DMT_UNDER_SANITIZER
   GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
 #else
-  for (const Batch& batch : warmup) model->PartialFit(batch);
+  for (const BatchT& batch : warmup) model->PartialFit(batch);
   alloc_count::Reset();
-  for (const Batch& batch : measured) model->PartialFit(batch);
+  for (const BatchT& batch : measured) model->PartialFit(batch);
   EXPECT_EQ(alloc_count::allocations, 0u) << "PartialFit allocated";
 #endif
 }
@@ -173,6 +175,33 @@ TEST(AllocationRegressionTest, DmtTrainsWithoutAllocating) {
   const auto measured = MakeBatches(4, 500, 202, /*label_kind=*/0);
   ExpectZeroAllocTraining(&model, warmup, measured);
   // The premise of the pin: the separable stream never triggers structure.
+  EXPECT_EQ(model.num_splits_performed(), 0u);
+}
+
+// Regression counterpart: a linear target that one leaf model fits, so the
+// regressor never splits while its statistics and candidates keep updating.
+std::vector<linear::RegressionBatch> MakeRegressionBatches(int rounds,
+                                                           std::uint64_t seed) {
+  constexpr int kRegressionFeatures = 4;
+  Rng rng(seed);
+  std::vector<linear::RegressionBatch> batches;
+  for (int round = 0; round < rounds; ++round) {
+    linear::RegressionBatch batch(kRegressionFeatures);
+    for (int i = 0; i < 500; ++i) {
+      std::vector<double> x(kRegressionFeatures);
+      for (double& f : x) f = rng.Uniform();
+      batch.Add(x, x[0] + x[1] + 0.01 * rng.Gaussian());
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+TEST(AllocationRegressionTest, DmtRegressorTrainsWithoutAllocating) {
+  core::DmtRegressor model({.num_features = 4, .learning_rate = 0.1});
+  const auto warmup = MakeRegressionBatches(6, 209);
+  const auto measured = MakeRegressionBatches(4, 210);
+  ExpectZeroAllocTraining(&model, warmup, measured);
   EXPECT_EQ(model.num_splits_performed(), 0u);
 }
 

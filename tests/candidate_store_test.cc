@@ -2,7 +2,7 @@
 // PR: the bounded store must evict (never grow past max_candidates),
 // degenerate one-sided candidates must never win a split, and the SoA gain
 // path (fused difference-norm kernels over matrix rows) must reproduce the
-// legacy AoS computation bit-for-bit on real stream data.
+// legacy per-candidate computation bit-for-bit on real stream data.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -124,10 +124,11 @@ TEST(CandidateStoreTest, TreeStoreNeverExceedsMaxCandidates) {
 }
 
 // Drives one generator through a GLM and accumulates per-candidate
-// statistics into the SoA store and a legacy AoS mirror with identical
-// arithmetic, then demands bit-identical gains from the two layouts. The
-// legacy right-child loss materializes the difference gradient (the
-// pre-refactor formulation); the SoA path uses the fused kernel.
+// statistics into the SoA store and a plain per-candidate mirror (local
+// loss, count and gradient vectors) with identical arithmetic, then demands
+// bit-identical gains from the two. The reference right-child loss
+// materializes the difference gradient (the pre-refactor formulation); the
+// SoA path uses the fused kernel.
 void ExpectSoaMatchesLegacy(streams::Stream* stream) {
   const int m = static_cast<int>(stream->num_features());
   linear::GlmConfig glm_config;
@@ -141,13 +142,15 @@ void ExpectSoaMatchesLegacy(streams::Stream* stream) {
 
   // Candidate grid: a few observed values per feature.
   CandidateStore store(k);
-  std::vector<CandidateStats> legacy;
   for (int f = 0; f < m; ++f) {
     for (std::size_t r = 0; r < 4; ++r) {
       store.Append(f, batch.row(r * 31 % batch.size())[f]);
-      legacy.emplace_back(f, batch.row(r * 31 % batch.size())[f], k);
     }
   }
+  std::vector<double> ref_loss(store.size(), 0.0);
+  std::vector<double> ref_count(store.size(), 0.0);
+  std::vector<std::vector<double>> ref_grad(store.size(),
+                                            std::vector<double>(k, 0.0));
 
   double node_loss = 0.0;
   std::vector<double> node_grad(k, 0.0);
@@ -166,11 +169,9 @@ void ExpectSoaMatchesLegacy(streams::Stream* stream) {
         store.count(c) += 1.0;
         auto grad = store.grad(c);
         for (std::size_t j = 0; j < k; ++j) grad[j] += sample_grad[j];
-        legacy[c].loss += loss;
-        legacy[c].count += 1.0;
-        for (std::size_t j = 0; j < k; ++j) {
-          legacy[c].grad[j] += sample_grad[j];
-        }
+        ref_loss[c] += loss;
+        ref_count[c] += 1.0;
+        for (std::size_t j = 0; j < k; ++j) ref_grad[c][j] += sample_grad[j];
       }
     }
     model.Fit(batch);  // move the parameters between rounds
@@ -180,22 +181,19 @@ void ExpectSoaMatchesLegacy(streams::Stream* stream) {
 
   std::vector<double> diff(k);
   for (std::size_t c = 0; c < store.size(); ++c) {
-    ASSERT_EQ(store.loss(c), legacy[c].loss);
-    ASSERT_EQ(store.count(c), legacy[c].count);
+    ASSERT_EQ(store.loss(c), ref_loss[c]);
+    ASSERT_EQ(store.count(c), ref_count[c]);
     const double soa_gain = CandidateGain(store, c, node_loss, node_grad,
                                           node_count, node_loss, kLambda);
-    if (legacy[c].count <= 0.0 || legacy[c].count >= node_count) {
+    if (ref_count[c] <= 0.0 || ref_count[c] >= node_count) {
       EXPECT_EQ(soa_gain, -kInf);
       continue;
     }
-    const double left = ApproxCandidateLoss(legacy[c].loss, legacy[c].grad,
-                                            legacy[c].count, kLambda);
-    for (std::size_t j = 0; j < k; ++j) {
-      diff[j] = node_grad[j] - legacy[c].grad[j];
-    }
-    const double right =
-        ApproxCandidateLoss(node_loss - legacy[c].loss, diff,
-                            node_count - legacy[c].count, kLambda);
+    const double left =
+        ApproxCandidateLoss(ref_loss[c], ref_grad[c], ref_count[c], kLambda);
+    for (std::size_t j = 0; j < k; ++j) diff[j] = node_grad[j] - ref_grad[c][j];
+    const double right = ApproxCandidateLoss(
+        node_loss - ref_loss[c], diff, node_count - ref_count[c], kLambda);
     EXPECT_EQ(soa_gain, node_loss - left - right)
         << "candidate " << c << " (feature " << store.feature(c) << ")";
   }

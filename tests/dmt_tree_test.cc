@@ -48,14 +48,11 @@ TEST(CandidateTest, ApproxLossSubtractsGradientTerm) {
 }
 
 TEST(CandidateTest, ComplementLossUsesDifferenceStatistics) {
-  CandidateStats left(0, 0.5, 2);
-  left.loss = 4.0;
-  left.grad = {1.0, 2.0};
-  left.count = 2.0;
-  std::vector<double> parent_grad = {3.0, 2.0};
-  // Right: loss 10-4=6, grad (2,0) -> norm 4, count 3.
+  const std::vector<double> left_grad = {1.0, 2.0};
+  const std::vector<double> parent_grad = {3.0, 2.0};
+  // Left: loss 4, count 2. Right: loss 10-4=6, grad (2,0) -> norm 4, count 3.
   EXPECT_DOUBLE_EQ(
-      ApproxComplementLoss(10.0, parent_grad, 5.0, left, 0.3),
+      ApproxComplementLoss(10.0, parent_grad, 5.0, 4.0, left_grad, 2.0, 0.3),
       6.0 - 0.3 / 3.0 * 4.0);
 }
 

@@ -8,6 +8,7 @@
 #include "dmt/core/dmt_regressor.h"
 #include "dmt/eval/regression_prequential.h"
 #include "dmt/linear/linear_regressor.h"
+#include "dmt/obs/telemetry.h"
 #include "dmt/streams/regression_streams.h"
 #include "dmt/trees/fimtdd_regressor.h"
 
@@ -178,6 +179,46 @@ TEST(DmtRegressorTest, EventsClearTheirThresholds) {
   for (const core::StructuralEvent& event : tree.events()) {
     EXPECT_GE(event.gain, event.threshold);
   }
+}
+
+// The shared core checks the replacement rate for both trees: a rate
+// outside [0, 1] (or NaN) would reach the candidate-replacement budget
+// cast in candidate_update.h as undefined behaviour.
+TEST(DmtRegressorDeathTest, RejectsReplacementRateOutsideUnitInterval) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto make = [](double rate) {
+    core::DmtRegressor tree({.num_features = 2, .replacement_rate = rate});
+  };
+  EXPECT_DEATH(make(-0.5), "replacement_rate");
+  EXPECT_DEATH(make(1.5), "replacement_rate");
+  EXPECT_DEATH(make(std::nan("")), "replacement_rate");
+}
+
+// The regressor reports through the same "dmt.*" counters as the
+// classifier. Fried with two abrupt drifts makes it split and then replace
+// a split, so those counters are checked on real events (no regression
+// stream at hand prunes, so dmt.prunes is checked at its true value, 0).
+TEST(DmtRegressorTest, TelemetryCountsStructuralEvents) {
+  streams::FriedConfig config;
+  config.total_samples = 20'000;
+  config.drift_points = {config.total_samples / 3,
+                         2 * config.total_samples / 3};
+  streams::FriedGenerator stream(config);
+  core::DmtRegressor tree({.num_features = 10, .learning_rate = 0.05});
+  obs::TelemetryRegistry registry;
+  tree.AttachTelemetry(&registry);
+  eval::RegressionPrequentialConfig eval_config;
+  eval_config.expected_samples = config.total_samples;
+  eval::RunRegressionPrequential(&stream, eval::MakeRegressorApi(&tree),
+                                 eval_config);
+  ASSERT_GE(tree.num_splits_performed(), 1u);
+  ASSERT_GE(tree.num_subtree_replacements(), 1u);
+  EXPECT_EQ(*registry.Counter("dmt.splits"), tree.num_splits_performed());
+  EXPECT_EQ(*registry.Counter("dmt.replacements"),
+            tree.num_subtree_replacements());
+  EXPECT_EQ(*registry.Counter("dmt.prunes"), tree.num_prunes());
+  EXPECT_GT(*registry.Counter("dmt.gain_tests_run"), 0u);
+  EXPECT_GT(*registry.Counter("dmt.candidate_proposals"), 0u);
 }
 
 TEST(FimtDdRegressorTest, LearnsPiecewiseTarget) {

@@ -627,11 +627,11 @@ std::string CanonicalArchive(const std::string& name) {
   return SnapshotOf(*model);
 }
 
-class GoldenArchiveTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
-  const std::string name = GetParam();
-  const std::string bytes = CanonicalArchive(name);
+// Checks the canonical `bytes` of learner `name` against its pinned
+// bench/goldens/<name>.dmts; `load` decodes an archive of that learner.
+template <typename LoadFn>
+void ExpectGoldenArchive(const std::string& name, const std::string& bytes,
+                         LoadFn load) {
   const std::string path = std::string(DMT_SOURCE_DIR) + "/bench/goldens/" +
                            SanitizeName(name) + ".dmts";
   if (std::getenv("DMT_UPDATE_GOLDENS") != nullptr) {
@@ -650,8 +650,7 @@ TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
 
   // 1. The pinned archive must still load (backward compatibility).
   std::istringstream decode(golden, std::ios::binary);
-  std::unique_ptr<Classifier> restored = serial::LoadClassifier(decode);
-  ASSERT_NE(restored, nullptr);
+  ASSERT_NE(load(decode), nullptr);
 
   // 2. The format must not have drifted: the canonical recipe reproduces
   //    the pinned bytes exactly.
@@ -665,8 +664,44 @@ TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
       << "the goldens with DMT_UPDATE_GOLDENS=1 (see comment above).";
 }
 
+class GoldenArchiveTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
+  const std::string name = GetParam();
+  ExpectGoldenArchive(name, CanonicalArchive(name), [](std::istream& in) {
+    return serial::LoadClassifier(in);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, GoldenArchiveTest,
                          ::testing::ValuesIn(kAllClassifiers));
+
+// bench/goldens/DMT-R.dmts pins the regression tree the same way. Its recipe
+// drifts from a step in x[0] to a step in x[2], so the pinned bytes come
+// from a tree that has split and then replaced or pruned a split.
+TEST(RegressorGoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
+  const int m = 3;
+  core::DmtRegressor model({.num_features = m, .learning_rate = 0.05});
+  Rng rng(93);
+  for (int b = 0; b < 16; ++b) {
+    linear::RegressionBatch batch(m);
+    for (int i = 0; i < 200; ++i) {
+      std::vector<double> x(m);
+      for (double& v : x) v = rng.Uniform();
+      const double signal =
+          b < 8 ? x[1] + 3.0 * (x[0] > 0.5) : 3.0 * (x[2] > 0.5);
+      batch.Add(x, signal + 0.05 * rng.Gaussian());
+    }
+    model.PartialFit(batch);
+  }
+  EXPECT_GE(model.num_splits_performed(), 1u);
+  EXPECT_GE(model.num_subtree_replacements() + model.num_prunes(), 1u);
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  ExpectGoldenArchive("DMT-R", out.str(), [](std::istream& in) {
+    return core::DmtRegressor::Load(in);
+  });
+}
 
 // --- Backward compatibility: version-2 archives still load ----------------
 //
