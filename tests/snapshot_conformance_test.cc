@@ -703,6 +703,34 @@ TEST(RegressorGoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
   });
 }
 
+// bench/goldens/FIMT-DD-R.dmts pins the FIMT-DD regression tree. Its recipe
+// moves a target step from x[0] to x[2]: the tree splits, the Page-Hinkley
+// test on the normalized residual prunes that split, and the tree regrows
+// on the new concept, so the pinned bytes cover the split and prune paths.
+TEST(RegressorGoldenArchiveTest, FimtDdRegressorPinnedFormat) {
+  const int m = 3;
+  trees::FimtDdRegressor model({.num_features = m});
+  Rng rng(95);
+  for (int b = 0; b < 16; ++b) {
+    linear::RegressionBatch batch(m);
+    for (int i = 0; i < 250; ++i) {
+      std::vector<double> x(m);
+      for (double& v : x) v = rng.Uniform();
+      const double signal =
+          b < 6 ? x[1] + 3.0 * (x[0] > 0.5) : 3.0 * (x[2] > 0.5);
+      batch.Add(x, signal + 0.05 * rng.Gaussian());
+    }
+    model.PartialFit(batch);
+  }
+  EXPECT_GE(model.NumInnerNodes(), 1u);
+  EXPECT_GE(model.NumPrunes(), 1u);
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  ExpectGoldenArchive("FIMT-DD-R", out.str(), [](std::istream& in) {
+    return trees::FimtDdRegressor::Load(in);
+  });
+}
+
 // --- Backward compatibility: version-2 archives still load ----------------
 //
 // bench/goldens/compat/<learner>_v2.dmts are frozen format-version-2
