@@ -1,313 +1,29 @@
 #include "dmt/trees/fimtdd.h"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
-#include "dmt/common/check.h"
-#include "dmt/common/sanitize.h"
-#include "dmt/obs/telemetry.h"
 #include "dmt/serial/model_io.h"
 
 namespace dmt::trees {
 
-namespace {
-
-// Per-class counts of one histogram bin. The classification adaptation of
-// FIMT-DD treats the one-hot encoded label as a multi-target regression
-// problem: the SDR of a split is the summed standard-deviation reduction
-// over the per-class indicator targets (a Bernoulli indicator's sufficient
-// statistic is just its count). A raw class *index* as the numeric target
-// would make the criterion depend on the arbitrary label encoding and fail
-// beyond binary problems.
-struct BinCounts {
-  std::vector<double> class_counts;
-  double n = 0.0;
-};
-
-// Aggregated per-class statistics of a candidate side.
-struct SideCounts {
-  std::vector<double> class_counts;
-  double n = 0.0;
-
-  explicit SideCounts(int num_classes) : class_counts(num_classes, 0.0) {}
-  void Merge(const BinCounts& bin) {
-    for (std::size_t c = 0; c < class_counts.size(); ++c) {
-      class_counts[c] += bin.class_counts[c];
-    }
-    n += bin.n;
-  }
-  // Summed standard deviation of the per-class Bernoulli indicators.
-  double SummedStdDev() const {
-    if (n <= 1.0) return 0.0;
-    double sum = 0.0;
-    for (double count : class_counts) {
-      const double p = count / n;
-      const double var = p * (1.0 - p);
-      sum += var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-    return sum;
-  }
-};
-
-// Per-feature histogram of one-hot target statistics, used to score SDR
-// split candidates at bin boundaries. This is the bounded-memory stand-in
-// for FIMT-DD's binary search trees.
-class FeatureTargetHistogram {
- public:
-  FeatureTargetHistogram(int num_bins, int num_classes, double lo, double hi)
-      : lo_(lo),
-        width_((hi - lo) / num_bins),
-        num_classes_(num_classes),
-        bins_(num_bins) {
-    for (BinCounts& bin : bins_) bin.class_counts.resize(num_classes, 0.0);
-  }
-
-  void Add(double value, int y) {
-    BinCounts& bin = bins_[BinOf(value)];
-    bin.class_counts[y] += 1.0;
-    bin.n += 1.0;
-  }
-
-  // Best binary split "x <= boundary" by multi-target SDR.
-  void BestSplit(const SideCounts& parent, double* best_sdr,
-                 double* best_threshold) const {
-    *best_sdr = 0.0;
-    *best_threshold = lo_;
-    const double parent_sd = parent.SummedStdDev();
-    SideCounts left(num_classes_);
-    for (std::size_t b = 0; b + 1 < bins_.size(); ++b) {
-      left.Merge(bins_[b]);
-      const double n_right = parent.n - left.n;
-      if (left.n < 1.0 || n_right < 1.0) continue;
-      SideCounts right(num_classes_);
-      for (int c = 0; c < num_classes_; ++c) {
-        right.class_counts[c] = parent.class_counts[c] - left.class_counts[c];
-      }
-      right.n = n_right;
-      const double sdr = parent_sd -
-                         (left.n / parent.n) * left.SummedStdDev() -
-                         (right.n / parent.n) * right.SummedStdDev();
-      if (sdr > *best_sdr) {
-        *best_sdr = sdr;
-        *best_threshold = lo_ + width_ * static_cast<double>(b + 1);
-      }
-    }
-  }
-
-  // Bin contents only; geometry (lo/width/classes) re-derives from the tree
-  // config on Load.
-  void Save(serial::Writer& writer) const {
-    for (const BinCounts& bin : bins_) {
-      writer.VecF64(bin.class_counts);
-      writer.F64(bin.n);
-    }
-  }
-  void LoadBins(serial::Reader& reader) {
-    for (BinCounts& bin : bins_) {
-      bin.class_counts =
-          reader.VecF64Exact(static_cast<std::size_t>(num_classes_));
-      bin.n = reader.F64();
-    }
-  }
-
- private:
-  int BinOf(double value) const {
-    const int bin = static_cast<int>((value - lo_) / width_);
-    return std::clamp(bin, 0, static_cast<int>(bins_.size()) - 1);
-  }
-
-  double lo_;
-  double width_;
-  int num_classes_;
-  std::vector<BinCounts> bins_;
-};
-
-}  // namespace
-
-struct FimtDd::Node {
-  int split_feature = -1;  // < 0 marks a leaf
-  double split_value = 0.0;
-  std::unique_ptr<Node> left;
-  std::unique_ptr<Node> right;
-
-  // Leaf statistics for split finding.
-  std::vector<FeatureTargetHistogram> histograms;
-  SideCounts target_stats;
-  double weight_seen = 0.0;
-  double weight_at_last_attempt = 0.0;
-
-  // The simple (linear) leaf model; inner nodes stop updating theirs, which
-  // is one of the documented differences to the DMT.
-  linear::Glm model;
-  // Per-node Page-Hinkley drift test on the 0/1 error of the subtree.
-  drift::PageHinkley drift_test;
-
-  Node(const FimtDdConfig& config, Rng* rng)
-      : histograms(config.num_features,
-                   FeatureTargetHistogram(config.num_bins, config.num_classes,
-                                          config.feature_lo,
-                                          config.feature_hi)),
-        target_stats(config.num_classes),
-        model({.num_features = config.num_features,
-               .num_classes = config.num_classes,
-               .learning_rate = config.leaf_learning_rate},
-              rng),
-        drift_test(config.page_hinkley) {}
-
-  bool is_leaf() const { return split_feature < 0; }
-
-  void Save(serial::Writer& writer) const;
-  static std::unique_ptr<Node> Load(serial::Reader& reader,
-                                    const FimtDdConfig& config, Rng* rng,
-                                    std::size_t depth);
-};
-
-void FimtDd::Node::Save(serial::Writer& writer) const {
-  writer.I32(split_feature);
-  writer.F64(split_value);
-  writer.Size(histograms.size());
-  for (const FeatureTargetHistogram& histogram : histograms) {
-    histogram.Save(writer);
-  }
-  writer.VecF64(target_stats.class_counts);
-  writer.F64(target_stats.n);
-  writer.F64(weight_seen);
-  writer.F64(weight_at_last_attempt);
-  model.SaveState(writer);
-  drift_test.Save(writer);
-  if (!is_leaf()) {
-    left->Save(writer);
-    right->Save(writer);
-  }
+void FimtDdClassTarget::SaveStats(serial::Writer& writer, const double* stats,
+                                  std::size_t width) {
+  writer.Size(width - 1);
+  for (std::size_t c = 1; c < width; ++c) writer.F64(stats[c]);
+  writer.F64(stats[0]);
 }
 
-std::unique_ptr<FimtDd::Node> FimtDd::Node::Load(serial::Reader& reader,
-                                                 const FimtDdConfig& config,
-                                                 Rng* rng, std::size_t depth) {
-  serial::Check(depth <= serial::kMaxTreeDepth,
-                "FIMT-DD node depth exceeds the archive limit");
-  // Construction draws GLM initial weights from `rng`; the caller restores
-  // the tree engine after the whole tree is rebuilt.
-  auto node = std::make_unique<Node>(config, rng);
-  const std::int32_t split_feature = reader.I32();
-  serial::Check(split_feature >= -1 && split_feature < config.num_features,
-                "FIMT-DD split feature out of range");
-  node->split_feature = static_cast<int>(split_feature);
-  node->split_value = reader.F64();
-  const std::size_t features = static_cast<std::size_t>(config.num_features);
-  // Split nodes clear their histograms; leaves keep one per feature (the
-  // training path indexes histograms[j] for every feature).
-  const std::size_t num_histograms = reader.Size(features);
-  serial::Check(num_histograms == 0 || num_histograms == features,
-                "FIMT-DD histogram count is neither empty nor one per feature");
-  if (num_histograms == 0) {
-    node->histograms.clear();
-  } else {
-    for (FeatureTargetHistogram& histogram : node->histograms) {
-      histogram.LoadBins(reader);
-    }
-  }
-  node->target_stats.class_counts =
-      reader.VecF64Exact(static_cast<std::size_t>(config.num_classes));
-  node->target_stats.n = reader.F64();
-  node->weight_seen = reader.F64();
-  node->weight_at_last_attempt = reader.F64();
-  node->model.LoadState(reader);
-  node->drift_test = drift::PageHinkley::Load(reader);
-  if (!node->is_leaf()) {
-    node->left = Load(reader, config, rng, depth + 1);
-    node->right = Load(reader, config, rng, depth + 1);
-  } else {
-    serial::Check(num_histograms == features,
-                  "FIMT-DD leaf is missing its histograms");
-  }
-  return node;
+void FimtDdClassTarget::LoadStats(serial::Reader& reader, double* stats,
+                                  std::size_t width) {
+  const std::vector<double> counts = reader.VecF64Exact(width - 1);
+  std::copy(counts.begin(), counts.end(), stats + 1);
+  stats[0] = reader.F64();
 }
 
-FimtDd::FimtDd(const FimtDdConfig& config)
-    : config_(config), rng_(config.seed) {
-  DMT_CHECK(config.num_features >= 1);
-  DMT_CHECK(config.num_classes >= 2);
-  root_ = std::make_unique<Node>(config_, &rng_);
-}
+FimtDd::FimtDd(const FimtDdConfig& config) : FimtDdTree(config) {}
 
 FimtDd::~FimtDd() = default;
-
-void FimtDd::BindNodeTelemetry(Node* node) {
-  node->drift_test.BindTelemetry(ph_resets_counter_);
-}
-
-void FimtDd::AttachTelemetry(obs::TelemetryRegistry* registry) {
-  if (registry == nullptr) return;
-  split_attempts_counter_ = registry->Counter("fimtdd.split_attempts");
-  splits_counter_ = registry->Counter("fimtdd.splits");
-  prunes_counter_ = registry->Counter("fimtdd.prunes");
-  ph_resets_counter_ = registry->Counter("ph.resets");
-  auto walk = [&](auto&& self, Node* node) -> void {
-    BindNodeTelemetry(node);
-    if (node->is_leaf()) return;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-}
-
-void FimtDd::TrainInstance(std::span<const double> x, int y) {
-  // Non-finite rows are unusable: BinOf would evaluate
-  // static_cast<int>(NaN) -- undefined behavior -- and the histogram and
-  // Page-Hinkley state would be poisoned (DESIGN.md Sec. 8).
-  if (!RowIsFinite(x) || y < 0 || y >= config_.num_classes) return;
-  // Route to the leaf, remembering the path for drift monitoring.
-  std::vector<Node*> path;
-  Node* node = root_.get();
-  while (true) {
-    path.push_back(node);
-    if (node->is_leaf()) break;
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  Node* leaf = path.back();
-
-  // Page-Hinkley on the 0/1 error of the active leaf model, checked at
-  // every node of the path; an alert prunes that node's subtree (the
-  // "second adjustment strategy": delete the branch and relearn).
-  const double error = leaf->model.Predict(x) == y ? 0.0 : 1.0;
-  for (Node* n : path) {
-    if (!n->is_leaf() && n->drift_test.Update(error)) {
-      n->split_feature = -1;
-      n->left.reset();
-      n->right.reset();
-      n->histograms.assign(
-          config_.num_features,
-          FeatureTargetHistogram(config_.num_bins, config_.num_classes,
-                                 config_.feature_lo, config_.feature_hi));
-      n->target_stats = SideCounts(config_.num_classes);
-      n->weight_seen = 0.0;
-      n->weight_at_last_attempt = 0.0;
-      ++num_prunes_;
-      DMT_TELEMETRY_COUNT(prunes_counter_);
-      leaf = n;
-      break;
-    }
-  }
-
-  // Update leaf statistics and the leaf model.
-  leaf->target_stats.class_counts[y] += 1.0;
-  leaf->target_stats.n += 1.0;
-  leaf->weight_seen += 1.0;
-  for (int j = 0; j < config_.num_features; ++j) {
-    leaf->histograms[j].Add(x[j], y);
-  }
-  Batch one(config_.num_features);
-  one.Add(x, y);
-  leaf->model.Fit(one);
-
-  if (leaf->weight_seen - leaf->weight_at_last_attempt >=
-      static_cast<double>(config_.grace_period)) {
-    leaf->weight_at_last_attempt = leaf->weight_seen;
-    AttemptSplit(leaf);
-  }
-}
 
 void FimtDd::PartialFit(const Batch& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -315,121 +31,32 @@ void FimtDd::PartialFit(const Batch& batch) {
   }
 }
 
-void FimtDd::AttemptSplit(Node* leaf) {
-  DMT_TELEMETRY_COUNT(split_attempts_counter_);
-  double best_sdr = 0.0;
-  double second_sdr = 0.0;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  for (int j = 0; j < config_.num_features; ++j) {
-    double sdr = 0.0;
-    double threshold = 0.0;
-    leaf->histograms[j].BestSplit(leaf->target_stats, &sdr, &threshold);
-    if (sdr > best_sdr) {
-      second_sdr = best_sdr;
-      best_sdr = sdr;
-      best_feature = j;
-      best_threshold = threshold;
-    } else if (sdr > second_sdr) {
-      second_sdr = sdr;
-    }
-  }
-  if (best_feature < 0 || best_sdr <= 0.0) return;
-
-  // FIMT-DD's ratio test: split when the second-best SDR is significantly
-  // smaller than the best (ratio in [0,1], range 1). Once the Hoeffding
-  // bound undercuts the tie threshold, the tie threshold takes over as the
-  // required margin -- a plain "epsilon < tie -> always split" rule would
-  // split every grace period regardless of merit and grow without bound.
-  const double ratio = second_sdr / best_sdr;
-  const double epsilon =
-      HoeffdingBound(1.0, config_.split_confidence, leaf->weight_seen);
-  if (ratio < 1.0 - std::min(epsilon, config_.tie_threshold)) {
-    DMT_TELEMETRY_COUNT(splits_counter_);
-    leaf->split_feature = best_feature;
-    leaf->split_value = best_threshold;
-    leaf->left = std::make_unique<Node>(config_, &rng_);
-    leaf->right = std::make_unique<Node>(config_, &rng_);
-    BindNodeTelemetry(leaf->left.get());
-    BindNodeTelemetry(leaf->right.get());
-    // Children warm-start from the parent's optimized model.
-    leaf->left->model.WarmStartFrom(leaf->model);
-    leaf->right->model.WarmStartFrom(leaf->model);
-    leaf->histograms.clear();
-  }
-}
-
 void FimtDd::PredictProbaInto(std::span<const double> x,
                               std::span<double> out) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  node->model.PredictProbaInto(x, out);
-}
-
-std::size_t FimtDd::NumInnerNodes() const {
-  std::size_t inner = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) return;
-    ++inner;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return inner;
-}
-
-std::size_t FimtDd::NumLeaves() const {
-  std::size_t leaves = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) {
-      ++leaves;
-      return;
-    }
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return leaves;
+  LeafModel(x).PredictProbaInto(x, out);
 }
 
 std::size_t FimtDd::NumSplits() const {
   // Model leaves: +1 split each for binary targets, +c for multiclass
   // (paper Sec. VI-D2).
   const std::size_t per_leaf =
-      config_.num_classes == 2 ? 1
-                               : static_cast<std::size_t>(config_.num_classes);
+      num_classes() == 2 ? 1 : static_cast<std::size_t>(num_classes());
   return NumInnerNodes() + NumLeaves() * per_leaf;
 }
 
 std::size_t FimtDd::NumParameters() const {
   // 1 split value per inner node; m weights per class (binary: m) per leaf.
   const std::size_t per_leaf =
-      static_cast<std::size_t>(config_.num_features) *
-      (config_.num_classes == 2 ? 1 : config_.num_classes);
+      static_cast<std::size_t>(config().num_features) *
+      (num_classes() == 2 ? 1 : num_classes());
   return NumInnerNodes() + NumLeaves() * per_leaf;
 }
 
 void FimtDd::SaveBody(serial::Writer& writer) const {
-  writer.I32(config_.num_features);
-  writer.I32(config_.num_classes);
-  writer.Size(config_.grace_period);
-  writer.F64(config_.split_confidence);
-  writer.F64(config_.tie_threshold);
-  writer.F64(config_.leaf_learning_rate);
-  writer.I32(config_.num_bins);
-  writer.F64(config_.feature_lo);
-  writer.F64(config_.feature_hi);
-  writer.Size(config_.page_hinkley.min_instances);
-  writer.F64(config_.page_hinkley.delta);
-  writer.F64(config_.page_hinkley.threshold);
-  writer.F64(config_.page_hinkley.alpha);
-  writer.U64(config_.seed);
-  writer.Size(num_prunes_);
-  root_->Save(writer);
-  writer.Engine(rng_.engine());
+  writer.I32(config().num_features);
+  writer.I32(config().num_classes);
+  SaveConfig(writer);
+  SaveState(writer);
 }
 
 std::unique_ptr<FimtDd> FimtDd::LoadBody(serial::Reader& reader) {
@@ -438,41 +65,9 @@ std::unique_ptr<FimtDd> FimtDd::LoadBody(serial::Reader& reader) {
       reader.I32(), 1, serial::kMaxFeatures, "FIMT-DD feature count"));
   config.num_classes = static_cast<int>(serial::CheckedRange(
       reader.I32(), 2, serial::kMaxClasses, "FIMT-DD class count"));
-  config.grace_period = reader.Size(std::size_t{1} << 62);
-  config.split_confidence =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD split confidence");
-  config.tie_threshold =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD tie threshold");
-  config.leaf_learning_rate =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD learning rate");
-  config.num_bins = static_cast<int>(
-      serial::CheckedRange(reader.I32(), 1, 1 << 20, "FIMT-DD bin count"));
-  // Per-leaf memory is bins * classes doubles per feature; bound the product
-  // so a hostile config cannot demand gigabytes before the stream runs dry.
-  serial::Check(static_cast<std::uint64_t>(config.num_features) *
-                        static_cast<std::uint64_t>(config.num_classes) *
-                        static_cast<std::uint64_t>(config.num_bins) <=
-                    static_cast<std::uint64_t>(serial::kMaxVector),
-                "FIMT-DD histogram dimensions exceed the archive limit");
-  config.feature_lo = serial::CheckedFinite(reader.F64(), "FIMT-DD range lo");
-  config.feature_hi = serial::CheckedFinite(reader.F64(), "FIMT-DD range hi");
-  // A degenerate range makes the bin width zero and BinOf would cast an
-  // infinite quotient to int (undefined behavior).
-  serial::Check(config.feature_hi > config.feature_lo,
-                "FIMT-DD feature range is empty");
-  config.page_hinkley.min_instances = reader.Size(std::size_t{1} << 62);
-  config.page_hinkley.delta =
-      serial::CheckedFinite(reader.F64(), "Page-Hinkley delta");
-  config.page_hinkley.threshold =
-      serial::CheckedFinite(reader.F64(), "Page-Hinkley threshold");
-  config.page_hinkley.alpha =
-      serial::CheckedFinite(reader.F64(), "Page-Hinkley alpha");
-  config.seed = reader.U64();
+  LoadConfig(reader, &config);
   auto tree = std::make_unique<FimtDd>(config);
-  tree->num_prunes_ = reader.Size(std::size_t{1} << 62);
-  tree->root_ = Node::Load(reader, config, &tree->rng_, 0);
-  // Engine last: node construction above drew GLM initial weights.
-  reader.Engine(&tree->rng_.engine());
+  tree->LoadState(reader);
   return tree;
 }
 

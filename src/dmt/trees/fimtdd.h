@@ -1,12 +1,17 @@
 // FIMT-DD (Ikonomovska, Gama & Dzeroski, 2011), adapted for classification
-// exactly as in the paper (Sec. VI-C, footnote 2): the original algorithm is
-// a regression model tree, so the class index serves as the numeric target
-// for the standard-deviation-reduction (SDR) split criterion, leaves carry
-// incremental GLM models (learning rate 0.01) for prediction, splits are
-// accepted through a Hoeffding-bound ratio test (confidence threshold 0.01,
-// tie threshold 0.05), and a per-node Page-Hinkley test implements the
-// authors' second drift adjustment strategy: subtrees are deleted where the
-// test alerts.
+// exactly as in the paper (Sec. VI-C, footnote 2). The tree itself --
+// binned SDR split search, Hoeffding-bound ratio test (confidence 0.01, tie
+// threshold 0.05), warm-started model leaves and the per-node Page-Hinkley
+// test that deletes a subtree on alert -- is the shared FimtDdTree core
+// (trees/fimtdd_tree.h). This front-end supplies the classification target:
+//  * the one-hot encoded label is treated as a multi-target regression
+//    problem, so each bin keeps per-class counts and the SDR of a split is
+//    the summed standard-deviation reduction over the per-class Bernoulli
+//    indicators (a raw class *index* as the numeric target would make the
+//    criterion depend on the arbitrary label encoding and fail beyond
+//    binary problems);
+//  * leaves carry incremental GLMs (learning rate 0.01);
+//  * the Page-Hinkley input is the leaf model's 0/1 error.
 //
 // Contrast with the Dynamic Model Tree (Sec. V-D of the paper): FIMT-DD
 // relies on a purity measure plus Hoeffding's inequality, needs an explicit
@@ -14,17 +19,17 @@
 #ifndef DMT_TREES_FIMTDD_H_
 #define DMT_TREES_FIMTDD_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "dmt/common/classifier.h"
-#include "dmt/common/random.h"
 #include "dmt/drift/page_hinkley.h"
 #include "dmt/linear/glm.h"
-#include "dmt/trees/split_criteria.h"
+#include "dmt/trees/fimtdd_tree.h"
 
 namespace dmt::trees {
 
@@ -46,54 +51,80 @@ struct FimtDdConfig {
   std::uint64_t seed = 42;
 };
 
-class FimtDd : public Classifier {
+// The classification target of the FimtDdTree core. A statistics record is
+// [n, count_0 .. count_{c-1}]; a Bernoulli indicator's sufficient
+// statistic is just its count.
+struct FimtDdClassTarget {
+  using Config = FimtDdConfig;
+  using Label = int;
+  using Model = linear::Glm;
+  struct DriftState {};  // the 0/1 error needs no normalization
+
+  static int NumTargets(const Config& config) { return config.num_classes; }
+  static std::size_t StatsWidth(const Config& config) {
+    return static_cast<std::size_t>(config.num_classes) + 1;
+  }
+  static bool IsValid(const Config& config, int y) {
+    return y >= 0 && y < config.num_classes;
+  }
+  static linear::GlmConfig ModelConfigOf(const Config& config) {
+    return {.num_features = config.num_features,
+            .num_classes = config.num_classes,
+            .learning_rate = config.leaf_learning_rate};
+  }
+  static void Add(double* stats, int y) {
+    stats[1 + y] += 1.0;
+    stats[0] += 1.0;
+  }
+  // Summed standard deviation of the per-class Bernoulli indicators.
+  static double Spread(const double* stats, std::size_t width) {
+    const double n = stats[0];
+    if (n <= 1.0) return 0.0;
+    double sum = 0.0;
+    for (std::size_t c = 1; c < width; ++c) {
+      const double p = stats[c] / n;
+      const double var = p * (1.0 - p);
+      sum += var > 0.0 ? std::sqrt(var) : 0.0;
+    }
+    return sum;
+  }
+  static double Error(const Model& model, std::span<const double> x, int y) {
+    return model.Predict(x) == y ? 0.0 : 1.0;
+  }
+  static double DriftInput(DriftState*, double error) { return error; }
+  // Archived as the class counts (a length-prefixed vector), then n.
+  static void SaveStats(serial::Writer& writer, const double* stats,
+                        std::size_t width);
+  static void LoadStats(serial::Reader& reader, double* stats,
+                        std::size_t width);
+  static void SaveDrift(serial::Writer&, const DriftState&) {}
+  static void LoadDrift(serial::Reader&, DriftState*) {}
+};
+
+extern template class FimtDdTree<FimtDdClassTarget>;
+
+class FimtDd : public Classifier, public FimtDdTree<FimtDdClassTarget> {
  public:
   explicit FimtDd(const FimtDdConfig& config);
   ~FimtDd() override;
 
   void PartialFit(const Batch& batch) override;
-  int num_classes() const override { return config_.num_classes; }
+  int num_classes() const override { return config().num_classes; }
   void PredictProbaInto(std::span<const double> x,
                         std::span<double> out) const override;
   std::size_t NumSplits() const override;
   std::size_t NumParameters() const override;
   std::string name() const override { return "FIMT-DD"; }
-
-  std::size_t NumInnerNodes() const;
-  std::size_t NumLeaves() const;
-  std::size_t NumPrunes() const { return num_prunes_; }
-
-  void TrainInstance(std::span<const double> x, int y);
-
-  // Caches "fimtdd.*" counters and the shared "ph.resets" destination the
-  // per-node Page-Hinkley tests bind to (existing nodes are re-bound by a
-  // tree walk; nodes created later bind at construction).
-  void AttachTelemetry(obs::TelemetryRegistry* registry) override;
+  void AttachTelemetry(obs::TelemetryRegistry* registry) override {
+    FimtDdTree::AttachTelemetry(registry);
+  }
 
   // --- Persistence (binary archive; see serial/archive.h) ---
-  // Config, prune count, recursive node records (SDR histograms, leaf GLM
-  // state, Page-Hinkley tests) and the RNG engine, written last so Load
-  // restores it after construction-time GLM weight draws.
+  // num_features, num_classes, then the FimtDdTree config and state halves.
   void Save(std::ostream& out) const override;
   static std::unique_ptr<FimtDd> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<FimtDd> LoadBody(serial::Reader& reader);
-
- private:
-  struct Node;
-
-  void AttemptSplit(Node* leaf);
-  void BindNodeTelemetry(Node* node);
-
-  FimtDdConfig config_;
-  Rng rng_;
-  std::unique_ptr<Node> root_;
-  std::size_t num_prunes_ = 0;
-  // Telemetry destinations, null until AttachTelemetry.
-  std::uint64_t* split_attempts_counter_ = nullptr;
-  std::uint64_t* splits_counter_ = nullptr;
-  std::uint64_t* prunes_counter_ = nullptr;
-  std::uint64_t* ph_resets_counter_ = nullptr;
 };
 
 }  // namespace dmt::trees

@@ -1,234 +1,34 @@
 #include "dmt/trees/fimtdd_regressor.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "dmt/common/check.h"
 #include "dmt/serial/model_io.h"
-#include "dmt/trees/split_criteria.h"
 
 namespace dmt::trees {
 
-namespace {
-
-void SaveTargetStats(serial::Writer& writer, const TargetStats& stats) {
-  writer.F64(stats.n);
-  writer.F64(stats.sum);
-  writer.F64(stats.sum_sq);
+void FimtDdRegressionTarget::SaveStats(serial::Writer& writer,
+                                       const double* stats,
+                                       std::size_t width) {
+  for (std::size_t k = 0; k < width; ++k) writer.F64(stats[k]);
 }
 
-TargetStats LoadTargetStats(serial::Reader& reader) {
-  TargetStats stats;
-  stats.n = reader.F64();
-  stats.sum = reader.F64();
-  stats.sum_sq = reader.F64();
-  return stats;
+void FimtDdRegressionTarget::LoadStats(serial::Reader& reader, double* stats,
+                                       std::size_t width) {
+  for (std::size_t k = 0; k < width; ++k) stats[k] = reader.F64();
 }
 
-// Per-feature histogram of numeric-target sufficient statistics; candidate
-// thresholds at bin boundaries (bounded-memory stand-in for E-BSTs).
-class RegressionHistogram {
- public:
-  RegressionHistogram(int num_bins, double lo, double hi)
-      : lo_(lo), width_((hi - lo) / num_bins), bins_(num_bins) {}
-
-  void Add(double value, double target) { bins_[BinOf(value)].Add(target); }
-
-  void BestSplit(const TargetStats& parent, double* best_sdr,
-                 double* best_threshold) const {
-    *best_sdr = 0.0;
-    *best_threshold = lo_;
-    TargetStats left;
-    for (std::size_t b = 0; b + 1 < bins_.size(); ++b) {
-      left.Merge(bins_[b]);
-      if (left.n < 1.0 || parent.n - left.n < 1.0) continue;
-      TargetStats right;
-      right.n = parent.n - left.n;
-      right.sum = parent.sum - left.sum;
-      right.sum_sq = parent.sum_sq - left.sum_sq;
-      const double sdr = StdDevReduction(parent, left, right);
-      if (sdr > *best_sdr) {
-        *best_sdr = sdr;
-        *best_threshold = lo_ + width_ * static_cast<double>(b + 1);
-      }
-    }
-  }
-
-  // Bin contents only; geometry re-derives from the tree config on Load.
-  void Save(serial::Writer& writer) const {
-    for (const TargetStats& bin : bins_) SaveTargetStats(writer, bin);
-  }
-  void LoadBins(serial::Reader& reader) {
-    for (TargetStats& bin : bins_) bin = LoadTargetStats(reader);
-  }
-
- private:
-  int BinOf(double value) const {
-    return std::clamp(static_cast<int>((value - lo_) / width_), 0,
-                      static_cast<int>(bins_.size()) - 1);
-  }
-
-  double lo_;
-  double width_;
-  std::vector<TargetStats> bins_;
-};
-
-}  // namespace
-
-struct FimtDdRegressor::Node {
-  int split_feature = -1;
-  double split_value = 0.0;
-  std::unique_ptr<Node> left;
-  std::unique_ptr<Node> right;
-
-  std::vector<RegressionHistogram> histograms;
-  TargetStats target_stats;
-  double weight_seen = 0.0;
-  double weight_at_last_attempt = 0.0;
-
-  linear::LinearRegressor model;
-  drift::PageHinkley drift_test;
-  // Running scale of absolute residuals, so the Page-Hinkley input is
-  // normalized (the PH deltas are calibrated for O(1) inputs).
-  double abs_error_mean = 0.0;
-  double abs_error_count = 0.0;
-
-  Node(const FimtDdRegressorConfig& config, Rng* rng)
-      : histograms(config.num_features,
-                   RegressionHistogram(config.num_bins, config.feature_lo,
-                                       config.feature_hi)),
-        model({.num_features = config.num_features,
-               .learning_rate = config.leaf_learning_rate},
-              rng),
-        drift_test(config.page_hinkley) {}
-
-  bool is_leaf() const { return split_feature < 0; }
-
-  void Save(serial::Writer& writer) const;
-  static std::unique_ptr<Node> Load(serial::Reader& reader,
-                                    const FimtDdRegressorConfig& config,
-                                    Rng* rng, std::size_t depth);
-};
-
-void FimtDdRegressor::Node::Save(serial::Writer& writer) const {
-  writer.I32(split_feature);
-  writer.F64(split_value);
-  writer.Size(histograms.size());
-  for (const RegressionHistogram& histogram : histograms) {
-    histogram.Save(writer);
-  }
-  SaveTargetStats(writer, target_stats);
-  writer.F64(weight_seen);
-  writer.F64(weight_at_last_attempt);
-  model.SaveState(writer);
-  drift_test.Save(writer);
-  writer.F64(abs_error_mean);
-  writer.F64(abs_error_count);
-  if (!is_leaf()) {
-    left->Save(writer);
-    right->Save(writer);
-  }
+void FimtDdRegressionTarget::SaveDrift(serial::Writer& writer,
+                                       const DriftState& state) {
+  writer.F64(state.mean);
+  writer.F64(state.count);
 }
 
-std::unique_ptr<FimtDdRegressor::Node> FimtDdRegressor::Node::Load(
-    serial::Reader& reader, const FimtDdRegressorConfig& config, Rng* rng,
-    std::size_t depth) {
-  serial::Check(depth <= serial::kMaxTreeDepth,
-                "FIMT-DD-R node depth exceeds the archive limit");
-  auto node = std::make_unique<Node>(config, rng);
-  const std::int32_t split_feature = reader.I32();
-  serial::Check(split_feature >= -1 && split_feature < config.num_features,
-                "FIMT-DD-R split feature out of range");
-  node->split_feature = static_cast<int>(split_feature);
-  node->split_value = reader.F64();
-  const std::size_t features = static_cast<std::size_t>(config.num_features);
-  const std::size_t num_histograms = reader.Size(features);
-  serial::Check(
-      num_histograms == 0 || num_histograms == features,
-      "FIMT-DD-R histogram count is neither empty nor one per feature");
-  if (num_histograms == 0) {
-    node->histograms.clear();
-  } else {
-    for (RegressionHistogram& histogram : node->histograms) {
-      histogram.LoadBins(reader);
-    }
-  }
-  node->target_stats = LoadTargetStats(reader);
-  node->weight_seen = reader.F64();
-  node->weight_at_last_attempt = reader.F64();
-  node->model.LoadState(reader);
-  node->drift_test = drift::PageHinkley::Load(reader);
-  node->abs_error_mean = reader.F64();
-  node->abs_error_count = reader.F64();
-  if (!node->is_leaf()) {
-    node->left = Load(reader, config, rng, depth + 1);
-    node->right = Load(reader, config, rng, depth + 1);
-  } else {
-    serial::Check(num_histograms == features,
-                  "FIMT-DD-R leaf is missing its histograms");
-  }
-  return node;
+void FimtDdRegressionTarget::LoadDrift(serial::Reader& reader,
+                                       DriftState* state) {
+  state->mean = reader.F64();
+  state->count = reader.F64();
 }
 
 FimtDdRegressor::FimtDdRegressor(const FimtDdRegressorConfig& config)
-    : config_(config), rng_(config.seed) {
-  DMT_CHECK(config.num_features >= 1);
-  root_ = std::make_unique<Node>(config_, &rng_);
-}
-
-FimtDdRegressor::~FimtDdRegressor() = default;
-
-void FimtDdRegressor::TrainInstance(std::span<const double> x, double y) {
-  std::vector<Node*> path;
-  Node* node = root_.get();
-  while (true) {
-    path.push_back(node);
-    if (node->is_leaf()) break;
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  Node* leaf = path.back();
-
-  // Page-Hinkley on the normalized absolute residual at every node on the
-  // path; an alert deletes that node's subtree.
-  const double abs_error = std::abs(leaf->model.Predict(x) - y);
-  for (Node* n : path) {
-    n->abs_error_count += 1.0;
-    n->abs_error_mean +=
-        (abs_error - n->abs_error_mean) / n->abs_error_count;
-    const double scale = std::max(n->abs_error_mean, 1e-9);
-    if (!n->is_leaf() && n->drift_test.Update(abs_error / scale)) {
-      n->split_feature = -1;
-      n->left.reset();
-      n->right.reset();
-      n->histograms.assign(
-          config_.num_features,
-          RegressionHistogram(config_.num_bins, config_.feature_lo,
-                              config_.feature_hi));
-      n->target_stats = TargetStats();
-      n->weight_seen = 0.0;
-      n->weight_at_last_attempt = 0.0;
-      ++num_prunes_;
-      leaf = n;
-      break;
-    }
-  }
-
-  leaf->target_stats.Add(y);
-  leaf->weight_seen += 1.0;
-  for (int j = 0; j < config_.num_features; ++j) {
-    leaf->histograms[j].Add(x[j], y);
-  }
-  linear::RegressionBatch one(config_.num_features);
-  one.Add(x, y);
-  leaf->model.Fit(one);
-
-  if (leaf->weight_seen - leaf->weight_at_last_attempt >=
-      static_cast<double>(config_.grace_period)) {
-    leaf->weight_at_last_attempt = leaf->weight_seen;
-    AttemptSplit(leaf);
-  }
-}
+    : FimtDdTree(config) {}
 
 void FimtDdRegressor::PartialFit(const linear::RegressionBatch& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -236,73 +36,8 @@ void FimtDdRegressor::PartialFit(const linear::RegressionBatch& batch) {
   }
 }
 
-void FimtDdRegressor::AttemptSplit(Node* leaf) {
-  double best_sdr = 0.0;
-  double second_sdr = 0.0;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  for (int j = 0; j < config_.num_features; ++j) {
-    double sdr = 0.0;
-    double threshold = 0.0;
-    leaf->histograms[j].BestSplit(leaf->target_stats, &sdr, &threshold);
-    if (sdr > best_sdr) {
-      second_sdr = best_sdr;
-      best_sdr = sdr;
-      best_feature = j;
-      best_threshold = threshold;
-    } else if (sdr > second_sdr) {
-      second_sdr = sdr;
-    }
-  }
-  if (best_feature < 0 || best_sdr <= 0.0) return;
-
-  const double ratio = second_sdr / best_sdr;
-  const double epsilon =
-      HoeffdingBound(1.0, config_.split_confidence, leaf->weight_seen);
-  if (ratio < 1.0 - std::min(epsilon, config_.tie_threshold)) {
-    leaf->split_feature = best_feature;
-    leaf->split_value = best_threshold;
-    leaf->left = std::make_unique<Node>(config_, &rng_);
-    leaf->right = std::make_unique<Node>(config_, &rng_);
-    leaf->left->model.WarmStartFrom(leaf->model);
-    leaf->right->model.WarmStartFrom(leaf->model);
-    leaf->histograms.clear();
-  }
-}
-
 double FimtDdRegressor::Predict(std::span<const double> x) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  return node->model.Predict(x);
-}
-
-std::size_t FimtDdRegressor::NumInnerNodes() const {
-  std::size_t inner = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) return;
-    ++inner;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return inner;
-}
-
-std::size_t FimtDdRegressor::NumLeaves() const {
-  std::size_t leaves = 0;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) {
-      ++leaves;
-      return;
-    }
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return leaves;
+  return LeafModel(x).Predict(x);
 }
 
 std::size_t FimtDdRegressor::NumSplits() const {
@@ -311,28 +46,15 @@ std::size_t FimtDdRegressor::NumSplits() const {
 
 std::size_t FimtDdRegressor::NumParameters() const {
   return NumInnerNodes() +
-         NumLeaves() * static_cast<std::size_t>(config_.num_features);
+         NumLeaves() * static_cast<std::size_t>(config().num_features);
 }
 
 void FimtDdRegressor::Save(std::ostream& out) const {
   serial::Writer writer(out);
   writer.Header(serial::kTagFimtDdRegressor);
-  writer.I32(config_.num_features);
-  writer.Size(config_.grace_period);
-  writer.F64(config_.split_confidence);
-  writer.F64(config_.tie_threshold);
-  writer.F64(config_.leaf_learning_rate);
-  writer.I32(config_.num_bins);
-  writer.F64(config_.feature_lo);
-  writer.F64(config_.feature_hi);
-  writer.Size(config_.page_hinkley.min_instances);
-  writer.F64(config_.page_hinkley.delta);
-  writer.F64(config_.page_hinkley.threshold);
-  writer.F64(config_.page_hinkley.alpha);
-  writer.U64(config_.seed);
-  writer.Size(num_prunes_);
-  root_->Save(writer);
-  writer.Engine(rng_.engine());
+  writer.I32(config().num_features);
+  SaveConfig(writer);
+  SaveState(writer);
 }
 
 std::unique_ptr<FimtDdRegressor> FimtDdRegressor::Load(std::istream& in) {
@@ -341,40 +63,9 @@ std::unique_ptr<FimtDdRegressor> FimtDdRegressor::Load(std::istream& in) {
   FimtDdRegressorConfig config;
   config.num_features = static_cast<int>(serial::CheckedRange(
       reader.I32(), 1, serial::kMaxFeatures, "FIMT-DD-R feature count"));
-  config.grace_period = reader.Size(std::size_t{1} << 62);
-  config.split_confidence =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD-R split confidence");
-  config.tie_threshold =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD-R tie threshold");
-  config.leaf_learning_rate =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD-R learning rate");
-  config.num_bins = static_cast<int>(
-      serial::CheckedRange(reader.I32(), 1, 1 << 20, "FIMT-DD-R bin count"));
-  serial::Check(static_cast<std::uint64_t>(config.num_features) *
-                        static_cast<std::uint64_t>(config.num_bins) <=
-                    static_cast<std::uint64_t>(serial::kMaxVector),
-                "FIMT-DD-R histogram dimensions exceed the archive limit");
-  config.feature_lo =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD-R range lo");
-  config.feature_hi =
-      serial::CheckedFinite(reader.F64(), "FIMT-DD-R range hi");
-  // A degenerate range makes the bin width zero and BinOf would cast an
-  // infinite quotient to int (undefined behavior).
-  serial::Check(config.feature_hi > config.feature_lo,
-                "FIMT-DD-R feature range is empty");
-  config.page_hinkley.min_instances = reader.Size(std::size_t{1} << 62);
-  config.page_hinkley.delta =
-      serial::CheckedFinite(reader.F64(), "Page-Hinkley delta");
-  config.page_hinkley.threshold =
-      serial::CheckedFinite(reader.F64(), "Page-Hinkley threshold");
-  config.page_hinkley.alpha =
-      serial::CheckedFinite(reader.F64(), "Page-Hinkley alpha");
-  config.seed = reader.U64();
+  LoadConfig(reader, &config);
   auto tree = std::make_unique<FimtDdRegressor>(config);
-  tree->num_prunes_ = reader.Size(std::size_t{1} << 62);
-  tree->root_ = Node::Load(reader, config, &tree->rng_, 0);
-  // Engine last: node construction above drew initial weights.
-  reader.Engine(&tree->rng_.engine());
+  tree->LoadState(reader);
   return tree;
 }
 

@@ -25,6 +25,8 @@
 #include "dmt/linear/linear_regressor.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/serve/engine.h"
+#include "dmt/trees/fimtdd.h"
+#include "dmt/trees/fimtdd_regressor.h"
 #include "dmt/trees/vfdt.h"
 
 DMT_DEFINE_COUNTING_ALLOCATOR();
@@ -228,6 +230,62 @@ TEST(AllocationRegressionTest, VfdtNbaTrainsWithoutAllocating) {
   const auto measured = MakeBatches(4, 500, 206, /*label_kind=*/1);
   ExpectZeroAllocTraining(&model, warmup, measured);
   EXPECT_EQ(model.NumInnerNodes(), 0u);
+}
+
+// FIMT-DD: a constant target has zero standard deviation, so every split
+// attempt (one per grace period) scores an SDR of 0 and never splits, while
+// routing, the histograms and the one-row leaf fit run on every row.
+template <typename Tree, typename BatchT>
+void ExpectFimtDdTrainsWithoutAllocating(Tree* model,
+                                         const std::vector<BatchT>& warmup,
+                                         const std::vector<BatchT>& measured) {
+  obs::TelemetryRegistry registry;
+  model->AttachTelemetry(&registry);
+  ExpectZeroAllocTraining(model, warmup, measured);
+  EXPECT_EQ(model->NumInnerNodes(), 0u);
+#ifndef DMT_UNDER_SANITIZER
+  EXPECT_GT(*registry.Counter("fimtdd.split_attempts"), 0u);
+#endif
+}
+
+TEST(AllocationRegressionTest, FimtDdTrainsWithoutAllocating) {
+  auto constant_label = [](int rounds, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<Batch> batches;
+    for (int round = 0; round < rounds; ++round) {
+      Batch batch(kFeatures, 500);
+      for (int i = 0; i < 500; ++i) {
+        std::vector<double> x(kFeatures);
+        for (double& f : x) f = rng.Uniform();
+        batch.Add(x, 1);
+      }
+      batches.push_back(std::move(batch));
+    }
+    return batches;
+  };
+  trees::FimtDd model({.num_features = kFeatures, .num_classes = kClasses});
+  ExpectFimtDdTrainsWithoutAllocating(&model, constant_label(2, 211),
+                                      constant_label(4, 212));
+}
+
+TEST(AllocationRegressionTest, FimtDdRegressorTrainsWithoutAllocating) {
+  auto constant_target = [](int rounds, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<linear::RegressionBatch> batches;
+    for (int round = 0; round < rounds; ++round) {
+      linear::RegressionBatch batch(kFeatures);
+      for (int i = 0; i < 500; ++i) {
+        std::vector<double> x(kFeatures);
+        for (double& f : x) f = rng.Uniform();
+        batch.Add(x, 2.5);
+      }
+      batches.push_back(std::move(batch));
+    }
+    return batches;
+  };
+  trees::FimtDdRegressor model({.num_features = kFeatures});
+  ExpectFimtDdTrainsWithoutAllocating(&model, constant_target(2, 213),
+                                      constant_target(4, 214));
 }
 
 // --- Telemetry (PR "stream telemetry layer"): every test above already

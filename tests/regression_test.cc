@@ -1,5 +1,7 @@
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,6 +245,36 @@ TEST(FimtDdRegressorTest, LearnsPiecewiseTarget) {
     mae += std::abs(tree.Predict(test.row(i)) - test.target(i));
   }
   EXPECT_LT(mae / 400.0, 0.5);
+}
+
+// A row with a non-finite feature or target is dropped before it reaches
+// the histograms, the target statistics, the drift tests or the leaf model:
+// the tree that saw such rows saves the same bytes as one that never did.
+TEST(FimtDdRegressorTest, IgnoresNonFiniteRows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  trees::FimtDdRegressor clean({.num_features = 2, .grace_period = 50});
+  trees::FimtDdRegressor dirty({.num_features = 2, .grace_period = 50});
+  Rng rng(8);
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<double> x = {rng.Uniform(), rng.Uniform()};
+    const double y = x[0] <= 0.5 ? 1.0 : 5.0;
+    clean.TrainInstance(x, y);
+    dirty.TrainInstance(x, y);
+    if (i % 100 == 0) {
+      dirty.TrainInstance(std::vector<double>{nan, x[1]}, y);
+      dirty.TrainInstance(std::vector<double>{x[0], inf}, y);
+      dirty.TrainInstance(std::vector<double>{-inf, x[1]}, y);
+      dirty.TrainInstance(x, nan);
+      dirty.TrainInstance(x, -inf);
+    }
+  }
+  ASSERT_GE(clean.NumInnerNodes(), 1u);
+  std::ostringstream clean_bytes(std::ios::binary);
+  std::ostringstream dirty_bytes(std::ios::binary);
+  clean.Save(clean_bytes);
+  dirty.Save(dirty_bytes);
+  EXPECT_EQ(clean_bytes.str(), dirty_bytes.str());
 }
 
 TEST(RegressionPrequentialTest, DmtRegressorImprovesOnFried) {

@@ -13,6 +13,7 @@
 #include "dmt/streams/sea.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
+#include "dmt/trees/fimtdd_regressor.h"
 #include "dmt/trees/hoeffding_adaptive.h"
 #include "dmt/trees/observers.h"
 #include "dmt/trees/split_criteria.h"
@@ -517,6 +518,32 @@ TEST(FimtDdTest, ComplexityCountsModelLeaves) {
   FimtDd multi({.num_features = 3, .num_classes = 5});
   EXPECT_EQ(multi.NumSplits(), 5u);        // c splits for one leaf
   EXPECT_EQ(multi.NumParameters(), 15u);   // m * c
+}
+
+// Both front-ends reject a histogram geometry the bins cannot index: no bin
+// at all, an empty feature range, or a NaN bound. Left unchecked, BinOf
+// would clamp into an empty bin vector or cast a non-finite quotient to int.
+TEST(FimtDdDeathTest, RejectsDegenerateHistogramGeometry) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto classifier = [](int bins, double lo, double hi) {
+    FimtDd tree({.num_features = 2,
+                 .num_bins = bins,
+                 .feature_lo = lo,
+                 .feature_hi = hi});
+  };
+  auto regressor = [](int bins, double lo, double hi) {
+    FimtDdRegressor tree({.num_features = 2,
+                          .num_bins = bins,
+                          .feature_lo = lo,
+                          .feature_hi = hi});
+  };
+  EXPECT_DEATH(classifier(0, 0.0, 1.0), "num_bins");
+  EXPECT_DEATH(classifier(64, 0.5, 0.5), "feature_lo");
+  EXPECT_DEATH(classifier(64, nan, 1.0), "feature_lo");
+  EXPECT_DEATH(regressor(0, 0.0, 1.0), "num_bins");
+  EXPECT_DEATH(regressor(64, 0.5, 0.5), "feature_lo");
+  EXPECT_DEATH(regressor(64, 0.0, nan), "feature_lo");
 }
 
 TEST(TreesOnSeaTest, AllTreesReachReasonableAccuracyOnStationarySea) {
