@@ -704,9 +704,9 @@ TEST(RegressorGoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
 }
 
 // bench/goldens/FIMT-DD-R.dmts pins the FIMT-DD regression tree. Its recipe
-// moves a target step from x[0] to x[2]: the tree splits, the Page-Hinkley
-// test on the normalized residual prunes that split, and the tree regrows
-// on the new concept, so the pinned bytes cover the split and prune paths.
+// moves a target step from x[0] to x[2], so the pinned bytes come from a
+// tree that has split and whose Page-Hinkley test on the normalized
+// residual has pruned a subtree.
 TEST(RegressorGoldenArchiveTest, FimtDdRegressorPinnedFormat) {
   const int m = 3;
   trees::FimtDdRegressor model({.num_features = m});
