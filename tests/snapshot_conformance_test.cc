@@ -783,6 +783,24 @@ TEST_P(V2CompatTest, Version2ArchiveLoadsTrainsAndResavesAsV3) {
   std::unique_ptr<Classifier> reloaded = Restore(v3_bytes);
   ASSERT_NE(reloaded, nullptr) << name;
   EXPECT_EQ(SnapshotOf(*reloaded), v3_bytes) << name;
+
+  // The continuation itself is pinned by bytes in
+  // bench/goldens/compat/<learner>_v2_continued.dmts. For the DMT this is
+  // the only pin of the amortized scheduler's sort-based f64 path: v2
+  // configs load with order_buckets = 0 and candidate_grad_f32 = false.
+  const std::string continued_path = std::string(DMT_SOURCE_DIR) +
+                                     "/bench/goldens/compat/" +
+                                     SanitizeName(name) + "_v2_continued.dmts";
+  std::ifstream continued_file(continued_path, std::ios::binary);
+  ASSERT_TRUE(continued_file) << "missing continuation golden "
+                              << continued_path;
+  std::stringstream continued;
+  continued << continued_file.rdbuf();
+  EXPECT_TRUE(v3_bytes == continued.str())
+      << name << ": the continued v2 archive no longer matches "
+      << continued_path << " (" << v3_bytes.size() << " vs "
+      << continued.str().size() << " bytes). The file is frozen; the "
+      << "training path it pins has changed.";
 }
 
 INSTANTIATE_TEST_SUITE_P(FrozenV2, V2CompatTest,
