@@ -17,11 +17,10 @@
 // Flags (see harness.h): --samples N (total per dataset, default 50000),
 // --models a,b (default DMT,VFDT(MC),FIMT-DD,GLM,ForestEns,BaggingEns),
 // --datasets a,b (default SEA,Agrawal,Hyperplane), --seed S. The ensembles
-// train sequentially here (no pool). The DMT scheduler knobs (--dmt-exact /
-// --dmt-gain-*) apply to the DMT cells. --telemetry attaches a counter
-// registry per cell and writes TELEMETRY_<dataset>__<model>.json artifacts
-// (counters only -- the seed-deterministic surface; CI greps these to pin
-// the scheduler's skip behavior), and additionally prints a wall-clock
+// train sequentially here (no pool). --dmt-exact runs the DMT cells in the
+// paper-exact pipeline. --telemetry attaches a counter registry per cell
+// and writes TELEMETRY_<dataset>__<model>.json artifacts (counters only --
+// the seed-deterministic surface), and additionally prints a wall-clock
 // phase-timer breakdown (route/gather, model step, scatter, gain battery)
 // under each row for models that register phase timers (currently DMT).
 // Results are also written to BENCH_train.json (bench_json.h).

@@ -115,8 +115,7 @@ constexpr const char kUsage[] =
     "         --bad-input skip|impute|throw\n"
     "         --cell-timeout SECONDS --resume\n"
     "         --snapshot-every N --snapshot-dir D\n"
-    "         --dmt-exact --dmt-gain-every N --dmt-gain-threshold X\n"
-    "         --dmt-buckets N --dmt-f32-grad 0|1\n";
+    "         --dmt-exact\n";
 
 // Usage errors (unknown flag, missing value, malformed spec) exit 2: the
 // conventional bad-invocation code, distinct from runtime failures (1).
@@ -176,6 +175,9 @@ Options ParseOptions(int argc, char** argv) {
       options.seed = next_u64();
     } else if (arg == "--datasets") {
       options.datasets = SplitCsv(next());
+      for (const std::string& name : options.datasets) {
+        if (!IsDatasetName(name)) UsageError("unknown dataset: " + name);
+      }
     } else if (arg == "--models") {
       options.models = SplitCsv(next());
     } else if (arg == "--jobs") {
@@ -227,30 +229,6 @@ Options ParseOptions(int argc, char** argv) {
       options.snapshot_dir = next();
     } else if (arg == "--dmt-exact") {
       options.dmt_exact = true;
-    } else if (arg == "--dmt-gain-every") {
-      options.dmt_gain_every = next_u64();
-      if (options.dmt_gain_every < 1) {
-        UsageError("--dmt-gain-every must be >= 1");
-      }
-    } else if (arg == "--dmt-gain-threshold") {
-      options.dmt_gain_threshold = next_double();
-      if (!(options.dmt_gain_threshold >= 0.0)) {
-        UsageError("--dmt-gain-threshold must be >= 0");
-      }
-    } else if (arg == "--dmt-buckets") {
-      options.dmt_buckets = next_u64();
-      if (options.dmt_buckets > (std::size_t{1} << 20)) {
-        UsageError("--dmt-buckets must be <= 2^20");
-      }
-    } else if (arg == "--dmt-f32-grad") {
-      const std::string value = next();
-      if (value == "0") {
-        options.dmt_f32_grad = 0;
-      } else if (value == "1") {
-        options.dmt_f32_grad = 1;
-      } else {
-        UsageError("--dmt-f32-grad must be 0 or 1");
-      }
     } else if (arg == "--help") {
       std::fprintf(stdout, "%s", kUsage);
       std::exit(0);
@@ -281,28 +259,11 @@ std::unique_ptr<Classifier> MakeModel(const std::string& name,
     config.num_features = num_features;
     config.num_classes = num_classes;
     config.seed = seed;
-    if (options != nullptr) {
-      // --dmt-exact pins exact mode; the explicit knobs then override it
-      // (so "--dmt-exact --dmt-gain-every 500" is a 500-sample schedule
-      // with a zero dirty threshold).
-      if (options->dmt_exact) {
-        config.gain_test_every = 1;
-        config.gain_test_threshold = 0.0;
-        config.order_buckets = 0;
-        config.candidate_grad_f32 = false;
-      }
-      if (options->dmt_gain_every != 0) {
-        config.gain_test_every = options->dmt_gain_every;
-      }
-      if (options->dmt_gain_threshold >= 0.0) {
-        config.gain_test_threshold = options->dmt_gain_threshold;
-      }
-      if (options->dmt_buckets != static_cast<std::size_t>(-1)) {
-        config.order_buckets = options->dmt_buckets;
-      }
-      if (options->dmt_f32_grad >= 0) {
-        config.candidate_grad_f32 = options->dmt_f32_grad != 0;
-      }
+    if (options != nullptr && options->dmt_exact) {
+      config.gain_test_every = 1;
+      config.gain_test_threshold = 0.0;
+      config.order_buckets = 0;
+      config.candidate_grad_f32 = false;
     }
     return std::make_unique<core::DynamicModelTree>(config);
   }
@@ -379,6 +340,12 @@ std::unique_ptr<Classifier> MakeModel(const std::string& name,
   }
   std::fprintf(stderr, "unknown model: %s\n", name.c_str());
   std::exit(1);
+}
+
+bool IsDatasetName(const std::string& name) {
+  const std::vector<streams::DatasetSpec> all = streams::AllDatasets();
+  return std::any_of(all.begin(), all.end(),
+                     [&](const auto& spec) { return spec.name == name; });
 }
 
 std::vector<streams::DatasetSpec> SelectedDatasets(const Options& options) {
@@ -560,14 +527,13 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
   // --failpoints) bypass it because their numbers are deliberately
   // corrupted and must never poison clean runs.
   // Snapshot runs bypass it as well: a cache hit skips the cell entirely,
-  // so no snapshot file would ever be written. Non-default DMT scheduler
-  // knobs (--dmt-exact / --dmt-gain-*) bypass it because cache keys do not
-  // encode them: a knob run must never poison (or be poisoned by) a
-  // default-schedule sweep.
+  // so no snapshot file would ever be written. --dmt-exact runs bypass it
+  // because cache keys do not encode the DMT mode: an exact run must never
+  // poison (or be poisoned by) a default sweep.
   const bool cache_enabled = options.use_cache && !options.keep_series &&
                              !options.member_parallel && !options.telemetry &&
                              !faulted && options.snapshot_every == 0 &&
-                             !options.DmtSchedulerOverridden();
+                             !options.dmt_exact;
   SweepCache cache(options.cache_dir);
 
   // Progress manifest (checkpointed after every cell, crash-safe). Keyed by

@@ -49,26 +49,14 @@
 //                   Snapshot runs bypass the sweep cache.
 //   --snapshot-dir D
 //                   snapshot directory (default bench_snapshots/)
-//   --dmt-exact     run DMT cells in exact mode (gain_test_every=1,
-//                   gain_test_threshold=0, order_buckets=0,
-//                   candidate_grad_f32=false): the dirty-node scheduler
-//                   evaluates every node every batch through the exact
-//                   sort-based scan with full-precision gradients,
-//                   bit-identical to the pre-scheduler pipeline.
-//                   Non-default scheduler runs bypass the sweep cache
-//                   (cache keys do not encode the knobs).
-//   --dmt-gain-every N
-//                   override DmtConfig::gain_test_every (N >= 1)
-//   --dmt-gain-threshold X
-//                   override DmtConfig::gain_test_threshold (X >= 0, nats)
-//   --dmt-buckets N override DmtConfig::order_buckets: radix-bucket order
-//                   statistics with N buckets on evaluation batches
-//                   (0 = the exact sort-based scan). Like the scheduler
-//                   knobs, non-default values bypass the sweep cache.
-//   --dmt-f32-grad 0|1
-//                   override DmtConfig::candidate_grad_f32 (float32
-//                   candidate-gradient storage). Bypasses the sweep cache
-//                   when it deviates from the built-in default.
+//   --dmt-exact     run DMT cells in the paper-exact pipeline
+//                   (gain_test_every=1, gain_test_threshold=0,
+//                   order_buckets=0, candidate_grad_f32=false): every node
+//                   evaluates every batch through the exact sort-based scan
+//                   with full-precision gradients, bit-identical to the
+//                   pre-scheduler pipeline. Without it DMT cells run the
+//                   fast DmtConfig defaults. Exact runs bypass the sweep
+//                   cache (cache keys do not encode the mode).
 //
 // Supervision: RunSweep wraps every cell in try/catch. A throwing cell is
 // retried once with the identical derived seed (deterministic faults fail
@@ -137,28 +125,15 @@ struct Options {
   // snapshot).
   std::size_t snapshot_every = 0;
   std::string snapshot_dir = "bench_snapshots";
-  // DMT dirty-node gain scheduler overrides (see the flag docs above).
-  // Sentinels mean "keep the DmtConfig defaults"; any non-default value
+  // Run DMT cells in the paper-exact pipeline (see the flag doc above);
   // bypasses the sweep cache.
   bool dmt_exact = false;
-  std::size_t dmt_gain_every = 0;      // 0 = default
-  double dmt_gain_threshold = -1.0;    // < 0 = default
-  // Hot-path overrides; SIZE_MAX / -1 = keep the DmtConfig defaults.
-  std::size_t dmt_buckets = static_cast<std::size_t>(-1);
-  int dmt_f32_grad = -1;  // -1 = default, else 0 / 1
-
-  // True when any scheduler or hot-path knob deviates from the built-in
-  // defaults.
-  bool DmtSchedulerOverridden() const {
-    return dmt_exact || dmt_gain_every != 0 || dmt_gain_threshold >= 0.0 ||
-           dmt_buckets != static_cast<std::size_t>(-1) || dmt_f32_grad >= 0;
-  }
 };
 
 // Parses argv. `--help` prints the usage text to stdout and exits 0; an
-// unknown flag, a missing value, or a malformed spec prints the usage text
-// to stderr and exits 2 (the conventional usage-error code, distinct from
-// runtime failures exiting 1).
+// unknown flag, a missing value, a malformed spec or an unknown data set
+// prints the usage text to stderr and exits 2 (the conventional usage-error
+// code, distinct from runtime failures exiting 1).
 Options ParseOptions(int argc, char** argv);
 
 // Stand-alone models of the paper's Tables III-V, in row order.
@@ -225,6 +200,11 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
 const CellResult* FindCell(const std::vector<CellResult>& cells,
                            const std::string& dataset,
                            const std::string& model);
+
+// True when `name` is a built-in data set (streams::AllDatasets). The
+// binaries check names at parse time, so an unknown one is a usage error
+// (exit 2) rather than the abort of streams::DatasetByName.
+bool IsDatasetName(const std::string& name);
 
 // Datasets selected by the options (defaults to all 13 of Table I).
 std::vector<streams::DatasetSpec> SelectedDatasets(const Options& options);

@@ -331,6 +331,34 @@ TEST(ParallelSweepTest, DmtTelemetryCountersMatchGolden) {
   }
 }
 
+// --dmt-exact is the paper-exact pipeline: every node evaluates every batch,
+// so the scheduler never defers a gain test. (The default schedule's skips
+// are pinned by the golden above: 846 on SEA.)
+TEST(ParallelSweepTest, DmtExactModeNeverSkipsGainTests) {
+  bench::Options options = SmallSweepOptions();
+  options.max_samples = 20'000;
+  options.datasets = {"SEA"};
+  options.models = {"DMT"};
+  options.dmt_exact = true;
+  options.telemetry = true;
+  options.telemetry_dir =
+      (std::filesystem::temp_directory_path() /
+       ("dmt_telemetry_exact_" + std::to_string(::getpid())))
+          .string();
+  options.jobs = 1;
+  const std::vector<bench::CellResult> cells =
+      bench::RunSweep(options.models, options);
+  std::filesystem::remove_all(options.telemetry_dir);
+  ASSERT_EQ(cells.size(), 1u);
+  const std::string& counters = cells[0].telemetry_counters_json;
+  ASSERT_NE(counters.find("\"dmt.gain_tests_skipped\": "), std::string::npos)
+      << counters;
+  EXPECT_EQ(bench::CounterFromJson(counters, "dmt.gain_tests_skipped"), 0u)
+      << counters;
+  EXPECT_GT(bench::CounterFromJson(counters, "dmt.gain_tests_run"), 0u)
+      << counters;
+}
+
 // ------------------------------------------------------------- cache layer
 
 class SweepCacheTest : public ::testing::Test {
@@ -724,6 +752,15 @@ TEST(ParseOptionsDeathTest, NegativeCellTimeoutExitsWithCode2) {
   const char* argv[] = {"bench", "--cell-timeout", "-1.5"};
   EXPECT_EXIT(bench::ParseOptions(3, const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2), "--cell-timeout must be >= 0");
+}
+
+// An unknown data set name is a usage error at parse time, not the abort of
+// streams::DatasetByName once the sweep starts.
+TEST(ParseOptionsDeathTest, UnknownDatasetExitsWithCode2) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"bench", "--datasets", "SEA,Nope"};
+  EXPECT_EXIT(bench::ParseOptions(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown dataset: Nope");
 }
 
 // ----------------------------------------------- artifact name collisions

@@ -83,7 +83,12 @@ int main(int argc, char** argv) {
     };
     if (arg == "--csv") csv_path = next();
     else if (arg == "--label") label_column = next();
-    else if (arg == "--dataset") dataset = next();
+    else if (arg == "--dataset") {
+      dataset = next();
+      if (!bench::IsDatasetName(dataset)) {
+        UsageError("unknown dataset: " + dataset);
+      }
+    }
     else if (arg == "--model") model_name = next();
     else if (arg == "--samples") samples = next_u64();
     else if (arg == "--batch") batch_size = next_u64();

@@ -5,11 +5,29 @@
 //   dmt_generate --dataset SEA --samples 100000 > sea.csv
 //   dmt_generate --generator LED --samples 5000 > led.csv
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "dmt/common/parse.h"
 #include "dmt/streams/classic_generators.h"
 #include "dmt/streams/datasets.h"
+#include "harness.h"
+
+namespace {
+
+constexpr const char kUsage[] =
+    "usage: dmt_generate (--dataset NAME | --generator "
+    "RandomRBF|STAGGER|LED) [--samples N] [--seed S]\n";
+
+// Usage errors exit 2 (bad invocation), as in every other tool.
+[[noreturn]] void UsageError(const std::string& message) {
+  std::fprintf(stderr, "dmt_generate: %s\n%s", message.c_str(), kUsage);
+  std::exit(2);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dmt;
@@ -20,21 +38,33 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(1);
-      }
+      if (i + 1 >= argc) UsageError("missing value for " + arg);
       return argv[++i];
     };
-    if (arg == "--dataset") dataset = next();
-    else if (arg == "--generator") generator = next();
-    else if (arg == "--samples") samples = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--seed") seed = std::strtoull(next().c_str(), nullptr, 10);
-    else {
-      std::fprintf(stderr,
-                   "usage: dmt_generate (--dataset NAME | --generator "
-                   "RandomRBF|STAGGER|LED) [--samples N] [--seed S]\n");
-      return arg == "--help" ? 0 : 1;
+    auto next_u64 = [&]() -> std::uint64_t {
+      const std::string value = next();
+      const std::optional<std::uint64_t> parsed = ParseU64(value);
+      if (!parsed) {
+        UsageError("bad numeric value for " + arg + ": '" + value + "'");
+      }
+      return *parsed;
+    };
+    if (arg == "--dataset") {
+      dataset = next();
+      if (!bench::IsDatasetName(dataset)) {
+        UsageError("unknown dataset: " + dataset);
+      }
+    } else if (arg == "--generator") {
+      generator = next();
+    } else if (arg == "--samples") {
+      samples = next_u64();
+    } else if (arg == "--seed") {
+      seed = next_u64();
+    } else if (arg == "--help") {
+      std::printf("%s", kUsage);
+      return 0;
+    } else {
+      UsageError("unknown option: " + arg);
     }
   }
   std::unique_ptr<streams::Stream> stream;
@@ -57,8 +87,7 @@ int main(int argc, char** argv) {
     config.seed = seed;
     stream = std::make_unique<streams::LedGenerator>(config);
   } else {
-    std::fprintf(stderr, "need --dataset or --generator (--help)\n");
-    return 1;
+    UsageError("need --dataset or --generator RandomRBF|STAGGER|LED");
   }
 
   for (std::size_t j = 0; j < stream->num_features(); ++j) {
