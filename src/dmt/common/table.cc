@@ -50,18 +50,4 @@ std::string TextTable::ToString() const {
   return out.str();
 }
 
-std::string TextTable::ToCsv() const {
-  std::ostringstream out;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  emit_row(header_);
-  for (const auto& row : rows_) emit_row(row);
-  return out.str();
-}
-
 }  // namespace dmt

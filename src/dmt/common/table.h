@@ -22,9 +22,6 @@ class TextTable {
   // cells in a row render as empty columns.
   std::string ToString() const;
 
-  // Renders as CSV (no alignment), for piping into plotting tools.
-  std::string ToCsv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -37,11 +37,6 @@ void ThreadPool::Post(std::function<void()> fn) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this]() { return in_flight_ == 0; });
-}
-
 std::function<void()> ThreadPool::TakeTask(std::size_t worker_index) {
   std::deque<std::function<void()>>& own = queues_[worker_index];
   if (!own.empty()) {

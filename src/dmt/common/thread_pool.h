@@ -33,7 +33,8 @@ namespace dmt {
 class ThreadPool {
  public:
   // `num_threads` 0 picks DefaultThreads(). The workers start immediately
-  // and live until destruction; the pool is reusable after Wait().
+  // and live until destruction, which first drains every submitted task.
+  // Callers wait for their own work through the futures Submit returns.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -51,10 +52,6 @@ class ThreadPool {
     Post([task]() { (*task)(); });
     return future;
   }
-
-  // Blocks until every submitted task has finished (queues empty and no
-  // task running). The pool accepts new work afterwards.
-  void Wait();
 
   // Pops one queued task (if any) and runs it on the calling thread;
   // returns whether a task was run. This is what makes a single pool

@@ -151,10 +151,4 @@ std::unique_ptr<DynamicModelTree> DynamicModelTree::LoadBody(
   return tree;
 }
 
-std::unique_ptr<DynamicModelTree> DynamicModelTree::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagDmtClassifier);
-  return LoadBody(reader);
-}
-
 }  // namespace dmt::core

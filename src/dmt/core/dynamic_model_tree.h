@@ -131,9 +131,8 @@ class DynamicModelTree : public Classifier,
   // floating-point round-trip, so a restored tree continues training
   // identically. The layout is num_features, num_classes, then the
   // ModelTree config and state halves. The structural audit log is not
-  // persisted. Load throws serial::SerialError on malformed input.
+  // persisted. LoadBody throws serial::SerialError on malformed input.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<DynamicModelTree> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<DynamicModelTree> LoadBody(serial::Reader& reader);
 

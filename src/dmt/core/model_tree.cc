@@ -374,14 +374,6 @@ std::size_t ModelTree<Model>::Depth() const {
   return walk(walk, root_.get());
 }
 
-template <typename Model>
-double ModelTree<Model>::AccumulatedLeafLoss() const {
-  double loss = 0.0;
-  std::size_t leaves = 0;
-  SubtreeLeafLoss(root_.get(), &loss, &leaves);
-  return loss;
-}
-
 // --- Persistence ---------------------------------------------------------------
 
 template <typename Model>

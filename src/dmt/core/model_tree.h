@@ -139,9 +139,6 @@ class ModelTree {
   std::size_t num_subtree_replacements() const { return replacements_; }
   std::size_t num_prunes() const { return prunes_; }
 
-  // Accumulated loss over all leaves (the tree loss of Lemma 1).
-  double AccumulatedLeafLoss() const;
-
   // AIC-derived gain thresholds (Sec. V-C; Eq. 11 and its analogues).
   double SplitThreshold() const;
   double ReplaceThreshold(std::size_t subtree_leaves) const;

@@ -7,7 +7,6 @@
 #ifndef DMT_DMT_H_
 #define DMT_DMT_H_
 
-#include "dmt/bayes/gaussian_nb.h"
 #include "dmt/common/classifier.h"
 #include "dmt/common/random.h"
 #include "dmt/common/stats.h"
@@ -16,9 +15,6 @@
 #include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/drift/adwin.h"
-#include "dmt/drift/ddm.h"
-#include "dmt/drift/eddm.h"
-#include "dmt/drift/kswin.h"
 #include "dmt/drift/page_hinkley.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"

@@ -313,13 +313,6 @@ void AdaptiveRandomForest::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<AdaptiveRandomForest> AdaptiveRandomForest::Load(
-    std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagArf);
-  return LoadBody(reader);
-}
-
 std::size_t AdaptiveRandomForest::num_promotions() const {
   std::size_t total = 0;
   for (const Member& member : members_) total += member.promotions;

@@ -87,7 +87,6 @@ class AdaptiveRandomForest : public Classifier {
   // num_threads are runtime knobs and are not persisted: a restored forest
   // trains sequentially until reconfigured.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<AdaptiveRandomForest> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<AdaptiveRandomForest> LoadBody(serial::Reader& reader);
 

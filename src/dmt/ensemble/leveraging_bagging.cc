@@ -247,12 +247,6 @@ void LeveragingBagging::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<LeveragingBagging> LeveragingBagging::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagLevBag);
-  return LoadBody(reader);
-}
-
 std::size_t LeveragingBagging::NumSplits() const {
   std::size_t total = 0;
   for (const auto& member : members_) total += member->NumSplits();

@@ -78,7 +78,6 @@ class LeveragingBagging : public Classifier {
   // detection tallies, member RNGs and the ensemble RNG (engines last).
   // num_threads / pool are runtime knobs and are not persisted.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<LeveragingBagging> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<LeveragingBagging> LoadBody(serial::Reader& reader);
 

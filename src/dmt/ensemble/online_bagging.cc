@@ -93,12 +93,6 @@ void OnlineBagging::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<OnlineBagging> OnlineBagging::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagOzaBag);
-  return LoadBody(reader);
-}
-
 std::size_t OnlineBagging::NumSplits() const {
   std::size_t total = 0;
   for (const auto& member : members_) total += member->NumSplits();

@@ -48,7 +48,6 @@ class OnlineBagging : public Classifier {
   // --- Persistence (binary archive; see serial/archive.h) ---
   // Full state: config, member trees and the shared RNG (engine last).
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<OnlineBagging> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<OnlineBagging> LoadBody(serial::Reader& reader);
 

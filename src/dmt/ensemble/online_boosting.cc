@@ -120,12 +120,6 @@ void OnlineBoosting::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<OnlineBoosting> OnlineBoosting::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagOzaBoost);
-  return LoadBody(reader);
-}
-
 std::size_t OnlineBoosting::NumSplits() const {
   std::size_t total = 0;
   for (const Member& member : members_) total += member.tree->NumSplits();

@@ -49,7 +49,6 @@ class OnlineBoosting : public Classifier {
   // Full state: config, member trees with their lambda-mass tallies, and
   // the shared RNG (engine last).
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<OnlineBoosting> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<OnlineBoosting> LoadBody(serial::Reader& reader);
 

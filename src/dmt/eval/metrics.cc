@@ -89,49 +89,6 @@ double ConfusionMatrix::WeightedF1() const {
   return sum / static_cast<double>(total_);
 }
 
-double ConfusionMatrix::CohensKappa() const {
-  if (total_ == 0) return 0.0;
-  const double n = static_cast<double>(total_);
-  double observed = 0.0;
-  double expected = 0.0;
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    observed += static_cast<double>(count(static_cast<int>(c),
-                                          static_cast<int>(c)));
-    double row = 0.0;
-    double col = 0.0;
-    for (std::size_t k = 0; k < num_classes_; ++k) {
-      row += static_cast<double>(count(static_cast<int>(c),
-                                       static_cast<int>(k)));
-      col += static_cast<double>(count(static_cast<int>(k),
-                                       static_cast<int>(c)));
-    }
-    expected += row * col / n;
-  }
-  observed /= n;
-  expected /= n;
-  return expected >= 1.0 ? 0.0 : (observed - expected) / (1.0 - expected);
-}
-
-double ConfusionMatrix::KappaM() const {
-  if (total_ == 0) return 0.0;
-  const double n = static_cast<double>(total_);
-  double correct = 0.0;
-  double majority = 0.0;
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    correct += static_cast<double>(count(static_cast<int>(c),
-                                         static_cast<int>(c)));
-    double support = 0.0;
-    for (std::size_t p = 0; p < num_classes_; ++p) {
-      support += static_cast<double>(count(static_cast<int>(p),
-                                           static_cast<int>(c)));
-    }
-    majority = std::max(majority, support);
-  }
-  const double p0 = correct / n;
-  const double pm = majority / n;
-  return pm >= 1.0 ? 0.0 : (p0 - pm) / (1.0 - pm);
-}
-
 double ConfusionMatrix::MacroF1() const {
   double sum = 0.0;
   std::size_t supported = 0;

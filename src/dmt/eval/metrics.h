@@ -33,12 +33,6 @@ class ConfusionMatrix {
   // classes. For binary problems with both classes present this equals the
   // mean of the two per-class F1 scores.
   double MacroF1() const;
-  // Cohen's kappa: agreement beyond chance given both marginals. The
-  // standard stream-learning complement to accuracy on imbalanced data.
-  double CohensKappa() const;
-  // Kappa-M: improvement over the always-majority classifier (Bifet et
-  // al.); <= 0 means no better than predicting the majority class.
-  double KappaM() const;
   // Support-weighted mean of the per-class F1 scores. This is the F1 the
   // evaluation harness reports: on heavily imbalanced multiclass streams
   // (Poker, KDD) it reproduces the paper's Table II levels, which a plain

@@ -1,6 +1,7 @@
 #include "dmt/linear/glm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "dmt/common/check.h"
@@ -18,6 +19,22 @@ std::size_t ParamCount(int num_features, int num_classes) {
              : static_cast<std::size_t>(num_classes) * (num_features + 1);
 }
 
+// Defaults of the retired optimizer slots of the config record: constant
+// learning rate, plain SGD, momentum 0.9 and no L1 penalty.
+constexpr std::uint32_t kRetiredSchedule = 0;
+constexpr std::uint32_t kRetiredOptimizer = 0;
+constexpr double kRetiredMomentumBeta = 0.9;
+constexpr double kRetiredL1Penalty = 0.0;
+
+// Bit-exact, so that -0.0 or a NaN payload cannot load and re-save as
+// different bytes.
+void CheckRetiredF64(serial::Reader& reader, double expected,
+                     const char* what) {
+  serial::Check(std::bit_cast<std::uint64_t>(reader.F64()) ==
+                    std::bit_cast<std::uint64_t>(expected),
+                what);
+}
+
 }  // namespace
 
 Glm::Glm(const GlmConfig& config)
@@ -26,7 +43,6 @@ Glm::Glm(const GlmConfig& config)
       num_classes_(config.num_classes) {
   DMT_CHECK(num_features_ >= 1);
   DMT_CHECK(num_classes_ >= 2);
-  DMT_CHECK(config.l1_penalty >= 0.0);
   Rng rng(config.seed);
   params_.resize(ParamCount(num_features_, num_classes_));
   for (double& p : params_) p = rng.Gaussian(0.0, config.init_scale);
@@ -40,7 +56,6 @@ Glm::Glm(const GlmConfig& config, Rng* rng)
       num_classes_(config.num_classes) {
   DMT_CHECK(num_features_ >= 1);
   DMT_CHECK(num_classes_ >= 2);
-  DMT_CHECK(config.l1_penalty >= 0.0);
   DMT_CHECK(rng != nullptr);
   params_.resize(ParamCount(num_features_, num_classes_));
   for (double& p : params_) p = rng->Gaussian(0.0, config.init_scale);
@@ -52,7 +67,6 @@ void Glm::Fit(const Batch& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SgdStep(batch.row(i), batch.label(i));
   }
-  if (config_.l1_penalty > 0.0 && !batch.empty()) ApplyL1Prox();
   if (!batch.empty()) CheckParamsFinite();
 }
 
@@ -60,7 +74,6 @@ void Glm::FitRows(const Batch& batch, std::span<const std::size_t> rows) {
   for (std::size_t i : rows) {
     SgdStep(batch.row(i), batch.label(i));
   }
-  if (config_.l1_penalty > 0.0 && !rows.empty()) ApplyL1Prox();
   if (!rows.empty()) CheckParamsFinite();
 }
 
@@ -69,7 +82,6 @@ void Glm::FitTile(const double* tile, const int* labels, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     SgdStep({tile + i * m, m}, labels[i]);
   }
-  if (config_.l1_penalty > 0.0 && n > 0) ApplyL1Prox();
   if (n > 0) CheckParamsFinite();
 }
 
@@ -137,11 +149,8 @@ void Glm::CheckParamsFinite() {
   for (const double p : params_) {
     if (std::isfinite(p)) continue;
     // Diverged: reset to the deterministic zero state (uniform
-    // predictions) rather than re-randomizing, and clear optimizer state
-    // accumulated under the bad parameters.
+    // predictions) rather than re-randomizing.
     std::fill(params_.begin(), params_.end(), 0.0);
-    std::fill(velocity_.begin(), velocity_.end(), 0.0);
-    std::fill(grad_accum_.begin(), grad_accum_.end(), 0.0);
     ++num_resets_;
     if (resets_counter_ != nullptr) ++*resets_counter_;
     return;
@@ -158,71 +167,10 @@ double Glm::ClipScale(double err_sq_sum, double xsq) const {
   return cap / std::sqrt(norm_sq);
 }
 
-void Glm::ApplyL1Prox() {
-  const double shrink = CurrentLearningRate() * config_.l1_penalty;
-  const int stride = num_features_ + 1;
-  const int blocks = is_binary() ? 1 : num_classes_;
-  for (int c = 0; c < blocks; ++c) {
-    for (int j = 0; j < num_features_; ++j) {
-      double& w = params_[c * stride + j];
-      if (w > shrink) {
-        w -= shrink;
-      } else if (w < -shrink) {
-        w += shrink;
-      } else {
-        w = 0.0;
-      }
-    }
-  }
-}
-
-double Glm::CurrentLearningRate() const {
-  if (config_.schedule == LearningRateSchedule::kInverseSqrt) {
-    return config_.learning_rate /
-           std::sqrt(1.0 + static_cast<double>(steps_) / 1000.0);
-  }
-  return config_.learning_rate;
-}
-
-double Glm::Sparsity() const {
-  const int stride = num_features_ + 1;
-  std::size_t zeros = 0;
-  std::size_t weights = 0;
-  const int blocks = is_binary() ? 1 : num_classes_;
-  for (int c = 0; c < blocks; ++c) {
-    for (int j = 0; j < num_features_; ++j) {
-      ++weights;
-      zeros += params_[c * stride + j] == 0.0;
-    }
-  }
-  return weights == 0 ? 0.0 : static_cast<double>(zeros) / weights;
-}
-
-void Glm::ApplyUpdate(std::size_t p, double g, double lr) {
-  switch (config_.optimizer) {
-    case Optimizer::kSgd:
-      params_[p] -= lr * g;
-      return;
-    case Optimizer::kMomentum:
-      if (velocity_.empty()) velocity_.assign(params_.size(), 0.0);
-      velocity_[p] = config_.momentum_beta * velocity_[p] + g;
-      params_[p] -= lr * velocity_[p];
-      return;
-    case Optimizer::kAdagrad:
-      if (grad_accum_.empty()) grad_accum_.assign(params_.size(), 0.0);
-      grad_accum_[p] += g * g;
-      params_[p] -= lr * g / std::sqrt(grad_accum_[p] + 1e-8);
-      return;
-  }
-}
-
 void Glm::SgdStep(std::span<const double> x, int y) {
   DMT_DCHECK(static_cast<int>(x.size()) == num_features_);
-  const double lr = CurrentLearningRate();
+  const double lr = config_.learning_rate;
   const int stride = num_features_ + 1;
-  // Plain SGD (the default everywhere) takes the fused SgdAxpy kernel;
-  // momentum/Adagrad keep per-coordinate ApplyUpdate for their state.
-  const bool plain_sgd = config_.optimizer == Optimizer::kSgd;
   const std::size_t m = static_cast<std::size_t>(num_features_);
   // Clipping needs ||x||^2; a non-finite value here (NaN/Inf feature)
   // surfaces in the logits too and the sample is skipped below.
@@ -239,14 +187,8 @@ void Glm::SgdStep(std::span<const double> x, int y) {
     ++steps_;
     double err = Sigmoid(z) - (y == 1 ? 1.0 : 0.0);
     err *= ClipScale(err * err, xsq);
-    if (plain_sgd) {
-      kernels::SgdAxpy(lr, err, x.data(), params_.data(), m);
-    } else {
-      for (int j = 0; j < num_features_; ++j) {
-        ApplyUpdate(j, err * x[j], lr);
-      }
-    }
-    ApplyUpdate(params_.size() - 1, err, lr);
+    kernels::SgdAxpy(lr, err, x.data(), params_.data(), m);
+    params_.back() -= lr * err;
     return;
   }
   for (int c = 0; c < num_classes_; ++c) {
@@ -267,14 +209,8 @@ void Glm::SgdStep(std::span<const double> x, int y) {
   const double clip = ClipScale(err_sq_sum, xsq);
   for (int c = 0; c < num_classes_; ++c) {
     const double err = clip * (logits_scratch_[c] - (c == y ? 1.0 : 0.0));
-    if (plain_sgd) {
-      kernels::SgdAxpy(lr, err, x.data(), params_.data() + c * stride, m);
-    } else {
-      for (int j = 0; j < num_features_; ++j) {
-        ApplyUpdate(c * stride + j, err * x[j], lr);
-      }
-    }
-    ApplyUpdate(c * stride + num_features_, err, lr);
+    kernels::SgdAxpy(lr, err, x.data(), params_.data() + c * stride, m);
+    params_[c * stride + num_features_] -= lr * err;
   }
 }
 
@@ -404,10 +340,10 @@ void SaveGlmConfig(serial::Writer& writer, const GlmConfig& config) {
   writer.I32(config.num_features);
   writer.I32(config.num_classes);
   writer.F64(config.learning_rate);
-  writer.U32(static_cast<std::uint32_t>(config.schedule));
-  writer.U32(static_cast<std::uint32_t>(config.optimizer));
-  writer.F64(config.momentum_beta);
-  writer.F64(config.l1_penalty);
+  writer.U32(kRetiredSchedule);
+  writer.U32(kRetiredOptimizer);
+  writer.F64(kRetiredMomentumBeta);
+  writer.F64(kRetiredL1Penalty);
   writer.F64(config.init_scale);
   writer.U64(config.seed);
   writer.F64(config.max_gradient_norm);
@@ -425,14 +361,14 @@ GlmConfig LoadGlmConfig(serial::Reader& reader) {
                        "GLM parameter count");
   config.learning_rate =
       serial::CheckedFinite(reader.F64(), "GLM learning_rate");
-  config.schedule = static_cast<LearningRateSchedule>(
-      serial::CheckedRange(reader.U32(), 0, 1, "GLM schedule"));
-  config.optimizer = static_cast<Optimizer>(
-      serial::CheckedRange(reader.U32(), 0, 2, "GLM optimizer"));
-  config.momentum_beta =
-      serial::CheckedFinite(reader.F64(), "GLM momentum_beta");
-  config.l1_penalty = serial::CheckedFinite(reader.F64(), "GLM l1_penalty");
-  serial::Check(config.l1_penalty >= 0.0, "GLM l1_penalty is negative");
+  serial::Check(reader.U32() == kRetiredSchedule,
+                "GLM schedule is retired: only the constant rate loads");
+  serial::Check(reader.U32() == kRetiredOptimizer,
+                "GLM optimizer is retired: only plain SGD loads");
+  CheckRetiredF64(reader, kRetiredMomentumBeta,
+                  "GLM momentum_beta is retired: only 0.9 loads");
+  CheckRetiredF64(reader, kRetiredL1Penalty,
+                  "GLM l1_penalty is retired: only 0.0 loads");
   config.init_scale = serial::CheckedFinite(reader.F64(), "GLM init_scale");
   // normal_distribution requires sigma > 0; the constructor draws with it.
   serial::Check(config.init_scale > 0.0, "GLM init_scale is not positive");
@@ -445,8 +381,9 @@ GlmConfig LoadGlmConfig(serial::Reader& reader) {
 void Glm::SaveState(serial::Writer& writer) const {
   writer.Size(steps_);
   writer.VecF64(params_);
-  writer.VecF64(velocity_);
-  writer.VecF64(grad_accum_);
+  // The retired momentum and AdaGrad buffers, always empty.
+  writer.Size(0);
+  writer.Size(0);
   writer.U64(num_resets_);
   writer.U64(num_skipped_samples_);
 }
@@ -454,17 +391,12 @@ void Glm::SaveState(serial::Writer& writer) const {
 void Glm::LoadState(serial::Reader& reader) {
   steps_ = reader.Size(std::size_t{1} << 62);
   std::vector<double> params = reader.VecF64Exact(params_.size());
-  // The lazy optimizer buffers are empty until the first momentum/Adagrad
-  // step, so their archived length is either 0 or the parameter count.
-  std::vector<double> velocity = reader.VecF64();
-  serial::Check(velocity.empty() || velocity.size() == params_.size(),
-                "GLM velocity size mismatch");
-  std::vector<double> grad_accum = reader.VecF64();
-  serial::Check(grad_accum.empty() || grad_accum.size() == params_.size(),
-                "GLM gradient accumulator size mismatch");
+  serial::Check(reader.U64() == 0,
+                "GLM velocity is retired: only an empty buffer loads");
+  serial::Check(reader.U64() == 0,
+                "GLM gradient accumulator is retired: only an empty buffer "
+                "loads");
   params_ = std::move(params);
-  velocity_ = std::move(velocity);
-  grad_accum_ = std::move(grad_accum);
   num_resets_ = reader.U64();
   num_skipped_samples_ = reader.U64();
 }

@@ -1,7 +1,10 @@
 // Generalized linear "simple models" used at every node of a Dynamic Model
 // Tree (paper Sec. V-A): a binary logit model for two classes and a
 // multinomial logit (softmax) model otherwise, trained by constant-rate SGD
-// and scored with the negative log-likelihood loss (Sec. V-B).
+// and scored with the negative log-likelihood loss (Sec. V-B). Sec. V-A
+// names dynamic learning rates, other optimizers and L1 feature selection
+// as future work; none is implemented, and their archive slots are retired
+// (see SaveGlmConfig).
 //
 // Besides fitting and prediction, the model exposes loss and gradient
 // evaluation at the *current* parameters over (subsets of) a batch. These
@@ -27,35 +30,11 @@ class Reader;
 
 namespace dmt::linear {
 
-// Learning-rate schedule for the SGD updates. The paper trains with a
-// constant rate (Sec. V-A) and names dynamic rates as future work; the
-// inverse-sqrt schedule implements that hook.
-enum class LearningRateSchedule {
-  kConstant,
-  kInverseSqrt,  // lr_t = lr / sqrt(1 + t / 1000), t = observations seen
-};
-
-// Update rule for the SGD steps (the paper trains plain SGD, Sec. V-A, and
-// names alternative optimization strategies as future work).
-enum class Optimizer {
-  kSgd,
-  kMomentum,  // velocity = beta * velocity + grad; w -= lr * velocity
-  kAdagrad,   // w -= lr * grad / sqrt(accum + eps), per-coordinate
-};
-
 struct GlmConfig {
   int num_features = 0;
   int num_classes = 2;
-  // Base SGD learning rate; the paper proposes 0.05 for the DMT models.
+  // SGD learning rate; the paper proposes 0.05 for the DMT models.
   double learning_rate = 0.05;
-  LearningRateSchedule schedule = LearningRateSchedule::kConstant;
-  Optimizer optimizer = Optimizer::kSgd;
-  double momentum_beta = 0.9;
-  // L1 penalty applied by soft-thresholding the weights once per Fit call
-  // (truncated-gradient style); > 0 sparsifies the models (the paper's
-  // "online feature selection" future-work hook, Sec. V-A). Biases are
-  // never thresholded.
-  double l1_penalty = 0.0;
   // Standard deviation of the random weight initialization.
   double init_scale = 0.1;
   std::uint64_t seed = 42;
@@ -80,10 +59,6 @@ class Glm {
   int num_classes() const { return num_classes_; }
   const GlmConfig& config() const { return config_; }
   double learning_rate() const { return config_.learning_rate; }
-  // Effective learning rate at the current step (schedule applied).
-  double CurrentLearningRate() const;
-  // Fraction of (non-bias) weights that are exactly zero.
-  double Sparsity() const;
 
   // One SGD epoch over the batch (per-sample updates in stream order).
   void Fit(const Batch& batch);
@@ -145,8 +120,8 @@ class Glm {
   const std::vector<double>& params() const { return params_; }
   std::vector<double>& mutable_params() { return params_; }
 
-  // SGD step counter (drives the learning-rate schedule). The setter exists
-  // for model persistence only.
+  // SGD step counter (observations consumed by SGD). The setter exists for
+  // model persistence only.
   std::size_t steps() const { return steps_; }
   void set_steps(std::size_t steps) { steps_ = steps; }
 
@@ -170,9 +145,10 @@ class Glm {
   std::vector<double> FeatureWeights(int c) const;
 
   // --- Persistence (binary archive; see serial/archive.h) ---
-  // Mutable optimizer state only (params, steps, lazy optimizer buffers,
-  // divergence tallies) -- used when the owning tree supplies the config.
-  // LoadState requires the archived vector sizes to match this model's.
+  // Mutable state only (params, steps, divergence tallies) -- used when the
+  // owning tree supplies the config. LoadState requires the archived
+  // parameter count to match this model's, and the two retired optimizer
+  // buffers to be empty.
   void SaveState(serial::Writer& writer) const;
   void LoadState(serial::Reader& reader);
   // Whole-model record: header + config + state.
@@ -182,7 +158,6 @@ class Glm {
  private:
   bool is_binary() const { return num_classes_ == 2; }
   void SgdStep(std::span<const double> x, int y);
-  void ApplyL1Prox();
   // Post-Fit divergence scan: zero-resets non-finite parameters.
   void CheckParamsFinite();
   // Rescales `err` terms so the sample gradient norm respects the cap.
@@ -190,17 +165,11 @@ class Glm {
   // multiplier to apply to every residual (1.0 when no clipping applies).
   double ClipScale(double err_sq_sum, double xsq) const;
 
-  // Applies one optimizer step for parameter p with raw gradient g.
-  void ApplyUpdate(std::size_t p, double g, double lr);
-
   GlmConfig config_;
   int num_features_;
   int num_classes_;
   std::size_t steps_ = 0;  // observations consumed by SGD
   std::vector<double> params_;
-  // Optimizer state (allocated lazily for non-SGD optimizers).
-  std::vector<double> velocity_;
-  std::vector<double> grad_accum_;
   // Scratch buffer reused across per-sample probability computations.
   mutable std::vector<double> logits_scratch_;
   // Scratch logits of one 4-row tile group (4 x num_classes, row-major).
@@ -213,7 +182,11 @@ class Glm {
 // Archive helpers for the config record (shared by the standalone Glm
 // record, the GLM classifier wrapper, and any future embedding learner).
 // LoadGlmConfig validates every field the Glm constructor asserts on, so a
-// hostile archive raises SerialError instead of tripping DMT_CHECK.
+// hostile archive raises SerialError instead of tripping DMT_CHECK. The
+// record keeps four retired slots (schedule, optimizer, momentum_beta,
+// l1_penalty): SaveGlmConfig writes their old defaults (0, 0, 0.9, 0.0) and
+// LoadGlmConfig rejects any other bit pattern, so a load->save round trip
+// stays byte-exact.
 void SaveGlmConfig(serial::Writer& writer, const GlmConfig& config);
 GlmConfig LoadGlmConfig(serial::Reader& reader);
 

@@ -14,12 +14,6 @@ void GlmClassifier::Save(std::ostream& out) const {
   model_.SaveState(writer);
 }
 
-std::unique_ptr<GlmClassifier> GlmClassifier::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagGlmClassifier);
-  return LoadBody(reader);
-}
-
 std::unique_ptr<GlmClassifier> GlmClassifier::LoadBody(
     serial::Reader& reader) {
   const GlmConfig config = LoadGlmConfig(reader);

@@ -50,7 +50,6 @@ class GlmClassifier : public Classifier {
 
   // --- Persistence (binary archive; see serial/model_io.h) ---
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<GlmClassifier> Load(std::istream& in);
   // Body only; the shared header was already consumed by the dispatcher.
   static std::unique_ptr<GlmClassifier> LoadBody(serial::Reader& reader);
 

@@ -61,11 +61,6 @@ void Writer::VecF64(const std::vector<double>& v) {
   for (double x : v) F64(x);
 }
 
-void Writer::VecU64(const std::vector<std::uint64_t>& v) {
-  Size(v.size());
-  for (std::uint64_t x : v) U64(x);
-}
-
 void Writer::Engine(const std::mt19937_64& engine) {
   std::ostringstream text;
   text << engine;
@@ -174,14 +169,6 @@ std::vector<double> Reader::VecF64Exact(std::size_t n) {
     throw SerialError("archived vector length " + std::to_string(v.size()) +
                       " does not match the expected " + std::to_string(n));
   }
-  return v;
-}
-
-std::vector<std::uint64_t> Reader::VecU64(std::size_t max_len) {
-  const std::size_t n = Size(max_len);
-  std::vector<std::uint64_t> v;
-  v.reserve(std::min<std::size_t>(n, 4096));
-  for (std::size_t i = 0; i < n; ++i) v.push_back(U64());
   return v;
 }
 

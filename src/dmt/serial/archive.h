@@ -98,7 +98,6 @@ class Writer {
   void F32(float v);   // raw IEEE-754 bit pattern (f32 candidate gradients)
   void Str(const std::string& s);
   void VecF64(const std::vector<double>& v);
-  void VecU64(const std::vector<std::uint64_t>& v);
   // std::mt19937_64 state via its textual representation (the only
   // portable exact round-trip the standard guarantees).
   void Engine(const std::mt19937_64& engine);
@@ -139,7 +138,6 @@ class Reader {
   std::vector<double> VecF64(std::size_t max_len = kMaxVector);
   // Like VecF64 but the archived length must equal `n` exactly.
   std::vector<double> VecF64Exact(std::size_t n);
-  std::vector<std::uint64_t> VecU64(std::size_t max_len = kMaxVector);
   void Engine(std::mt19937_64* engine);
 
  private:

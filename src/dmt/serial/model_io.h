@@ -1,6 +1,8 @@
 // Learner tags and whole-model archive entry points. Every learner writes
 // the shared header (serial/archive.h) with its own FourCC tag; the
-// functions here read that header once and dispatch to the right Load.
+// functions here read that header once and dispatch to the right LoadBody.
+// This is the one load path for classifiers; the regressors and the bare
+// Glm / LinearRegressor support models keep a typed static Load.
 #ifndef DMT_SERIAL_MODEL_IO_H_
 #define DMT_SERIAL_MODEL_IO_H_
 
@@ -32,6 +34,8 @@ inline constexpr std::uint32_t kTagGlmClassifier = FourCC('G', 'L', 'M', 'C');
 inline constexpr std::uint32_t kTagGlm = FourCC('G', 'L', 'M', 'M');
 inline constexpr std::uint32_t kTagLinearRegressor =
     FourCC('L', 'I', 'N', 'R');
+// Retired: the standalone Gaussian naive Bayes classifier was removed. The
+// tag stays reserved and no build reads it.
 inline constexpr std::uint32_t kTagGaussianNb = FourCC('G', 'S', 'N', 'B');
 inline constexpr std::uint32_t kTagArf = FourCC('A', 'R', 'F', 'E');
 inline constexpr std::uint32_t kTagLevBag = FourCC('L', 'V', 'B', 'G');

@@ -313,10 +313,4 @@ void Efdt::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<Efdt> Efdt::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagEfdt);
-  return LoadBody(reader);
-}
-
 }  // namespace dmt::trees

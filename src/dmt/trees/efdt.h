@@ -58,7 +58,6 @@ class Efdt : public Classifier {
   // --- Persistence (binary archive; see serial/archive.h) ---
   // EFDT is RNG-free, so the record is config + recursive node state.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<Efdt> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<Efdt> LoadBody(serial::Reader& reader);
 

@@ -77,10 +77,4 @@ void FimtDd::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<FimtDd> FimtDd::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagFimtDd);
-  return LoadBody(reader);
-}
-
 }  // namespace dmt::trees

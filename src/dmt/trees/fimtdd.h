@@ -122,7 +122,6 @@ class FimtDd : public Classifier, public FimtDdTree<FimtDdClassTarget> {
   // --- Persistence (binary archive; see serial/archive.h) ---
   // num_features, num_classes, then the FimtDdTree config and state halves.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<FimtDd> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<FimtDd> LoadBody(serial::Reader& reader);
 };

@@ -394,11 +394,4 @@ void HoeffdingAdaptiveTree::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<HoeffdingAdaptiveTree> HoeffdingAdaptiveTree::Load(
-    std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagHat);
-  return LoadBody(reader);
-}
-
 }  // namespace dmt::trees

@@ -64,7 +64,6 @@ class HoeffdingAdaptiveTree : public Classifier {
   // monitor and any in-progress alternate subtree. Telemetry bindings do
   // not round-trip; call AttachTelemetry after Load.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<HoeffdingAdaptiveTree> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<HoeffdingAdaptiveTree> LoadBody(
       serial::Reader& reader);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 
 #include "dmt/common/check.h"
 #include "dmt/serial/archive.h"
@@ -14,7 +15,17 @@ namespace {
 // Standard normal CDF.
 double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
+// Variance floor: features are normalized to [0,1], so 1e-4 std is "tight".
+constexpr double kMinVariance = 1e-8;
+
 }  // namespace
+
+double GaussianEstimator::LogPdf(double x) const {
+  if (n == 0) return 0.0;
+  const double var = std::max(variance(), kMinVariance);
+  const double diff = x - mean;
+  return -0.5 * (std::log(2.0 * std::numbers::pi * var) + diff * diff / var);
+}
 
 NumericObserver::NumericObserver(int num_classes)
     : num_classes_(num_classes),
@@ -33,7 +44,7 @@ void NumericObserver::Add(double value, int y, int count) {
   // The Gaussian estimator is unweighted: one Welford step per observation
   // keeps the mean/m2 bits of `count` unit calls. The class weight is an
   // exact integer in a double, so one `+= count` equals `count` `+= 1`.
-  bayes::GaussianEstimator& estimator = per_class_[y];
+  GaussianEstimator& estimator = per_class_[y];
   for (int r = 0; r < count; ++r) estimator.Add(value);
   class_weights_[y] += count;
   min_ = std::min(min_, value);
@@ -43,7 +54,7 @@ void NumericObserver::Add(double value, int y, int count) {
 void NumericObserver::CountsBelowInto(double threshold,
                                       std::span<double> out) const {
   for (int c = 0; c < num_classes_; ++c) {
-    const bayes::GaussianEstimator& est = per_class_[c];
+    const GaussianEstimator& est = per_class_[c];
     if (est.n == 0) {
       out[c] = 0.0;
       continue;
@@ -119,7 +130,7 @@ SplitSuggestion NumericObserver::BestSplit(
 
 void NumericObserver::Save(serial::Writer& writer) const {
   writer.I32(num_classes_);
-  for (const bayes::GaussianEstimator& est : per_class_) {
+  for (const GaussianEstimator& est : per_class_) {
     writer.Size(est.n);
     writer.F64(est.mean);
     writer.F64(est.m2);
@@ -134,7 +145,7 @@ NumericObserver NumericObserver::Load(serial::Reader& reader,
   serial::Check(reader.I32() == num_classes,
                 "observer class count disagrees with the owning tree");
   NumericObserver observer(num_classes);
-  for (bayes::GaussianEstimator& est : observer.per_class_) {
+  for (GaussianEstimator& est : observer.per_class_) {
     est.n = reader.Size(std::size_t{1} << 62);
     est.mean = reader.F64();
     est.m2 = reader.F64();
@@ -209,27 +220,6 @@ SplitCandidate NominalObserver::BestSplitInto(
     if (merit > best.merit) {
       best.threshold = value;
       best.merit = merit;
-    }
-  }
-  return best;
-}
-
-SplitSuggestion NominalObserver::BestSplit(
-    int feature, const std::vector<double>& parent_counts) const {
-  std::vector<double> right_scratch(num_classes_);
-  const SplitCandidate core =
-      BestSplitInto(feature, parent_counts, right_scratch);
-  SplitSuggestion best;
-  best.feature = core.feature;
-  best.threshold = core.threshold;
-  best.is_equality = core.is_equality;
-  best.merit = core.merit;
-  if (std::isfinite(core.merit)) {
-    best.left_counts = value_counts_.at(core.threshold);
-    best.right_counts.resize(num_classes_);
-    for (int c = 0; c < num_classes_; ++c) {
-      best.right_counts[c] =
-          std::max(0.0, parent_counts[c] - best.left_counts[c]);
     }
   }
   return best;

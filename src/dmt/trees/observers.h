@@ -9,12 +9,11 @@
 #ifndef DMT_TREES_OBSERVERS_H_
 #define DMT_TREES_OBSERVERS_H_
 
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <span>
 #include <vector>
-
-#include "dmt/bayes/gaussian_nb.h"
 
 namespace dmt::serial {
 class Writer;
@@ -22,6 +21,25 @@ class Reader;
 }  // namespace dmt::serial
 
 namespace dmt::trees {
+
+// Streaming per-feature Gaussian sufficient statistics for one class.
+struct GaussianEstimator {
+  std::size_t n = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+
+  void Add(double x) {
+    ++n;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(n);
+    m2 += delta * (x - mean);
+  }
+  double variance() const {
+    return n > 1 ? m2 / static_cast<double>(n) : 0.0;
+  }
+  // Log-density with a variance floor so single-valued features stay finite.
+  double LogPdf(double x) const;
+};
 
 // A scored binary split proposal for one feature.
 struct SplitSuggestion {
@@ -79,7 +97,7 @@ class NumericObserver {
 
   // Class-conditional Gaussian of this feature (reused for Naive Bayes leaf
   // prediction in VFDT-NBA) and the weight seen for that class.
-  const bayes::GaussianEstimator& estimator(int c) const {
+  const GaussianEstimator& estimator(int c) const {
     return per_class_[c];
   }
   double class_weight(int c) const { return class_weights_[c]; }
@@ -92,7 +110,7 @@ class NumericObserver {
 
  private:
   int num_classes_;
-  std::vector<bayes::GaussianEstimator> per_class_;
+  std::vector<GaussianEstimator> per_class_;
   std::vector<double> class_weights_;
   double min_ = std::numeric_limits<double>::max();
   double max_ = std::numeric_limits<double>::lowest();
@@ -105,11 +123,8 @@ class NominalObserver {
   // Adds `count` (>= 1) to the class-`y` count of `value`.
   void Add(double value, int y, int count = 1);
 
-  // Best equality split "x == v vs x != v" over observed values.
-  SplitSuggestion BestSplit(int feature,
-                            const std::vector<double>& parent_counts) const;
-
-  // Allocation-free core of BestSplit (right_scratch >= num_classes).
+  // Best equality split "x == v vs x != v" over observed values
+  // (right_scratch >= num_classes).
   SplitCandidate BestSplitInto(int feature,
                                std::span<const double> parent_counts,
                                std::span<double> right_scratch) const;

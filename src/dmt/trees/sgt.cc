@@ -394,10 +394,4 @@ std::unique_ptr<SgtClassifier> SgtClassifier::LoadBody(
   return model;
 }
 
-std::unique_ptr<SgtClassifier> SgtClassifier::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagSgt);
-  return LoadBody(reader);
-}
-
 }  // namespace dmt::trees

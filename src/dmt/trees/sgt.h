@@ -96,7 +96,6 @@ class SgtClassifier : public Classifier {
 
   // --- Persistence (binary archive; see serial/archive.h) ---
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<SgtClassifier> Load(std::istream& in);
   static std::unique_ptr<SgtClassifier> LoadBody(serial::Reader& reader);
 
  private:

@@ -42,11 +42,4 @@ double TargetStats::StdDev() const {
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
-double StdDevReduction(const TargetStats& parent, const TargetStats& left,
-                       const TargetStats& right) {
-  if (parent.n <= 0.0) return 0.0;
-  return parent.StdDev() - (left.n / parent.n) * left.StdDev() -
-         (right.n / parent.n) * right.StdDev();
-}
-
 }  // namespace dmt::trees

@@ -1,6 +1,6 @@
 // Split criteria shared by the Hoeffding-tree family: the Hoeffding bound,
-// information gain over class distributions, and standard deviation
-// reduction (FIMT-DD's criterion) over numeric targets.
+// information gain over class distributions, and the numeric-target
+// sufficient statistics behind FIMT-DD-R's standard deviation criterion.
 #ifndef DMT_TREES_SPLIT_CRITERIA_H_
 #define DMT_TREES_SPLIT_CRITERIA_H_
 
@@ -21,9 +21,7 @@ double Entropy(std::span<const double> class_counts);
 double InfoGain(std::span<const double> parent, std::span<const double> left,
                 std::span<const double> right);
 
-// Standard deviation reduction for a numeric target split:
-//   sd(parent) - (n_l/n) sd(left) - (n_r/n) sd(right),
-// from sufficient statistics (count, sum, sum of squares).
+// Sufficient statistics (count, sum, sum of squares) of a numeric target.
 struct TargetStats {
   double n = 0.0;
   double sum = 0.0;
@@ -41,9 +39,6 @@ struct TargetStats {
   }
   double StdDev() const;
 };
-
-double StdDevReduction(const TargetStats& parent, const TargetStats& left,
-                       const TargetStats& right);
 
 }  // namespace dmt::trees
 

@@ -433,12 +433,6 @@ void Vfdt::Save(std::ostream& out) const {
   SaveBody(writer);
 }
 
-std::unique_ptr<Vfdt> Vfdt::Load(std::istream& in) {
-  serial::Reader reader(in);
-  reader.Header(serial::kTagVfdt);
-  return LoadBody(reader);
-}
-
 std::size_t Vfdt::NumParameters() const {
   TreeShape shape;
   Walk(root_.get(), 0, &shape);

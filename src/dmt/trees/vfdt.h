@@ -97,7 +97,6 @@ class Vfdt : public Classifier {
   // observers + NBA bookkeeping) and the RNG engine. The engine is written
   // last so Load can restore it after any constructor draws.
   void Save(std::ostream& out) const override;
-  static std::unique_ptr<Vfdt> Load(std::istream& in);
   // Headerless record for embedding (ensembles) and tag dispatch.
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<Vfdt> LoadBody(serial::Reader& reader);

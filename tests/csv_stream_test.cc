@@ -1,6 +1,8 @@
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -220,6 +222,80 @@ TEST_F(CsvStreamTest, PositionConsistentAfterCaughtError) {
   ASSERT_TRUE(stream.NextInstance(&instance));
   EXPECT_DOUBLE_EQ(instance.x[0], 5.0);
   EXPECT_FALSE(stream.NextInstance(&instance));
+}
+
+// Reads the whole file behind `config`, catching and skipping bad rows:
+// construction or a row may throw CsvError; every row that does come back
+// must be well formed. Any other exception escapes and fails the test.
+void ExpectCsvErrorOrWellFormedRows(const CsvStreamConfig& config,
+                                    const std::string& content) {
+  std::unique_ptr<CsvStream> stream;
+  try {
+    stream = std::make_unique<CsvStream>(config);
+  } catch (const CsvError&) {
+    return;
+  }
+  Instance instance;
+  // A caught row error consumes its line, so the walk ends after at most
+  // one call per line plus the final end-of-file call.
+  for (std::size_t calls = 0; calls <= content.size() + 1; ++calls) {
+    try {
+      if (!stream->NextInstance(&instance)) return;
+    } catch (const CsvError&) {
+      continue;
+    }
+    ASSERT_EQ(instance.x.size(), stream->num_features())
+        << ::testing::PrintToString(content);
+    ASSERT_GE(instance.y, 0) << ::testing::PrintToString(content);
+    ASSERT_LT(static_cast<std::size_t>(instance.y), stream->num_classes())
+        << ::testing::PrintToString(content);
+  }
+  ADD_FAILURE() << "no end of file: " << ::testing::PrintToString(content);
+}
+
+// Every truncation point, every single-bit flip and a set of grammar-byte
+// substitutions of a small corpus (header, quoted cells, a CRLF row, empty
+// cells, nan/inf/hex values), each read under three configurations: label
+// by header name, no header, and a preset class count.
+TEST_F(CsvStreamTest, FuzzTruncationsAndByteFlipsOnlyThrowCsvError) {
+  const std::vector<std::string> corpus = {
+      "a,\"b\",label,c\n"
+      "1.5,\"2\",yes,0x1p-3\r\n"
+      ",nan,no,-inf\n"
+      " 3 ,4e1,yes,1e400\n",
+      "x,label\n0x10,\"u\"\n,v\n",
+  };
+  const std::string alphabet = std::string(",\"\r\n .-0eExn") + '\0';
+  std::size_t inputs = 0;
+  const auto check = [&](const std::string& content) {
+    WriteFile(content);
+    const CsvStreamConfig configs[] = {
+        {.path = path_, .label_column = "label"},
+        {.path = path_, .has_header = false},
+        {.path = path_, .num_classes = 3},
+    };
+    for (const CsvStreamConfig& config : configs) {
+      ExpectCsvErrorOrWellFormedRows(config, content);
+    }
+    ++inputs;
+  };
+  for (const std::string& text : corpus) {
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+      check(text.substr(0, cut));
+    }
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      std::string mutated = text;
+      for (int bit = 0; bit < 8; ++bit) {
+        mutated[i] = static_cast<char>(text[i] ^ (1 << bit));
+        check(mutated);
+      }
+      for (const char c : alphabet) {
+        mutated[i] = c;
+        check(mutated);
+      }
+    }
+  }
+  EXPECT_GT(inputs, 1500u);
 }
 
 }  // namespace

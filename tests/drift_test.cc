@@ -4,7 +4,6 @@
 
 #include "dmt/common/random.h"
 #include "dmt/drift/adwin.h"
-#include "dmt/drift/ddm.h"
 #include "dmt/drift/page_hinkley.h"
 
 namespace dmt::drift {
@@ -180,27 +179,6 @@ TEST(PageHinkleyTest, ManualResetClearsState) {
   EXPECT_DOUBLE_EQ(ph.cumulative_sum(), 0.0);
   // min_instances applies afresh after the reset: no instant re-alert.
   EXPECT_FALSE(ph.Update(1.0));
-}
-
-TEST(DdmTest, SignalsDriftWhenErrorRateRises) {
-  Ddm ddm;
-  Rng rng(7);
-  for (int i = 0; i < 1000; ++i) ddm.Update(rng.Bernoulli(0.1));
-  bool drift = false;
-  for (int i = 0; i < 1000; ++i) {
-    drift |= ddm.Update(rng.Bernoulli(0.6)) == Ddm::State::kDrift;
-  }
-  EXPECT_TRUE(drift);
-}
-
-TEST(DdmTest, StaysStableOnConstantErrorRate) {
-  Ddm ddm;
-  Rng rng(8);
-  std::size_t drifts = 0;
-  for (int i = 0; i < 10000; ++i) {
-    drifts += ddm.Update(rng.Bernoulli(0.2)) == Ddm::State::kDrift;
-  }
-  EXPECT_LE(drifts, 1u);
 }
 
 }  // namespace

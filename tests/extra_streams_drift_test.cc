@@ -5,66 +5,11 @@
 
 #include "dmt/common/random.h"
 #include "dmt/core/dynamic_model_tree.h"
-#include "dmt/drift/eddm.h"
-#include "dmt/drift/kswin.h"
 #include "dmt/streams/classic_generators.h"
 #include "dmt/trees/vfdt.h"
 
 namespace dmt {
 namespace {
-
-TEST(EddmTest, StableOnConstantErrorRate) {
-  drift::Eddm eddm;
-  Rng rng(1);
-  std::size_t drifts = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    drifts += eddm.Update(rng.Bernoulli(0.1)) == drift::Eddm::State::kDrift;
-  }
-  EXPECT_LE(drifts, 5u);  // EDDM is alarm-prone by design; a few per 20k is normal
-}
-
-TEST(EddmTest, DetectsShrinkingErrorDistances) {
-  drift::Eddm eddm;
-  Rng rng(2);
-  for (int i = 0; i < 5000; ++i) eddm.Update(rng.Bernoulli(0.02));
-  bool drift = false;
-  for (int i = 0; i < 5000; ++i) {
-    drift |= eddm.Update(rng.Bernoulli(0.4)) == drift::Eddm::State::kDrift;
-  }
-  EXPECT_TRUE(drift);
-}
-
-TEST(KswinTest, NoFalseAlarmOnStationaryStream) {
-  drift::Kswin kswin({.alpha = 0.0001});
-  Rng rng(3);
-  std::size_t alarms = 0;
-  for (int i = 0; i < 10'000; ++i) alarms += kswin.Update(rng.Uniform());
-  EXPECT_LE(alarms, 3u);
-}
-
-TEST(KswinTest, DetectsDistributionShift) {
-  drift::Kswin kswin;
-  Rng rng(4);
-  for (int i = 0; i < 2000; ++i) kswin.Update(rng.Gaussian(0.0, 1.0));
-  bool detected = false;
-  for (int i = 0; i < 500; ++i) {
-    detected |= kswin.Update(rng.Gaussian(3.0, 1.0));
-  }
-  EXPECT_TRUE(detected);
-}
-
-TEST(KswinTest, WindowResetsAfterDetection) {
-  drift::Kswin kswin;
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) kswin.Update(rng.Gaussian(0.0, 0.1));
-  bool detected = false;
-  int i = 0;
-  for (; i < 500 && !detected; ++i) {
-    detected = kswin.Update(rng.Gaussian(5.0, 0.1));
-  }
-  ASSERT_TRUE(detected);
-  EXPECT_LT(kswin.window_fill(), 100u);
-}
 
 TEST(RandomRbfTest, EmitsAllClassesWithinUnitCubeNeighborhood) {
   streams::RandomRbfConfig config;

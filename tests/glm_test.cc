@@ -180,45 +180,46 @@ TEST(GlmTest, FitRowsOnlyUsesSelectedRows) {
   EXPECT_EQ(a.params(), b.params());
 }
 
-TEST(GlmScheduleTest, InverseSqrtDecaysLearningRate) {
+// Plain constant-rate SGD, the paper's only optimizer (Sec. V-A), learns
+// a separable binary concept and a three-band multiclass concept.
+TEST(GlmSgdTest, LearnsSeparableConcept) {
   Glm model({.num_features = 2,
              .num_classes = 2,
              .learning_rate = 0.1,
-             .schedule = LearningRateSchedule::kInverseSqrt});
-  EXPECT_DOUBLE_EQ(model.CurrentLearningRate(), 0.1);
-  Rng rng(6);
-  Batch batch(2);
-  for (int i = 0; i < 3000; ++i) {
-    std::vector<double> x = {rng.Uniform(), rng.Uniform()};
-    batch.Add(x, x[0] > 0.5 ? 1 : 0);
+             .seed = 3});
+  Rng rng(1);
+  for (int epoch = 0; epoch < 30; ++epoch) {
+    Batch batch = MakeLinearlySeparable(200, &rng);
+    model.Fit(batch);
   }
-  model.Fit(batch);
-  EXPECT_LT(model.CurrentLearningRate(), 0.06);
-  EXPECT_GT(model.CurrentLearningRate(), 0.0);
+  Batch test = MakeLinearlySeparable(1000, &rng);
+  int correct = 0;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    correct += model.Predict(test.row(i)) == test.label(i);
+  }
+  EXPECT_GT(correct, 900);
 }
 
-TEST(GlmL1Test, SparsifiesIrrelevantFeatures) {
-  // Feature 0 drives the label; features 1..4 are noise. With L1 the noise
-  // weights should be driven to exactly zero.
-  Glm plain({.num_features = 5, .num_classes = 2,
-             .learning_rate = 0.1, .seed = 9});
-  Glm sparse({.num_features = 5, .num_classes = 2,
-              .learning_rate = 0.1, .l1_penalty = 0.5, .seed = 9});
-  Rng rng(7);
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    Batch batch(5);
-    for (int i = 0; i < 200; ++i) {
-      std::vector<double> x(5);
-      for (double& v : x) v = rng.Uniform();
-      batch.Add(x, x[0] > 0.5 ? 1 : 0);
+TEST(GlmSgdTest, MulticlassLearns) {
+  Glm model({.num_features = 1,
+             .num_classes = 3,
+             .learning_rate = 0.2,
+             .seed = 4});
+  Rng rng(2);
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    Batch batch(1);
+    for (int i = 0; i < 150; ++i) {
+      std::vector<double> x = {rng.Uniform()};
+      batch.Add(x, x[0] <= 0.33 ? 0 : (x[0] <= 0.66 ? 1 : 2));
     }
-    plain.Fit(batch);
-    sparse.Fit(batch);
+    model.Fit(batch);
   }
-  EXPECT_GT(sparse.Sparsity(), plain.Sparsity());
-  EXPECT_GE(sparse.Sparsity(), 0.4);  // at least 2 of 5 weights exactly 0
-  // The informative weight must survive.
-  EXPECT_GT(std::abs(sparse.params()[0]), 0.5);
+  std::vector<double> lo = {0.1};
+  std::vector<double> mid = {0.5};
+  std::vector<double> hi = {0.9};
+  EXPECT_EQ(model.Predict(lo), 0);
+  EXPECT_EQ(model.Predict(mid), 1);
+  EXPECT_EQ(model.Predict(hi), 2);
 }
 
 }  // namespace

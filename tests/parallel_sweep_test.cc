@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -78,10 +79,11 @@ TEST(ThreadPoolTest, ReusableAfterDrain) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int round = 0; round < 3; ++round) {
+    std::vector<std::future<void>> done;
     for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter]() { ++counter; });
+      done.push_back(pool.Submit([&counter]() { ++counter; }));
     }
-    pool.Wait();
+    for (std::future<void>& future : done) future.get();
     EXPECT_EQ(counter.load(), 50 * (round + 1));
   }
 }

@@ -14,6 +14,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -24,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dmt/bayes/gaussian_nb.h"
 #include "dmt/common/random.h"
 #include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
@@ -344,8 +344,7 @@ TEST(SnapshotRegressorTest, FimtDdRegressorRoundTripContinues) {
 // --- Support learners -----------------------------------------------------
 
 TEST(SnapshotSupportTest, GlmRoundTripContinues) {
-  linear::Glm model({.num_features = 4, .num_classes = 3,
-                     .optimizer = linear::Optimizer::kMomentum});
+  linear::Glm model({.num_features = 4, .num_classes = 3});
   Rng rng(51);
   for (int b = 0; b < 20; ++b) {
     Batch batch(4);
@@ -406,37 +405,6 @@ TEST(SnapshotSupportTest, LinearRegressorRoundTripContinues) {
     std::vector<double> x(3);
     for (double& v : x) v = probe.Uniform();
     ASSERT_EQ(model.Predict(x), restored->Predict(x));
-  }
-}
-
-TEST(SnapshotSupportTest, GaussianNbRoundTripContinues) {
-  bayes::GaussianNaiveBayes model(3, 4);
-  Rng rng(55);
-  Batch batch(3);
-  FillConcept(&rng, &batch, 3, 4, 600, false);
-  model.Update(batch);
-  std::ostringstream out(std::ios::binary);
-  model.Save(out);
-  const std::string snapshot = out.str();
-  std::istringstream in(snapshot, std::ios::binary);
-  std::unique_ptr<bayes::GaussianNaiveBayes> restored =
-      bayes::GaussianNaiveBayes::Load(in);
-  std::ostringstream again(std::ios::binary);
-  restored->Save(again);
-  EXPECT_EQ(again.str(), snapshot);
-  Batch more(3);
-  FillConcept(&rng, &more, 3, 4, 600, true);
-  Batch copy = more;
-  model.Update(more);
-  restored->Update(copy);
-  EXPECT_EQ(restored->total_count(), model.total_count());
-  Rng probe(12);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> x(3);
-    for (double& v : x) v = probe.Uniform();
-    const std::vector<double> pa = model.PredictProba(x);
-    const std::vector<double> pb = restored->PredictProba(x);
-    for (int k = 0; k < 4; ++k) ASSERT_EQ(pa[k], pb[k]);
   }
 }
 
@@ -595,6 +563,72 @@ TEST(SnapshotDecodeHeaderTest, RegressorLoadRejectsForeignAndTruncated) {
     std::istringstream in(bytes.substr(0, cut), std::ios::binary);
     EXPECT_THROW(core::DmtRegressor::Load(in), serial::SerialError)
         << "truncated at " << cut;
+  }
+}
+
+// The GLM config record keeps four retired optimizer slots and the state
+// record two retired optimizer buffers. Only their old defaults load, so
+// any archive that would train differently from plain constant-rate SGD is
+// rejected instead of silently continuing as SGD.
+void PutLittleEndian(std::string* bytes, std::size_t offset,
+                     std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+std::uint64_t BitsOf(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(GlmRetiredSlotTest, NonDefaultValuesThrowSerialError) {
+  const std::string bytes = SmallArchive("GLM");
+  // GlmClassifier record after the 12-byte header: num_features (i32),
+  // num_classes (i32), learning_rate (f64), then the retired slots.
+  const std::size_t schedule = 12 + 4 + 4 + 8;
+  const std::size_t optimizer = schedule + 4;
+  const std::size_t momentum_beta = optimizer + 4;
+  const std::size_t l1_penalty = momentum_beta + 8;
+  // The state record ends with the velocity and gradient-accumulator
+  // lengths, then the resets and skipped-sample tallies (u64 each).
+  const std::size_t velocity = bytes.size() - 4 * 8;
+  const std::size_t grad_accum = velocity + 8;
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
+    EXPECT_EQ(SnapshotOf(*model), bytes);
+  }
+  struct Edit {
+    const char* what;
+    std::size_t offset;
+    std::uint64_t value;
+    int width;
+  };
+  const Edit edits[] = {
+      {"schedule = 1", schedule, 1, 4},
+      {"optimizer = 1", optimizer, 1, 4},
+      {"optimizer = 2", optimizer, 2, 4},
+      {"momentum_beta = 0.5", momentum_beta, BitsOf(0.5), 8},
+      {"l1_penalty = 0.1", l1_penalty, BitsOf(0.1), 8},
+      {"l1_penalty = -0.0", l1_penalty, BitsOf(-0.0), 8},
+  };
+  for (const Edit& edit : edits) {
+    std::string mutated = bytes;
+    PutLittleEndian(&mutated, edit.offset, edit.value, edit.width);
+    std::istringstream in(mutated, std::ios::binary);
+    EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError)
+        << edit.what;
+  }
+  // A one-element optimizer buffer: length 1 plus one f64 payload.
+  for (const std::size_t offset : {velocity, grad_accum}) {
+    std::string mutated = bytes;
+    PutLittleEndian(&mutated, offset, 1, 8);
+    mutated.insert(offset + 8, std::string(8, '\0'));
+    std::istringstream in(mutated, std::ios::binary);
+    EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError)
+        << "buffer at " << offset;
   }
 }
 

@@ -53,18 +53,19 @@ TEST(SplitCriteriaTest, InfoGainOfPerfectSplitIsParentEntropy) {
   EXPECT_DOUBLE_EQ(InfoGain(parent, left, right), 1.0);
 }
 
-TEST(SplitCriteriaTest, StdDevReductionOfPerfectSplit) {
-  TargetStats parent;
-  TargetStats left;
-  TargetStats right;
-  for (int i = 0; i < 100; ++i) {
-    parent.Add(0.0);
-    parent.Add(1.0);
-    left.Add(0.0);
-    right.Add(1.0);
-  }
-  EXPECT_NEAR(StdDevReduction(parent, left, right), 0.5, 1e-9);
-  EXPECT_NEAR(parent.StdDev(), 0.5, 1e-9);
+TEST(GaussianEstimatorTest, MeanAndVariance) {
+  GaussianEstimator est;
+  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) est.Add(v);
+  EXPECT_DOUBLE_EQ(est.mean, 3.0);
+  EXPECT_NEAR(est.variance(), 2.0, 1e-12);  // population variance
+}
+
+TEST(GaussianEstimatorTest, LogPdfPeaksAtMean) {
+  GaussianEstimator est;
+  Rng rng(1);
+  for (int i = 0; i < 1000; ++i) est.Add(rng.Gaussian(0.5, 0.1));
+  EXPECT_GT(est.LogPdf(0.5), est.LogPdf(0.9));
+  EXPECT_GT(est.LogPdf(0.5), est.LogPdf(0.1));
 }
 
 TEST(NumericObserverTest, FindsSeparatingThreshold) {
@@ -102,7 +103,9 @@ TEST(NominalObserverTest, PrefersInformativeValue) {
     parent[0] += 1.0 + (i % 2 == 0 ? 1.0 : 0.0);
     parent[1] += 1.0 + (i % 2 == 1 ? 1.0 : 0.0);
   }
-  const SplitSuggestion s = observer.BestSplit(0, parent);
+  std::vector<double> right_scratch(2);
+  const SplitCandidate s = observer.BestSplitInto(0, parent, right_scratch);
+  EXPECT_EQ(s.feature, 0);
   EXPECT_TRUE(s.is_equality);
   EXPECT_TRUE(s.threshold == 1.0 || s.threshold == 2.0);
   EXPECT_GT(s.merit, 0.0);
