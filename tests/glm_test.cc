@@ -1,4 +1,3 @@
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
