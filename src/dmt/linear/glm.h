@@ -120,11 +120,6 @@ class Glm {
   const std::vector<double>& params() const { return params_; }
   std::vector<double>& mutable_params() { return params_; }
 
-  // SGD step counter (observations consumed by SGD). The setter exists for
-  // model persistence only.
-  std::size_t steps() const { return steps_; }
-  void set_steps(std::size_t steps) { steps_ = steps; }
-
   // Divergence protection (DESIGN.md Sec. 8). Samples whose logits come out
   // non-finite -- a NaN/Inf feature or already-diverged parameters -- are
   // skipped rather than folded into the weights; if the parameters

@@ -27,16 +27,6 @@ struct TargetStats {
   double sum = 0.0;
   double sum_sq = 0.0;
 
-  void Add(double y, double weight = 1.0) {
-    n += weight;
-    sum += weight * y;
-    sum_sq += weight * y * y;
-  }
-  void Merge(const TargetStats& other) {
-    n += other.n;
-    sum += other.sum;
-    sum_sq += other.sum_sq;
-  }
   double StdDev() const;
 };
 
