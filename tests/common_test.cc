@@ -137,6 +137,23 @@ TEST(TableTest, RendersAlignedColumns) {
   EXPECT_NE(text.find("0.78 +- 0.10"), std::string::npos);
 }
 
+TEST(TableTest, PadsColumnsAndRendersMissingTrailingCellsEmpty) {
+  TextTable table({"a", "bb"});
+  table.AddRow({"long", "x"});
+  table.AddRow({"y"});
+  EXPECT_EQ(table.ToString(),
+            "a     bb\n"
+            "--------\n"
+            "long  x \n"
+            "y       \n");
+}
+
+TEST(TableTest, MeanStdCellRoundsToRequestedDecimals) {
+  EXPECT_EQ(MeanStdCell(0.5, 0.25), "0.50 +- 0.25");
+  EXPECT_EQ(MeanStdCell(12.3456, 0.04, 3), "12.346 +- 0.040");
+  EXPECT_EQ(MeanStdCell(7.6, 0.4, 0), "8 +- 0");
+}
+
 // The strtod-only ParseDouble that the from_chars fast path must match
 // bit for bit: whole field consumed, no empty input, no leading blank.
 std::optional<double> StrtodParse(const std::string& text) {

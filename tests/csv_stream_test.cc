@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -18,8 +19,10 @@ class CsvStreamTest : public ::testing::Test {
   void WriteFile(const std::string& content) {
     const ::testing::TestInfo* test =
         ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = test->name();
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterized
     path_ = ::testing::TempDir();
-    path_.append("csv_stream_test_").append(test->name()).append(".csv");
+    path_.append("csv_stream_test_").append(name).append(".csv");
     std::ofstream out(path_);
     out << content;
   }
@@ -253,11 +256,30 @@ void ExpectCsvErrorOrWellFormedRows(const CsvStreamConfig& config,
   ADD_FAILURE() << "no end of file: " << ::testing::PrintToString(content);
 }
 
+// The three ways the fuzz below opens each input: label by header name,
+// no header, and a preset class count.
+enum class FuzzConfig { kLabelByName, kNoHeader, kPresetClassCount };
+
+CsvStreamConfig MakeFuzzConfig(FuzzConfig config, const std::string& path) {
+  switch (config) {
+    case FuzzConfig::kLabelByName:
+      return {.path = path, .label_column = "label"};
+    case FuzzConfig::kNoHeader:
+      return {.path = path, .has_header = false};
+    case FuzzConfig::kPresetClassCount:
+      return {.path = path, .num_classes = 3};
+  }
+  return {.path = path};
+}
+
+class CsvStreamFuzzTest : public CsvStreamTest,
+                          public ::testing::WithParamInterface<FuzzConfig> {
+};
+
 // Every truncation point, every single-bit flip and a set of grammar-byte
 // substitutions of a small corpus (header, quoted cells, a CRLF row, empty
-// cells, nan/inf/hex values), each read under three configurations: label
-// by header name, no header, and a preset class count.
-TEST_F(CsvStreamTest, FuzzTruncationsAndByteFlipsOnlyThrowCsvError) {
+// cells, nan/inf/hex values), each read under one configuration.
+TEST_P(CsvStreamFuzzTest, TruncationsAndByteFlipsOnlyThrowCsvError) {
   const std::vector<std::string> corpus = {
       "a,\"b\",label,c\n"
       "1.5,\"2\",yes,0x1p-3\r\n"
@@ -269,14 +291,8 @@ TEST_F(CsvStreamTest, FuzzTruncationsAndByteFlipsOnlyThrowCsvError) {
   std::size_t inputs = 0;
   const auto check = [&](const std::string& content) {
     WriteFile(content);
-    const CsvStreamConfig configs[] = {
-        {.path = path_, .label_column = "label"},
-        {.path = path_, .has_header = false},
-        {.path = path_, .num_classes = 3},
-    };
-    for (const CsvStreamConfig& config : configs) {
-      ExpectCsvErrorOrWellFormedRows(config, content);
-    }
+    ExpectCsvErrorOrWellFormedRows(MakeFuzzConfig(GetParam(), path_),
+                                   content);
     ++inputs;
   };
   for (const std::string& text : corpus) {
@@ -297,6 +313,22 @@ TEST_F(CsvStreamTest, FuzzTruncationsAndByteFlipsOnlyThrowCsvError) {
   }
   EXPECT_GT(inputs, 1500u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, CsvStreamFuzzTest,
+    ::testing::Values(FuzzConfig::kLabelByName, FuzzConfig::kNoHeader,
+                      FuzzConfig::kPresetClassCount),
+    [](const ::testing::TestParamInfo<FuzzConfig>& info) {
+      switch (info.param) {
+        case FuzzConfig::kLabelByName:
+          return std::string("LabelByName");
+        case FuzzConfig::kNoHeader:
+          return std::string("NoHeader");
+        case FuzzConfig::kPresetClassCount:
+          return std::string("PresetClassCount");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace dmt::streams

@@ -1,10 +1,12 @@
 #include <cstddef>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "dmt/common/random.h"
 #include "dmt/drift/adwin.h"
 #include "dmt/drift/page_hinkley.h"
+#include "dmt/serial/archive.h"
 
 namespace dmt::drift {
 namespace {
@@ -179,6 +181,58 @@ TEST(PageHinkleyTest, ManualResetClearsState) {
   EXPECT_DOUBLE_EQ(ph.cumulative_sum(), 0.0);
   // min_instances applies afresh after the reset: no instant re-alert.
   EXPECT_FALSE(ph.Update(1.0));
+}
+
+TEST(PageHinkleyTest, IgnoresMeanDecrease) {
+  // The test is one-sided: FIMT-DD only prunes when errors grow, so a
+  // falling mean must never alert.
+  PageHinkley ph({.min_instances = 10, .threshold = 5.0});
+  for (int i = 0; i < 1'000; ++i) EXPECT_FALSE(ph.Update(1.0));
+  for (int i = 0; i < 5'000; ++i) EXPECT_FALSE(ph.Update(0.0));
+  EXPECT_EQ(ph.num_detections(), 0u);
+  EXPECT_DOUBLE_EQ(ph.cumulative_sum(), 0.0);
+}
+
+TEST(PageHinkleyTest, NoAlertBeforeMinInstances) {
+  // The statistic crosses the threshold long before min_instances values
+  // have arrived; the alert must wait for exactly the min_instances-th.
+  PageHinkley ph({.min_instances = 100, .threshold = 1.0});
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(ph.Update(0.0));
+  for (int i = 10; i < 99; ++i) EXPECT_FALSE(ph.Update(10.0)) << i;
+  EXPECT_GT(ph.cumulative_sum(), 1.0);
+  EXPECT_TRUE(ph.Update(10.0));
+  EXPECT_EQ(ph.num_detections(), 1u);
+}
+
+// Saves `detector` mid-stream, reloads it and feeds both copies the same
+// continuation (including a mean shift); every Update result must agree.
+template <typename Detector>
+void ExpectRoundTripContinuesIdentically(Detector detector, Rng* rng) {
+  std::stringstream archive;
+  serial::Writer writer(archive);
+  detector.Save(writer);
+  serial::Reader reader(archive);
+  Detector restored = Detector::Load(reader);
+  for (int i = 0; i < 3'000; ++i) {
+    const double value = rng->Gaussian(i < 1'000 ? 0.2 : 0.8, 0.05);
+    ASSERT_EQ(detector.Update(value), restored.Update(value)) << i;
+  }
+  EXPECT_EQ(restored.num_detections(), detector.num_detections());
+  EXPECT_GE(detector.num_detections(), 1u);
+}
+
+TEST(PageHinkleyTest, SaveLoadContinuesIdentically) {
+  PageHinkley ph({.min_instances = 20, .threshold = 10.0});
+  Rng rng(12);
+  for (int i = 0; i < 500; ++i) ph.Update(rng.Gaussian(0.2, 0.05));
+  ExpectRoundTripContinuesIdentically(ph, &rng);
+}
+
+TEST(AdwinTest, SaveLoadContinuesIdentically) {
+  Adwin adwin;
+  Rng rng(13);
+  for (int i = 0; i < 2'000; ++i) adwin.Update(rng.Gaussian(0.2, 0.05));
+  ExpectRoundTripContinuesIdentically(adwin, &rng);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dmt/common/types.h"
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/eval/metrics.h"
 #include "dmt/eval/prequential.h"
@@ -59,6 +62,70 @@ TEST(ConfusionMatrixTest, ZeroWhenAlwaysWrong) {
   cm.Add(0, 1);
   cm.Add(1, 0);
   EXPECT_DOUBLE_EQ(cm.MacroF1(), 0.0);
+}
+
+TEST(ConfusionMatrixTest, PrecisionAndRecallZeroWhenUndefined) {
+  ConfusionMatrix cm(3);
+  cm.Add(0, 0);
+  cm.Add(0, 1);
+  // Class 2 is neither predicted nor present; class 1 is never predicted.
+  EXPECT_DOUBLE_EQ(cm.Precision(2), 0.0);
+  EXPECT_DOUBLE_EQ(cm.Recall(2), 0.0);
+  EXPECT_DOUBLE_EQ(cm.F1(2), 0.0);
+  EXPECT_DOUBLE_EQ(cm.Precision(1), 0.0);
+  EXPECT_DOUBLE_EQ(cm.F1(1), 0.0);
+  EXPECT_DOUBLE_EQ(cm.Precision(0), 0.5);
+  EXPECT_DOUBLE_EQ(cm.Recall(0), 1.0);
+}
+
+TEST(ConfusionMatrixTest, WeightedF1WeightsBySupport) {
+  // Class 0: 3 rows, TP=2 FN=1, FP=0 -> F1 = 0.8.
+  // Class 1: 1 row,  TP=1 FN=0, FP=1 -> F1 = 2/3.
+  ConfusionMatrix cm(2);
+  cm.Add(0, 0);
+  cm.Add(0, 0);
+  cm.Add(1, 0);
+  cm.Add(1, 1);
+  EXPECT_NEAR(cm.F1(0), 0.8, 1e-12);
+  EXPECT_NEAR(cm.F1(1), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(cm.WeightedF1(), (3.0 * 0.8 + 1.0 * 2.0 / 3.0) / 4.0, 1e-12);
+  EXPECT_NEAR(cm.MacroF1(), (0.8 + 2.0 / 3.0) / 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(ConfusionMatrix(2).WeightedF1(), 0.0);
+}
+
+TEST(ConfusionMatrixTest, AddBatchBreaksTiesTowardFirstClass) {
+  Batch batch(1);
+  batch.Add(std::vector<double>{0.0}, 0);
+  batch.Add(std::vector<double>{0.0}, 2);
+  batch.Add(std::vector<double>{0.0}, 1);
+  ProbaMatrix proba(3, 3);
+  const double rows[3][3] = {
+      {0.4, 0.4, 0.2},  // tie between 0 and 1 -> 0
+      {0.1, 0.2, 0.7},
+      {0.3, 0.3, 0.3},  // three-way tie -> 0
+  };
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t c = 0; c < 3; ++c) proba.row(i)[c] = rows[i][c];
+  }
+  ConfusionMatrix cm(3);
+  cm.AddBatch(proba, batch);
+  EXPECT_EQ(cm.total(), 3u);
+  EXPECT_EQ(cm.count(0, 0), 1u);
+  EXPECT_EQ(cm.count(2, 2), 1u);
+  EXPECT_EQ(cm.count(0, 1), 1u);
+}
+
+TEST(ConfusionMatrixTest, ResetClearsCounts) {
+  ConfusionMatrix cm(2);
+  cm.Add(1, 1);
+  cm.Add(0, 1);
+  cm.Reset();
+  EXPECT_EQ(cm.total(), 0u);
+  EXPECT_EQ(cm.count(1, 1), 0u);
+  EXPECT_EQ(cm.count(0, 1), 0u);
+  EXPECT_DOUBLE_EQ(cm.Accuracy(), 0.0);
+  cm.Add(0, 0);
+  EXPECT_DOUBLE_EQ(cm.Accuracy(), 1.0);
 }
 
 TEST(PrequentialTest, BatchSizeDerivedFromExpectedSamples) {

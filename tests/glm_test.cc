@@ -1,3 +1,4 @@
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -219,6 +220,66 @@ TEST(GlmSgdTest, MulticlassLearns) {
   EXPECT_EQ(model.Predict(lo), 0);
   EXPECT_EQ(model.Predict(mid), 1);
   EXPECT_EQ(model.Predict(hi), 2);
+}
+
+// One Fit call on a single row must move every parameter by exactly
+// -learning_rate * (p_c - [c == y]) * x_j (bias: x_j = 1), with p the
+// class probabilities before the step: constant-rate SGD, no schedule, no
+// momentum, no proximal term.
+void ExpectOneSgdStepMatchesHand(Glm* model, const std::vector<double>& x,
+                                 int y) {
+  const std::vector<double> before = model->params();
+  const std::vector<double> proba = model->PredictProba(x);
+  const double lr = model->learning_rate();
+  Batch one(x.size());
+  one.Add(x, y);
+  model->Fit(one);
+  const std::vector<double>& after = model->params();
+  ASSERT_EQ(after.size(), before.size());
+  const std::size_t m = x.size();
+  if (model->num_classes() == 2) {
+    // Binary logit: one weight vector for class 1.
+    const double err = proba[1] - (y == 1 ? 1.0 : 0.0);
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_NEAR(after[j], before[j] - lr * err * x[j], 1e-14) << j;
+    }
+    EXPECT_NEAR(after[m], before[m] - lr * err, 1e-14);
+    return;
+  }
+  for (int c = 0; c < model->num_classes(); ++c) {
+    const double err = proba[c] - (c == y ? 1.0 : 0.0);
+    const std::size_t base = static_cast<std::size_t>(c) * (m + 1);
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_NEAR(after[base + j], before[base + j] - lr * err * x[j], 1e-14)
+          << c << "," << j;
+    }
+    EXPECT_NEAR(after[base + m], before[base + m] - lr * err, 1e-14) << c;
+  }
+}
+
+TEST(GlmSgdTest, BinaryStepMatchesHandComputedUpdate) {
+  Glm model({.num_features = 3, .num_classes = 2, .learning_rate = 0.05});
+  ExpectOneSgdStepMatchesHand(&model, {0.2, 0.7, 0.4}, 1);
+  ExpectOneSgdStepMatchesHand(&model, {0.9, 0.1, 0.3}, 0);
+}
+
+TEST(GlmSgdTest, SoftmaxStepMatchesHandComputedUpdate) {
+  Glm model({.num_features = 2, .num_classes = 4, .learning_rate = 0.3});
+  ExpectOneSgdStepMatchesHand(&model, {0.5, 0.25}, 2);
+  ExpectOneSgdStepMatchesHand(&model, {0.0, 1.0}, 0);
+}
+
+TEST(GlmSgdTest, StepSizeStaysConstantAfterManySteps) {
+  Rng rng(6);
+  Glm binary({.num_features = 2, .num_classes = 2, .learning_rate = 0.1});
+  Glm softmax({.num_features = 2, .num_classes = 3, .learning_rate = 0.1});
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    const Batch batch = MakeLinearlySeparable(500, &rng);
+    binary.Fit(batch);
+    softmax.Fit(batch);
+  }
+  ExpectOneSgdStepMatchesHand(&binary, {0.6, 0.6}, 0);
+  ExpectOneSgdStepMatchesHand(&softmax, {0.3, 0.2}, 2);
 }
 
 }  // namespace

@@ -134,6 +134,28 @@ TEST(ThreadPoolTest, DefaultThreadsIsAtLeastOne) {
   EXPECT_EQ(pool.Submit([]() { return 41 + 1; }).get(), 42);
 }
 
+TEST(ThreadPoolTest, ZeroThreadsPicksDefault) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreads());
+  EXPECT_EQ(pool.Submit([]() { return 5; }).get(), 5);
+}
+
+TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
+  // Futures are dropped unread: the destructor alone must run every task
+  // that was submitted before it, including those still queued behind a
+  // slow one.
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    pool.Submit([&ran]() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++ran;
+    });
+    for (int i = 0; i < 30; ++i) pool.Submit([&ran]() { ++ran; });
+  }
+  EXPECT_EQ(ran.load(), 31);
+}
+
 // ------------------------------------------------------------ DeriveSeed
 
 TEST(DeriveSeedTest, StableAndTagSensitive) {

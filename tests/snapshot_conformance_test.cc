@@ -577,60 +577,158 @@ void PutLittleEndian(std::string* bytes, std::size_t offset,
   }
 }
 
+std::uint64_t GetLittleEndian(const std::string& bytes, std::size_t offset,
+                              int width) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < width; ++i) {
+    value |= std::uint64_t{static_cast<unsigned char>(bytes[offset + i])}
+             << (8 * i);
+  }
+  return value;
+}
+
 std::uint64_t BitsOf(double value) {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
   return bits;
 }
 
-TEST(GlmRetiredSlotTest, NonDefaultValuesThrowSerialError) {
-  const std::string bytes = SmallArchive("GLM");
-  // GlmClassifier record after the 12-byte header: num_features (i32),
-  // num_classes (i32), learning_rate (f64), then the retired slots.
+enum class RetiredSlot {
+  kSchedule,
+  kOptimizer,
+  kMomentumBeta,
+  kL1Penalty,
+  kVelocity,
+  kGradAccum,
+};
+
+// Byte offset of `slot` in a GLM archive (GlmClassifier or standalone Glm:
+// both are header + SaveGlmConfig + SaveState) of `size` bytes. The config
+// record follows the 12-byte header: num_features (i32), num_classes
+// (i32), learning_rate (f64), then the retired slots. The state record
+// ends with the velocity and gradient-accumulator lengths, then the
+// resets and skipped-sample tallies (u64 each).
+std::size_t RetiredSlotOffset(RetiredSlot slot, std::size_t size) {
   const std::size_t schedule = 12 + 4 + 4 + 8;
-  const std::size_t optimizer = schedule + 4;
-  const std::size_t momentum_beta = optimizer + 4;
-  const std::size_t l1_penalty = momentum_beta + 8;
-  // The state record ends with the velocity and gradient-accumulator
-  // lengths, then the resets and skipped-sample tallies (u64 each).
-  const std::size_t velocity = bytes.size() - 4 * 8;
-  const std::size_t grad_accum = velocity + 8;
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
-    EXPECT_EQ(SnapshotOf(*model), bytes);
+  switch (slot) {
+    case RetiredSlot::kSchedule:
+      return schedule;
+    case RetiredSlot::kOptimizer:
+      return schedule + 4;
+    case RetiredSlot::kMomentumBeta:
+      return schedule + 8;
+    case RetiredSlot::kL1Penalty:
+      return schedule + 16;
+    case RetiredSlot::kVelocity:
+      return size - 4 * 8;
+    case RetiredSlot::kGradAccum:
+      return size - 3 * 8;
   }
-  struct Edit {
-    const char* what;
-    std::size_t offset;
-    std::uint64_t value;
-    int width;
-  };
-  const Edit edits[] = {
-      {"schedule = 1", schedule, 1, 4},
-      {"optimizer = 1", optimizer, 1, 4},
-      {"optimizer = 2", optimizer, 2, 4},
-      {"momentum_beta = 0.5", momentum_beta, BitsOf(0.5), 8},
-      {"l1_penalty = 0.1", l1_penalty, BitsOf(0.1), 8},
-      {"l1_penalty = -0.0", l1_penalty, BitsOf(-0.0), 8},
-  };
-  for (const Edit& edit : edits) {
-    std::string mutated = bytes;
-    PutLittleEndian(&mutated, edit.offset, edit.value, edit.width);
-    std::istringstream in(mutated, std::ios::binary);
-    EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError)
-        << edit.what;
+  return 0;
+}
+
+int RetiredSlotWidth(RetiredSlot slot) {
+  return slot == RetiredSlot::kSchedule || slot == RetiredSlot::kOptimizer
+             ? 4
+             : 8;
+}
+
+bool IsRetiredBuffer(RetiredSlot slot) {
+  return slot == RetiredSlot::kVelocity || slot == RetiredSlot::kGradAccum;
+}
+
+struct RetiredSlotEdit {
+  const char* name;  // test-name suffix
+  RetiredSlot slot;
+  // Bit pattern written into a scalar slot; for a buffer, its length (one
+  // zero f64 per element is inserted after it).
+  std::uint64_t value;
+};
+
+std::string WithEdit(const std::string& bytes, const RetiredSlotEdit& edit) {
+  std::string mutated = bytes;
+  const std::size_t offset = RetiredSlotOffset(edit.slot, bytes.size());
+  PutLittleEndian(&mutated, offset, edit.value, RetiredSlotWidth(edit.slot));
+  if (IsRetiredBuffer(edit.slot)) {
+    mutated.insert(offset + 8, std::string(8 * edit.value, '\0'));
   }
-  // A one-element optimizer buffer: length 1 plus one f64 payload.
-  for (const std::size_t offset : {velocity, grad_accum}) {
-    std::string mutated = bytes;
-    PutLittleEndian(&mutated, offset, 1, 8);
-    mutated.insert(offset + 8, std::string(8, '\0'));
-    std::istringstream in(mutated, std::ios::binary);
-    EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError)
-        << "buffer at " << offset;
+  return mutated;
+}
+
+const RetiredSlotEdit kRetiredSlotEdits[] = {
+    {"schedule_1", RetiredSlot::kSchedule, 1},
+    {"optimizer_1", RetiredSlot::kOptimizer, 1},
+    {"optimizer_2", RetiredSlot::kOptimizer, 2},
+    {"momentum_beta_0_5", RetiredSlot::kMomentumBeta, BitsOf(0.5)},
+    {"l1_penalty_0_1", RetiredSlot::kL1Penalty, BitsOf(0.1)},
+    {"l1_penalty_minus_0", RetiredSlot::kL1Penalty, BitsOf(-0.0)},
+    {"velocity_one_element", RetiredSlot::kVelocity, 1},
+    {"grad_accum_one_element", RetiredSlot::kGradAccum, 1},
+};
+
+std::string StandaloneGlmArchive() {
+  linear::Glm model({.num_features = 3, .num_classes = 3});
+  Rng rng(52);
+  Batch batch(3);
+  FillConcept(&rng, &batch, 3, 3, 150, false);
+  model.Fit(batch);
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  return out.str();
+}
+
+TEST(GlmRetiredSlotTest, UneditedArchiveLoadsAndResavesByteExact) {
+  const std::string bytes = SmallArchive("GLM");
+  std::istringstream in(bytes, std::ios::binary);
+  const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
+  EXPECT_EQ(SnapshotOf(*model), bytes);
+}
+
+TEST(GlmRetiredSlotTest, SavedSlotsHoldTheOldDefaults) {
+  for (const std::string& bytes :
+       {SmallArchive("GLM"), StandaloneGlmArchive()}) {
+    const auto slot = [&bytes](RetiredSlot s) {
+      return GetLittleEndian(bytes, RetiredSlotOffset(s, bytes.size()),
+                             RetiredSlotWidth(s));
+    };
+    EXPECT_EQ(slot(RetiredSlot::kSchedule), 0u);
+    EXPECT_EQ(slot(RetiredSlot::kOptimizer), 0u);
+    EXPECT_EQ(slot(RetiredSlot::kMomentumBeta), BitsOf(0.9));
+    EXPECT_EQ(slot(RetiredSlot::kL1Penalty), BitsOf(0.0));
+    EXPECT_EQ(slot(RetiredSlot::kVelocity), 0u);
+    EXPECT_EQ(slot(RetiredSlot::kGradAccum), 0u);
   }
 }
+
+TEST(GlmRetiredSlotTest, StandaloneGlmLoadRejectsEveryEdit) {
+  const std::string bytes = StandaloneGlmArchive();
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    const std::unique_ptr<linear::Glm> model = linear::Glm::Load(in);
+    std::ostringstream again(std::ios::binary);
+    model->Save(again);
+    EXPECT_EQ(again.str(), bytes);
+  }
+  for (const RetiredSlotEdit& edit : kRetiredSlotEdits) {
+    std::istringstream in(WithEdit(bytes, edit), std::ios::binary);
+    EXPECT_THROW(linear::Glm::Load(in), serial::SerialError) << edit.name;
+  }
+}
+
+class GlmRetiredSlotEditTest
+    : public ::testing::TestWithParam<RetiredSlotEdit> {};
+
+TEST_P(GlmRetiredSlotEditTest, ClassifierLoadThrowsSerialError) {
+  const std::string bytes = SmallArchive("GLM");
+  std::istringstream in(WithEdit(bytes, GetParam()), std::ios::binary);
+  EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSlots, GlmRetiredSlotEditTest, ::testing::ValuesIn(kRetiredSlotEdits),
+    [](const ::testing::TestParamInfo<RetiredSlotEdit>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- Golden archives: the pinned on-disk format ---------------------------
 //

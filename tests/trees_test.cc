@@ -68,6 +68,34 @@ TEST(GaussianEstimatorTest, LogPdfPeaksAtMean) {
   EXPECT_GT(est.LogPdf(0.5), est.LogPdf(0.1));
 }
 
+TEST(GaussianEstimatorTest, EmptyEstimatorHasFlatLogPdf) {
+  const GaussianEstimator est;
+  EXPECT_DOUBLE_EQ(est.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(est.LogPdf(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(est.LogPdf(123.0), 0.0);
+}
+
+TEST(GaussianEstimatorTest, LogPdfMatchesClosedForm) {
+  GaussianEstimator est;
+  est.Add(1.0);
+  est.Add(3.0);  // mean 2, population variance 1
+  const double log_norm = std::log(2.0 * std::acos(-1.0));
+  EXPECT_NEAR(est.LogPdf(2.0), -0.5 * log_norm, 1e-12);
+  EXPECT_NEAR(est.LogPdf(3.0), -0.5 * (log_norm + 1.0), 1e-12);
+  EXPECT_NEAR(est.LogPdf(0.0), -0.5 * (log_norm + 4.0), 1e-12);
+}
+
+TEST(GaussianEstimatorTest, ConstantFeatureKeepsLogPdfFinite) {
+  // A single-valued feature has zero variance; the variance floor keeps
+  // the density finite and still peaked at the observed value.
+  GaussianEstimator est;
+  for (int i = 0; i < 100; ++i) est.Add(0.5);
+  EXPECT_DOUBLE_EQ(est.variance(), 0.0);
+  EXPECT_TRUE(std::isfinite(est.LogPdf(0.5)));
+  EXPECT_TRUE(std::isfinite(est.LogPdf(0.6)));
+  EXPECT_GT(est.LogPdf(0.5), est.LogPdf(0.6));
+}
+
 TEST(NumericObserverTest, FindsSeparatingThreshold) {
   NumericObserver observer(2);
   Rng rng(1);
@@ -109,6 +137,33 @@ TEST(NominalObserverTest, PrefersInformativeValue) {
   EXPECT_TRUE(s.is_equality);
   EXPECT_TRUE(s.threshold == 1.0 || s.threshold == 2.0);
   EXPECT_GT(s.merit, 0.0);
+}
+
+TEST(NominalObserverTest, EmptyObserverOffersNoSplit) {
+  const NominalObserver observer(2);
+  const std::vector<double> parent = {3.0, 4.0};
+  std::vector<double> right_scratch(2);
+  const SplitCandidate s = observer.BestSplitInto(1, parent, right_scratch);
+  EXPECT_EQ(s.feature, 1);
+  EXPECT_EQ(s.merit, -std::numeric_limits<double>::infinity());
+}
+
+TEST(NominalObserverTest, BestSplitIntoIgnoresScratchContents) {
+  NominalObserver observer(3);
+  std::vector<double> parent(3, 0.0);
+  for (int i = 0; i < 60; ++i) {
+    const int y = i % 3;
+    observer.Add(static_cast<double>(y == 2 ? 7 : i % 2), y);
+    parent[y] += 1.0;
+  }
+  std::vector<double> zeros(3, 0.0);
+  std::vector<double> garbage(5, std::numeric_limits<double>::quiet_NaN());
+  const SplitCandidate a = observer.BestSplitInto(0, parent, zeros);
+  const SplitCandidate b = observer.BestSplitInto(0, parent, garbage);
+  EXPECT_EQ(a.threshold, 7.0);  // the value that isolates class 2
+  EXPECT_GT(a.merit, 0.0);
+  EXPECT_EQ(a.threshold, b.threshold);
+  EXPECT_EQ(a.merit, b.merit);
 }
 
 TEST(VfdtTest, StartsAsSingleLeaf) {
@@ -170,6 +225,86 @@ TEST(VfdtTest, NbaLeavesBeatMajorityClassOnImbalancedOverlap) {
     correct += nba.Predict(x) == y;
   }
   EXPECT_GT(correct, 440);
+}
+
+// The naive Bayes leaf model of VFDT-NBA, isolated by a grace period the
+// tests never reach so the tree stays a single leaf.
+Vfdt NbaLeaf(int num_features, int num_classes) {
+  return Vfdt({.num_features = num_features,
+               .num_classes = num_classes,
+               .grace_period = 100000,
+               .leaf_prediction = LeafPrediction::kNaiveBayesAdaptive});
+}
+
+TEST(VfdtNbaLeafTest, UniformBeforeAnyData) {
+  const Vfdt tree = NbaLeaf(3, 4);
+  const std::vector<double> x = {0.1, 0.2, 0.3};
+  for (double p : tree.PredictProba(x)) EXPECT_DOUBLE_EQ(p, 0.25);
+}
+
+TEST(VfdtNbaLeafTest, SeparatesGaussianClusters) {
+  Vfdt tree = NbaLeaf(2, 2);
+  Rng rng(2);
+  Batch batch(2);
+  for (int i = 0; i < 2000; ++i) {
+    const int c = rng.UniformInt(0, 1);
+    const double center = c == 0 ? 0.25 : 0.75;
+    batch.Add(std::vector<double>{rng.Gaussian(center, 0.05),
+                                  rng.Gaussian(center, 0.05)},
+              c);
+  }
+  tree.PartialFit(batch);
+  EXPECT_EQ(tree.NumInnerNodes(), 0u);
+  EXPECT_EQ(tree.Predict(std::vector<double>{0.25, 0.25}), 0);
+  EXPECT_EQ(tree.Predict(std::vector<double>{0.75, 0.75}), 1);
+}
+
+TEST(VfdtNbaLeafTest, ConstantFeatureKeepsProbabilitiesFinite) {
+  Vfdt tree = NbaLeaf(1, 2);
+  Batch batch(1);
+  for (int i = 0; i < 100; ++i) batch.Add(std::vector<double>{0.5}, i % 2);
+  tree.PartialFit(batch);
+  for (const double x : {0.5, 0.9}) {
+    const std::vector<double> proba = tree.PredictProba(std::vector<double>{x});
+    EXPECT_TRUE(std::isfinite(proba[0])) << x;
+    EXPECT_TRUE(std::isfinite(proba[1])) << x;
+    EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-9) << x;
+  }
+}
+
+// A class the leaf never observed has no likelihood term; its bare
+// Laplace log-prior must not out-score the seen classes in regions where
+// their likelihoods are tiny.
+TEST(VfdtNbaLeafTest, UnseenClassNeverWinsArgmax) {
+  Vfdt tree = NbaLeaf(1, 3);
+  Rng rng(4);
+  Batch batch(1);
+  for (int i = 0; i < 500; ++i) {
+    batch.Add(std::vector<double>{rng.Gaussian(0.2, 0.01)}, 0);
+    batch.Add(std::vector<double>{rng.Gaussian(0.8, 0.01)}, 1);
+  }
+  tree.PartialFit(batch);
+  // The leaf scores by naive Bayes (a majority leaf could not do this).
+  EXPECT_EQ(tree.Predict(std::vector<double>{0.2}), 0);
+  EXPECT_EQ(tree.Predict(std::vector<double>{0.8}), 1);
+  const std::vector<double> x = {0.5};
+  EXPECT_NE(tree.Predict(x), 2);
+  const std::vector<double> proba = tree.PredictProba(x);
+  EXPECT_DOUBLE_EQ(proba[2], 0.0);
+  EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-9);
+}
+
+TEST(VfdtNbaLeafTest, PriorsDominateWhenFeaturesUninformative) {
+  Vfdt tree = NbaLeaf(1, 2);
+  Rng rng(3);
+  Batch batch(1);
+  // 90/10 class split, identical feature distributions.
+  for (int i = 0; i < 5000; ++i) {
+    batch.Add(std::vector<double>{rng.Uniform()}, rng.Bernoulli(0.9) ? 1 : 0);
+  }
+  tree.PartialFit(batch);
+  EXPECT_EQ(tree.Predict(std::vector<double>{0.5}), 1);
+  EXPECT_GT(tree.PredictProba(std::vector<double>{0.5})[1], 0.5);
 }
 
 TEST(VfdtTest, ComplexityCountingRules) {
