@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -315,20 +316,35 @@ TEST(ParallelSweepTest, TelemetryCountersBitIdenticalAtAnyJobCount) {
   std::filesystem::remove_all(options.telemetry_dir);
 }
 
-// Counter values for the DMT are pinned as goldens on the synthetic
-// streams (20000 samples -- enough that the gain tests actually pass and
-// splits happen on Agrawal -- base seed 42, per-cell DeriveSeed). Any
-// change to split/prune/candidate bookkeeping shows up here. Regenerate
-// with DMT_UPDATE_GOLDENS=1 after an intentional change.
-TEST(ParallelSweepTest, DmtTelemetryCountersMatchGolden) {
+// Counter values are pinned as goldens for the DMT and the four Hoeffding
+// trees on the synthetic streams (20000 samples -- enough that the gain
+// tests actually pass and splits happen on Agrawal -- base seed 42,
+// per-cell DeriveSeed). Any change to split/prune/candidate, re-evaluation
+// or alternate-subtree bookkeeping shows up here. Regenerate with
+// DMT_UPDATE_GOLDENS=1 after an intentional change.
+struct TelemetryGoldenCase {
+  const char* model;  // harness model name
+  const char* slug;   // golden file stem: telemetry_<slug>_<dataset>_...
+  const char* name;   // test-name suffix
+  // Counters that must have fired, as {dataset, counter}, so the goldens
+  // keep covering the code paths they were pinned for.
+  std::vector<std::pair<const char*, const char*>> fired;
+};
+
+class TelemetryGoldenTest
+    : public ::testing::TestWithParam<TelemetryGoldenCase> {};
+
+TEST_P(TelemetryGoldenTest, CountersMatchGolden) {
+  const TelemetryGoldenCase& param = GetParam();
   bench::Options options = SmallSweepOptions();
   options.max_samples = 20'000;
   options.datasets = {"SEA", "Agrawal"};
-  options.models = {"DMT"};
+  options.models = {param.model};
   options.telemetry = true;
   options.telemetry_dir =
       (std::filesystem::temp_directory_path() /
-       ("dmt_telemetry_golden_" + std::to_string(::getpid())))
+       ("dmt_telemetry_golden_" + std::string(param.slug) + "_" +
+        std::to_string(::getpid())))
           .string();
   options.jobs = 1;
   const std::vector<bench::CellResult> cells =
@@ -338,9 +354,16 @@ TEST(ParallelSweepTest, DmtTelemetryCountersMatchGolden) {
 
   for (const bench::CellResult& cell : cells) {
     SCOPED_TRACE(cell.dataset);
+    for (const auto& [dataset, counter] : param.fired) {
+      if (cell.dataset != dataset) continue;
+      EXPECT_GE(bench::CounterFromJson(cell.telemetry_counters_json, counter),
+                1u)
+          << counter << "\n" << cell.telemetry_counters_json;
+    }
     const std::filesystem::path golden =
         std::filesystem::path(DMT_SOURCE_DIR) / "bench" / "goldens" /
-        ("telemetry_dmt_" + cell.dataset + "_20000_seed42.json");
+        ("telemetry_" + std::string(param.slug) + "_" + cell.dataset +
+         "_20000_seed42.json");
     if (std::getenv("DMT_UPDATE_GOLDENS") != nullptr) {
       std::ofstream out(golden);
       out << cell.telemetry_counters_json;
@@ -354,6 +377,38 @@ TEST(ParallelSweepTest, DmtTelemetryCountersMatchGolden) {
     EXPECT_EQ(cell.telemetry_counters_json, buffer.str());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, TelemetryGoldenTest,
+    ::testing::Values(
+        TelemetryGoldenCase{"DMT",
+                            "dmt",
+                            "Dmt",
+                            {{"Agrawal", "dmt.splits"},
+                             {"SEA", "dmt.candidate_proposals"}}},
+        TelemetryGoldenCase{"VFDT(MC)",
+                            "vfdt_mc",
+                            "VfdtMc",
+                            {{"Agrawal", "vfdt.splits"}}},
+        TelemetryGoldenCase{"VFDT(NBA)",
+                            "vfdt_nba",
+                            "VfdtNba",
+                            {{"Agrawal", "vfdt.splits"}}},
+        TelemetryGoldenCase{"HT-Ada",
+                            "ht_ada",
+                            "HtAda",
+                            {{"Agrawal", "hat.alternates_started"},
+                             {"Agrawal", "hat.alternates_promoted"},
+                             {"Agrawal", "hat.alternates_dropped"},
+                             {"SEA", "adwin.shrinks"}}},
+        TelemetryGoldenCase{"EFDT",
+                            "efdt",
+                            "Efdt",
+                            {{"Agrawal", "efdt.reevaluations"},
+                             {"Agrawal", "efdt.split_replacements"}}}),
+    [](const ::testing::TestParamInfo<TelemetryGoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --dmt-exact is the paper-exact pipeline: every node evaluates every batch,
 // so the scheduler never defers a gain test. (The default schedule's skips
