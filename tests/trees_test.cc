@@ -606,6 +606,63 @@ TEST(HatTest, RecoversFromAbruptDrift) {
   EXPECT_GT(correct, 850);
 }
 
+// Equal-merit attributes (an unspecified behaviour of Hoeffding trees,
+// Manapragada et al.): with x0 == x1 both features score the same merit at
+// every split attempt, and the scan keeps the first one it saw under its
+// strict `>`, so the lowest feature index wins. tie_threshold = 1.0 makes
+// the tie rule split as soon as a leaf is impure.
+enum class TieTree { kVfdt, kEfdt, kHat };
+
+class EqualMeritTieBreakTest : public ::testing::TestWithParam<TieTree> {};
+
+TEST_P(EqualMeritTieBreakTest, LowestFeatureIndexWins) {
+  std::unique_ptr<Classifier> tree;
+  switch (GetParam()) {
+    case TieTree::kVfdt:
+      tree = std::make_unique<Vfdt>(VfdtConfig{
+          .num_features = 3, .num_classes = 2, .tie_threshold = 1.0});
+      break;
+    case TieTree::kEfdt:
+      tree = std::make_unique<Efdt>(EfdtConfig{
+          .num_features = 3, .num_classes = 2, .tie_threshold = 1.0});
+      break;
+    case TieTree::kHat:
+      tree = std::make_unique<HoeffdingAdaptiveTree>(HatConfig{
+          .num_features = 3, .num_classes = 2, .tie_threshold = 1.0});
+      break;
+  }
+  Rng rng(31);
+  Batch batch(3);
+  for (int i = 0; i < 4000; ++i) {
+    const double v = rng.Uniform();
+    const std::vector<double> x = {v, v, rng.Uniform()};
+    batch.Add(x, v <= 0.5 ? 0 : 1);
+  }
+  tree->PartialFit(batch);
+  ASSERT_GE(tree->NumSplits(), 1u);
+  // Routed by x0 the probes land on their own side of 0.5; routed by x1
+  // they would swap classes.
+  const std::vector<double> low_x0 = {0.1, 0.9, 0.5};
+  const std::vector<double> high_x0 = {0.9, 0.1, 0.5};
+  EXPECT_EQ(tree->Predict(low_x0), 0);
+  EXPECT_EQ(tree->Predict(high_x0), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trees, EqualMeritTieBreakTest,
+    ::testing::Values(TieTree::kVfdt, TieTree::kEfdt, TieTree::kHat),
+    [](const ::testing::TestParamInfo<TieTree>& info) {
+      switch (info.param) {
+        case TieTree::kVfdt:
+          return std::string("Vfdt");
+        case TieTree::kEfdt:
+          return std::string("Efdt");
+        case TieTree::kHat:
+          return std::string("HtAda");
+      }
+      return std::string("Unknown");
+    });
+
 TEST(FimtDdTest, LearnsAxisConceptWithModelLeaves) {
   FimtDd tree({.num_features = 2, .num_classes = 2});
   Rng rng(13);
