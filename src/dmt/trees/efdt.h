@@ -8,6 +8,10 @@
 // back to a leaf when no candidate retains positive merit. The paper sets
 // the minimum number of observations between re-evaluations to 1,000
 // (Sec. VI-C).
+//
+// The node record, split scan, Hoeffding decision, routing, tree walk and
+// config head are the Hoeffding-tree core's (trees/hoeffding_tree.h). EFDT
+// adds the statistics at inner nodes and their re-evaluation.
 #ifndef DMT_TREES_EFDT_H_
 #define DMT_TREES_EFDT_H_
 
@@ -18,7 +22,7 @@
 #include <vector>
 
 #include "dmt/common/classifier.h"
-#include "dmt/trees/observers.h"
+#include "dmt/trees/hoeffding_tree.h"
 
 namespace dmt::trees {
 
@@ -66,10 +70,11 @@ class Efdt : public Classifier {
 
   void AttemptInitialSplit(Node* leaf);
   void ReevaluateSplit(Node* inner);
-  SplitSuggestion BestSuggestion(const Node& node) const;
+  SplitCandidate BestCandidate(const Node& node);
 
   EfdtConfig config_;
   std::unique_ptr<Node> root_;
+  SplitScanner scanner_;
   // Telemetry destinations, null until AttachTelemetry.
   std::uint64_t* split_attempts_counter_ = nullptr;
   std::uint64_t* splits_counter_ = nullptr;

@@ -1,6 +1,5 @@
 #include "dmt/trees/hoeffding_adaptive.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "dmt/common/check.h"
@@ -8,39 +7,18 @@
 #include "dmt/drift/adwin.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/serial/model_io.h"
-#include "dmt/trees/split_criteria.h"
 
 namespace dmt::trees {
 
-struct HoeffdingAdaptiveTree::Node {
-  int split_feature = -1;  // < 0 marks a leaf
-  double split_value = 0.0;
-  std::unique_ptr<Node> left;
-  std::unique_ptr<Node> right;
-
-  // Leaf statistics.
-  std::vector<double> class_counts;
-  std::vector<NumericObserver> observers;
-  double weight_seen = 0.0;
-  double weight_at_last_attempt = 0.0;
+struct HoeffdingAdaptiveTree::Node : HoeffdingNode<Node> {
+  Node(int num_features, int num_classes, double adwin_delta)
+      : HoeffdingNode(num_features, num_classes),
+        error_monitor(adwin_delta) {}
 
   // Error monitor of the subtree rooted here, and the alternate subtree
   // grown after a detected change.
   drift::Adwin error_monitor;
   std::unique_ptr<Node> alternate;
-
-  Node(int num_features, int num_classes, double adwin_delta)
-      : class_counts(num_classes, 0.0),
-        observers(num_features, NumericObserver(num_classes)),
-        error_monitor(adwin_delta) {}
-
-  bool is_leaf() const { return split_feature < 0; }
-
-  int MajorityClass() const {
-    return static_cast<int>(
-        std::max_element(class_counts.begin(), class_counts.end()) -
-        class_counts.begin());
-  }
 
   void Save(serial::Writer& writer) const;
   static std::unique_ptr<Node> Load(serial::Reader& reader,
@@ -49,59 +27,33 @@ struct HoeffdingAdaptiveTree::Node {
 };
 
 void HoeffdingAdaptiveTree::Node::Save(serial::Writer& writer) const {
-  writer.I32(split_feature);
-  writer.F64(split_value);
+  SaveSplit(writer);
   writer.VecF64(class_counts);
-  writer.Size(observers.size());
-  for (const NumericObserver& obs : observers) obs.Save(writer);
+  SaveObservers(writer);
   writer.F64(weight_seen);
   writer.F64(weight_at_last_attempt);
   error_monitor.Save(writer);
   writer.Bool(alternate != nullptr);
   if (alternate != nullptr) alternate->Save(writer);
-  if (!is_leaf()) {
-    left->Save(writer);
-    right->Save(writer);
-  }
+  SaveChildren(writer);
 }
 
 std::unique_ptr<HoeffdingAdaptiveTree::Node> HoeffdingAdaptiveTree::Node::Load(
     serial::Reader& reader, const HatConfig& config, std::size_t depth) {
-  serial::Check(depth <= serial::kMaxTreeDepth,
-                "HT-Ada node depth exceeds the archive limit");
   auto node = std::make_unique<Node>(config.num_features, config.num_classes,
                                      config.adwin_delta);
-  const std::int32_t split_feature = reader.I32();
-  serial::Check(split_feature >= -1 && split_feature < config.num_features,
-                "HT-Ada split feature out of range");
-  node->split_feature = static_cast<int>(split_feature);
-  node->split_value = reader.F64();
+  node->LoadSplit(reader, config.num_features, depth, "HT-Ada");
   node->class_counts =
       reader.VecF64Exact(static_cast<std::size_t>(config.num_classes));
-  const std::size_t features = static_cast<std::size_t>(config.num_features);
-  // Split nodes clear their observers; the leaf training path indexes
-  // observers[j] for every feature (see Vfdt::Node::Load).
-  const std::size_t num_observers = reader.Size(features);
-  serial::Check(num_observers == 0 || num_observers == features,
-                "HT-Ada observer count is neither empty nor one per feature");
-  node->observers.clear();
-  for (std::size_t j = 0; j < num_observers; ++j) {
-    node->observers.push_back(
-        NumericObserver::Load(reader, config.num_classes));
-  }
+  node->LoadObservers(reader, config.num_features, config.num_classes,
+                      "HT-Ada");
   node->weight_seen = reader.F64();
   node->weight_at_last_attempt = reader.F64();
   node->error_monitor = drift::Adwin::Load(reader);
   if (reader.Bool()) {
     node->alternate = Load(reader, config, depth + 1);
   }
-  if (!node->is_leaf()) {
-    node->left = Load(reader, config, depth + 1);
-    node->right = Load(reader, config, depth + 1);
-  } else {
-    serial::Check(num_observers == features,
-                  "HT-Ada leaf is missing its attribute observers");
-  }
+  node->LoadChildren(reader, config, depth, "HT-Ada");
   return node;
 }
 
@@ -144,19 +96,10 @@ void HoeffdingAdaptiveTree::AttachTelemetry(obs::TelemetryRegistry* registry) {
   walk(walk, root_.get());
 }
 
-int HoeffdingAdaptiveTree::SubtreePredict(const Node* node,
-                                          std::span<const double> x) const {
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  return node->MajorityClass();
-}
-
 void HoeffdingAdaptiveTree::TrainAt(Node* node, std::span<const double> x,
                                     int y) {
   // Monitor the error of the subtree rooted at this node.
-  const bool error = SubtreePredict(node, x) != y;
+  const bool error = RouteToLeaf(node, x)->MajorityClass() != y;
   const bool drift = node->error_monitor.Update(error ? 1.0 : 0.0);
 
   if (drift && node->alternate == nullptr && !node->is_leaf()) {
@@ -197,22 +140,13 @@ void HoeffdingAdaptiveTree::TrainAt(Node* node, std::span<const double> x,
   }
 
   if (node->is_leaf()) {
-    node->class_counts[y] += 1.0;
-    node->weight_seen += 1.0;
-    for (int j = 0; j < config_.num_features; ++j) {
-      node->observers[j].Add(x[j], y);
-    }
-    if (node->weight_seen - node->weight_at_last_attempt >=
-        static_cast<double>(config_.grace_period)) {
-      node->weight_at_last_attempt = node->weight_seen;
+    node->Learn(x, y);
+    if (node->AttemptDue(static_cast<double>(config_.grace_period))) {
       AttemptSplit(node);
     }
     return;
   }
-  Node* child = x[node->split_feature] <= node->split_value
-                    ? node->left.get()
-                    : node->right.get();
-  TrainAt(child, x, y);
+  TrainAt(node->Child(x), x, y);
 }
 
 void HoeffdingAdaptiveTree::TrainInstance(std::span<const double> x, int y) {
@@ -230,97 +164,33 @@ void HoeffdingAdaptiveTree::PartialFit(const Batch& batch) {
 
 void HoeffdingAdaptiveTree::AttemptSplit(Node* leaf) {
   DMT_TELEMETRY_COUNT(split_attempts_counter_);
-  double nonzero = 0.0;
-  for (double c : leaf->class_counts) nonzero += c > 0.0 ? 1.0 : 0.0;
-  if (nonzero < 2.0) return;
-
-  SplitSuggestion best;
-  SplitSuggestion second;
-  for (int j = 0; j < config_.num_features; ++j) {
-    SplitSuggestion s = leaf->observers[j].BestSplit(
-        j, leaf->class_counts, config_.num_split_candidates);
-    if (s.merit > best.merit) {
-      second = std::move(best);
-      best = std::move(s);
-    } else if (s.merit > second.merit) {
-      second = std::move(s);
-    }
+  if (leaf->IsPure()) return;
+  const SplitRanking ranking =
+      scanner_.Rank(*leaf, scanner_.AllFeatures(config_.num_features),
+                    config_.num_split_candidates);
+  if (!HoeffdingSplits(config_, ranking.best, ranking.second.merit,
+                       leaf->weight_seen)) {
+    return;
   }
-  if (best.feature < 0 || best.merit <= 0.0) return;
-
-  const double range = std::log2(static_cast<double>(config_.num_classes));
-  const double epsilon =
-      HoeffdingBound(range, config_.split_confidence, leaf->weight_seen);
-  if (best.merit - std::max(0.0, second.merit) > epsilon ||
-      epsilon < config_.tie_threshold) {
-    DMT_TELEMETRY_COUNT(splits_counter_);
-    leaf->split_feature = best.feature;
-    leaf->split_value = best.threshold;
-    leaf->left = std::make_unique<Node>(
-        config_.num_features, config_.num_classes, config_.adwin_delta);
-    leaf->right = std::make_unique<Node>(
-        config_.num_features, config_.num_classes, config_.adwin_delta);
-    BindNodeTelemetry(leaf->left.get());
-    BindNodeTelemetry(leaf->right.get());
-    leaf->observers.clear();
-  }
+  DMT_TELEMETRY_COUNT(splits_counter_);
+  leaf->SplitAt(ranking.best, config_.num_features, config_.num_classes,
+                config_.adwin_delta);
+  BindNodeTelemetry(leaf->left.get());
+  BindNodeTelemetry(leaf->right.get());
+  leaf->observers.clear();
 }
 
 void HoeffdingAdaptiveTree::PredictProbaInto(std::span<const double> x,
                                              std::span<double> out) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf()) {
-    node = x[node->split_feature] <= node->split_value ? node->left.get()
-                                                       : node->right.get();
-  }
-  if (node->weight_seen <= 0.0) {
-    std::fill(out.begin(), out.end(), 1.0 / config_.num_classes);
-    return;
-  }
-  for (int c = 0; c < config_.num_classes; ++c) {
-    out[c] = node->class_counts[c] / node->weight_seen;
-  }
+  RouteToLeaf(root_.get(), x)->MajorityProbaInto(out);
 }
 
-namespace {
-
-struct HatShape {
-  std::size_t inner = 0;
-  std::size_t leaves = 0;
-  std::size_t alternates = 0;
-};
-
-}  // namespace
-
 std::size_t HoeffdingAdaptiveTree::NumInnerNodes() const {
-  HatShape shape;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->alternate != nullptr) ++shape.alternates;
-    if (node->is_leaf()) {
-      ++shape.leaves;
-      return;
-    }
-    ++shape.inner;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return shape.inner;
+  return root_->Shape().inner;
 }
 
 std::size_t HoeffdingAdaptiveTree::NumLeaves() const {
-  HatShape shape;
-  auto walk = [&](auto&& self, const Node* node) -> void {
-    if (node->is_leaf()) {
-      ++shape.leaves;
-      return;
-    }
-    ++shape.inner;
-    self(self, node->left.get());
-    self(self, node->right.get());
-  };
-  walk(walk, root_.get());
-  return shape.leaves;
+  return root_->Shape().leaves;
 }
 
 std::size_t HoeffdingAdaptiveTree::NumAlternateTrees() const {
@@ -345,11 +215,7 @@ std::size_t HoeffdingAdaptiveTree::NumParameters() const {
 }
 
 void HoeffdingAdaptiveTree::SaveBody(serial::Writer& writer) const {
-  writer.I32(config_.num_features);
-  writer.I32(config_.num_classes);
-  writer.Size(config_.grace_period);
-  writer.F64(config_.split_confidence);
-  writer.F64(config_.tie_threshold);
+  SaveHoeffdingHead(writer, config_);
   writer.F64(config_.adwin_delta);
   writer.Size(config_.min_swap_width);
   writer.F64(config_.swap_confidence);
@@ -360,19 +226,7 @@ void HoeffdingAdaptiveTree::SaveBody(serial::Writer& writer) const {
 std::unique_ptr<HoeffdingAdaptiveTree> HoeffdingAdaptiveTree::LoadBody(
     serial::Reader& reader) {
   HatConfig config;
-  config.num_features = static_cast<int>(serial::CheckedRange(
-      reader.I32(), 1, serial::kMaxFeatures, "HT-Ada feature count"));
-  config.num_classes = static_cast<int>(serial::CheckedRange(
-      reader.I32(), 2, serial::kMaxClasses, "HT-Ada class count"));
-  serial::Check(static_cast<std::uint64_t>(config.num_features) *
-                        static_cast<std::uint64_t>(config.num_classes) <=
-                    static_cast<std::uint64_t>(serial::kMaxVector),
-                "HT-Ada observer dimensions exceed the archive limit");
-  config.grace_period = reader.Size(std::size_t{1} << 62);
-  config.split_confidence =
-      serial::CheckedFinite(reader.F64(), "HT-Ada split confidence");
-  config.tie_threshold =
-      serial::CheckedFinite(reader.F64(), "HT-Ada tie threshold");
+  LoadHoeffdingHead(reader, "HT-Ada", &config);
   config.adwin_delta = reader.F64();
   // Flows into every node's ADWIN constructor, which DMT_CHECKs the range.
   serial::Check(std::isfinite(config.adwin_delta) &&

@@ -6,6 +6,10 @@
 // accurate, it replaces the original branch (and is discarded if the
 // original recovers). The paper evaluates this as "HT-ADA" with majority
 // voting in the leaves and without bootstrap sampling (Sec. VI-C).
+//
+// The node record, split scan, Hoeffding decision, routing, tree walk and
+// config head are the Hoeffding-tree core's (trees/hoeffding_tree.h).
+// HT-Ada adds the per-node ADWIN error monitors and alternate subtrees.
 #ifndef DMT_TREES_HOEFFDING_ADAPTIVE_H_
 #define DMT_TREES_HOEFFDING_ADAPTIVE_H_
 
@@ -16,7 +20,7 @@
 #include <vector>
 
 #include "dmt/common/classifier.h"
-#include "dmt/trees/observers.h"
+#include "dmt/trees/hoeffding_tree.h"
 
 namespace dmt::trees {
 
@@ -73,11 +77,11 @@ class HoeffdingAdaptiveTree : public Classifier {
 
   void TrainAt(Node* node, std::span<const double> x, int y);
   void AttemptSplit(Node* leaf);
-  int SubtreePredict(const Node* node, std::span<const double> x) const;
   void BindNodeTelemetry(Node* node);
 
   HatConfig config_;
   std::unique_ptr<Node> root_;
+  SplitScanner scanner_;
   // Telemetry destinations, null until AttachTelemetry.
   std::uint64_t* split_attempts_counter_ = nullptr;
   std::uint64_t* splits_counter_ = nullptr;

@@ -64,12 +64,6 @@ void NumericObserver::CountsBelowInto(double threshold,
   }
 }
 
-std::vector<double> NumericObserver::CountsBelow(double threshold) const {
-  std::vector<double> counts(num_classes_, 0.0);
-  CountsBelowInto(threshold, counts);
-  return counts;
-}
-
 SplitCandidate NumericObserver::BestSplitInto(
     int feature, std::span<const double> parent_counts, int num_candidates,
     std::span<double> left_scratch, std::span<double> right_scratch) const {
@@ -102,32 +96,6 @@ SplitCandidate NumericObserver::BestSplitInto(
   return best;
 }
 
-SplitSuggestion NumericObserver::BestSplit(
-    int feature, const std::vector<double>& parent_counts,
-    int num_candidates) const {
-  std::vector<double> left_scratch(num_classes_);
-  std::vector<double> right_scratch(num_classes_);
-  const SplitCandidate core = BestSplitInto(feature, parent_counts,
-                                            num_candidates, left_scratch,
-                                            right_scratch);
-  SplitSuggestion best;
-  best.feature = core.feature;
-  best.threshold = core.threshold;
-  best.is_equality = core.is_equality;
-  best.merit = core.merit;
-  if (std::isfinite(core.merit)) {
-    // Recompute the winning projection; deterministic, so identical to what
-    // the scan saw.
-    best.left_counts = CountsBelow(core.threshold);
-    best.right_counts.resize(num_classes_);
-    for (int c = 0; c < num_classes_; ++c) {
-      best.right_counts[c] =
-          std::max(0.0, parent_counts[c] - best.left_counts[c]);
-    }
-  }
-  return best;
-}
-
 void NumericObserver::Save(serial::Writer& writer) const {
   writer.I32(num_classes_);
   for (const GaussianEstimator& est : per_class_) {
@@ -155,74 +123,6 @@ NumericObserver NumericObserver::Load(serial::Reader& reader,
   observer.min_ = reader.F64();
   observer.max_ = reader.F64();
   return observer;
-}
-
-NominalObserver::NominalObserver(int num_classes)
-    : num_classes_(num_classes) {
-  DMT_CHECK(num_classes >= 2);
-}
-
-void NominalObserver::Add(double value, int y, int count) {
-  DMT_DCHECK(y >= 0 && y < num_classes_);
-  DMT_DCHECK(count >= 1);
-  // A NaN key breaks std::map's strict weak ordering (NaN compares false
-  // against everything), corrupting the tree; treat non-finite as missing.
-  if (!std::isfinite(value)) return;
-  // find-then-emplace so the steady state (value already seen) stays off
-  // the heap; try_emplace would build its vector argument on every call.
-  auto it = value_counts_.find(value);
-  if (it == value_counts_.end()) {
-    it = value_counts_
-             .emplace(value, std::vector<double>(num_classes_, 0.0))
-             .first;
-  }
-  it->second[y] += count;
-}
-
-void NominalObserver::Save(serial::Writer& writer) const {
-  writer.I32(num_classes_);
-  writer.Size(value_counts_.size());
-  for (const auto& [value, counts] : value_counts_) {
-    writer.F64(value);
-    writer.VecF64(counts);
-  }
-}
-
-NominalObserver NominalObserver::Load(serial::Reader& reader,
-                                      int num_classes) {
-  serial::Check(reader.I32() == num_classes,
-                "observer class count disagrees with the owning tree");
-  NominalObserver observer(num_classes);
-  const std::size_t num_values = reader.Size(serial::kMaxVector);
-  for (std::size_t i = 0; i < num_values; ++i) {
-    // A NaN key breaks std::map ordering (see Add); a hostile archive must
-    // not be able to smuggle one in.
-    const double value = serial::CheckedFinite(reader.F64(), "nominal value");
-    std::vector<double> counts =
-        reader.VecF64Exact(static_cast<std::size_t>(num_classes));
-    observer.value_counts_.emplace(value, std::move(counts));
-  }
-  return observer;
-}
-
-SplitCandidate NominalObserver::BestSplitInto(
-    int feature, std::span<const double> parent_counts,
-    std::span<double> right_scratch) const {
-  SplitCandidate best;
-  best.feature = feature;
-  best.is_equality = true;
-  const std::span<double> right = right_scratch.first(num_classes_);
-  for (const auto& [value, counts] : value_counts_) {
-    for (int c = 0; c < num_classes_; ++c) {
-      right[c] = std::max(0.0, parent_counts[c] - counts[c]);
-    }
-    const double merit = InfoGain(parent_counts, counts, right);
-    if (merit > best.merit) {
-      best.threshold = value;
-      best.merit = merit;
-    }
-  }
-  return best;
 }
 
 }  // namespace dmt::trees

@@ -1,17 +1,18 @@
-// Per-feature attribute observers that accumulate class-conditional
-// statistics at tree leaves and propose binary split candidates.
+// The per-feature attribute observer of the Hoeffding trees: it
+// accumulates class-conditional statistics at a node and proposes binary
+// split candidates "x <= threshold".
 //
-// The numeric observer keeps one Gaussian per class plus the observed range
-// and scores equally spaced candidate thresholds through the Gaussian CDF
-// (the standard MOA/scikit-multiflow approach). The nominal observer keeps
-// exact per-value class counts and proposes equality splits. All paper
-// experiments use binary splits only (Sec. VI-C).
+// It keeps one Gaussian per class plus the observed range and scores
+// equally spaced candidate thresholds through the Gaussian CDF (the
+// standard MOA/scikit-multiflow approach). All paper experiments use
+// binary splits on numeric features; CSV ingest factorizes categorical
+// columns into numbers, as the paper does (Sec. VI-C). The split scan
+// over a node's observers lives in trees/hoeffding_tree.h.
 #ifndef DMT_TREES_OBSERVERS_H_
 #define DMT_TREES_OBSERVERS_H_
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -41,23 +42,12 @@ struct GaussianEstimator {
   double LogPdf(double x) const;
 };
 
-// A scored binary split proposal for one feature.
-struct SplitSuggestion {
-  int feature = -1;
-  double threshold = 0.0;   // numeric: x <= threshold; nominal: x == value
-  bool is_equality = false; // true for nominal equality splits
-  double merit = -std::numeric_limits<double>::infinity();
-  std::vector<double> left_counts;
-  std::vector<double> right_counts;
-};
-
-// Trivially copyable variant without the projected count vectors, for the
-// allocation-free split attempt (the Hoeffding test only needs feature,
-// threshold and merit; children start from empty statistics anyway).
+// A scored binary split proposal "x[feature] <= threshold". Trivially
+// copyable: the Hoeffding test only needs feature, threshold and merit, and
+// children start from empty statistics anyway.
 struct SplitCandidate {
   int feature = -1;
   double threshold = 0.0;
-  bool is_equality = false;
   double merit = -std::numeric_limits<double>::infinity();
 };
 
@@ -71,24 +61,19 @@ class NumericObserver {
   // (Vfdt::TrainInstance with a Poisson weight) pass their chunk here.
   void Add(double value, int y, int count = 1);
 
-  // Best split for this feature by `criterion` merit, where the criterion
-  // is information gain over the projected class distributions.
-  // `num_candidates` thresholds are probed uniformly inside (min, max).
-  SplitSuggestion BestSplit(int feature,
-                            const std::vector<double>& parent_counts,
-                            int num_candidates = 10) const;
-
-  // Allocation-free core of BestSplit: identical threshold/merit sequence,
-  // but projected counts land in caller-provided scratch (>= num_classes
-  // each) instead of fresh vectors.
+  // Best split for this feature by information gain over the projected
+  // class distributions. `num_candidates` thresholds are probed uniformly
+  // inside (min, max); a threshold leaving less than one unit of weight on
+  // either side is skipped. The projected counts land in caller-provided
+  // scratch (>= num_classes each), so the scan allocates nothing.
   SplitCandidate BestSplitInto(int feature,
                                std::span<const double> parent_counts,
                                int num_candidates,
                                std::span<double> left_scratch,
                                std::span<double> right_scratch) const;
 
-  // Class counts estimated to fall at or below `threshold` (Gaussian CDF).
-  std::vector<double> CountsBelow(double threshold) const;
+  // Class counts estimated to fall at or below `threshold` (Gaussian CDF),
+  // written to `out` (>= num_classes).
   void CountsBelowInto(double threshold, std::span<double> out) const;
 
   bool has_range() const { return max_ > min_; }
@@ -114,30 +99,6 @@ class NumericObserver {
   std::vector<double> class_weights_;
   double min_ = std::numeric_limits<double>::max();
   double max_ = std::numeric_limits<double>::lowest();
-};
-
-class NominalObserver {
- public:
-  explicit NominalObserver(int num_classes);
-
-  // Adds `count` (>= 1) to the class-`y` count of `value`.
-  void Add(double value, int y, int count = 1);
-
-  // Best equality split "x == v vs x != v" over observed values
-  // (right_scratch >= num_classes).
-  SplitCandidate BestSplitInto(int feature,
-                               std::span<const double> parent_counts,
-                               std::span<double> right_scratch) const;
-
-  // --- Persistence (binary archive; see serial/archive.h) ---
-  // The archived class count must equal `num_classes` (the owning tree's);
-  // a mismatch throws serial::SerialError.
-  void Save(serial::Writer& writer) const;
-  static NominalObserver Load(serial::Reader& reader, int num_classes);
-
- private:
-  int num_classes_;
-  std::map<double, std::vector<double>> value_counts_;
 };
 
 }  // namespace dmt::trees

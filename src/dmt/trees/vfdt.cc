@@ -9,41 +9,15 @@
 #include "dmt/common/sanitize.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/serial/model_io.h"
-#include "dmt/trees/split_criteria.h"
 
 namespace dmt::trees {
 
-struct Vfdt::Node {
-  // Inner-node state; split_feature < 0 marks a leaf.
-  int split_feature = -1;
-  double split_value = 0.0;
-  bool split_is_equality = false;  // nominal split: x == value goes left
-  std::unique_ptr<Node> left;
-  std::unique_ptr<Node> right;
+struct Vfdt::Node : HoeffdingNode<Node> {
+  using HoeffdingNode::HoeffdingNode;
 
-  // Leaf state. Numeric features use Gaussian observers; nominal features
-  // (flagged in the config) use exact per-value counts.
-  std::vector<double> class_counts;
-  std::vector<NumericObserver> observers;
-  std::vector<NominalObserver> nominal_observers;  // parallel, sparse-used
-  double weight_seen = 0.0;
-  double weight_at_last_attempt = 0.0;
   // Adaptive Naive Bayes bookkeeping (VFDT-NBA).
   double mc_correct = 0.0;
   double nb_correct = 0.0;
-
-  Node(int num_features, int num_classes)
-      : class_counts(num_classes, 0.0),
-        observers(num_features, NumericObserver(num_classes)),
-        nominal_observers(num_features, NominalObserver(num_classes)) {}
-
-  bool is_leaf() const { return split_feature < 0; }
-
-  int MajorityClass() const {
-    return static_cast<int>(
-        std::max_element(class_counts.begin(), class_counts.end()) -
-        class_counts.begin());
-  }
 
   void NaiveBayesProbaInto(std::span<const double> x,
                            std::span<double> out) const {
@@ -67,75 +41,56 @@ struct Vfdt::Node {
   }
 
   void Save(serial::Writer& writer) const;
-  static Node Load(serial::Reader& reader, const VfdtConfig& config,
-                   std::size_t depth);
+  static std::unique_ptr<Node> Load(serial::Reader& reader,
+                                    const VfdtConfig& config,
+                                    std::size_t depth);
 };
 
+// The retired nominal-feature path left two slots in each node record: an
+// equality-split flag and a nominal observer list parallel to the numeric
+// one. Saves write them as the last trees with that path did (false, and
+// one empty record per numeric observer); loads reject anything else.
 void Vfdt::Node::Save(serial::Writer& writer) const {
-  writer.I32(split_feature);
-  writer.F64(split_value);
-  writer.Bool(split_is_equality);
+  SaveSplit(writer);
+  writer.Bool(false);
   writer.VecF64(class_counts);
+  SaveObservers(writer);
   writer.Size(observers.size());
-  for (const NumericObserver& obs : observers) obs.Save(writer);
-  writer.Size(nominal_observers.size());
-  for (const NominalObserver& obs : nominal_observers) obs.Save(writer);
+  for (std::size_t j = 0; j < observers.size(); ++j) {
+    writer.I32(static_cast<std::int32_t>(class_counts.size()));
+    writer.Size(0);
+  }
   writer.F64(weight_seen);
   writer.F64(weight_at_last_attempt);
   writer.F64(mc_correct);
   writer.F64(nb_correct);
-  if (!is_leaf()) {
-    left->Save(writer);
-    right->Save(writer);
-  }
+  SaveChildren(writer);
 }
 
-Vfdt::Node Vfdt::Node::Load(serial::Reader& reader, const VfdtConfig& config,
-                            std::size_t depth) {
-  serial::Check(depth <= serial::kMaxTreeDepth,
-                "VFDT node depth exceeds the archive limit");
-  Node node(config.num_features, config.num_classes);
-  const std::int32_t split_feature = reader.I32();
-  serial::Check(split_feature >= -1 && split_feature < config.num_features,
-                "VFDT split feature out of range");
-  node.split_feature = static_cast<int>(split_feature);
-  node.split_value = reader.F64();
-  node.split_is_equality = reader.Bool();
-  node.class_counts =
+std::unique_ptr<Vfdt::Node> Vfdt::Node::Load(serial::Reader& reader,
+                                             const VfdtConfig& config,
+                                             std::size_t depth) {
+  auto node = std::make_unique<Node>(config.num_features, config.num_classes);
+  node->LoadSplit(reader, config.num_features, depth, "VFDT");
+  serial::Check(!reader.Bool(), "VFDT equality splits are retired");
+  node->class_counts =
       reader.VecF64Exact(static_cast<std::size_t>(config.num_classes));
-  const std::size_t features = static_cast<std::size_t>(config.num_features);
-  // Split nodes clear their observers; leaves keep one per feature. The
-  // training path indexes observers[j] for every feature, so a short vector
-  // on a leaf would be out-of-bounds access, not just lost statistics.
-  const std::size_t num_observers = reader.Size(features);
-  serial::Check(num_observers == 0 || num_observers == features,
-                "VFDT observer count is neither empty nor one per feature");
-  node.observers.clear();
-  for (std::size_t j = 0; j < num_observers; ++j) {
-    node.observers.push_back(
-        NumericObserver::Load(reader, config.num_classes));
+  node->LoadObservers(reader, config.num_features, config.num_classes,
+                      "VFDT");
+  serial::Check(reader.Size(static_cast<std::size_t>(config.num_features)) ==
+                    node->observers.size(),
+                "VFDT nominal observer count disagrees with the numeric one");
+  for (std::size_t j = 0; j < node->observers.size(); ++j) {
+    serial::Check(reader.I32() == config.num_classes,
+                  "observer class count disagrees with the owning tree");
+    serial::Check(reader.Size(serial::kMaxVector) == 0,
+                  "VFDT nominal observers are retired");
   }
-  const std::size_t num_nominal = reader.Size(features);
-  serial::Check(num_nominal == 0 || num_nominal == features,
-                "VFDT observer count is neither empty nor one per feature");
-  node.nominal_observers.clear();
-  for (std::size_t j = 0; j < num_nominal; ++j) {
-    node.nominal_observers.push_back(
-        NominalObserver::Load(reader, config.num_classes));
-  }
-  node.weight_seen = reader.F64();
-  node.weight_at_last_attempt = reader.F64();
-  node.mc_correct = reader.F64();
-  node.nb_correct = reader.F64();
-  if (!node.is_leaf()) {
-    node.left = std::make_unique<Node>(
-        Node::Load(reader, config, depth + 1));
-    node.right = std::make_unique<Node>(
-        Node::Load(reader, config, depth + 1));
-  } else {
-    serial::Check(num_observers == features && num_nominal == features,
-                  "VFDT leaf is missing its attribute observers");
-  }
+  node->weight_seen = reader.F64();
+  node->weight_at_last_attempt = reader.F64();
+  node->mc_correct = reader.F64();
+  node->nb_correct = reader.F64();
+  node->LoadChildren(reader, config, depth, "VFDT");
   return node;
 }
 
@@ -153,23 +108,6 @@ void Vfdt::AttachTelemetry(obs::TelemetryRegistry* registry) {
   splits_counter_ = registry->Counter("vfdt.splits");
 }
 
-bool Vfdt::IsNominal(int feature) const {
-  return std::find(config_.nominal_features.begin(),
-                   config_.nominal_features.end(),
-                   feature) != config_.nominal_features.end();
-}
-
-Vfdt::Node* Vfdt::RouteToLeaf(std::span<const double> x) const {
-  Node* node = root_.get();
-  while (!node->is_leaf()) {
-    const double v = x[node->split_feature];
-    const bool go_left = node->split_is_equality ? v == node->split_value
-                                                 : v <= node->split_value;
-    node = go_left ? node->left.get() : node->right.get();
-  }
-  return node;
-}
-
 void Vfdt::TrainInstance(std::span<const double> x, int y, int weight) {
   // Non-finite rows are unusable: a NaN would corrupt the per-leaf
   // Gaussian observers and class counts permanently (DESIGN.md Sec. 8).
@@ -179,7 +117,7 @@ void Vfdt::TrainInstance(std::span<const double> x, int y, int weight) {
   const bool nba =
       config_.leaf_prediction == LeafPrediction::kNaiveBayesAdaptive;
   const double grace = static_cast<double>(config_.grace_period);
-  Node* leaf = RouteToLeaf(x);
+  Node* leaf = RouteToLeaf(root_.get(), x);
   while (weight > 0) {
     // A chunk stops at the leaf's next split attempt, so the attempt sees
     // the statistics it would after unit calls. Counts are exact integers
@@ -202,21 +140,12 @@ void Vfdt::TrainInstance(std::span<const double> x, int y, int weight) {
       leaf->NaiveBayesProbaInto(x, nb_scratch_);
       if (ArgMax(nb_scratch_) == y) leaf->nb_correct += 1.0;
     }
-    leaf->class_counts[y] += chunk;
-    leaf->weight_seen += chunk;
-    for (int j = 0; j < config_.num_features; ++j) {
-      if (IsNominal(j)) {
-        leaf->nominal_observers[j].Add(x[j], y, chunk);
-      } else {
-        leaf->observers[j].Add(x[j], y, chunk);
-      }
-    }
+    leaf->Learn(x, y, chunk);
     weight -= chunk;
-    if (leaf->weight_seen - leaf->weight_at_last_attempt >= grace) {
-      leaf->weight_at_last_attempt = leaf->weight_seen;
+    if (leaf->AttemptDue(grace)) {
       AttemptSplit(leaf);
       // A split sends the remaining units to the new child.
-      if (!leaf->is_leaf()) leaf = RouteToLeaf(x);
+      if (!leaf->is_leaf()) leaf = leaf->Child(x);
     }
   }
 }
@@ -229,129 +158,52 @@ void Vfdt::PartialFit(const Batch& batch) {
 
 void Vfdt::AttemptSplit(Node* leaf) {
   DMT_TELEMETRY_COUNT(split_attempts_counter_);
-  // A pure leaf cannot be improved by splitting.
-  double nonzero = 0.0;
-  for (double c : leaf->class_counts) nonzero += c > 0.0 ? 1.0 : 0.0;
-  if (nonzero < 2.0) return;
-
+  if (leaf->IsPure()) return;
   // Feature pool: all features, or a random subspace (Adaptive Random
-  // Forest member trees). Pool and count buffers are grow-only members so
-  // the periodic split attempt is allocation-free once warm.
-  feature_pool_.resize(config_.num_features);
-  for (int j = 0; j < config_.num_features; ++j) feature_pool_[j] = j;
+  // Forest member trees).
+  std::vector<int>& features = scanner_.AllFeatures(config_.num_features);
   if (config_.subspace_size > 0 &&
       config_.subspace_size < config_.num_features) {
-    std::shuffle(feature_pool_.begin(), feature_pool_.end(), rng_.engine());
-    feature_pool_.resize(config_.subspace_size);
+    std::shuffle(features.begin(), features.end(), rng_.engine());
+    features.resize(config_.subspace_size);
   }
-  left_scratch_.resize(config_.num_classes);
-  right_scratch_.resize(config_.num_classes);
-
-  SplitCandidate best;
-  SplitCandidate second;
-  for (int j : feature_pool_) {
-    const SplitCandidate s =
-        IsNominal(j)
-            ? leaf->nominal_observers[j].BestSplitInto(j, leaf->class_counts,
-                                                       right_scratch_)
-            : leaf->observers[j].BestSplitInto(
-                  j, leaf->class_counts, config_.num_split_candidates,
-                  left_scratch_, right_scratch_);
-    if (s.merit > best.merit) {
-      second = best;
-      best = s;
-    } else if (s.merit > second.merit) {
-      second = s;
-    }
+  const SplitRanking ranking =
+      scanner_.Rank(*leaf, features, config_.num_split_candidates);
+  if (!HoeffdingSplits(config_, ranking.best, ranking.second.merit,
+                       leaf->weight_seen)) {
+    return;
   }
-  if (best.feature < 0 || best.merit <= 0.0) return;
-
-  const double range = std::log2(static_cast<double>(config_.num_classes));
-  const double epsilon =
-      HoeffdingBound(range, config_.split_confidence, leaf->weight_seen);
-  const double second_merit = std::max(0.0, second.merit);
-  if (best.merit - second_merit > epsilon ||
-      epsilon < config_.tie_threshold) {
-    DMT_TELEMETRY_COUNT(splits_counter_);
-    leaf->split_feature = best.feature;
-    leaf->split_value = best.threshold;
-    leaf->split_is_equality = best.is_equality;
-    leaf->left =
-        std::make_unique<Node>(config_.num_features, config_.num_classes);
-    leaf->right =
-        std::make_unique<Node>(config_.num_features, config_.num_classes);
-    leaf->observers.clear();
-    leaf->nominal_observers.clear();
-  }
+  DMT_TELEMETRY_COUNT(splits_counter_);
+  leaf->SplitAt(ranking.best, config_.num_features, config_.num_classes);
+  leaf->observers.clear();
 }
 
 void Vfdt::LeafProbaInto(const Node& leaf, std::span<const double> x,
                          std::span<double> out) const {
-  const int num_classes = config_.num_classes;
-  if (leaf.weight_seen <= 0.0) {
-    std::fill(out.begin(), out.end(), 1.0 / num_classes);
-    return;
-  }
   const bool use_nb =
       config_.leaf_prediction == LeafPrediction::kNaiveBayesAdaptive &&
-      leaf.nb_correct >= leaf.mc_correct && !leaf.observers.empty();
+      leaf.weight_seen > 0.0 && leaf.nb_correct >= leaf.mc_correct &&
+      !leaf.observers.empty();
   if (use_nb) {
     leaf.NaiveBayesProbaInto(x, out);
     return;
   }
-  for (int c = 0; c < num_classes; ++c) {
-    out[c] = leaf.class_counts[c] / leaf.weight_seen;
-  }
+  leaf.MajorityProbaInto(out);
 }
 
 void Vfdt::PredictProbaInto(std::span<const double> x,
                             std::span<double> out) const {
-  LeafProbaInto(*RouteToLeaf(x), x, out);
+  LeafProbaInto(*RouteToLeaf(root_.get(), x), x, out);
 }
 
-namespace {
+std::size_t Vfdt::NumInnerNodes() const { return root_->Shape().inner; }
 
-struct TreeShape {
-  std::size_t inner = 0;
-  std::size_t leaves = 0;
-  std::size_t depth = 0;
-};
+std::size_t Vfdt::NumLeaves() const { return root_->Shape().leaves; }
 
-}  // namespace
-
-template <typename NodeT>
-static void Walk(const NodeT* node, std::size_t depth, TreeShape* shape) {
-  shape->depth = std::max(shape->depth, depth);
-  if (node->is_leaf()) {
-    ++shape->leaves;
-    return;
-  }
-  ++shape->inner;
-  Walk(node->left.get(), depth + 1, shape);
-  Walk(node->right.get(), depth + 1, shape);
-}
-
-std::size_t Vfdt::NumInnerNodes() const {
-  TreeShape shape;
-  Walk(root_.get(), 0, &shape);
-  return shape.inner;
-}
-
-std::size_t Vfdt::NumLeaves() const {
-  TreeShape shape;
-  Walk(root_.get(), 0, &shape);
-  return shape.leaves;
-}
-
-std::size_t Vfdt::Depth() const {
-  TreeShape shape;
-  Walk(root_.get(), 0, &shape);
-  return shape.depth;
-}
+std::size_t Vfdt::Depth() const { return root_->Shape().depth; }
 
 std::size_t Vfdt::NumSplits() const {
-  TreeShape shape;
-  Walk(root_.get(), 0, &shape);
+  const TreeShape shape = root_->Shape();
   // Paper Sec. VI-D2: inner nodes are splits; MC leaves add nothing; model
   // (NB) leaves add one split for binary targets and c for multiclass.
   if (config_.leaf_prediction == LeafPrediction::kMajorityClass) {
@@ -363,37 +215,20 @@ std::size_t Vfdt::NumSplits() const {
   return shape.inner + shape.leaves * per_leaf;
 }
 
+// The config record keeps the retired nominal-feature list as an empty
+// slot; a load rejects any other length.
 void SaveVfdtConfig(serial::Writer& writer, const VfdtConfig& config) {
-  writer.I32(config.num_features);
-  writer.I32(config.num_classes);
-  writer.Size(config.grace_period);
-  writer.F64(config.split_confidence);
-  writer.F64(config.tie_threshold);
+  SaveHoeffdingHead(writer, config);
   writer.U32(static_cast<std::uint32_t>(config.leaf_prediction));
   writer.I32(config.num_split_candidates);
   writer.I32(config.subspace_size);
-  writer.Size(config.nominal_features.size());
-  for (int j : config.nominal_features) writer.I32(j);
+  writer.Size(0);
   writer.U64(config.seed);
 }
 
 VfdtConfig LoadVfdtConfig(serial::Reader& reader) {
   VfdtConfig config;
-  config.num_features = static_cast<int>(serial::CheckedRange(
-      reader.I32(), 1, serial::kMaxFeatures, "VFDT feature count"));
-  config.num_classes = static_cast<int>(serial::CheckedRange(
-      reader.I32(), 2, serial::kMaxClasses, "VFDT class count"));
-  // Every leaf allocates one observer per feature with per-class state;
-  // bound the product so a hostile config cannot demand gigabytes.
-  serial::Check(static_cast<std::uint64_t>(config.num_features) *
-                        static_cast<std::uint64_t>(config.num_classes) <=
-                    static_cast<std::uint64_t>(serial::kMaxVector),
-                "VFDT observer dimensions exceed the archive limit");
-  config.grace_period = reader.Size(std::size_t{1} << 62);
-  config.split_confidence =
-      serial::CheckedFinite(reader.F64(), "VFDT split confidence");
-  config.tie_threshold =
-      serial::CheckedFinite(reader.F64(), "VFDT tie threshold");
+  LoadHoeffdingHead(reader, "VFDT", &config);
   const std::uint32_t leaf = reader.U32();
   serial::Check(leaf <= 1, "VFDT leaf prediction mode out of range");
   config.leaf_prediction = static_cast<LeafPrediction>(leaf);
@@ -401,13 +236,8 @@ VfdtConfig LoadVfdtConfig(serial::Reader& reader) {
       reader.I32(), 0, 1 << 20, "VFDT split candidate count"));
   config.subspace_size = static_cast<int>(serial::CheckedRange(
       reader.I32(), 0, serial::kMaxFeatures, "VFDT subspace size"));
-  const std::size_t num_nominal = reader.Size(serial::kMaxVector);
-  config.nominal_features.reserve(
-      std::min<std::size_t>(num_nominal, 4096));
-  for (std::size_t i = 0; i < num_nominal; ++i) {
-    config.nominal_features.push_back(static_cast<int>(serial::CheckedRange(
-        reader.I32(), 0, config.num_features - 1, "nominal feature index")));
-  }
+  serial::Check(reader.Size(serial::kMaxVector) == 0,
+                "VFDT nominal features are retired");
   config.seed = reader.U64();
   return config;
 }
@@ -421,7 +251,7 @@ void Vfdt::SaveBody(serial::Writer& writer) const {
 std::unique_ptr<Vfdt> Vfdt::LoadBody(serial::Reader& reader) {
   const VfdtConfig config = LoadVfdtConfig(reader);
   auto tree = std::make_unique<Vfdt>(config);
-  *tree->root_ = Node::Load(reader, config, 0);
+  tree->root_ = Node::Load(reader, config, 0);
   // Engine last: restored after every construction-time draw has happened.
   reader.Engine(&tree->rng_.engine());
   return tree;
@@ -434,8 +264,7 @@ void Vfdt::Save(std::ostream& out) const {
 }
 
 std::size_t Vfdt::NumParameters() const {
-  TreeShape shape;
-  Walk(root_.get(), 0, &shape);
+  const TreeShape shape = root_->Shape();
   // One parameter (split value) per inner node; 1 per MC leaf; m per class
   // for NB leaves (conditional probabilities), m for binary.
   std::size_t per_leaf = 1;

@@ -8,6 +8,11 @@
 // sufficiently ahead (or the bound falls below the tie threshold). The basic
 // algorithm never revisits a split decision and can grow indefinitely -- the
 // behaviour the Dynamic Model Tree is designed to avoid.
+//
+// The node record, split scan, Hoeffding decision, routing, tree walk and
+// config head are the Hoeffding-tree core's (trees/hoeffding_tree.h). VFDT
+// adds weighted chunks (the Poisson ensembles' member updates), NBA leaves
+// and the random feature subspace of Adaptive Random Forest members.
 #ifndef DMT_TREES_VFDT_H_
 #define DMT_TREES_VFDT_H_
 
@@ -19,7 +24,7 @@
 
 #include "dmt/common/classifier.h"
 #include "dmt/common/random.h"
-#include "dmt/trees/observers.h"
+#include "dmt/trees/hoeffding_tree.h"
 
 namespace dmt::trees {
 
@@ -47,12 +52,6 @@ struct VfdtConfig {
   // When > 0, each split decision only considers a random subset of this
   // many features (the Adaptive Random Forest per-tree subspace).
   int subspace_size = 0;
-  // Feature indices to treat as nominal: exact per-value class counts and
-  // equality splits ("x == v" vs "x != v") instead of Gaussian threshold
-  // observers. Everything else is numeric (the paper factorizes
-  // categorical strings to numbers and runs the numeric pipeline; this
-  // option enables the exact treatment where the schema is known).
-  std::vector<int> nominal_features;
   std::uint64_t seed = 42;
 };
 
@@ -95,7 +94,9 @@ class Vfdt : public Classifier {
   // --- Persistence (binary archive; see serial/archive.h) ---
   // Full state: config, recursive node records (class counts + attribute
   // observers + NBA bookkeeping) and the RNG engine. The engine is written
-  // last so Load can restore it after any constructor draws.
+  // last so Load can restore it after any constructor draws. The records
+  // keep the slots of the retired nominal-feature path: saves write them
+  // empty, and loads reject anything else.
   void Save(std::ostream& out) const override;
   // Headerless record for embedding (ensembles) and tag dispatch.
   void SaveBody(serial::Writer& writer) const;
@@ -104,9 +105,7 @@ class Vfdt : public Classifier {
  private:
   struct Node;
 
-  Node* RouteToLeaf(std::span<const double> x) const;
   void AttemptSplit(Node* leaf);
-  bool IsNominal(int feature) const;
   void LeafProbaInto(const Node& leaf, std::span<const double> x,
                      std::span<double> out) const;
 
@@ -116,12 +115,7 @@ class Vfdt : public Classifier {
   // Reused by the NBA bookkeeping in TrainInstance (one NB scoring per
   // unit of weight) so training allocates nothing per sample either.
   std::vector<double> nb_scratch_;
-  // Grow-only scratch for AttemptSplit: the feature pool and the projected
-  // class-count buffers of the per-feature split scans. Keeps the periodic
-  // split attempts (every grace_period observations) off the heap.
-  std::vector<int> feature_pool_;
-  std::vector<double> left_scratch_;
-  std::vector<double> right_scratch_;
+  SplitScanner scanner_;
   // Telemetry destinations, null until AttachTelemetry.
   std::uint64_t* split_attempts_counter_ = nullptr;
   std::uint64_t* splits_counter_ = nullptr;

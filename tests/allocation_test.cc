@@ -25,6 +25,7 @@
 #include "dmt/linear/linear_regressor.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/serve/engine.h"
+#include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/fimtdd_regressor.h"
 #include "dmt/trees/vfdt.h"
@@ -149,8 +150,10 @@ std::vector<Batch> MakeBatches(int rounds, int per_batch, std::uint64_t seed,
         for (double& f : x) f = rng.Uniform();
       }
       // Linearly separable concept: a single linear model fits it, so the
-      // DMT's split gains stay below the AIC threshold (Sec. V-C).
-      const int y = x[0] + x[1] <= 1.0 ? 0 : 1;
+      // DMT's split gains stay below the AIC threshold (Sec. V-C). Kind 2
+      // draws random labels instead, so every split merit stays near zero.
+      const int y = label_kind == 2 ? (rng.Bernoulli(0.5) ? 1 : 0)
+                                    : (x[0] + x[1] <= 1.0 ? 0 : 1);
       batch.Add(x, y);
     }
     batches.push_back(std::move(batch));
@@ -230,6 +233,27 @@ TEST(AllocationRegressionTest, VfdtNbaTrainsWithoutAllocating) {
   const auto measured = MakeBatches(4, 500, 206, /*label_kind=*/1);
   ExpectZeroAllocTraining(&model, warmup, measured);
   EXPECT_EQ(model.NumInnerNodes(), 0u);
+}
+
+// EFDT: random labels keep every split merit far below the Hoeffding bound
+// and tie_threshold = 0 disables the tie rule, so the root never splits
+// while each grace period still scans every feature for a split.
+TEST(AllocationRegressionTest, EfdtTrainsWithoutAllocating) {
+  trees::Efdt model(
+      {.num_features = kFeatures, .num_classes = 2, .tie_threshold = 0.0});
+  obs::TelemetryRegistry registry;
+  model.AttachTelemetry(&registry);
+  const std::uint64_t* attempts = registry.Counter("efdt.split_attempts");
+  for (const Batch& batch : MakeBatches(2, 500, 211, /*label_kind=*/2)) {
+    model.PartialFit(batch);
+  }
+  const std::uint64_t warm_attempts = *attempts;
+  ExpectZeroAllocTraining(&model, std::vector<Batch>{},
+                          MakeBatches(4, 500, 212, /*label_kind=*/2));
+  EXPECT_EQ(model.NumInnerNodes(), 0u);
+#ifndef DMT_UNDER_SANITIZER
+  EXPECT_GT(*attempts, warm_attempts);
+#endif
 }
 
 // FIMT-DD: a constant target has zero standard deviation, so every split

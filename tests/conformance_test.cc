@@ -231,48 +231,5 @@ TEST(OnlineBaggingTest, LearnsSimpleConcept) {
   EXPECT_GT(correct, 450);
 }
 
-TEST(VfdtNominalTest, EqualitySplitOnNominalFeature) {
-  // Feature 0 is nominal with 3 levels; level 2.0 determines the class.
-  trees::Vfdt tree({.num_features = 2,
-                    .num_classes = 2,
-                    .nominal_features = {0}});
-  Rng rng(22);
-  Batch batch(2);
-  for (int i = 0; i < 5000; ++i) {
-    const double level = rng.UniformInt(0, 2);
-    std::vector<double> x = {level, rng.Uniform()};
-    batch.Add(x, level == 2.0 ? 1 : 0);
-  }
-  tree.PartialFit(batch);
-  ASSERT_GE(tree.NumInnerNodes(), 1u);
-  // Exact classification on all three levels.
-  for (double level : {0.0, 1.0, 2.0}) {
-    std::vector<double> x = {level, 0.5};
-    EXPECT_EQ(tree.Predict(x), level == 2.0 ? 1 : 0);
-  }
-}
-
-TEST(VfdtNominalTest, MixedNominalAndNumericFeatures) {
-  // Nominal feature 0 is noise; numeric feature 1 carries the concept.
-  trees::Vfdt tree({.num_features = 2,
-                    .num_classes = 2,
-                    .nominal_features = {0}});
-  Rng rng(23);
-  Batch batch(2);
-  for (int i = 0; i < 5000; ++i) {
-    std::vector<double> x = {static_cast<double>(rng.UniformInt(0, 4)),
-                             rng.Uniform()};
-    batch.Add(x, x[1] <= 0.5 ? 0 : 1);
-  }
-  tree.PartialFit(batch);
-  int correct = 0;
-  for (int i = 0; i < 500; ++i) {
-    std::vector<double> x = {static_cast<double>(rng.UniformInt(0, 4)),
-                             rng.Uniform()};
-    correct += tree.Predict(x) == (x[1] <= 0.5 ? 0 : 1);
-  }
-  EXPECT_GT(correct, 460);
-}
-
 }  // namespace
 }  // namespace dmt

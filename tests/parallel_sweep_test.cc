@@ -15,6 +15,7 @@
 #include <future>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -330,6 +331,12 @@ struct TelemetryGoldenCase {
   // keep covering the code paths they were pinned for.
   std::vector<std::pair<const char*, const char*>> fired;
 };
+
+// Prints the model name, so the test's listed name does not carry the
+// struct's pointer bytes.
+void PrintTo(const TelemetryGoldenCase& param, std::ostream* os) {
+  *os << param.model;
+}
 
 class TelemetryGoldenTest
     : public ::testing::TestWithParam<TelemetryGoldenCase> {};

@@ -730,6 +730,211 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// VFDT records keep the slots of the retired nominal-feature path: the
+// config's nominal feature list, each node's equality-split flag and its
+// nominal observer list, parallel to the numeric one. Saves write them
+// empty (count 0, false, and per numeric observer a record of the tree's
+// class count with no values); loads reject anything else, so no archive
+// can bring back an equality split or nominal statistics.
+struct NominalSlots {
+  std::size_t config_count = 0;    // u64 nominal feature count
+  std::size_t inner_equality = 0;  // u8 flag of the first inner node
+  std::size_t inner_count = 0;     // u64 nominal count of that node
+  std::size_t leaf_count = 0;      // u64 nominal count of the first leaf
+  std::size_t leaf_record = 0;     // its first record: i32 classes, u64 values
+  std::size_t num_features = 0;
+  std::size_t num_classes = 0;
+  bool has_inner = false;
+};
+
+// Offset of the nominal feature count in a VfdtConfig record: features,
+// classes, grace period, confidence, tie threshold, leaf mode, candidates
+// and subspace come first. The nominal list and the seed follow it.
+constexpr std::size_t kVfdtConfigCountOffset = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4;
+
+// Walks the VFDT body (SaveVfdtConfig, then the node records) that starts
+// at byte `pos` of `bytes` and records where its nominal slots are.
+NominalSlots FindNominalSlots(const std::string& bytes, std::size_t pos) {
+  NominalSlots slots;
+  const auto u64 = [&bytes](std::size_t at) {
+    return static_cast<std::size_t>(GetLittleEndian(bytes, at, 8));
+  };
+  slots.num_features = GetLittleEndian(bytes, pos, 4);
+  slots.num_classes = GetLittleEndian(bytes, pos + 4, 4);
+  const std::size_t nc = slots.num_classes;
+  slots.config_count = pos + kVfdtConfigCountOffset;
+  pos = slots.config_count + 8 + 4 * u64(slots.config_count) + 8;
+  bool found_leaf = false;
+  const auto walk = [&](const auto& self) -> void {
+    const bool inner =
+        static_cast<std::int32_t>(GetLittleEndian(bytes, pos, 4)) >= 0;
+    const std::size_t equality = pos + 4 + 8;
+    pos = equality + 1;
+    pos += 8 + 8 * u64(pos);  // class counts
+    const std::size_t num_numeric = u64(pos);
+    pos += 8;
+    for (std::size_t j = 0; j < num_numeric; ++j) {
+      pos += 4 + nc * 24;       // classes + per-class n, mean, m2
+      pos += 8 + 8 * u64(pos);  // class weights
+      pos += 16;                // min, max
+    }
+    const std::size_t nominal_count = pos;
+    if (inner && !slots.has_inner) {
+      slots.has_inner = true;
+      slots.inner_equality = equality;
+      slots.inner_count = nominal_count;
+    }
+    if (!inner && !found_leaf) {
+      found_leaf = true;
+      slots.leaf_count = nominal_count;
+      slots.leaf_record = nominal_count + 8;
+    }
+    const std::size_t num_nominal = u64(pos);
+    pos += 8;
+    for (std::size_t j = 0; j < num_nominal; ++j) {
+      const std::size_t values = u64(pos + 4);
+      pos += 4 + 8 + values * (8 + 8 + 8 * nc);
+    }
+    pos += 4 * 8;  // weight seen, weight at last attempt, NBA tallies
+    if (inner) {
+      self(self);
+      self(self);
+    }
+  };
+  walk(walk);
+  return slots;
+}
+
+// A VFDT archive and an ARF archive whose first member has split.
+std::string NominalSlotArchive(const std::string& name) {
+  std::unique_ptr<Classifier> model = Make(name, 3, 3);
+  Rng rng(71);
+  for (int b = 0; b < 8; ++b) {
+    Batch batch(3);
+    FillConcept(&rng, &batch, 3, 3, 250, false);
+    model->PartialFit(batch);
+  }
+  return SnapshotOf(*model);
+}
+
+// The nominal slots of a VFDT archive, whose body follows the 12-byte
+// header, or of the first member of an ARF archive, whose body follows the
+// header, ARF's own config (3 x i32, 3 x f64, i32), the base VfdtConfig
+// and the ARF seed.
+NominalSlots NominalSlotsOf(const std::string& name, const std::string& bytes) {
+  if (name == "VFDT") return FindNominalSlots(bytes, 12);
+  const std::size_t base_count =
+      12 + 3 * 4 + 3 * 8 + 4 + kVfdtConfigCountOffset;
+  const std::size_t member =
+      base_count + 8 + 4 * GetLittleEndian(bytes, base_count, 8) + 8 + 8;
+  return FindNominalSlots(bytes, member);
+}
+
+enum class NominalEdit {
+  kConfigCount,    // one nominal feature index in the config
+  kEqualityFlag,   // an inner node marked as an equality split
+  kInnerCount,     // an inner node given one empty record per feature
+  kRecordValues,   // a leaf record given one observed value
+  kRecordClasses,  // a leaf record with one class too many
+};
+
+std::string WithNominalEdit(const std::string& bytes,
+                            const NominalSlots& slots, NominalEdit edit) {
+  std::string mutated = bytes;
+  const auto zeros = [](std::size_t n) { return std::string(n, '\0'); };
+  switch (edit) {
+    case NominalEdit::kConfigCount:
+      PutLittleEndian(&mutated, slots.config_count, 1, 8);
+      mutated.insert(slots.config_count + 8, zeros(4));  // feature 0
+      break;
+    case NominalEdit::kEqualityFlag:
+      mutated[slots.inner_equality] = 1;
+      break;
+    case NominalEdit::kInnerCount: {
+      PutLittleEndian(&mutated, slots.inner_count, slots.num_features, 8);
+      std::string record = zeros(12);
+      PutLittleEndian(&record, 0, slots.num_classes, 4);
+      std::string records;
+      for (std::size_t j = 0; j < slots.num_features; ++j) records += record;
+      mutated.insert(slots.inner_count + 8, records);
+      break;
+    }
+    case NominalEdit::kRecordValues: {
+      PutLittleEndian(&mutated, slots.leaf_record + 4, 1, 8);
+      std::string value = zeros(16 + 8 * slots.num_classes);
+      PutLittleEndian(&value, 0, BitsOf(0.5), 8);
+      PutLittleEndian(&value, 8, slots.num_classes, 8);
+      mutated.insert(slots.leaf_record + 12, value);
+      break;
+    }
+    case NominalEdit::kRecordClasses:
+      PutLittleEndian(&mutated, slots.leaf_record, slots.num_classes + 1, 4);
+      break;
+  }
+  return mutated;
+}
+
+constexpr const char* kNominalSlotModels[] = {"VFDT", "ARF"};
+
+TEST(VfdtRetiredNominalSlotTest, UneditedArchivesLoadAndResaveByteExact) {
+  for (const char* name : kNominalSlotModels) {
+    const std::string bytes = NominalSlotArchive(name);
+    std::istringstream in(bytes, std::ios::binary);
+    const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
+    EXPECT_EQ(SnapshotOf(*model), bytes) << name;
+  }
+}
+
+TEST(VfdtRetiredNominalSlotTest, SavedSlotsAreEmpty) {
+  for (const char* name : kNominalSlotModels) {
+    SCOPED_TRACE(name);
+    const std::string bytes = NominalSlotArchive(name);
+    const NominalSlots slots = NominalSlotsOf(name, bytes);
+    ASSERT_TRUE(slots.has_inner);
+    EXPECT_EQ(GetLittleEndian(bytes, slots.config_count, 8), 0u);
+    EXPECT_EQ(bytes[slots.inner_equality], 0);
+    EXPECT_EQ(GetLittleEndian(bytes, slots.inner_count, 8), 0u);
+    EXPECT_EQ(GetLittleEndian(bytes, slots.leaf_count, 8), slots.num_features);
+    EXPECT_EQ(GetLittleEndian(bytes, slots.leaf_record, 4), slots.num_classes);
+    EXPECT_EQ(GetLittleEndian(bytes, slots.leaf_record + 4, 8), 0u);
+  }
+}
+
+class VfdtRetiredNominalSlotEditTest
+    : public ::testing::TestWithParam<NominalEdit> {};
+
+TEST_P(VfdtRetiredNominalSlotEditTest, ClassifierLoadThrowsSerialError) {
+  for (const char* name : kNominalSlotModels) {
+    const std::string bytes = NominalSlotArchive(name);
+    const NominalSlots slots = NominalSlotsOf(name, bytes);
+    ASSERT_TRUE(slots.has_inner) << name;
+    std::istringstream in(WithNominalEdit(bytes, slots, GetParam()),
+                          std::ios::binary);
+    EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSlots, VfdtRetiredNominalSlotEditTest,
+    ::testing::Values(NominalEdit::kConfigCount, NominalEdit::kEqualityFlag,
+                      NominalEdit::kInnerCount, NominalEdit::kRecordValues,
+                      NominalEdit::kRecordClasses),
+    [](const ::testing::TestParamInfo<NominalEdit>& info) {
+      switch (info.param) {
+        case NominalEdit::kConfigCount:
+          return std::string("config_nominal_count");
+        case NominalEdit::kEqualityFlag:
+          return std::string("split_is_equality");
+        case NominalEdit::kInnerCount:
+          return std::string("node_nominal_count");
+        case NominalEdit::kRecordValues:
+          return std::string("record_value_count");
+        case NominalEdit::kRecordClasses:
+          return std::string("record_class_count");
+      }
+      return std::string("Unknown");
+    });
+
 // --- Golden archives: the pinned on-disk format ---------------------------
 //
 // bench/goldens/<learner>.dmts is the canonical archive of a fixed

@@ -106,7 +106,10 @@ TEST(NumericObserverTest, FindsSeparatingThreshold) {
     observer.Add(v, y);
     parent_counts[y] += 1.0;
   }
-  const SplitSuggestion s = observer.BestSplit(3, parent_counts);
+  std::vector<double> left_scratch(2);
+  std::vector<double> right_scratch(2);
+  const SplitCandidate s = observer.BestSplitInto(3, parent_counts, 10,
+                                                  left_scratch, right_scratch);
   EXPECT_EQ(s.feature, 3);
   EXPECT_GT(s.merit, 0.8);
   EXPECT_GT(s.threshold, 0.3);
@@ -117,53 +120,9 @@ TEST(NumericObserverTest, CountsBelowMatchesEmpirical) {
   NumericObserver observer(2);
   Rng rng(2);
   for (int i = 0; i < 5000; ++i) observer.Add(rng.Gaussian(0.5, 0.1), 0);
-  const std::vector<double> below = observer.CountsBelow(0.5);
+  std::vector<double> below(2);
+  observer.CountsBelowInto(0.5, below);
   EXPECT_NEAR(below[0], 2500.0, 150.0);
-}
-
-TEST(NominalObserverTest, PrefersInformativeValue) {
-  NominalObserver observer(2);
-  std::vector<double> parent(2, 0.0);
-  for (int i = 0; i < 100; ++i) {
-    observer.Add(1.0, 0);
-    observer.Add(2.0, 1);
-    observer.Add(3.0, i % 2);
-    parent[0] += 1.0 + (i % 2 == 0 ? 1.0 : 0.0);
-    parent[1] += 1.0 + (i % 2 == 1 ? 1.0 : 0.0);
-  }
-  std::vector<double> right_scratch(2);
-  const SplitCandidate s = observer.BestSplitInto(0, parent, right_scratch);
-  EXPECT_EQ(s.feature, 0);
-  EXPECT_TRUE(s.is_equality);
-  EXPECT_TRUE(s.threshold == 1.0 || s.threshold == 2.0);
-  EXPECT_GT(s.merit, 0.0);
-}
-
-TEST(NominalObserverTest, EmptyObserverOffersNoSplit) {
-  const NominalObserver observer(2);
-  const std::vector<double> parent = {3.0, 4.0};
-  std::vector<double> right_scratch(2);
-  const SplitCandidate s = observer.BestSplitInto(1, parent, right_scratch);
-  EXPECT_EQ(s.feature, 1);
-  EXPECT_EQ(s.merit, -std::numeric_limits<double>::infinity());
-}
-
-TEST(NominalObserverTest, BestSplitIntoIgnoresScratchContents) {
-  NominalObserver observer(3);
-  std::vector<double> parent(3, 0.0);
-  for (int i = 0; i < 60; ++i) {
-    const int y = i % 3;
-    observer.Add(static_cast<double>(y == 2 ? 7 : i % 2), y);
-    parent[y] += 1.0;
-  }
-  std::vector<double> zeros(3, 0.0);
-  std::vector<double> garbage(5, std::numeric_limits<double>::quiet_NaN());
-  const SplitCandidate a = observer.BestSplitInto(0, parent, zeros);
-  const SplitCandidate b = observer.BestSplitInto(0, parent, garbage);
-  EXPECT_EQ(a.threshold, 7.0);  // the value that isolates class 2
-  EXPECT_GT(a.merit, 0.0);
-  EXPECT_EQ(a.threshold, b.threshold);
-  EXPECT_EQ(a.merit, b.merit);
 }
 
 TEST(VfdtTest, StartsAsSingleLeaf) {
@@ -399,14 +358,6 @@ TEST(VfdtWeightTest, MajorityClassMatchesRepetition) {
   ExpectWeightedMatchesRepetition(
       {.num_features = 3, .num_classes = 2, .grace_period = 7},
       MixedConcept(3, 3000));
-}
-
-TEST(VfdtWeightTest, NominalFeatureMatchesRepetition) {
-  ExpectWeightedMatchesRepetition({.num_features = 3,
-                                   .num_classes = 2,
-                                   .grace_period = 11,
-                                   .nominal_features = {2}},
-                                  MixedConcept(4, 3000));
 }
 
 TEST(VfdtWeightTest, NaiveBayesAdaptiveMatchesRepetition) {
