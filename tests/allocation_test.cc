@@ -247,7 +247,7 @@ TEST(AllocationRegressionTest, EfdtTrainsWithoutAllocating) {
   for (const Batch& batch : MakeBatches(2, 500, 211, /*label_kind=*/2)) {
     model.PartialFit(batch);
   }
-  const std::uint64_t warm_attempts = *attempts;
+  [[maybe_unused]] const std::uint64_t warm_attempts = *attempts;
   ExpectZeroAllocTraining(&model, std::vector<Batch>{},
                           MakeBatches(4, 500, 212, /*label_kind=*/2));
   EXPECT_EQ(model.NumInnerNodes(), 0u);
