@@ -1,12 +1,96 @@
 #include "dmt/serial/archive.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
+
+#if !defined(__GLIBCXX__)
+#error "the mt19937_64 state codec reads libstdc++'s engine layout"
+#endif
 
 namespace dmt::serial {
+
+namespace {
+
+// libstdc++'s std::mt19937_64 holds exactly its 312 state words followed
+// by the index of the next word to draw; the codec copies the engine
+// through this view instead of going through iostreams.
+struct EngineWords {
+  std::uint64_t word[std::mt19937_64::state_size];
+  std::size_t index;
+};
+static_assert(std::mt19937_64::state_size == 312);
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+static_assert(sizeof(EngineWords) == 313 * sizeof(std::uint64_t));
+static_assert(sizeof(std::mt19937_64) == sizeof(EngineWords));
+static_assert(std::is_trivially_copyable_v<std::mt19937_64>);
+
+// Longest EngineText: 313 words of 20 digits and 312 spaces.
+constexpr std::size_t kMaxEngineText = 313 * 20 + 312;
+
+// Writes EngineText into `buffer` (kMaxEngineText bytes); returns its
+// length.
+std::size_t FormatEngine(const std::mt19937_64& engine, char* buffer) {
+  EngineWords state;
+  std::memcpy(&state, &engine, sizeof(state));
+  char* const end = buffer + kMaxEngineText;
+  char* out = std::to_chars(buffer, end, state.word[0]).ptr;
+  for (std::size_t i = 1; i < std::size(state.word); ++i) {
+    *out++ = ' ';
+    out = std::to_chars(out, end, state.word[i]).ptr;
+  }
+  *out++ = ' ';
+  out = std::to_chars(out, end, state.index).ptr;
+  return static_cast<std::size_t>(out - buffer);
+}
+
+// Parses one canonical unsigned decimal (no sign, no leading zero) at
+// `*pos`, advancing past it.
+std::uint64_t ParseEngineWord(const char** pos, const char* end) {
+  const char* p = *pos;
+  Check(p < end && *p >= '0' && *p <= '9',
+        "malformed RNG engine state: expected a decimal");
+  Check(!(*p == '0' && p + 1 < end && p[1] >= '0' && p[1] <= '9'),
+        "malformed RNG engine state: leading zero");
+  std::uint64_t value = 0;
+  const std::from_chars_result result = std::from_chars(p, end, value);
+  Check(result.ec == std::errc(), "malformed RNG engine state: overflow");
+  *pos = result.ptr;
+  return value;
+}
+
+}  // namespace
+
+std::string EngineText(const std::mt19937_64& engine) {
+  char buffer[kMaxEngineText];
+  return std::string(buffer, FormatEngine(engine, buffer));
+}
+
+void ParseEngineText(std::string_view text, std::mt19937_64* engine) {
+  const char* pos = text.data();
+  const char* const end = pos + text.size();
+  EngineWords state;
+  for (std::size_t i = 0; i < std::size(state.word); ++i) {
+    if (i > 0) {
+      Check(pos < end && *pos == ' ',
+            "malformed RNG engine state: expected a single space");
+      ++pos;
+    }
+    state.word[i] = ParseEngineWord(&pos, end);
+  }
+  Check(pos < end && *pos == ' ',
+        "malformed RNG engine state: expected a single space");
+  ++pos;
+  const std::uint64_t index = ParseEngineWord(&pos, end);
+  Check(index <= std::mt19937_64::state_size,
+        "malformed RNG engine state: index out of range");
+  Check(pos == end, "malformed RNG engine state: trailing bytes");
+  state.index = static_cast<std::size_t>(index);
+  std::memcpy(static_cast<void*>(engine), &state, sizeof(state));
+}
 
 void Writer::WriteExact(const void* src, std::size_t n) {
   out_.write(static_cast<const char*>(src), static_cast<std::streamsize>(n));
@@ -62,9 +146,10 @@ void Writer::VecF64(const std::vector<double>& v) {
 }
 
 void Writer::Engine(const std::mt19937_64& engine) {
-  std::ostringstream text;
-  text << engine;
-  Str(text.str());
+  char buffer[kMaxEngineText];
+  const std::size_t n = FormatEngine(engine, buffer);
+  Size(n);
+  WriteExact(buffer, n);
 }
 
 void Reader::ReadExact(void* dst, std::size_t n) {
@@ -148,8 +233,15 @@ float Reader::F32() {
 
 std::string Reader::Str(std::size_t max_len) {
   const std::size_t n = Size(max_len);
-  std::string s(n, '\0');
-  if (n > 0) ReadExact(&s[0], n);
+  // Grown chunk by chunk: a lying length prefix exhausts the stream (and
+  // throws) after at most one chunk more than the bytes that exist.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string s;
+  while (s.size() < n) {
+    const std::size_t done = s.size();
+    s.resize(done + std::min(n - done, kChunk));
+    ReadExact(&s[done], s.size() - done);
+  }
   return s;
 }
 
@@ -173,11 +265,10 @@ std::vector<double> Reader::VecF64Exact(std::size_t n) {
 }
 
 void Reader::Engine(std::mt19937_64* engine) {
-  // ~6.5 KB of decimal digits for the 312-word state; 64 KB is generous.
-  const std::string text = Str(std::size_t{1} << 16);
-  std::istringstream parse(text);
-  parse >> *engine;
-  Check(!parse.fail(), "malformed RNG engine state");
+  char buffer[kMaxEngineText];
+  const std::size_t n = Size(kMaxEngineText);
+  ReadExact(buffer, n);
+  ParseEngineText(std::string_view(buffer, n), engine);
 }
 
 }  // namespace dmt::serial

@@ -20,6 +20,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmt::serial {
@@ -79,6 +80,17 @@ inline double CheckedFinite(double v, const char* what) {
   return v;
 }
 
+// Canonical text of a std::mt19937_64 state: the 312 state words, then
+// the index of the next word to draw (0..312), in decimal without sign or
+// leading zeros, separated by single spaces -- byte for byte what
+// libstdc++'s operator<< writes. Every archive that holds an RNG (and the
+// serve manifests' injection generators) stores this text.
+std::string EngineText(const std::mt19937_64& engine);
+// Inverse of EngineText. Accepts only the canonical text (313 unsigned
+// decimals separated by single spaces, index <= 312, nothing after it) and
+// throws SerialError on anything else.
+void ParseEngineText(std::string_view text, std::mt19937_64* engine);
+
 // Little-endian binary writer. Throws SerialError if the underlying stream
 // rejects a write (disk full, closed pipe), so a torn save never goes
 // unnoticed.
@@ -98,8 +110,7 @@ class Writer {
   void F32(float v);   // raw IEEE-754 bit pattern (f32 candidate gradients)
   void Str(const std::string& s);
   void VecF64(const std::vector<double>& v);
-  // std::mt19937_64 state via its textual representation (the only
-  // portable exact round-trip the standard guarantees).
+  // std::mt19937_64 state as a length-prefixed EngineText.
   void Engine(const std::mt19937_64& engine);
 
  private:
@@ -138,6 +149,7 @@ class Reader {
   std::vector<double> VecF64(std::size_t max_len = kMaxVector);
   // Like VecF64 but the archived length must equal `n` exactly.
   std::vector<double> VecF64Exact(std::size_t n);
+  // Length-prefixed EngineText; throws SerialError unless canonical.
   void Engine(std::mt19937_64* engine);
 
  private:

@@ -8,7 +8,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "dmt/serial/model_io.h"
@@ -32,6 +31,17 @@ std::size_t ShardOf(const std::string& id, std::size_t num_shards) {
   return static_cast<std::size_t>(SplitMix64(h) % num_shards);
 }
 
+// True when the parked file of `stream_id` decodes to exactly `archive`;
+// a missing, unreadable or foreign file is not a match.
+bool ParkedArchiveHolds(const std::string& dir, const std::string& stream_id,
+                        const std::string& archive) {
+  try {
+    return ReadEvictionArchive(dir, stream_id) == archive;
+  } catch (const StateError&) {
+    return false;
+  }
+}
+
 // Appends `value` in decimal, exactly as std::to_string spells it.
 template <typename Int>
 void AppendInt(std::string* out, Int value) {
@@ -39,21 +49,6 @@ void AppendInt(std::string* out, Int value) {
   const std::to_chars_result result =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
   out->append(buffer, result.ptr);
-}
-
-// Textual mt19937_64 state (the standard's portable stream format), so a
-// stream's fault-injection trace continues bit-identically across a
-// checkpoint/recover cycle.
-std::string RngToText(const Rng& rng) {
-  std::ostringstream out;
-  out << rng.engine();
-  return out.str();
-}
-
-bool RngFromText(const std::string& text, Rng* rng) {
-  std::istringstream in(text);
-  in >> rng->engine();
-  return static_cast<bool>(in);
 }
 
 }  // namespace
@@ -112,7 +107,9 @@ ServeEngine::StreamState* ServeEngine::FindOrCreateStream(
   *shard->resident_streams = static_cast<double>(shard->num_streams);
   ++resident_;
   ++streams_created_;
-  return &streams_.emplace(id, std::move(state)).first->second;
+  StreamState* created = &streams_.emplace(id, std::move(state)).first->second;
+  LruPushBack(created);
+  return created;
 }
 
 bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
@@ -130,6 +127,7 @@ bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
     Shard* shard = shards_[stream->shard].get();
     model->AttachTelemetry(&shard->telemetry);
     stream->model = std::move(model);
+    LruPushBack(stream);
     // The parked file is now stale (the resident model trains on); the
     // next eviction or checkpoint re-serializes from memory.
     RemoveEvictionArchive(config_.state_dir, stream->id);
@@ -230,6 +228,10 @@ void ServeEngine::RouteRequest(std::size_t slot) {
   // shard count.
   stream->last_touch = requests_;
   stream->last_window = windows_;
+  if (stream != lru_tail_) {
+    LruUnlink(stream);
+    LruPushBack(stream);
+  }
   Shard* shard = shards_[stream->shard].get();
 
   if (config_.inject.any() &&
@@ -350,6 +352,7 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
     } else {
       StreamState& state = it->second;
       if (state.model != nullptr) {
+        LruUnlink(&state);
         Shard* shard = shards_[state.shard].get();
         --shard->num_streams;
         *shard->resident_streams = static_cast<double>(shard->num_streams);
@@ -429,36 +432,45 @@ void ServeEngine::Flush(std::ostream& out) {
   }
 }
 
+void ServeEngine::LruPushBack(StreamState* stream) {
+  stream->lru_prev = lru_tail_;
+  stream->lru_next = nullptr;
+  (lru_tail_ != nullptr ? lru_tail_->lru_next : lru_head_) = stream;
+  lru_tail_ = stream;
+}
+
+void ServeEngine::LruUnlink(StreamState* stream) {
+  (stream->lru_prev != nullptr ? stream->lru_prev->lru_next : lru_head_) =
+      stream->lru_next;
+  (stream->lru_next != nullptr ? stream->lru_next->lru_prev : lru_tail_) =
+      stream->lru_prev;
+  stream->lru_prev = nullptr;
+  stream->lru_next = nullptr;
+}
+
 void ServeEngine::EvictAtBoundary() {
-  if (config_.max_streams == 0 && config_.idle_windows == 0) return;
   // Runs on the routing thread between windows, so eviction timing is a
   // pure function of the request sequence -- never of shard scheduling.
-  std::vector<StreamState*> victims;
+  // The LRU list is in last_touch order and last_window grows with
+  // last_touch, so each policy's victims are a prefix of the list, evicted
+  // least recent first. A stream that cannot be parked stays linked and
+  // the walk moves past it.
+  StreamState* next = nullptr;
   if (config_.idle_windows > 0) {
-    for (auto& [id, state] : streams_) {
-      if (state.model != nullptr &&
-          windows_ - state.last_window > config_.idle_windows) {
-        victims.push_back(&state);
-      }
+    for (StreamState* stream = lru_head_;
+         stream != nullptr &&
+         windows_ - stream->last_window > config_.idle_windows;
+         stream = next) {
+      next = stream->lru_next;
+      EvictStream(stream);
     }
-    std::sort(victims.begin(), victims.end(),
-              [](const StreamState* a, const StreamState* b) {
-                return a->last_touch < b->last_touch;
-              });
-    for (StreamState* victim : victims) EvictStream(victim);
-    victims.clear();
   }
-  if (config_.max_streams > 0 && resident_ > config_.max_streams) {
-    for (auto& [id, state] : streams_) {
-      if (state.model != nullptr) victims.push_back(&state);
-    }
-    std::sort(victims.begin(), victims.end(),
-              [](const StreamState* a, const StreamState* b) {
-                return a->last_touch < b->last_touch;
-              });
-    for (StreamState* victim : victims) {
-      if (resident_ <= config_.max_streams) break;
-      EvictStream(victim);
+  if (config_.max_streams > 0) {
+    for (StreamState* stream = lru_head_;
+         stream != nullptr && resident_ > config_.max_streams;
+         stream = next) {
+      next = stream->lru_next;
+      EvictStream(stream);
     }
   }
 }
@@ -476,6 +488,7 @@ bool ServeEngine::EvictStream(StreamState* stream) {
     return false;
   }
   stream->model.reset();
+  LruUnlink(stream);
   Shard* shard = shards_[stream->shard].get();
   --shard->num_streams;
   *shard->resident_streams = static_cast<double>(shard->num_streams);
@@ -534,8 +547,10 @@ void ServeEngine::WriteCheckpoint() {
       entry.rows_trained = state->rows_trained;
       entry.last_touch = state->last_touch;
       entry.last_window = state->last_window;
+      // The generator's canonical text, so a stream's fault-injection
+      // trace continues bit-identically across a checkpoint/recover cycle.
       if (state->inject_rng != nullptr) {
-        entry.inject_rng = RngToText(*state->inject_rng);
+        entry.inject_rng = serial::EngineText(state->inject_rng->engine());
       }
       entry.archive =
           entry.resident
@@ -617,6 +632,7 @@ void ServeEngine::RecoverFromStateDir() {
   state_errors_ = t.state_errors;
   next_checkpoint_seq_ = m.seq + 1;
 
+  std::vector<StreamState*> resident;
   for (const ManifestStream& entry : m.streams) {
     StreamState state;
     state.id = entry.id;
@@ -626,9 +642,12 @@ void ServeEngine::RecoverFromStateDir() {
     state.last_window = entry.last_window;
     if (!entry.inject_rng.empty()) {
       state.inject_rng = std::make_unique<Rng>(0);
-      if (!RngFromText(entry.inject_rng, state.inject_rng.get())) {
+      try {
+        serial::ParseEngineText(entry.inject_rng,
+                                &state.inject_rng->engine());
+      } catch (const serial::SerialError& e) {
         throw StateError("corrupt injection-generator state for stream '" +
-                         entry.id + "'");
+                         entry.id + "': " + e.what());
       }
     }
     if (entry.resident) {
@@ -651,16 +670,28 @@ void ServeEngine::RecoverFromStateDir() {
       ++shard->num_streams;
       *shard->resident_streams = static_cast<double>(shard->num_streams);
       ++resident_;
-    } else {
+    } else if (!ParkedArchiveHolds(config_.state_dir, entry.id,
+                                   entry.archive)) {
       // Re-materialize the parked file so a later touch can warm-start
-      // without going back to the manifest.
+      // without going back to the manifest. A file that already holds
+      // these bytes (the usual case on a restart) is left in place.
       WriteEvictionArchive(config_.state_dir, entry.id, entry.archive);
     }
-    if (!streams_.emplace(entry.id, std::move(state)).second) {
+    const auto [it, inserted] = streams_.emplace(entry.id, std::move(state));
+    if (!inserted) {
       throw StateError("checkpoint manifest lists stream '" + entry.id +
                        "' twice");
     }
+    if (it->second.model != nullptr) resident.push_back(&it->second);
   }
+  // The manifest lists streams by id; the LRU list wants last_touch order.
+  // Touch ordinals are unique, so only a hand-edited manifest has ties, and
+  // those keep id order.
+  std::stable_sort(resident.begin(), resident.end(),
+                   [](const StreamState* a, const StreamState* b) {
+                     return a->last_touch < b->last_touch;
+                   });
+  for (StreamState* stream : resident) LruPushBack(stream);
 }
 
 void ServeEngine::ProcessShard(Shard* shard, const std::vector<Routed>& items,

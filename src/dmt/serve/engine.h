@@ -159,6 +159,10 @@ class ServeEngine {
     std::uint64_t rows_trained = 0;  // accepted rows, counted at routing
     std::uint64_t last_touch = 0;    // global request ordinal (LRU key)
     std::uint64_t last_window = 0;   // window of the last touch (TTL key)
+    // Neighbours on the engine's LRU list, which holds exactly the
+    // resident streams in last_touch order (head = least recent).
+    StreamState* lru_prev = nullptr;
+    StreamState* lru_next = nullptr;
     // Lazily created on the first injected draw; survives eviction in
     // memory and checkpoints as textual mt19937_64 state.
     std::unique_ptr<Rng> inject_rng;
@@ -189,6 +193,8 @@ class ServeEngine {
   void RouteRequest(std::size_t slot);
   void ProcessShard(Shard* shard, const std::vector<Routed>& items,
                     std::uint64_t tag);
+  void LruPushBack(StreamState* stream);
+  void LruUnlink(StreamState* stream);
   void EvictAtBoundary();
   bool EvictStream(StreamState* stream);
   void WriteCheckpoint();
@@ -234,6 +240,11 @@ class ServeEngine {
 
   // Durability layer (main thread only; shards never touch it).
   std::size_t resident_ = 0;           // streams with a model in memory
+  // Intrusive LRU list of the resident streams (StreamState::lru_prev /
+  // lru_next): a touch moves a stream to the tail, eviction and drop
+  // unlink it, so both eviction policies pop victims from the head.
+  StreamState* lru_head_ = nullptr;
+  StreamState* lru_tail_ = nullptr;
   std::uint64_t next_checkpoint_seq_ = 1;
   std::uint64_t evictions_ = 0;
   std::uint64_t warm_starts_ = 0;

@@ -1,0 +1,192 @@
+// Tests for the mt19937_64 state codec of serial/archive (EngineText,
+// ParseEngineText, Writer::Engine, Reader::Engine). The encoder must write
+// exactly the text of libstdc++'s operator<<, the decoder must restore an
+// equal engine, and the decoder accepts nothing but that canonical text:
+// any other input -- a truncation, a byte flip, a sign, a doubled space, a
+// wrong word count, an index past 312, trailing bytes -- is a SerialError
+// or an engine whose own text is the input, never a crash or another
+// exception.
+#include <cstdint>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "dmt/serial/archive.h"
+#include "dmt/serial/model_io.h"
+
+namespace dmt {
+namespace {
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::string StreamText(const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+// Outcome of decoding one hostile text: a SerialError, or an engine whose
+// canonical text is the input itself. Any other exception fails the test.
+void ExpectRejectedOrCanonical(const std::string& text) {
+  std::mt19937_64 engine;
+  try {
+    serial::ParseEngineText(text, &engine);
+  } catch (const serial::SerialError&) {
+    return;
+  }
+  EXPECT_EQ(serial::EngineText(engine), text);
+}
+
+void ExpectRejected(const std::string& text, const char* what) {
+  std::mt19937_64 engine;
+  EXPECT_THROW(serial::ParseEngineText(text, &engine), serial::SerialError)
+      << what;
+}
+
+// Offset and length of the RNG text inside a model archive: the one long
+// run of digits and spaces (the rest of an archive is binary).
+std::pair<std::size_t, std::size_t> EngineTextSpan(const std::string& bytes) {
+  std::size_t best_start = 0;
+  std::size_t best_length = 0;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= bytes.size(); ++i) {
+    const bool text = i < bytes.size() &&
+                      (bytes[i] == ' ' || (bytes[i] >= '0' && bytes[i] <= '9'));
+    if (text) continue;
+    if (i - start > best_length) {
+      best_start = start;
+      best_length = i - start;
+    }
+    start = i + 1;
+  }
+  return {best_start, best_length};
+}
+
+TEST(EngineCodecTest, TextEqualsStreamOperatorAndRoundTrips) {
+  // 0..700 draws: the fresh index 312, every index 1..312 and a second
+  // regeneration of the state words.
+  std::mt19937_64 engine(0x5eed);
+  for (int draws = 0; draws <= 700; ++draws) {
+    SCOPED_TRACE(draws);
+    const std::string expected = StreamText(engine);
+    ASSERT_EQ(serial::EngineText(engine), expected);
+
+    std::ostringstream out;
+    serial::Writer writer(out);
+    writer.Engine(engine);
+    std::ostringstream oracle;
+    serial::Writer oracle_writer(oracle);
+    oracle_writer.Str(expected);
+    ASSERT_EQ(out.str(), oracle.str());
+
+    std::istringstream in(out.str());
+    serial::Reader reader(in);
+    std::mt19937_64 decoded;
+    reader.Engine(&decoded);
+    ASSERT_TRUE(decoded == engine);
+    std::mt19937_64 continued = engine;
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(decoded(), continued());
+
+    engine();
+  }
+}
+
+TEST(EngineCodecTest, NonCanonicalTextsAreSerialErrors) {
+  std::mt19937_64 engine(7);
+  for (int i = 0; i < 5; ++i) engine();
+  const std::string text = serial::EngineText(engine);
+  const std::size_t first_space = text.find(' ');
+  const std::size_t last_space = text.rfind(' ');
+  ASSERT_EQ(text.substr(last_space + 1), "5");
+
+  std::string doubled = text;
+  doubled.insert(first_space, " ");
+  ExpectRejected(doubled, "double space");
+  ExpectRejected("+" + text, "leading plus");
+  ExpectRejected("-" + text, "leading minus");
+  std::string signed_word = text;
+  signed_word.insert(first_space + 1, "+");
+  ExpectRejected(signed_word, "plus inside");
+  ExpectRejected(text.substr(first_space + 1), "312 words");
+  ExpectRejected("1 " + text, "314 words");
+  ExpectRejected(text.substr(0, last_space + 1) + "313", "index 313");
+  ExpectRejected(text.substr(0, last_space + 1) + "18446744073709551616",
+                 "index overflows 64 bits");
+  ExpectRejected(text.substr(0, last_space + 1) + "05", "leading zero");
+  ExpectRejected(text + " ", "trailing space");
+  ExpectRejected(text + "\n", "trailing newline");
+  ExpectRejected(text + std::string(1, '\0'), "trailing NUL");
+  ExpectRejected(" " + text, "leading space");
+  ExpectRejected("", "empty");
+
+  // The canonical boundary values load.
+  std::mt19937_64 decoded;
+  serial::ParseEngineText(text.substr(0, last_space + 1) + "312", &decoded);
+  serial::ParseEngineText(text.substr(0, last_space + 1) + "0", &decoded);
+  EXPECT_EQ(serial::EngineText(decoded), text.substr(0, last_space + 1) + "0");
+}
+
+TEST(EngineCodecTest, EveryTruncationAndByteFlipOfAnArchiveTextIsSafe) {
+  const std::string archive =
+      ReadFileBytes(std::string(DMT_SOURCE_DIR) + "/bench/goldens/DMT.dmts");
+  ASSERT_FALSE(archive.empty());
+  const auto [offset, length] = EngineTextSpan(archive);
+  ASSERT_GT(length, 5000u);
+  const std::string text = archive.substr(offset, length);
+  {
+    std::mt19937_64 engine;
+    serial::ParseEngineText(text, &engine);
+    ASSERT_EQ(StreamText(engine), text);
+  }
+
+  // Every prefix of the text, with the length prefix rewritten to match,
+  // and every cut of the archive inside the text.
+  const std::string head = archive.substr(0, offset - 8);
+  const std::string tail = archive.substr(offset + length);
+  for (std::size_t n = 0; n < length; ++n) {
+    SCOPED_TRACE(n);
+    const std::string prefix = text.substr(0, n);
+    ExpectRejectedOrCanonical(prefix);
+    std::ostringstream edited;
+    edited << head;
+    serial::Writer(edited).Str(prefix);
+    edited << tail;
+    try {
+      serial::LoadClassifierFromString(edited.str());
+    } catch (const serial::SerialError&) {
+    }
+    EXPECT_THROW(serial::LoadClassifierFromString(archive.substr(0, offset + n)),
+                 serial::SerialError);
+  }
+
+  // Every single-bit flip of every text byte; the archive holding the
+  // flipped text decodes or throws SerialError.
+  for (std::size_t i = 0; i < length; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      SCOPED_TRACE(testing::Message() << "byte " << i << " bit " << bit);
+      ExpectRejectedOrCanonical(flipped);
+      if (bit == 0) {
+        std::string edited = archive;
+        edited[offset + i] = flipped[i];
+        try {
+          serial::LoadClassifierFromString(edited);
+        } catch (const serial::SerialError&) {
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dmt

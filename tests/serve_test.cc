@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -957,6 +958,121 @@ TEST(ServeDurabilityTest, RecoveryWithEvictionIsShardInvariant) {
   }
   EXPECT_FALSE(tails[0].empty());
   EXPECT_EQ(tails[0], tails[1]);
+}
+
+// Inode of `path`, or 0 when it cannot be stat'ed. A rewrite publishes a
+// new file by rename, so an unchanged inode means the file was left alone.
+ino_t InodeOf(const std::string& path) {
+  struct stat info;
+  return ::stat(path.c_str(), &info) == 0 ? info.st_ino : 0;
+}
+
+TEST(ServeDurabilityTest, RecoveryRewritesOnlyParkedFilesThatDiffer) {
+  // 12 streams over 3 resident slots; checkpoints every 4 windows of 8, so
+  // the newest manifest of a run abandoned after request 96 covers exactly
+  // those 96 and parks 9 streams. The tail then scores every stream once,
+  // warm-starting each parked one from its file.
+  std::vector<std::string> script = RevisitingScript(96, 12);
+  const std::size_t covered = 96;
+  for (int s = 0; s < 12; ++s) {
+    script.push_back("score s" + std::to_string(s) + " 0.3,0.6");
+  }
+  script.push_back("stats");
+
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.batch_window = 8;
+  config.seed = 41;
+  config.model_kind = "GLM";
+  config.checkpoint_every = 4;
+  config.max_streams = 3;
+  config.factory = GlmFactory(2, 2);
+
+  serve::ServeConfig reference_config = config;
+  reference_config.state_dir = FreshStateDir("serve_reparked_ref");
+  serve::ServeEngine reference(reference_config);
+  const std::vector<std::string> expected =
+      SplitLines(RunLines(&reference, script));
+  ASSERT_EQ(expected.size(), script.size());
+
+  const std::string dir = FreshStateDir("serve_reparked");
+  config.state_dir = dir;
+  {
+    serve::ServeEngine doomed(config);
+    std::ostringstream sink;
+    for (std::size_t i = 0; i < covered; ++i) doomed.ServeLine(script[i], sink);
+  }
+  const std::optional<serve::Manifest> manifest =
+      serve::LoadNewestManifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->tallies.requests, covered);
+  std::vector<const serve::ManifestStream*> parked;
+  for (const serve::ManifestStream& entry : manifest->streams) {
+    if (!entry.resident) parked.push_back(&entry);
+  }
+  ASSERT_GE(parked.size(), 6u);
+  const auto path_of = [&dir](const std::string& id) {
+    return dir + "/evicted/" + serve::EvictionFileName(id);
+  };
+  for (const serve::ManifestStream* entry : parked) {
+    ASSERT_EQ(serve::ReadEvictionArchive(dir, entry->id), entry->archive);
+  }
+
+  // Tamper with four parked files; the rest stay identical.
+  const serve::ManifestStream& missing = *parked[0];
+  const serve::ManifestStream& truncated = *parked[1];
+  const serve::ManifestStream& foreign = *parked[2];
+  const serve::ManifestStream& stale = *parked[3];
+  std::filesystem::remove(path_of(missing.id));
+  const std::string whole = ReadFileBytes(path_of(truncated.id));
+  std::ofstream(path_of(truncated.id), std::ios::binary | std::ios::trunc)
+      .write(whole.data(), static_cast<std::streamsize>(whole.size() / 2));
+  std::filesystem::copy_file(
+      path_of(parked[4]->id), path_of(foreign.id),
+      std::filesystem::copy_options::overwrite_existing);
+  {
+    // Stale: this stream's model two training rows away from the manifest.
+    std::unique_ptr<Classifier> model =
+        serial::LoadClassifierFromString(stale.archive);
+    const std::vector<std::vector<double>> rows = {{0.5, 0.5, 1.0},
+                                                   {0.2, 0.9, 0.0}};
+    Batch batch(2);
+    for (const std::vector<double>& row : rows) {
+      batch.Add(std::span<const double>(row.data(), 2),
+                static_cast<int>(row[2]));
+    }
+    model->PartialFit(batch);
+    const std::string newer = serial::SaveClassifierToString(*model);
+    ASSERT_NE(newer, stale.archive);
+    serve::WriteEvictionArchive(dir, stale.id, newer);
+  }
+  std::vector<ino_t> untouched;
+  for (std::size_t i = 4; i < parked.size(); ++i) {
+    untouched.push_back(InodeOf(path_of(parked[i]->id)));
+    ASSERT_NE(untouched.back(), 0u);
+  }
+
+  serve::ServeEngine recovered(config);
+  for (const serve::ManifestStream* entry :
+       {&missing, &truncated, &foreign, &stale}) {
+    EXPECT_EQ(serve::ReadEvictionArchive(dir, entry->id), entry->archive)
+        << entry->id;
+  }
+  for (std::size_t i = 4; i < parked.size(); ++i) {
+    EXPECT_EQ(InodeOf(path_of(parked[i]->id)), untouched[i - 4])
+        << "identical parked file of " << parked[i]->id << " was rewritten";
+  }
+  std::ostringstream out;
+  for (std::size_t i = covered; i < script.size(); ++i) {
+    recovered.ServeLine(script[i], out);
+  }
+  recovered.Finish(out);
+  const std::vector<std::string> tail = SplitLines(out.str());
+  ASSERT_EQ(tail.size(), script.size() - covered);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i], expected[covered + i]) << "response " << (covered + i);
+  }
 }
 
 TEST(ServeDurabilityTest, RecoveryRejectsConfigSkew) {
