@@ -15,35 +15,29 @@ namespace dmt::serial {
 
 namespace {
 
-// libstdc++'s std::mt19937_64 holds exactly its 312 state words followed
-// by the index of the next word to draw; the codec copies the engine
-// through this view instead of going through iostreams.
-struct EngineWords {
-  std::uint64_t word[std::mt19937_64::state_size];
-  std::size_t index;
-};
+// libstdc++'s std::mt19937_64 is exactly its 312 state words followed by
+// the index of the next word to draw (a size_t), so the codec copies the
+// engine to and from 313 words instead of going through iostreams.
+constexpr std::size_t kEngineWords = std::mt19937_64::state_size + 1;
 static_assert(std::mt19937_64::state_size == 312);
 static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-static_assert(sizeof(EngineWords) == 313 * sizeof(std::uint64_t));
-static_assert(sizeof(std::mt19937_64) == sizeof(EngineWords));
+static_assert(sizeof(std::mt19937_64) == kEngineWords * sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<std::mt19937_64>);
 
 // Longest EngineText: 313 words of 20 digits and 312 spaces.
-constexpr std::size_t kMaxEngineText = 313 * 20 + 312;
+constexpr std::size_t kMaxEngineText = kEngineWords * 21 - 1;
 
 // Writes EngineText into `buffer` (kMaxEngineText bytes); returns its
 // length.
 std::size_t FormatEngine(const std::mt19937_64& engine, char* buffer) {
-  EngineWords state;
-  std::memcpy(&state, &engine, sizeof(state));
+  std::uint64_t words[kEngineWords];
+  std::memcpy(words, &engine, sizeof(words));
   char* const end = buffer + kMaxEngineText;
-  char* out = std::to_chars(buffer, end, state.word[0]).ptr;
-  for (std::size_t i = 1; i < std::size(state.word); ++i) {
-    *out++ = ' ';
-    out = std::to_chars(out, end, state.word[i]).ptr;
+  char* out = buffer;
+  for (std::size_t i = 0; i < kEngineWords; ++i) {
+    if (i > 0) *out++ = ' ';
+    out = std::to_chars(out, end, words[i]).ptr;
   }
-  *out++ = ' ';
-  out = std::to_chars(out, end, state.index).ptr;
   return static_cast<std::size_t>(out - buffer);
 }
 
@@ -72,24 +66,19 @@ std::string EngineText(const std::mt19937_64& engine) {
 void ParseEngineText(std::string_view text, std::mt19937_64* engine) {
   const char* pos = text.data();
   const char* const end = pos + text.size();
-  EngineWords state;
-  for (std::size_t i = 0; i < std::size(state.word); ++i) {
+  std::uint64_t words[kEngineWords];
+  for (std::size_t i = 0; i < kEngineWords; ++i) {
     if (i > 0) {
       Check(pos < end && *pos == ' ',
             "malformed RNG engine state: expected a single space");
       ++pos;
     }
-    state.word[i] = ParseEngineWord(&pos, end);
+    words[i] = ParseEngineWord(&pos, end);
   }
-  Check(pos < end && *pos == ' ',
-        "malformed RNG engine state: expected a single space");
-  ++pos;
-  const std::uint64_t index = ParseEngineWord(&pos, end);
-  Check(index <= std::mt19937_64::state_size,
-        "malformed RNG engine state: index out of range");
   Check(pos == end, "malformed RNG engine state: trailing bytes");
-  state.index = static_cast<std::size_t>(index);
-  std::memcpy(static_cast<void*>(engine), &state, sizeof(state));
+  Check(words[kEngineWords - 1] <= std::mt19937_64::state_size,
+        "malformed RNG engine state: index out of range");
+  std::memcpy(static_cast<void*>(engine), words, sizeof(words));
 }
 
 void Writer::WriteExact(const void* src, std::size_t n) {
