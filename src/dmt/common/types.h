@@ -40,7 +40,12 @@ class Batch {
 
   void Add(std::span<const double> features, int label) {
     DMT_DCHECK(features.size() == num_features_);
-    data_.insert(data_.end(), features.begin(), features.end());
+    // resize + copy, not insert: GCC 12 at -O3 misreads an inlined insert
+    // of a constant one-row span as a write into a zero-size region
+    // (-Wstringop-overflow).
+    const std::size_t old_size = data_.size();
+    data_.resize(old_size + features.size());
+    std::copy(features.begin(), features.end(), data_.begin() + old_size);
     labels_.push_back(label);
   }
   void Add(const Instance& instance) { Add(instance.x, instance.y); }

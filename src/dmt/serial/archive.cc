@@ -1,6 +1,7 @@
 #include "dmt/serial/archive.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <istream>
@@ -27,16 +28,52 @@ static_assert(std::is_trivially_copyable_v<std::mt19937_64>);
 // Longest EngineText: 313 words of 20 digits and 312 spaces.
 constexpr std::size_t kMaxEngineText = kEngineWords * 21 - 1;
 
+// "00".."99" back to back: two digits per lookup.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+// Writes `chunk` (< 10^8) as exactly 8 digits, leading zeros included.
+char* FormatEightDigits(std::uint32_t chunk, char* out) {
+  for (int pair = 3; pair >= 0; --pair) {
+    std::memcpy(out + 2 * pair, &kDigitPairs[2 * (chunk % 100)], 2);
+    chunk /= 100;
+  }
+  return out + 8;
+}
+
 // Writes EngineText into `buffer` (kMaxEngineText bytes); returns its
-// length.
+// length. Each word is split at 10^16 and 10^8 so that all the digit
+// arithmetic is on 32-bit values: the leading chunk goes through to_chars,
+// every chunk after it is 8 digits with its leading zeros.
 std::size_t FormatEngine(const std::mt19937_64& engine, char* buffer) {
+  constexpr std::uint64_t k1e8 = 100'000'000;
+  constexpr std::uint64_t k1e16 = k1e8 * k1e8;
   std::uint64_t words[kEngineWords];
   std::memcpy(words, &engine, sizeof(words));
   char* const end = buffer + kMaxEngineText;
   char* out = buffer;
   for (std::size_t i = 0; i < kEngineWords; ++i) {
     if (i > 0) *out++ = ' ';
-    out = std::to_chars(out, end, words[i]).ptr;
+    const std::uint64_t word = words[i];
+    if (word < k1e8) {
+      out = std::to_chars(out, end, static_cast<std::uint32_t>(word)).ptr;
+    } else if (word < k1e16) {
+      out = std::to_chars(out, end, static_cast<std::uint32_t>(word / k1e8))
+                .ptr;
+      out = FormatEightDigits(static_cast<std::uint32_t>(word % k1e8), out);
+    } else {
+      const std::uint64_t low = word % k1e16;
+      out = std::to_chars(out, end, static_cast<std::uint32_t>(word / k1e16))
+                .ptr;
+      out = FormatEightDigits(static_cast<std::uint32_t>(low / k1e8), out);
+      out = FormatEightDigits(static_cast<std::uint32_t>(low % k1e8), out);
+    }
   }
   return static_cast<std::size_t>(out - buffer);
 }
@@ -124,7 +161,7 @@ void Writer::F32(float v) {
   U32(bits);
 }
 
-void Writer::Str(const std::string& s) {
+void Writer::Str(std::string_view s) {
   Size(s.size());
   if (!s.empty()) WriteExact(s.data(), s.size());
 }
@@ -221,17 +258,22 @@ float Reader::F32() {
 }
 
 std::string Reader::Str(std::size_t max_len) {
+  std::string s;
+  Str(max_len, &s);
+  return s;
+}
+
+void Reader::Str(std::size_t max_len, std::string* s) {
   const std::size_t n = Size(max_len);
   // Grown chunk by chunk: a lying length prefix exhausts the stream (and
   // throws) after at most one chunk more than the bytes that exist.
   constexpr std::size_t kChunk = std::size_t{1} << 16;
-  std::string s;
-  while (s.size() < n) {
-    const std::size_t done = s.size();
-    s.resize(done + std::min(n - done, kChunk));
-    ReadExact(&s[done], s.size() - done);
+  s->clear();
+  while (s->size() < n) {
+    const std::size_t done = s->size();
+    s->resize(done + std::min(n - done, kChunk));
+    ReadExact(s->data() + done, s->size() - done);
   }
-  return s;
 }
 
 std::vector<double> Reader::VecF64(std::size_t max_len) {

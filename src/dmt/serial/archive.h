@@ -108,7 +108,7 @@ class Writer {
   void Bool(bool v) { U8(v ? 1 : 0); }
   void F64(double v);  // raw IEEE-754 bit pattern
   void F32(float v);   // raw IEEE-754 bit pattern (f32 candidate gradients)
-  void Str(const std::string& s);
+  void Str(std::string_view s);
   void VecF64(const std::vector<double>& v);
   // std::mt19937_64 state as a length-prefixed EngineText.
   void Engine(const std::mt19937_64& engine);
@@ -146,6 +146,8 @@ class Reader {
   double F64();
   float F32();
   std::string Str(std::size_t max_len);
+  // The same into `*s`, replacing its contents but keeping its capacity.
+  void Str(std::size_t max_len, std::string* s);
   std::vector<double> VecF64(std::size_t max_len = kMaxVector);
   // Like VecF64 but the archived length must equal `n` exactly.
   std::vector<double> VecF64Exact(std::size_t n);

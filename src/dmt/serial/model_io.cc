@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
@@ -18,6 +20,33 @@
 #include "dmt/trees/vfdt.h"
 
 namespace dmt::serial {
+
+namespace {
+
+// Appends every byte written through it to a caller-owned string; no
+// buffer of its own, so nothing is copied out afterwards.
+class StringSink : public std::streambuf {
+ public:
+  explicit StringSink(std::string* bytes) : bytes_(bytes) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    bytes_->append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) {
+      return traits_type::not_eof(c);
+    }
+    bytes_->push_back(traits_type::to_char_type(c));
+    return c;
+  }
+
+ private:
+  std::string* bytes_;
+};
+
+}  // namespace
 
 std::unique_ptr<Classifier> LoadClassifier(std::istream& in) {
   Reader reader(in);
@@ -66,10 +95,17 @@ std::unique_ptr<trees::Vfdt> LoadMemberVfdt(Reader& reader, int num_features,
 }
 
 std::string SaveClassifierToString(const Classifier& model) {
-  std::ostringstream out(std::ios::binary);
+  std::string bytes;
+  SaveClassifierToString(model, &bytes);
+  return bytes;
+}
+
+void SaveClassifierToString(const Classifier& model, std::string* bytes) {
+  bytes->clear();
+  StringSink sink(bytes);
+  std::ostream out(&sink);
   model.Save(out);
   if (!out) throw SerialError("in-memory model archive encode failed");
-  return out.str();
 }
 
 std::unique_ptr<Classifier> LoadClassifierFromString(const std::string& bytes) {

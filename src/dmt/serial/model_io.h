@@ -58,6 +58,10 @@ void SaveClassifierToFile(const Classifier& model, const std::string& path);
 // LoadClassifierFromString accepts exactly what LoadClassifierFromFile
 // reads. Throws SerialError on encode failure / malformed bytes.
 std::string SaveClassifierToString(const Classifier& model);
+// The same bytes into `*bytes`, replacing its contents but keeping its
+// capacity: a caller that encodes model after model through one buffer
+// allocates only while the buffer grows.
+void SaveClassifierToString(const Classifier& model, std::string* bytes);
 std::unique_ptr<Classifier> LoadClassifierFromString(const std::string& bytes);
 
 // Reads one embedded VFDT body record for an ensemble member and checks it

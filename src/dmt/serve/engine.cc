@@ -477,8 +477,8 @@ void ServeEngine::EvictAtBoundary() {
 
 bool ServeEngine::EvictStream(StreamState* stream) {
   try {
-    WriteEvictionArchive(config_.state_dir, stream->id,
-                         serial::SaveClassifierToString(*stream->model));
+    serial::SaveClassifierToString(*stream->model, &archive_buffer_);
+    WriteEvictionArchive(config_.state_dir, stream->id, archive_buffer_);
   } catch (const std::exception& e) {
     // Never silently lose state: a stream that cannot be parked stays
     // resident and serving continues.
@@ -499,18 +499,17 @@ bool ServeEngine::EvictStream(StreamState* stream) {
 }
 
 void ServeEngine::WriteCheckpoint() {
-  Manifest manifest;
-  manifest.seq = next_checkpoint_seq_;
-  manifest.model_kind = config_.model_kind;
-  manifest.num_features = config_.num_features;
-  manifest.num_classes = config_.num_classes;
-  manifest.seed = config_.seed;
-  manifest.batch_window = config_.batch_window;
-  manifest.inject_rates = {config_.inject.nan_rate, config_.inject.inf_rate,
-                           config_.inject.missing_rate,
-                           config_.inject.flip_rate,
-                           config_.inject.truncate_rate};
-  ManifestTallies& t = manifest.tallies;
+  ManifestHead head;
+  head.seq = next_checkpoint_seq_;
+  head.model_kind = config_.model_kind;
+  head.num_features = config_.num_features;
+  head.num_classes = config_.num_classes;
+  head.seed = config_.seed;
+  head.batch_window = config_.batch_window;
+  head.inject_rates = {config_.inject.nan_rate, config_.inject.inf_rate,
+                       config_.inject.missing_rate, config_.inject.flip_rate,
+                       config_.inject.truncate_rate};
+  ManifestTallies& t = head.tallies;
   t.requests = requests_;
   t.parse_errors = parse_errors_;
   t.rejected = rejected_;
@@ -538,33 +537,41 @@ void ServeEngine::WriteCheckpoint() {
             [](const StreamState* a, const StreamState* b) {
               return a->id < b->id;
             });
+  // Each record is written as soon as it is built: a resident model is
+  // encoded into archive_buffer_, a parked one is copied from its file
+  // through the same buffer, so the checkpoint holds one archive at a time.
+  std::string inject_rng;
   try {
-    manifest.streams.reserve(order.size());
-    for (const StreamState* state : order) {
-      ManifestStream entry;
-      entry.id = state->id;
-      entry.resident = state->model != nullptr;
-      entry.rows_trained = state->rows_trained;
-      entry.last_touch = state->last_touch;
-      entry.last_window = state->last_window;
-      // The generator's canonical text, so a stream's fault-injection
-      // trace continues bit-identically across a checkpoint/recover cycle.
-      if (state->inject_rng != nullptr) {
-        entry.inject_rng = serial::EngineText(state->inject_rng->engine());
-      }
-      entry.archive =
-          entry.resident
-              ? serial::SaveClassifierToString(*state->model)
-              : ReadEvictionArchive(config_.state_dir, state->id);
-      manifest.streams.push_back(std::move(entry));
-    }
-    WriteManifest(config_.state_dir, manifest);
+    WriteManifest(
+        config_.state_dir, head, order.size(),
+        [&](std::size_t i, ManifestRecord* record) {
+          const StreamState& state = *order[i];
+          record->id = state.id;
+          record->resident = state.model != nullptr;
+          record->rows_trained = state.rows_trained;
+          record->last_touch = state.last_touch;
+          record->last_window = state.last_window;
+          // The generator's canonical text, so a stream's fault-injection
+          // trace continues bit-identically across a checkpoint/recover
+          // cycle.
+          inject_rng.clear();
+          if (state.inject_rng != nullptr) {
+            inject_rng = serial::EngineText(state.inject_rng->engine());
+          }
+          record->inject_rng = inject_rng;
+          if (record->resident) {
+            serial::SaveClassifierToString(*state.model, &archive_buffer_);
+          } else {
+            ReadEvictionArchive(config_.state_dir, state.id, &archive_buffer_);
+          }
+          record->archive = archive_buffer_;
+        });
   } catch (const std::exception& e) {
     // A failed checkpoint never interrupts serving; the previous manifest
     // stays the recovery point.
     ++state_errors_;
     std::fprintf(stderr, "dmt_serve: checkpoint %llu failed: %s\n",
-                 static_cast<unsigned long long>(manifest.seq), e.what());
+                 static_cast<unsigned long long>(head.seq), e.what());
     return;
   }
   ++checkpoints_;

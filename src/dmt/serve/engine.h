@@ -246,6 +246,9 @@ class ServeEngine {
   StreamState* lru_head_ = nullptr;
   StreamState* lru_tail_ = nullptr;
   std::uint64_t next_checkpoint_seq_ = 1;
+  // One model archive at a time: eviction encodes into it and a checkpoint
+  // passes every stream's archive through it. Grow-only.
+  std::string archive_buffer_;
   std::uint64_t evictions_ = 0;
   std::uint64_t warm_starts_ = 0;
   std::uint64_t checkpoints_ = 0;

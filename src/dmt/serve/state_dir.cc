@@ -48,16 +48,17 @@ std::optional<std::uint64_t> ManifestSeqOf(const std::string& name) {
   return seq;
 }
 
-void EncodeManifest(serial::Writer& writer, const Manifest& manifest) {
+void EncodeHead(serial::Writer& writer, const ManifestHead& head,
+                std::size_t num_streams) {
   writer.Header(kTagManifest);
-  writer.U64(manifest.seq);
-  writer.Str(manifest.model_kind);
-  writer.I32(manifest.num_features);
-  writer.I32(manifest.num_classes);
-  writer.U64(manifest.seed);
-  writer.U64(manifest.batch_window);
-  for (const double rate : manifest.inject_rates) writer.F64(rate);
-  const ManifestTallies& t = manifest.tallies;
+  writer.U64(head.seq);
+  writer.Str(head.model_kind);
+  writer.I32(head.num_features);
+  writer.I32(head.num_classes);
+  writer.U64(head.seed);
+  writer.U64(head.batch_window);
+  for (const double rate : head.inject_rates) writer.F64(rate);
+  const ManifestTallies& t = head.tallies;
   for (const std::uint64_t v :
        {t.requests, t.parse_errors, t.rejected, t.bad_rows, t.values_imputed,
         t.train_rows, t.score_rows, t.snapshots, t.restores, t.drops,
@@ -65,16 +66,17 @@ void EncodeManifest(serial::Writer& writer, const Manifest& manifest) {
         t.checkpoints, t.injected_rows, t.state_errors}) {
     writer.U64(v);
   }
-  writer.Size(manifest.streams.size());
-  for (const ManifestStream& stream : manifest.streams) {
-    writer.Str(stream.id);
-    writer.Bool(stream.resident);
-    writer.U64(stream.rows_trained);
-    writer.U64(stream.last_touch);
-    writer.U64(stream.last_window);
-    writer.Str(stream.inject_rng);
-    writer.Str(stream.archive);
-  }
+  writer.Size(num_streams);
+}
+
+void EncodeRecord(serial::Writer& writer, const ManifestRecord& record) {
+  writer.Str(record.id);
+  writer.Bool(record.resident);
+  writer.U64(record.rows_trained);
+  writer.U64(record.last_touch);
+  writer.U64(record.last_window);
+  writer.Str(record.inject_rng);
+  writer.Str(record.archive);
 }
 
 Manifest DecodeManifest(serial::Reader& reader) {
@@ -180,13 +182,29 @@ void EnsureStateDir(const std::string& dir) {
 }
 
 void WriteManifest(const std::string& dir, const Manifest& manifest) {
-  EnsureStateDir(dir);
-  const std::string path =
-      (fs::path(dir) / ManifestFileName(manifest.seq)).string();
-  AtomicPublish(path, "checkpoint manifest",
-                [&manifest](serial::Writer& writer) {
-                  EncodeManifest(writer, manifest);
+  WriteManifest(dir, manifest, manifest.streams.size(),
+                [&manifest](std::size_t i, ManifestRecord* record) {
+                  const ManifestStream& stream = manifest.streams[i];
+                  *record = {stream.id,          stream.resident,
+                             stream.rows_trained, stream.last_touch,
+                             stream.last_window,  stream.inject_rng,
+                             stream.archive};
                 });
+}
+
+void WriteManifest(
+    const std::string& dir, const ManifestHead& head, std::size_t num_streams,
+    const std::function<void(std::size_t, ManifestRecord*)>& record) {
+  EnsureStateDir(dir);
+  const std::string path = (fs::path(dir) / ManifestFileName(head.seq)).string();
+  AtomicPublish(path, "checkpoint manifest", [&](serial::Writer& writer) {
+    EncodeHead(writer, head, num_streams);
+    ManifestRecord next;
+    for (std::size_t i = 0; i < num_streams; ++i) {
+      record(i, &next);
+      EncodeRecord(writer, next);
+    }
+  });
   // Prune: keep this manifest and its predecessor (the spare covers the
   // window between two checkpoints where the newest could be the one a
   // concurrent reader -- a backup script, say -- is still copying).
@@ -194,7 +212,7 @@ void WriteManifest(const std::string& dir, const Manifest& manifest) {
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     const std::optional<std::uint64_t> seq =
         ManifestSeqOf(entry.path().filename().string());
-    if (seq && manifest.seq >= 2 && *seq < manifest.seq - 1) {
+    if (seq && head.seq >= 2 && *seq < head.seq - 1) {
       std::error_code remove_ec;
       fs::remove(entry.path(), remove_ec);
     }
@@ -247,6 +265,13 @@ void WriteEvictionArchive(const std::string& dir, const std::string& stream_id,
 
 std::string ReadEvictionArchive(const std::string& dir,
                                 const std::string& stream_id) {
+  std::string archive;
+  ReadEvictionArchive(dir, stream_id, &archive);
+  return archive;
+}
+
+void ReadEvictionArchive(const std::string& dir, const std::string& stream_id,
+                         std::string* archive) {
   const std::string path =
       (fs::path(dir) / "evicted" / EvictionFileName(stream_id)).string();
   std::ifstream in(path, std::ios::binary);
@@ -262,7 +287,7 @@ std::string ReadEvictionArchive(const std::string& dir,
       throw StateError("eviction archive " + path + " holds stream '" +
                        recorded + "', expected '" + stream_id + "'");
     }
-    return reader.Str(kMaxArchive);
+    reader.Str(kMaxArchive, archive);
   } catch (const serial::SerialError& e) {
     throw StateError("corrupt eviction archive " + path + ": " + e.what());
   }

@@ -29,9 +29,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dmt/serial/archive.h"
@@ -87,7 +89,8 @@ struct ManifestTallies {
   std::uint64_t state_errors = 0;
 };
 
-struct Manifest {
+// Everything of a manifest but its stream records.
+struct ManifestHead {
   std::uint64_t seq = 0;
   // Config stamp: a checkpoint only restores into an engine configured
   // identically. Skew in any field is a StateError, never a silent reset
@@ -102,7 +105,22 @@ struct Manifest {
   // nan, inf, missing, flip, truncate rates of the --inject spec.
   std::array<double, 5> inject_rates = {0.0, 0.0, 0.0, 0.0, 0.0};
   ManifestTallies tallies;
+};
+
+struct Manifest : ManifestHead {
   std::vector<ManifestStream> streams;
+};
+
+// One stream record as the manifest writer takes it: a ManifestStream whose
+// bytes stay in the caller's buffers.
+struct ManifestRecord {
+  std::string_view id;
+  bool resident = true;
+  std::uint64_t rows_trained = 0;
+  std::uint64_t last_touch = 0;
+  std::uint64_t last_window = 0;
+  std::string_view inject_rng;
+  std::string_view archive;
 };
 
 // "manifest-<seq, 20 decimal digits>.dmtm": zero-padded so lexicographic
@@ -125,6 +143,16 @@ void EnsureStateDir(const std::string& dir);
 // existing manifests.
 void WriteManifest(const std::string& dir, const Manifest& manifest);
 
+// WriteManifest record by record: writes `head`, then `num_streams`
+// records, the i-th filled in by `record(i, &r)`. The views in `r` need to
+// stay valid only until the next call, so a caller can hand every stream
+// through one reused buffer and the manifest is never whole in memory.
+// Anything `record` throws aborts the write: the temp file is removed and
+// the exception propagates.
+void WriteManifest(
+    const std::string& dir, const ManifestHead& head, std::size_t num_streams,
+    const std::function<void(std::size_t, ManifestRecord*)>& record);
+
 // Scans `dir` for the newest complete manifest ("manifest-*.dmtm"; stale
 // .tmp files are ignored) and decodes it. Returns nullopt when no
 // manifest exists (fresh state dir). Throws StateError on an unreadable
@@ -143,6 +171,10 @@ void WriteEvictionArchive(const std::string& dir, const std::string& stream_id,
 // or holds a different stream.
 std::string ReadEvictionArchive(const std::string& dir,
                                 const std::string& stream_id);
+// The same into `*archive`, replacing its contents but keeping its
+// capacity.
+void ReadEvictionArchive(const std::string& dir, const std::string& stream_id,
+                         std::string* archive);
 
 // Deletes a parked stream's archive (a dropped stream must not be
 // resurrectable from disk). Missing files are ignored.

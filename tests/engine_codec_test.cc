@@ -100,6 +100,50 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorAndRoundTrips) {
   }
 }
 
+TEST(EngineCodecTest, TextEqualsStreamOperatorOnEveryDigitChunkEdge) {
+  // The formatter splits each word at 10^16 and 10^8 and writes every
+  // chunk after the leading one as 8 digits with its leading zeros. Drawn
+  // engine words almost all exceed 10^16, so the words here sit on the
+  // chunk edges on purpose, then fill 10^4 words of each digit length.
+  std::vector<std::uint64_t> words = {0, 1, ~std::uint64_t{0}};
+  std::uint64_t power = 1;
+  for (int k = 1; k <= 19; ++k) {
+    power *= 10;
+    words.push_back(power - 1);
+    words.push_back(power);
+  }
+  for (const std::uint64_t edge :
+       {std::uint64_t{1} << 32, std::uint64_t{100'000'000},
+        std::uint64_t{10'000'000'000'000'000}}) {
+    for (std::uint64_t w = edge - 3; w <= edge + 3; ++w) words.push_back(w);
+  }
+  std::mt19937_64 draw(0xc4a1);
+  std::uint64_t low = 0;
+  std::uint64_t high = 9;
+  for (int digits = 1; digits <= 20; ++digits) {
+    std::uniform_int_distribution<std::uint64_t> in_length(low, high);
+    for (int i = 0; i < 10'000; ++i) words.push_back(in_length(draw));
+    low = digits == 1 ? 10 : low * 10;
+    high = digits == 19 ? ~std::uint64_t{0} : high * 10 + 9;
+  }
+
+  // 312 state words per engine, then an index that walks 0..312.
+  const std::size_t state = std::mt19937_64::state_size;
+  for (std::size_t first = 0, index = 0; first < words.size();
+       first += state, index = (index + 97) % (state + 1)) {
+    std::string text;
+    for (std::size_t i = 0; i < state; ++i) {
+      text.append(std::to_string(words[(first + i) % words.size()]));
+      text.push_back(' ');
+    }
+    text.append(std::to_string(index));
+    std::mt19937_64 engine;
+    serial::ParseEngineText(text, &engine);
+    ASSERT_EQ(serial::EngineText(engine), StreamText(engine)) << first;
+    ASSERT_EQ(serial::EngineText(engine), text) << first;
+  }
+}
+
 TEST(EngineCodecTest, NonCanonicalTextsAreSerialErrors) {
   std::mt19937_64 engine(7);
   for (int i = 0; i < 5; ++i) engine();

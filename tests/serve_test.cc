@@ -1032,16 +1032,12 @@ TEST(ServeDurabilityTest, RecoveryRewritesOnlyParkedFilesThatDiffer) {
       path_of(parked[4]->id), path_of(foreign.id),
       std::filesystem::copy_options::overwrite_existing);
   {
-    // Stale: this stream's model two training rows away from the manifest.
+    // Stale: this stream's model one training row away from the manifest.
     std::unique_ptr<Classifier> model =
         serial::LoadClassifierFromString(stale.archive);
-    const std::vector<std::vector<double>> rows = {{0.5, 0.5, 1.0},
-                                                   {0.2, 0.9, 0.0}};
+    const double row[] = {0.5, 0.5};
     Batch batch(2);
-    for (const std::vector<double>& row : rows) {
-      batch.Add(std::span<const double>(row.data(), 2),
-                static_cast<int>(row[2]));
-    }
+    batch.Add(row, 1);
     model->PartialFit(batch);
     const std::string newer = serial::SaveClassifierToString(*model);
     ASSERT_NE(newer, stale.archive);
@@ -1073,6 +1069,88 @@ TEST(ServeDurabilityTest, RecoveryRewritesOnlyParkedFilesThatDiffer) {
   for (std::size_t i = 0; i < tail.size(); ++i) {
     EXPECT_EQ(tail[i], expected[covered + i]) << "response " << (covered + i);
   }
+}
+
+// The value of one field of a `stats` response.
+std::uint64_t StatsField(const std::string& line, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = line.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " in " << line;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(line.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(ServeDurabilityTest, FailedCheckpointKeepsThePreviousManifest) {
+  // Checkpoints every 4 windows of 8: request 96 publishes manifest 3. The
+  // parked file of the stream listed last is then deleted, so the next
+  // checkpoint fails after every other record went into its temp file.
+  const std::size_t covered = 96;
+  std::vector<std::string> script = RevisitingScript(covered, 12);
+
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.batch_window = 8;
+  config.seed = 43;
+  config.model_kind = "GLM";
+  config.checkpoint_every = 4;
+  config.max_streams = 3;
+  config.factory = GlmFactory(2, 2);
+  const std::string dir = FreshStateDir("serve_failed_checkpoint");
+  config.state_dir = dir;
+  serve::ServeEngine engine(config);
+  std::ostringstream out;
+  for (const std::string& line : script) engine.ServeLine(line, out);
+  const std::optional<serve::Manifest> before = serve::LoadNewestManifest(dir);
+  ASSERT_TRUE(before.has_value());
+  ASSERT_EQ(before->seq, 3u);
+  std::string victim;
+  for (const serve::ManifestStream& entry : before->streams) {
+    if (!entry.resident) victim = entry.id;
+  }
+  ASSERT_FALSE(victim.empty());
+  ASSERT_NE(victim, before->streams.front().id);
+  ASSERT_TRUE(std::filesystem::remove(dir + "/evicted/" +
+                                      serve::EvictionFileName(victim)));
+
+  // Four more windows that never touch the victim, then `stats`.
+  for (const std::string& line : RevisitingScript(400, 12)) {
+    if (script.size() == covered + 32) break;
+    if (line.find(" " + victim + " ") == std::string::npos) {
+      script.push_back(line);
+    }
+  }
+  script.push_back("stats");
+  for (std::size_t i = covered; i < script.size(); ++i) {
+    engine.ServeLine(script[i], out);
+  }
+  engine.Finish(out);
+  const std::vector<std::string> actual = SplitLines(out.str());
+
+  serve::ServeConfig reference_config = config;
+  reference_config.state_dir = FreshStateDir("serve_failed_checkpoint_ref");
+  serve::ServeEngine reference(reference_config);
+  const std::vector<std::string> expected =
+      SplitLines(RunLines(&reference, script));
+  ASSERT_EQ(actual.size(), script.size());
+  ASSERT_EQ(expected.size(), script.size());
+  for (std::size_t i = 0; i + 1 < script.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "response " << i;
+  }
+  // Window 16's checkpoint failed; Finish's failed after `stats` answered.
+  EXPECT_EQ(StatsField(actual.back(), "state_errors"),
+            StatsField(expected.back(), "state_errors") + 1);
+  EXPECT_EQ(StatsField(actual.back(), "checkpoints"), 3u);
+  EXPECT_EQ(StatsField(expected.back(), "checkpoints"), 4u);
+
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_directory()) continue;  // evicted/
+    EXPECT_EQ(entry.path().extension(), ".dmtm") << entry.path();
+  }
+  const std::optional<serve::Manifest> after = serve::LoadNewestManifest(dir);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->seq, 3u);
+  EXPECT_EQ(after->tallies.requests, covered);
 }
 
 TEST(ServeDurabilityTest, RecoveryRejectsConfigSkew) {
