@@ -281,6 +281,48 @@ TEST(DmtTest, EventsCarryInterpretableMetadata) {
   EXPECT_LE(first.time_step, tree.time_step());
 }
 
+// Equal-gain candidates (one of the unspecified behaviours of streaming
+// trees listed by Manapragada et al.). Features 1 and 2 are the same
+// column, so every candidate (1, v) has a twin (2, v) over the same rows:
+// same loss, count and gradient, hence the same gain bits. Proposals of
+// equal estimated gain are adopted in feature order, so each twin of
+// feature 1 sits in a lower store row, and the strict `>` of the best
+// candidate search keeps the lowest row: every split and replacement
+// names feature 1, never its duplicate. Feature 0 is noise.
+void ExpectDuplicateColumnSplitsOnLowestFeature(const DmtConfig& config) {
+  DynamicModelTree tree(config);
+  Rng rng(14);
+  for (int b = 0; b < 150; ++b) {
+    Batch batch(3);
+    for (int i = 0; i < 100; ++i) {
+      const double x = rng.Uniform();
+      const std::vector<double> row = {rng.Uniform(), x, x};
+      batch.Add(row, x > 0.3 && x < 0.7 ? 1 : 0);
+    }
+    tree.PartialFit(batch);
+  }
+  ASSERT_FALSE(tree.events().empty());
+  EXPECT_EQ(tree.events().front().kind, StructuralEvent::Kind::kSplit);
+  EXPECT_EQ(tree.events().front().feature, 1);
+  for (const StructuralEvent& event : tree.events()) {
+    EXPECT_NE(event.feature, 2) << "split on the duplicate column";
+  }
+}
+
+TEST(DmtTieBreakTest, EqualGainCandidatesSplitOnLowestFeature) {
+  ExpectDuplicateColumnSplitsOnLowestFeature(
+      {.num_features = 3, .num_classes = 2});
+}
+
+TEST(DmtTieBreakTest, EqualGainCandidatesSplitOnLowestFeatureExact) {
+  ExpectDuplicateColumnSplitsOnLowestFeature({.num_features = 3,
+                                              .num_classes = 2,
+                                              .gain_test_every = 1,
+                                              .gain_test_threshold = 0.0,
+                                              .order_buckets = 0,
+                                              .candidate_grad_f32 = false});
+}
+
 TEST(DmtTest, InstanceIncrementalModeWorks) {
   // Batch size one (instance-incremental learning, Sec. V-D).
   DynamicModelTree tree({.num_features = 2, .num_classes = 2});
