@@ -16,6 +16,10 @@
 //    They are 4-way unrolled to shrink loop overhead but deliberately do
 //    NOT use multiple accumulators: a reduction tree would change the
 //    summation order and with it every pinned benchmark table.
+//  * Batched reductions (DotBatch4, SquaredNormsBatch4[F32]) run several
+//    of those reductions side by side, one accumulator per output, each
+//    in strict index order -- the parallelism is across outputs, never
+//    within one -- so each output equals its one-row kernel bit for bit.
 //
 // The optional DMT_ENABLE_AVX2 CMake flag (off by default) compiles an
 // explicit AVX2 intrinsics path for the elementwise kernels in kernels.cc;
@@ -188,6 +192,63 @@ inline double SquaredNormDiff(const double* DMT_RESTRICT a,
   return sum;
 }
 
+// Both norms of Eq. (7) for four rows at once: rows t = 0..3 of a
+// row-major matrix (row t at x + t*stride) against one shared vector a.
+// norm[t] = SquaredNorm(row t) and diff[t] = SquaredNormDiff(a, row t).
+// Like DotBatch4, each of the eight outputs keeps its OWN single
+// accumulator updated in strict i-order, so every value is bit-identical
+// to the one-row kernel; the eight independent chains only overlap the
+// add latency that a lone serial reduction waits on. Rows of float
+// (SquaredNormsBatch4F32) widen each element first, as the F32 one-row
+// kernels do.
+namespace internal {
+template <typename Row>
+inline void SquaredNormsBatch4(const Row* DMT_RESTRICT x, std::size_t stride,
+                               const double* DMT_RESTRICT a, std::size_t n,
+                               double* DMT_RESTRICT norm,
+                               double* DMT_RESTRICT diff) {
+  const Row* DMT_RESTRICT x0 = x;
+  const Row* DMT_RESTRICT x1 = x + stride;
+  const Row* DMT_RESTRICT x2 = x + 2 * stride;
+  const Row* DMT_RESTRICT x3 = x + 3 * stride;
+  double n0 = 0.0, n1 = 0.0, n2 = 0.0, n3 = 0.0;
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ai = a[i];
+    const double v0 = static_cast<double>(x0[i]);
+    const double v1 = static_cast<double>(x1[i]);
+    const double v2 = static_cast<double>(x2[i]);
+    const double v3 = static_cast<double>(x3[i]);
+    n0 += v0 * v0;
+    n1 += v1 * v1;
+    n2 += v2 * v2;
+    n3 += v3 * v3;
+    const double d0 = ai - v0;
+    const double d1 = ai - v1;
+    const double d2 = ai - v2;
+    const double d3 = ai - v3;
+    s0 += d0 * d0;
+    s1 += d1 * d1;
+    s2 += d2 * d2;
+    s3 += d3 * d3;
+  }
+  norm[0] = n0;
+  norm[1] = n1;
+  norm[2] = n2;
+  norm[3] = n3;
+  diff[0] = s0;
+  diff[1] = s1;
+  diff[2] = s2;
+  diff[3] = s3;
+}
+}  // namespace internal
+
+inline void SquaredNormsBatch4(const double* x, std::size_t stride,
+                               const double* a, std::size_t n, double* norm,
+                               double* diff) {
+  internal::SquaredNormsBatch4(x, stride, a, n, norm, diff);
+}
+
 // --- float32 candidate-gradient kernels -------------------------------------
 //
 // The float32 CandidateStore mode stores accumulated candidate gradients as
@@ -249,6 +310,14 @@ inline double SquaredNormDiffF32(const double* DMT_RESTRICT a,
     sum += d * d;
   }
   return sum;
+}
+
+// SquaredNormsBatch4 over float-stored rows: norm[t] = SquaredNormF32(row
+// t), diff[t] = SquaredNormDiffF32(a, row t), bit for bit.
+inline void SquaredNormsBatch4F32(const float* x, std::size_t stride,
+                                  const double* a, std::size_t n, double* norm,
+                                  double* diff) {
+  internal::SquaredNormsBatch4(x, stride, a, n, norm, diff);
 }
 
 // --- std::span convenience overloads (same kernels) -------------------------

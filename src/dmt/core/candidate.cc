@@ -1,5 +1,6 @@
 #include "dmt/core/candidate.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "dmt/common/check.h"
@@ -76,24 +77,61 @@ double ApproxComplementLoss(double parent_loss,
   return (parent_loss - left_loss) - (lambda / count) * grad_norm_sq;
 }
 
-double CandidateGain(const CandidateStore& store, std::size_t i,
-                     double node_loss, std::span<const double> node_grad,
-                     double node_count, double reference_loss, double lambda) {
+namespace {
+
+// Eq. (3)/(4) of stored row `i` from its two norms: the inlined
+// ApproxCandidateLoss / ApproxComplementLoss expressions, so the f64 mode
+// is bit-identical to the span-based helpers. Degenerate candidates (one
+// empty side) cannot form a split.
+double GainFromNorms(const CandidateStore& store, std::size_t i,
+                     double norm_sq, double diff_sq, double node_loss,
+                     double node_count, double reference_loss,
+                     double lambda) {
   const double count = store.count(i);
-  // Degenerate candidates (one empty side) cannot form a split.
   if (count <= 0.0 || count >= node_count) {
     return -std::numeric_limits<double>::infinity();
   }
-  // Inlined ApproxCandidateLoss / ApproxComplementLoss on the store's
-  // mode-agnostic norm accessors (same expressions, so the f64 mode is
-  // bit-identical to the span-based helpers).
-  const double left =
-      store.loss(i) - (lambda / count) * store.GradSquaredNorm(i);
+  const double left = store.loss(i) - (lambda / count) * norm_sq;
   const double right_count = node_count - count;
   const double right =
-      (node_loss - store.loss(i)) -
-      (lambda / right_count) * store.GradSquaredNormDiff(node_grad, i);
+      (node_loss - store.loss(i)) - (lambda / right_count) * diff_sq;
   return reference_loss - left - right;  // Eqs. (3) / (4)
+}
+
+}  // namespace
+
+double CandidateGain(const CandidateStore& store, std::size_t i,
+                     double node_loss, std::span<const double> node_grad,
+                     double node_count, double reference_loss, double lambda) {
+  // A degenerate row scores -infinity without paying for its norms.
+  const double count = store.count(i);
+  if (count <= 0.0 || count >= node_count) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  return GainFromNorms(store, i, store.GradSquaredNorm(i),
+                       store.GradSquaredNormDiff(node_grad, i), node_loss,
+                       node_count, reference_loss, lambda);
+}
+
+void CandidateGains(const CandidateStore& store, std::size_t begin,
+                    double node_loss, std::span<const double> node_grad,
+                    double node_count, double reference_loss, double lambda,
+                    std::span<double> out) {
+  std::size_t t = 0;
+  for (; t + 4 <= out.size(); t += 4) {
+    double norm[4];
+    double diff[4];
+    store.GradSquaredNorms4(node_grad, begin + t, norm, diff);
+    for (std::size_t u = 0; u < 4; ++u) {
+      out[t + u] = GainFromNorms(store, begin + t + u, norm[u], diff[u],
+                                 node_loss, node_count, reference_loss,
+                                 lambda);
+    }
+  }
+  for (; t < out.size(); ++t) {
+    out[t] = CandidateGain(store, begin + t, node_loss, node_grad, node_count,
+                           reference_loss, lambda);
+  }
 }
 
 int BestCandidate(const CandidateStore& store, double node_loss,
@@ -101,12 +139,16 @@ int BestCandidate(const CandidateStore& store, double node_loss,
                   double reference_loss, double lambda, double* best_gain) {
   int best = -1;
   *best_gain = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const double gain = CandidateGain(store, i, node_loss, node_grad,
-                                      node_count, reference_loss, lambda);
-    if (gain > *best_gain) {
-      *best_gain = gain;
-      best = static_cast<int>(i);
+  double gains[4];
+  for (std::size_t begin = 0; begin < store.size(); begin += 4) {
+    const std::size_t rows = std::min<std::size_t>(4, store.size() - begin);
+    CandidateGains(store, begin, node_loss, node_grad, node_count,
+                   reference_loss, lambda, std::span<double>(gains, rows));
+    for (std::size_t t = 0; t < rows; ++t) {
+      if (gains[t] > *best_gain) {
+        *best_gain = gains[t];
+        best = static_cast<int>(begin + t);
+      }
     }
   }
   return best;

@@ -126,6 +126,22 @@ class CandidateStore {
                      a.data(), grad_.data() + i * num_params_, num_params_);
   }
 
+  // GradSquaredNorm and GradSquaredNormDiff(a, .) of rows i..i+3 in one
+  // pass (kernels::SquaredNormsBatch4[F32]); bit-identical to the
+  // one-row accessors.
+  void GradSquaredNorms4(std::span<const double> a, std::size_t i,
+                         double* norm, double* diff) const {
+    if (grad_f32_) {
+      kernels::SquaredNormsBatch4F32(grad32_.data() + i * num_params_,
+                                     num_params_, a.data(), num_params_,
+                                     norm, diff);
+    } else {
+      kernels::SquaredNormsBatch4(grad_.data() + i * num_params_,
+                                  num_params_, a.data(), num_params_, norm,
+                                  diff);
+    }
+  }
+
   // Appends a zeroed candidate keyed (feature, value); returns its row.
   std::size_t Append(int feature, double value) {
     const std::size_t i = size_++;
@@ -261,8 +277,18 @@ double CandidateGain(const CandidateStore& store, std::size_t i,
                      double node_loss, std::span<const double> node_grad,
                      double node_count, double reference_loss, double lambda);
 
+// CandidateGain of rows begin .. begin + out.size() - 1 into `out`, four
+// rows per pass over the node gradient (CandidateStore::GradSquaredNorms4);
+// every value is bit-identical to CandidateGain of that row.
+void CandidateGains(const CandidateStore& store, std::size_t begin,
+                    double node_loss, std::span<const double> node_grad,
+                    double node_count, double reference_loss, double lambda,
+                    std::span<double> out);
+
 // Row of the best-gain candidate (or -1 if the store is empty / all
-// degenerate); the winning gain is returned through `best_gain`.
+// degenerate); the winning gain is returned through `best_gain`. Under the
+// strict `>` an equal gain never displaces an earlier row, so of equal
+// gains the lowest row wins.
 int BestCandidate(const CandidateStore& store, double node_loss,
                   std::span<const double> node_grad, double node_count,
                   double reference_loss, double lambda, double* best_gain);

@@ -117,12 +117,19 @@ struct CandidateUpdateParams {
 };
 
 // Grow-only SoA buffer of fresh-candidate proposals (one batch's worth);
-// the gradient rows live in one contiguous matrix like the store's.
+// the gradient rows live in one contiguous matrix like the store's. A
+// proposal is pushed with its left-side statistics; its est_gain is set
+// later by ScoreProposals, four rows at a time.
 class ProposalBuffer {
  public:
   void Init(std::size_t num_params) { num_params_ = num_params; }
   std::size_t size() const { return size_; }
-  void Clear() { size_ = 0; }
+  void Clear() {
+    size_ = 0;
+    scored_ = 0;
+  }
+  // Rows [scored(), size()) still wait for their est_gain.
+  std::size_t scored() const { return scored_; }
 
   int feature(std::size_t i) const { return feature_[i]; }
   double value(std::size_t i) const { return value_[i]; }
@@ -132,8 +139,10 @@ class ProposalBuffer {
   std::span<const double> grad(std::size_t i) const {
     return {grad_.data() + i * num_params_, num_params_};
   }
+  // Sets the est_gain of row scored(), the first waiting one.
+  void ScoreNext(double est_gain) { est_gain_[scored_++] = est_gain; }
 
-  void Push(int feature, double value, double est_gain, double loss,
+  void Push(int feature, double value, double loss,
             std::span<const double> grad, double count) {
     const std::size_t i = size_++;
     if (feature_.size() < size_) {
@@ -146,7 +155,6 @@ class ProposalBuffer {
     }
     feature_[i] = feature;
     value_[i] = value;
-    est_gain_[i] = est_gain;
     loss_[i] = loss;
     count_[i] = count;
     std::copy(grad.begin(), grad.end(),
@@ -156,6 +164,7 @@ class ProposalBuffer {
  private:
   std::size_t num_params_ = 0;
   std::size_t size_ = 0;
+  std::size_t scored_ = 0;
   std::vector<int> feature_;
   std::vector<double> value_;
   std::vector<double> est_gain_;
@@ -220,6 +229,10 @@ struct TrainScratch {
   std::vector<double> slot_loss;
   std::vector<double> slot_count;
   std::vector<double> slot_max;   // per-slot max observed value
+  // A slot that holds one row reads its gradient straight from
+  // sample_grad at slot_row; slot_grad is written only once a second row
+  // lands (the copy is exact, so skipping it changes no bits).
+  std::vector<std::uint32_t> slot_row;
   std::vector<double> slot_grad;  // row-major [slot][param]
 
   // Recursion scratch of UpdateNode: row partitions indexed by depth. The
@@ -382,6 +395,57 @@ double AccumulateNodeStatistics(const BatchT& batch,
   return batch_loss;
 }
 
+// Estimated gain of a proposal from this batch alone (Eq. 3 with Eq. 7
+// losses): the left side holds run_loss over run_count of the batch's n
+// rows with squared gradient norm norm_sq; diff_sq is the squared norm of
+// the batch gradient minus the left one. Both proposal engines use these
+// exact expressions.
+inline double EstimatedGain(double batch_loss, std::size_t n, double run_loss,
+                            double run_count, double norm_sq, double diff_sq,
+                            double lambda) {
+  const double left_hat =
+      run_count <= 0.0 ? 0.0 : run_loss - (lambda / run_count) * norm_sq;
+  const double right_count = static_cast<double>(n) - run_count;
+  const double right_hat =
+      (batch_loss - run_loss) -
+      (right_count > 0.0 ? lambda / right_count * diff_sq : 0.0);
+  return batch_loss - left_hat - right_hat;
+}
+
+// Scores the proposals still waiting for their est_gain. The engines call
+// it with `all` false after each push: once four rows wait, they take one
+// pass over the batch gradient (kernels::SquaredNormsBatch4) while they are
+// still in cache, so the last pushed rows act as a four-row ring. With
+// `all` true it also scores the (at most three) rows left at the end
+// through the one-row kernels, which give the same bits.
+inline void ScoreProposals(double lambda, double batch_loss, std::size_t n,
+                           bool all, TrainScratch* scratch) {
+  ProposalBuffer& proposals = scratch->proposals;
+  const double* batch_grad = scratch->batch_grad.data();
+  const std::size_t k = scratch->batch_grad.size();
+  while (proposals.size() - proposals.scored() >= 4) {
+    const std::size_t p = proposals.scored();
+    double norm[4];
+    double diff[4];
+    kernels::SquaredNormsBatch4(proposals.grad(p).data(), k, batch_grad, k,
+                                norm, diff);
+    for (std::size_t t = 0; t < 4; ++t) {
+      proposals.ScoreNext(EstimatedGain(batch_loss, n, proposals.loss(p + t),
+                                        proposals.count(p + t), norm[t],
+                                        diff[t], lambda));
+    }
+  }
+  if (!all) return;
+  while (proposals.scored() < proposals.size()) {
+    const std::size_t p = proposals.scored();
+    const double* g = proposals.grad(p).data();
+    proposals.ScoreNext(EstimatedGain(
+        batch_loss, n, proposals.loss(p), proposals.count(p),
+        kernels::SquaredNorm(g, k), kernels::SquaredNormDiff(batch_grad, g, k),
+        lambda));
+  }
+}
+
 // Step 5 (both proposal engines): candidate replacement keeping the store
 // bounded at max_candidates, allowing at most replacement_rate of it to
 // turn over per step. Proposals are visited in descending estimated gain
@@ -414,10 +478,8 @@ inline void ReplaceCandidates(const CandidateUpdateParams& params,
   // maintained across replacements (recomputing per proposal would make
   // the update quadratic in the store size).
   scratch->stored_gain.resize(store->size());
-  for (std::size_t c = 0; c < store->size(); ++c) {
-    scratch->stored_gain[c] = CandidateGain(
-        *store, c, loss_sum, grad_sum, count, loss_sum, lambda);
-  }
+  CandidateGains(*store, 0, loss_sum, grad_sum, count, loss_sum, lambda,
+                 scratch->stored_gain);
   int worst = -1;  // argmin of stored_gain, recomputed after replacements
   std::size_t heap_size = scratch->proposal_order.size();
   while (heap_size > 0) {
@@ -495,6 +557,7 @@ inline void ProposeFromBuckets(const CandidateUpdateParams& params,
   scratch->slot_loss.resize(max_slots);
   scratch->slot_count.resize(max_slots);
   scratch->slot_max.resize(max_slots);
+  scratch->slot_row.resize(max_slots);
   scratch->slot_grad.resize(max_slots * k);
 
   for (int j = 0; j < params.num_features; ++j) {
@@ -514,7 +577,6 @@ inline void ProposeFromBuckets(const CandidateUpdateParams& params,
       } else {
         b = 0;  // negatives (and non-finite comparisons) clamp low
       }
-      const double* sg = scratch->sample_grad.data() + i * k;
       if (scratch->radix_epoch[b] != epoch) {
         scratch->radix_epoch[b] = epoch;
         const std::size_t s = occupied++;
@@ -523,13 +585,19 @@ inline void ProposeFromBuckets(const CandidateUpdateParams& params,
         scratch->slot_loss[s] = scratch->sample_loss[i];
         scratch->slot_count[s] = 1.0;
         scratch->slot_max[s] = v;
-        std::copy(sg, sg + k, scratch->slot_grad.data() + s * k);
+        scratch->slot_row[s] = static_cast<std::uint32_t>(i);
       } else {
         const std::size_t s = scratch->radix_slot[b];
+        double* slot_grad = scratch->slot_grad.data() + s * k;
+        if (scratch->slot_count[s] == 1.0) {
+          const double* first =
+              scratch->sample_grad.data() + scratch->slot_row[s] * k;
+          std::copy(first, first + k, slot_grad);
+        }
         scratch->slot_loss[s] += scratch->sample_loss[i];
         scratch->slot_count[s] += 1.0;
         if (v > scratch->slot_max[s]) scratch->slot_max[s] = v;
-        kernels::Add(scratch->slot_grad.data() + s * k, sg, k);
+        kernels::Add(slot_grad, scratch->sample_grad.data() + i * k, k);
       }
     }
     if (occupied < 2) continue;  // one bucket = no proposable boundary
@@ -572,28 +640,23 @@ inline void ProposeFromBuckets(const CandidateUpdateParams& params,
     for (std::size_t seen = 1; seen <= occupied; ++seen) {
       const std::size_t s = scratch->slot_order[seen - 1];
       run_loss += scratch->slot_loss[s];
-      kernels::Add(scratch->prefix_grad.data(),
-                   scratch->slot_grad.data() + s * k, k);
+      const double* slot_grad =
+          scratch->slot_count[s] == 1.0
+              ? scratch->sample_grad.data() + scratch->slot_row[s] * k
+              : scratch->slot_grad.data() + s * k;
+      kernels::Add(scratch->prefix_grad.data(), slot_grad, k);
       run_count += scratch->slot_count[s];
       if (seen == occupied) break;  // the full batch is no split
       if (seen % proposal_stride != 0) continue;
 
-      // Estimated gain from this batch alone (Eq. 3 with Eq. 7 losses) --
-      // the same expressions as the exact scan, over the bucket prefix.
-      const double left_hat = ApproxCandidateLoss(
-          run_loss, scratch->prefix_grad, run_count, lambda);
-      const double right_norm_sq = kernels::SquaredNormDiff(
-          std::span<const double>(scratch->batch_grad),
-          std::span<const double>(scratch->prefix_grad));
-      const double right_count = static_cast<double>(n) - run_count;
-      const double right_hat =
-          (batch_loss - run_loss) -
-          (right_count > 0.0 ? lambda / right_count * right_norm_sq : 0.0);
-      const double est_gain = batch_loss - left_hat - right_hat;
-      scratch->proposals.Push(j, scratch->slot_max[s], est_gain, run_loss,
+      // The bucket prefix is a proposal; its gain estimate uses the same
+      // expressions as the exact scan (EstimatedGain).
+      scratch->proposals.Push(j, scratch->slot_max[s], run_loss,
                               scratch->prefix_grad, run_count);
+      ScoreProposals(lambda, batch_loss, n, false, scratch);
     }
   }
+  ScoreProposals(lambda, batch_loss, n, true, scratch);
 }
 
 // Phase 2, skip path (and the stored-candidate scatter of the bucketed
@@ -784,19 +847,9 @@ void ScatterAndPropose(const CandidateUpdateParams& params,
       if (!boundary || i + 1 == n) continue;  // the full batch is no split
       if ((i + 1) % proposal_stride != 0) continue;
 
-      // Estimated gain from this batch alone (Eq. 3 with Eq. 7 losses).
-      const double left_hat = ApproxCandidateLoss(
-          run_loss, scratch->prefix_grad, run_count, lambda);
-      const double right_norm_sq = kernels::SquaredNormDiff(
-          std::span<const double>(scratch->batch_grad),
-          std::span<const double>(scratch->prefix_grad));
-      const double right_count = static_cast<double>(n) - run_count;
-      const double right_hat =
-          (batch_loss - run_loss) -
-          (right_count > 0.0 ? lambda / right_count * right_norm_sq : 0.0);
-      const double est_gain = batch_loss - left_hat - right_hat;
-      scratch->proposals.Push(j, value, est_gain, run_loss,
-                              scratch->prefix_grad, run_count);
+      scratch->proposals.Push(j, value, run_loss, scratch->prefix_grad,
+                              run_count);
+      ScoreProposals(lambda, batch_loss, n, false, scratch);
     }
     // Remaining stored candidates (threshold >= max value) absorb the full
     // batch on their left side.
@@ -809,6 +862,7 @@ void ScatterAndPropose(const CandidateUpdateParams& params,
     }
     group_begin = group_end;
   }
+  ScoreProposals(lambda, batch_loss, n, true, scratch);
 
   // 5. Bounded candidate replacement.
   ReplaceCandidates(params, loss_sum, grad_sum, count, store, scratch);

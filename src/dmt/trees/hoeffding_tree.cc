@@ -77,12 +77,13 @@ std::vector<int>& SplitScanner::AllFeatures(int num_features) {
 SplitRanking SplitScanner::Rank(const NodeStats& stats,
                                 std::span<const int> features,
                                 int num_candidates) {
-  left_.resize(stats.class_counts.size());
-  right_.resize(stats.class_counts.size());
+  scratch_.resize(3 * stats.class_counts.size());
+  // The parent is the same for every threshold of every feature.
+  const ParentTerms parent = ParentTermsOf(stats.class_counts);
   SplitRanking ranking;
   for (int j : features) {
     const SplitCandidate s = stats.observers[j].BestSplitInto(
-        j, stats.class_counts, num_candidates, left_, right_);
+        j, stats.class_counts, parent, num_candidates, scratch_);
     if (s.merit > ranking.best.merit) {
       ranking.second = ranking.best;
       ranking.best = s;
@@ -96,13 +97,18 @@ SplitRanking SplitScanner::Rank(const NodeStats& stats,
 double SplitScanner::MeritOf(const NodeStats& stats, int feature,
                              double threshold) {
   const std::size_t num_classes = stats.class_counts.size();
-  left_.resize(num_classes);
-  right_.resize(num_classes);
-  stats.observers[feature].CountsBelowInto(threshold, left_);
+  scratch_.resize(3 * num_classes);
+  const std::span<double> sd(scratch_.data(), num_classes);
+  const std::span<double> left(scratch_.data() + num_classes, num_classes);
+  const std::span<double> right(scratch_.data() + 2 * num_classes,
+                                num_classes);
+  const NumericObserver& observer = stats.observers[feature];
+  observer.StdDevsInto(sd);
+  observer.CountsBelowInto(threshold, sd, left);
   for (std::size_t c = 0; c < num_classes; ++c) {
-    right_[c] = std::max(0.0, stats.class_counts[c] - left_[c]);
+    right[c] = std::max(0.0, stats.class_counts[c] - left[c]);
   }
-  return InfoGain(stats.class_counts, left_, right_);
+  return InfoGain(stats.class_counts, left, right);
 }
 
 }  // namespace dmt::trees

@@ -200,8 +200,8 @@ class SplitScanner {
 
  private:
   std::vector<int> features_;
-  std::vector<double> left_;
-  std::vector<double> right_;
+  // [sd | left | right], num_classes each: BestSplitInto's scratch.
+  std::vector<double> scratch_;
 };
 
 // Hoeffding bound for information gain (range log2(classes)) at a node

@@ -22,9 +22,18 @@ constexpr double kMinVariance = 1e-8;
 
 double GaussianEstimator::LogPdf(double x) const {
   if (n == 0) return 0.0;
-  const double var = std::max(variance(), kMinVariance);
   const double diff = x - mean;
+  if (cached_n_ == n) {
+    return -0.5 * (cached_log_ + diff * diff / cached_var_);
+  }
+  const double var = std::max(variance(), kMinVariance);
   return -0.5 * (std::log(2.0 * std::numbers::pi * var) + diff * diff / var);
+}
+
+void GaussianEstimator::CacheLogTerm() {
+  cached_n_ = n;
+  cached_var_ = std::max(variance(), kMinVariance);
+  cached_log_ = std::log(2.0 * std::numbers::pi * cached_var_);
 }
 
 NumericObserver::NumericObserver(int num_classes)
@@ -51,7 +60,15 @@ void NumericObserver::Add(double value, int y, int count) {
   max_ = std::max(max_, value);
 }
 
+void NumericObserver::StdDevsInto(std::span<double> sd) const {
+  for (int c = 0; c < num_classes_; ++c) {
+    const GaussianEstimator& est = per_class_[c];
+    sd[c] = est.n == 0 ? 0.0 : std::sqrt(std::max(est.variance(), 1e-12));
+  }
+}
+
 void NumericObserver::CountsBelowInto(double threshold,
+                                      std::span<const double> sd,
                                       std::span<double> out) const {
   for (int c = 0; c < num_classes_; ++c) {
     const GaussianEstimator& est = per_class_[c];
@@ -59,24 +76,27 @@ void NumericObserver::CountsBelowInto(double threshold,
       out[c] = 0.0;
       continue;
     }
-    const double sd = std::sqrt(std::max(est.variance(), 1e-12));
-    out[c] = class_weights_[c] * NormalCdf((threshold - est.mean) / sd);
+    out[c] = class_weights_[c] * NormalCdf((threshold - est.mean) / sd[c]);
   }
 }
 
 SplitCandidate NumericObserver::BestSplitInto(
-    int feature, std::span<const double> parent_counts, int num_candidates,
-    std::span<double> left_scratch, std::span<double> right_scratch) const {
+    int feature, std::span<const double> parent_counts,
+    const ParentTerms& parent, int num_candidates,
+    std::span<double> scratch) const {
   SplitCandidate best;
   best.feature = feature;
   if (!has_range()) return best;
-  const std::span<double> left = left_scratch.first(num_classes_);
-  const std::span<double> right = right_scratch.first(num_classes_);
+  const std::size_t classes = static_cast<std::size_t>(num_classes_);
+  const std::span<double> sd = scratch.subspan(0, classes);
+  const std::span<double> left = scratch.subspan(classes, classes);
+  const std::span<double> right = scratch.subspan(2 * classes, classes);
+  StdDevsInto(sd);
   for (int i = 1; i <= num_candidates; ++i) {
     const double t =
         min_ + (max_ - min_) * static_cast<double>(i) /
                    static_cast<double>(num_candidates + 1);
-    CountsBelowInto(t, left);
+    CountsBelowInto(t, sd, left);
     bool valid = true;
     double n_left = 0.0;
     double n_right = 0.0;
@@ -87,7 +107,7 @@ SplitCandidate NumericObserver::BestSplitInto(
     }
     if (n_left < 1.0 || n_right < 1.0) valid = false;
     if (!valid) continue;
-    const double merit = InfoGain(parent_counts, left, right);
+    const double merit = InfoGain(parent, left, right);
     if (merit > best.merit) {
       best.threshold = t;
       best.merit = merit;

@@ -16,6 +16,8 @@
 #include <span>
 #include <vector>
 
+#include "dmt/trees/split_criteria.h"
+
 namespace dmt::serial {
 class Writer;
 class Reader;
@@ -24,6 +26,13 @@ class Reader;
 namespace dmt::trees {
 
 // Streaming per-feature Gaussian sufficient statistics for one class.
+//
+// VFDT-NBA leaves score every row before they learn it, so LogPdf is on
+// the training path. CacheLogTerm stores the floored variance and its log
+// term, stamped with the n they were taken at; LogPdf uses them only while
+// the stamp equals n and otherwise evaluates the same expression afresh,
+// so a cached and a fresh estimator give the same bits. The cache is never
+// archived: a loaded estimator starts unstamped.
 struct GaussianEstimator {
   std::size_t n = 0;
   double mean = 0.0;
@@ -40,6 +49,13 @@ struct GaussianEstimator {
   }
   // Log-density with a variance floor so single-valued features stay finite.
   double LogPdf(double x) const;
+  // Caches the floored variance and log(2 pi var) at the current n.
+  void CacheLogTerm();
+
+ private:
+  std::size_t cached_n_ = 0;  // n the cache was taken at (0: none)
+  double cached_var_ = 0.0;
+  double cached_log_ = 0.0;
 };
 
 // A scored binary split proposal "x[feature] <= threshold". Trivially
@@ -64,17 +80,23 @@ class NumericObserver {
   // Best split for this feature by information gain over the projected
   // class distributions. `num_candidates` thresholds are probed uniformly
   // inside (min, max); a threshold leaving less than one unit of weight on
-  // either side is skipped. The projected counts land in caller-provided
-  // scratch (>= num_classes each), so the scan allocates nothing.
+  // either side is skipped. `parent` holds ParentTermsOf(parent_counts).
+  // The per-class standard deviations and the projected counts land in
+  // caller-provided scratch (>= 3 * num_classes), so the scan allocates
+  // nothing and takes each square root once per call.
   SplitCandidate BestSplitInto(int feature,
                                std::span<const double> parent_counts,
-                               int num_candidates,
-                               std::span<double> left_scratch,
-                               std::span<double> right_scratch) const;
+                               const ParentTerms& parent, int num_candidates,
+                               std::span<double> scratch) const;
 
-  // Class counts estimated to fall at or below `threshold` (Gaussian CDF),
-  // written to `out` (>= num_classes).
-  void CountsBelowInto(double threshold, std::span<double> out) const;
+  // Per-class standard deviations of the Gaussian CDF below, written to
+  // `sd` (>= num_classes); a class never seen gets 0 and is skipped there.
+  void StdDevsInto(std::span<double> sd) const;
+
+  // Class counts estimated to fall at or below `threshold` (Gaussian CDF
+  // with the deviations of StdDevsInto), written to `out` (>= num_classes).
+  void CountsBelowInto(double threshold, std::span<const double> sd,
+                       std::span<double> out) const;
 
   bool has_range() const { return max_ > min_; }
   double min_value() const { return min_; }
@@ -86,6 +108,9 @@ class NumericObserver {
     return per_class_[c];
   }
   double class_weight(int c) const { return class_weights_[c]; }
+  // GaussianEstimator::CacheLogTerm of class c (VFDT-NBA, after learning
+  // a row of class c).
+  void CacheLogTerm(int c) { per_class_[c].CacheLogTerm(); }
 
   // --- Persistence (binary archive; see serial/archive.h) ---
   // The archived class count must equal `num_classes` (the owning tree's);

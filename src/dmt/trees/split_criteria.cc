@@ -22,17 +22,27 @@ double Entropy(std::span<const double> class_counts) {
   return entropy;
 }
 
-double InfoGain(std::span<const double> parent, std::span<const double> left,
+ParentTerms ParentTermsOf(std::span<const double> parent) {
+  ParentTerms terms;
+  for (double c : parent) terms.n += c;
+  terms.entropy = Entropy(parent);
+  return terms;
+}
+
+double InfoGain(const ParentTerms& parent, std::span<const double> left,
                 std::span<const double> right) {
-  double n_parent = 0.0;
   double n_left = 0.0;
   double n_right = 0.0;
-  for (double c : parent) n_parent += c;
   for (double c : left) n_left += c;
   for (double c : right) n_right += c;
-  if (n_parent <= 0.0) return 0.0;
-  return Entropy(parent) - (n_left / n_parent) * Entropy(left) -
-         (n_right / n_parent) * Entropy(right);
+  if (parent.n <= 0.0) return 0.0;
+  return parent.entropy - (n_left / parent.n) * Entropy(left) -
+         (n_right / parent.n) * Entropy(right);
+}
+
+double InfoGain(std::span<const double> parent, std::span<const double> left,
+                std::span<const double> right) {
+  return InfoGain(ParentTermsOf(parent), left, right);
 }
 
 double TargetStats::StdDev() const {

@@ -17,7 +17,18 @@ double HoeffdingBound(double range, double delta, double n);
 // Entropy of an unnormalized class-count distribution (bits).
 double Entropy(std::span<const double> class_counts);
 
+// The parent terms of information gain: the parent's total weight and
+// entropy. They are fixed over a split scan, so the scan computes them once
+// for every threshold of every feature.
+struct ParentTerms {
+  double n = 0.0;
+  double entropy = 0.0;
+};
+ParentTerms ParentTermsOf(std::span<const double> parent);
+
 // Information gain of a binary partition given unnormalized class counts.
+double InfoGain(const ParentTerms& parent, std::span<const double> left,
+                std::span<const double> right);
 double InfoGain(std::span<const double> parent, std::span<const double> left,
                 std::span<const double> right);
 

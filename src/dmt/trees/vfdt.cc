@@ -141,6 +141,13 @@ void Vfdt::TrainInstance(std::span<const double> x, int y, int weight) {
       if (ArgMax(nb_scratch_) == y) leaf->nb_correct += 1.0;
     }
     leaf->Learn(x, y, chunk);
+    if (nba) {
+      // Only class y's estimators moved: refresh their log terms, one log
+      // per feature, so the next score takes none.
+      for (NumericObserver& observer : leaf->observers) {
+        observer.CacheLogTerm(y);
+      }
+    }
     weight -= chunk;
     if (leaf->AttemptDue(grace)) {
       AttemptSplit(leaf);

@@ -4,6 +4,7 @@
 // path (fused difference-norm kernels over matrix rows) must reproduce the
 // legacy per-candidate computation bit-for-bit on real stream data.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -94,6 +95,105 @@ TEST(CandidateStoreTest, DegenerateOneSidedCandidatesNeverWin) {
                           kLambda, &best_gain),
             static_cast<int>(ok));
   EXPECT_TRUE(std::isfinite(best_gain));
+}
+
+// CandidateGains scores four rows per pass over the node gradient; every
+// gain must equal CandidateGain of its row bit for bit, in both gradient
+// precisions, for store sizes that leave a tail of one to three rows, and
+// with degenerate rows (count 0, count equal to the node count) inside a
+// batch of four. BestCandidate, built on it, must pick the row a plain
+// strict-`>` scan picks: of equal gains, the lowest row.
+void ExpectBatchedGainsMatchOneRow(bool grad_f32) {
+  constexpr std::size_t kParams = 7;
+  const double node_loss = 25.0;
+  const double node_count = 40.0;
+  const std::vector<double> node_grad = {3.0, -1.5, 0.25, -0.0,
+                                         2e-310, 1e3, -7.0};
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1p-53;
+  };
+  for (const std::size_t size : {1u, 3u, 4u, 5u, 6u, 7u, 10u, 13u}) {
+    CandidateStore store(kParams, grad_f32);
+    std::vector<double> grad(kParams);
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::size_t c = store.Append(static_cast<int>(i % 3),
+                                         static_cast<double>(i));
+      store.loss(c) = 20.0 * next();
+      store.count(c) = i % 5 == 1   ? 0.0
+                       : i % 5 == 3 ? node_count
+                                    : std::floor(1.0 + 38.0 * next());
+      for (double& g : grad) g = 4.0 * next() - 2.0;
+      store.SetGradFrom(c, grad);
+    }
+    if (size >= 6) {
+      // Row 5 duplicates row 2: equal gains, the lower row must win.
+      store.loss(5) = store.loss(2);
+      store.count(5) = store.count(2) = 17.0;
+      for (std::size_t j = 0; j < kParams; ++j) grad[j] = 0.5 + 0.1 * j;
+      store.SetGradFrom(2, grad);
+      store.SetGradFrom(5, grad);
+    }
+    std::vector<double> gains(size);
+    CandidateGains(store, 0, node_loss, node_grad, node_count, node_loss,
+                   kLambda, gains);
+    int want_best = -1;
+    double want_gain = -kInf;
+    for (std::size_t i = 0; i < size; ++i) {
+      const double want = CandidateGain(store, i, node_loss, node_grad,
+                                        node_count, node_loss, kLambda);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gains[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << "row " << i << " of " << size << " f32 " << grad_f32;
+      if (want > want_gain) {
+        want_gain = want;
+        want_best = static_cast<int>(i);
+      }
+    }
+    // An offset window [1, size) scores the same bits.
+    if (size > 1) {
+      std::vector<double> tail(size - 1);
+      CandidateGains(store, 1, node_loss, node_grad, node_count, node_loss,
+                     kLambda, tail);
+      for (std::size_t i = 1; i < size; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(tail[i - 1]),
+                  std::bit_cast<std::uint64_t>(gains[i]))
+            << "offset row " << i << " of " << size;
+      }
+    }
+    double best_gain = 0.0;
+    EXPECT_EQ(BestCandidate(store, node_loss, node_grad, node_count,
+                            node_loss, kLambda, &best_gain),
+              want_best)
+        << "size " << size;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best_gain),
+              std::bit_cast<std::uint64_t>(want_gain));
+  }
+}
+
+TEST(CandidateStoreTest, BatchedGainsMatchOneRowF64) {
+  ExpectBatchedGainsMatchOneRow(false);
+}
+
+TEST(CandidateStoreTest, BatchedGainsMatchOneRowF32) {
+  ExpectBatchedGainsMatchOneRow(true);
+}
+
+TEST(CandidateStoreTest, EqualGainsPickLowestRow) {
+  CandidateStore store(2);
+  const std::vector<double> node_grad = {1.0, -2.0};
+  const std::vector<double> grad = {0.5, -0.25};
+  for (int f = 0; f < 6; ++f) {
+    const std::size_t c = store.Append(5 - f, 0.5);
+    store.loss(c) = 3.0;
+    store.count(c) = 4.0;
+    store.SetGradFrom(c, grad);
+  }
+  double best_gain = 0.0;
+  EXPECT_EQ(BestCandidate(store, 10.0, node_grad, 10.0, 10.0, kLambda,
+                          &best_gain),
+            0);
 }
 
 TEST(CandidateStoreTest, TreeStoreNeverExceedsMaxCandidates) {

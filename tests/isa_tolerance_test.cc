@@ -7,8 +7,11 @@
 // pin loose enough to hold on any ISA. If a future vector kernel
 // legitimately reorders arithmetic (e.g. an FMA build flag), the bit-exact
 // goldens move but these must keep passing unchanged.
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +118,77 @@ TEST(IsaToleranceTest, DotBatch4BitIdenticalToFourDots) {
       const double want = kernels::Dot(tile.data() + t * stride, w.data(), n);
       EXPECT_EQ(out[t], want) << "lane " << t << " n=" << n << " ISA "
                               << kernels::IsaName();
+    }
+  }
+}
+
+// SquaredNormsBatch4 is the four-row twin of SquaredNorm / SquaredNormDiff
+// that the DMT gain battery scores proposals and stored candidates with.
+// Each of its eight outputs keeps its own accumulator in strict i-order,
+// so it must equal the one-row kernels bit for bit, also through signed
+// zeros, subnormals and overflow to infinity.
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+constexpr std::size_t kBatchSizes[] = {0, 1, 3, 4, 5, 774};
+constexpr double kSpecials[] = {
+    -0.0, 0.0, 4.9e-324, -4.9e-324, 2.2e-310, -1.5e-308,
+    1e300, -1e300, 1.3e154, -0.7e154, 1.0, -3.5};
+
+double MixedValue(Rng* rng, std::size_t i) {
+  if (i % 3 == 0) return kSpecials[(i / 3) % std::size(kSpecials)];
+  return rng->Uniform() * 2.0 - 1.0;
+}
+
+TEST(IsaToleranceTest, SquaredNormsBatch4BitIdenticalToOneRowKernels) {
+  Rng rng(35);
+  for (const std::size_t n : kBatchSizes) {
+    const std::size_t stride = n + 3;  // padded rows: stride > n
+    std::vector<double> tile(4 * stride);
+    for (std::size_t i = 0; i < tile.size(); ++i) {
+      tile[i] = MixedValue(&rng, i + 1);
+    }
+    std::vector<double> a(n);
+    for (std::size_t i = 0; i < n; ++i) a[i] = MixedValue(&rng, i);
+
+    double norm[4];
+    double diff[4];
+    kernels::SquaredNormsBatch4(tile.data(), stride, a.data(), n, norm, diff);
+    for (std::size_t t = 0; t < 4; ++t) {
+      const double* row = tile.data() + t * stride;
+      EXPECT_EQ(Bits(norm[t]), Bits(kernels::SquaredNorm(row, n)))
+          << "norm row " << t << " n=" << n;
+      EXPECT_EQ(Bits(diff[t]), Bits(kernels::SquaredNormDiff(a.data(), row, n)))
+          << "diff row " << t << " n=" << n;
+    }
+  }
+}
+
+TEST(IsaToleranceTest, SquaredNormsBatch4F32BitIdenticalToOneRowKernels) {
+  constexpr float kFloatSpecials[] = {-0.0f, 0.0f,    1.4e-45f, -1.4e-45f,
+                                      3e-39f, 3.3e38f, -3.3e38f, 1.0f};
+  Rng rng(36);
+  for (const std::size_t n : kBatchSizes) {
+    const std::size_t stride = n + 3;
+    std::vector<float> tile(4 * stride);
+    for (std::size_t i = 0; i < tile.size(); ++i) {
+      tile[i] = i % 3 == 0
+                    ? kFloatSpecials[(i / 3) % std::size(kFloatSpecials)]
+                    : static_cast<float>(rng.Uniform() * 2.0 - 1.0);
+    }
+    std::vector<double> a(n);
+    for (std::size_t i = 0; i < n; ++i) a[i] = MixedValue(&rng, i);
+
+    double norm[4];
+    double diff[4];
+    kernels::SquaredNormsBatch4F32(tile.data(), stride, a.data(), n, norm,
+                                   diff);
+    for (std::size_t t = 0; t < 4; ++t) {
+      const float* row = tile.data() + t * stride;
+      EXPECT_EQ(Bits(norm[t]), Bits(kernels::SquaredNormF32(row, n)))
+          << "norm row " << t << " n=" << n;
+      EXPECT_EQ(Bits(diff[t]),
+                Bits(kernels::SquaredNormDiffF32(a.data(), row, n)))
+          << "diff row " << t << " n=" << n;
     }
   }
 }

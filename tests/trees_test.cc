@@ -1,6 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
 #include "dmt/obs/telemetry.h"
+#include "dmt/serial/archive.h"
 #include "dmt/serial/model_io.h"
 #include "dmt/streams/sea.h"
 #include "dmt/trees/efdt.h"
@@ -96,6 +100,107 @@ TEST(GaussianEstimatorTest, ConstantFeatureKeepsLogPdfFinite) {
   EXPECT_GT(est.LogPdf(0.5), est.LogPdf(0.6));
 }
 
+// The log-term cache of GaussianEstimator (VFDT-NBA scoring): a cached
+// LogPdf must give the bits of a fresh evaluation after every Add, a stale
+// cache (taken at an older n) must not be used, and an estimator restored
+// from an archive (which carries no cache) must score like the live one.
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+GaussianEstimator Unstamped(const GaussianEstimator& est) {
+  GaussianEstimator fresh;
+  fresh.n = est.n;
+  fresh.mean = est.mean;
+  fresh.m2 = est.m2;
+  return fresh;
+}
+
+TEST(GaussianEstimatorTest, CachedLogPdfMatchesFreshAfterEveryAdd) {
+  constexpr double kProbes[] = {-1.0, 0.0, 0.25, 0.5, 0.5000001, 2.0, 1e150};
+  GaussianEstimator est;
+  Rng rng(21);
+  for (int i = 0; i < 300; ++i) {
+    // A constant run first (the variance floor), then a spread.
+    est.Add(i < 50 ? 0.5 : rng.Gaussian(0.4, i < 150 ? 1e-5 : 0.2));
+    const GaussianEstimator fresh = Unstamped(est);
+    for (double x : kProbes) {
+      EXPECT_EQ(Bits(est.LogPdf(x)), Bits(fresh.LogPdf(x)))
+          << "stale cache used after add " << i;
+    }
+    est.CacheLogTerm();
+    for (double x : kProbes) {
+      EXPECT_EQ(Bits(est.LogPdf(x)), Bits(fresh.LogPdf(x)))
+          << "cached after add " << i << " x " << x;
+    }
+  }
+}
+
+TEST(GaussianEstimatorTest, LoadedEstimatorScoresLikeCachedOne) {
+  NumericObserver observer(3);
+  Rng rng(22);
+  for (int i = 0; i < 500; ++i) {
+    const int y = i % 3;
+    observer.Add(rng.Gaussian(0.2 + 0.3 * y, 0.05 + 0.05 * y), y);
+    observer.CacheLogTerm(y);
+  }
+  std::stringstream bytes;
+  serial::Writer writer(bytes);
+  observer.Save(writer);
+  serial::Reader reader(bytes);
+  const NumericObserver loaded = NumericObserver::Load(reader, 3);
+  for (int c = 0; c < 3; ++c) {
+    for (double x : {0.0, 0.2, 0.55, 0.8, 1.3}) {
+      EXPECT_EQ(Bits(loaded.estimator(c).LogPdf(x)),
+                Bits(observer.estimator(c).LogPdf(x)))
+          << "class " << c << " x " << x;
+    }
+  }
+}
+
+// A VFDT(NBA) restored from a mid-stream snapshot starts with no cached
+// log terms; over the next 1k rows (scored, then learned, prequentially)
+// its PredictProbaInto must still equal the live model's bit for bit.
+TEST(VfdtNbaCacheTest, RestoredModelScoresLikeLiveModel) {
+  constexpr int kFeatures = 4;
+  constexpr int kClasses = 3;
+  Vfdt live({.num_features = kFeatures,
+             .num_classes = kClasses,
+             .grace_period = 150,
+             .leaf_prediction = LeafPrediction::kNaiveBayesAdaptive});
+  Rng rng(23);
+  // x0 picks the class band (so the tree splits); the other features are
+  // class-conditional Gaussians (so the naive Bayes leaves score).
+  const auto row = [&rng](std::vector<double>* x) {
+    (*x)[0] = rng.Uniform();
+    const int y = std::min(static_cast<int>((*x)[0] * kClasses), kClasses - 1);
+    for (int j = 1; j < kFeatures; ++j) {
+      (*x)[j] = rng.Gaussian(0.25 + 0.2 * y + 0.05 * j, 0.15);
+    }
+    return y;
+  };
+  std::vector<double> x(kFeatures);
+  for (int i = 0; i < 3000; ++i) {
+    const int y = row(&x);
+    live.TrainInstance(x, y);
+  }
+  ASSERT_GT(live.NumInnerNodes(), 0u);
+  const std::unique_ptr<Classifier> restored =
+      serial::LoadClassifierFromString(serial::SaveClassifierToString(live));
+  std::vector<double> want(kClasses);
+  std::vector<double> got(kClasses);
+  for (int i = 0; i < 1000; ++i) {
+    const int y = row(&x);
+    live.PredictProbaInto(x, want);
+    restored->PredictProbaInto(x, got);
+    for (int c = 0; c < kClasses; ++c) {
+      ASSERT_EQ(Bits(got[c]), Bits(want[c])) << "row " << i << " class " << c;
+    }
+    Batch one(kFeatures);
+    one.Add(x, y);
+    live.PartialFit(one);
+    restored->PartialFit(one);
+  }
+}
+
 TEST(NumericObserverTest, FindsSeparatingThreshold) {
   NumericObserver observer(2);
   Rng rng(1);
@@ -106,10 +211,9 @@ TEST(NumericObserverTest, FindsSeparatingThreshold) {
     observer.Add(v, y);
     parent_counts[y] += 1.0;
   }
-  std::vector<double> left_scratch(2);
-  std::vector<double> right_scratch(2);
-  const SplitCandidate s = observer.BestSplitInto(3, parent_counts, 10,
-                                                  left_scratch, right_scratch);
+  std::vector<double> scratch(3 * 2);
+  const SplitCandidate s = observer.BestSplitInto(
+      3, parent_counts, ParentTermsOf(parent_counts), 10, scratch);
   EXPECT_EQ(s.feature, 3);
   EXPECT_GT(s.merit, 0.8);
   EXPECT_GT(s.threshold, 0.3);
@@ -120,8 +224,10 @@ TEST(NumericObserverTest, CountsBelowMatchesEmpirical) {
   NumericObserver observer(2);
   Rng rng(2);
   for (int i = 0; i < 5000; ++i) observer.Add(rng.Gaussian(0.5, 0.1), 0);
+  std::vector<double> sd(2);
   std::vector<double> below(2);
-  observer.CountsBelowInto(0.5, below);
+  observer.StdDevsInto(sd);
+  observer.CountsBelowInto(0.5, sd, below);
   EXPECT_NEAR(below[0], 2500.0, 150.0);
 }
 
