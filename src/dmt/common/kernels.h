@@ -148,6 +148,12 @@ inline void Add(double* DMT_RESTRICT y, const double* DMT_RESTRICT x,
 #endif
 }
 
+// out[i] = a[i] + b[i]: the same bits as copying a and adding b in place.
+inline void Sum(const double* DMT_RESTRICT a, const double* DMT_RESTRICT b,
+                double* DMT_RESTRICT out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+}
+
 // sum_i v[i]^2, strict left-to-right.
 inline double SquaredNorm(const double* DMT_RESTRICT v, std::size_t n) {
   double sum = 0.0;

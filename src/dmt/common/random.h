@@ -6,10 +6,16 @@
 #ifndef DMT_COMMON_RANDOM_H_
 #define DMT_COMMON_RANDOM_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string_view>
 #include <vector>
+
+#include "dmt/common/check.h"
 
 namespace dmt {
 
@@ -42,6 +48,82 @@ inline std::uint64_t DeriveSeed(std::uint64_t base, std::string_view tag1,
   mix(tag2);
   return SplitMix64(h);
 }
+
+// MT19937-64 (Matsumoto & Nishimura), word for word the generator of
+// std::mt19937_64: the same seeding, state (312 words and the index of the
+// next word to draw), twist and tempering, so every std:: distribution and
+// std::shuffle draws the same values from it. The twist selects the matrix
+// term without a branch, (0 - (y & 1)) & a, where libstdc++ branches on
+// each random bit; a fresh engine's first draw twists all 312 words, a
+// large share of what creating a model costs. Owning the state also gives
+// the archive codec (serial::EngineText) a documented layout to read.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateSize = 312;
+  static constexpr result_type default_seed = 5489u;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type value = default_seed) { seed(value); }
+
+  void seed(result_type value) {
+    words_[0] = value;
+    for (std::size_t i = 1; i < kStateSize; ++i) {
+      const result_type prev = words_[i - 1];
+      words_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+    index_ = kStateSize;
+  }
+
+  result_type operator()() {
+    if (index_ >= kStateSize) Twist();
+    result_type z = words_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  // The state: 312 words, then the index of the next word to draw (0..312;
+  // 312 twists before the next draw). serial::EngineText writes it.
+  const std::array<result_type, kStateSize>& words() const { return words_; }
+  std::size_t index() const { return index_; }
+  void SetState(std::span<const result_type, kStateSize> words,
+                std::size_t index) {
+    DMT_CHECK(index <= kStateSize);
+    std::copy(words.begin(), words.end(), words_.begin());
+    index_ = index;
+  }
+
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+ private:
+  void Twist() {
+    constexpr std::size_t kShift = 156;  // the recurrence's middle offset
+    constexpr result_type kMatrix = 0xb5026f5aa96619e9ULL;
+    constexpr result_type kUpper = ~result_type{0} << 31;
+    constexpr result_type kLower = ~kUpper;
+    const auto next = [](result_type high, result_type low, result_type mid) {
+      const result_type y = (high & kUpper) | (low & kLower);
+      return mid ^ (y >> 1) ^ ((result_type{0} - (y & 1)) & kMatrix);
+    };
+    std::size_t i = 0;
+    for (; i < kStateSize - kShift; ++i) {
+      words_[i] = next(words_[i], words_[i + 1], words_[i + kShift]);
+    }
+    for (; i < kStateSize - 1; ++i) {
+      words_[i] =
+          next(words_[i], words_[i + 1], words_[i + kShift - kStateSize]);
+    }
+    words_[i] = next(words_[i], words_[0], words_[kShift - 1]);
+    index_ = 0;
+  }
+
+  std::array<result_type, kStateSize> words_{};
+  std::size_t index_ = kStateSize;
+};
 
 class Rng {
  public:
@@ -79,11 +161,11 @@ class Rng {
   // member / stream its own deterministic substream.
   Rng Fork() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
-  const std::mt19937_64& engine() const { return engine_; }
+  Mt19937_64& engine() { return engine_; }
+  const Mt19937_64& engine() const { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace dmt

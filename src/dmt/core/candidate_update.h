@@ -74,10 +74,14 @@
 // node-local ascending order.
 //
 // All intermediate state lives in TrainScratch, which is reused across
-// nodes and batches: the phases run strictly post-order (the recursion of
-// UpdateNode finishes both children before touching the parent's
-// statistics), so one shared instance is safe; only the row partitions of
-// the recursion itself need one buffer per tree depth.
+// nodes, batches and trees: the phases run strictly post-order (the
+// recursion of UpdateNode finishes both children before touching the
+// parent's statistics), so one shared instance is safe; only the row
+// partitions of the recursion itself need one buffer per tree depth. The
+// tree core keeps one instance per training thread (ModelTree::FitClean),
+// so every buffer sizes itself from the current node's own need -- never
+// from another buffer's size, which a wider or narrower tree trained
+// before on the same thread has set.
 #ifndef DMT_CORE_CANDIDATE_UPDATE_H_
 #define DMT_CORE_CANDIDATE_UPDATE_H_
 
@@ -118,8 +122,10 @@ struct CandidateUpdateParams {
 
 // Grow-only SoA buffer of fresh-candidate proposals (one batch's worth);
 // the gradient rows live in one contiguous matrix like the store's. A
-// proposal is pushed with its left-side statistics; its est_gain is set
-// later by ScoreProposals, four rows at a time.
+// proposal's gradient is written into the open row (OpenRow), then Commit
+// adds its left-side statistics; its est_gain is set later by
+// ScoreProposals, four rows at a time. Every vector sizes itself from its
+// own need: the buffer is shared across trees of any width.
 class ProposalBuffer {
  public:
   void Init(std::size_t num_params) { num_params_ = num_params; }
@@ -142,8 +148,15 @@ class ProposalBuffer {
   // Sets the est_gain of row scored(), the first waiting one.
   void ScoreNext(double est_gain) { est_gain_[scored_++] = est_gain; }
 
-  void Push(int feature, double value, double loss,
-            std::span<const double> grad, double count) {
+  // Gradient row size(), the one the next Commit makes a proposal; valid
+  // until the next OpenRow (which may grow the matrix).
+  double* OpenRow() {
+    const std::size_t need = (size_ + 1) * num_params_;
+    if (grad_.size() < need) grad_.resize(need);
+    return grad_.data() + size_ * num_params_;
+  }
+  // Makes the open row a proposal with these left-side statistics.
+  void Commit(int feature, double value, double loss, double count) {
     const std::size_t i = size_++;
     if (feature_.size() < size_) {
       feature_.resize(size_);
@@ -151,14 +164,16 @@ class ProposalBuffer {
       est_gain_.resize(size_);
       loss_.resize(size_);
       count_.resize(size_);
-      grad_.resize(size_ * num_params_);
     }
     feature_[i] = feature;
     value_[i] = value;
     loss_[i] = loss;
     count_[i] = count;
-    std::copy(grad.begin(), grad.end(),
-              grad_.begin() + static_cast<std::ptrdiff_t>(i * num_params_));
+  }
+  void Push(int feature, double value, double loss,
+            std::span<const double> grad, double count) {
+    std::copy(grad.begin(), grad.end(), OpenRow());
+    Commit(feature, value, loss, count);
   }
 
  private:
@@ -170,7 +185,7 @@ class ProposalBuffer {
   std::vector<double> est_gain_;
   std::vector<double> loss_;
   std::vector<double> count_;
-  std::vector<double> grad_;  // row-major size_ x num_params_
+  std::vector<double> grad_;  // row-major size_ x num_params_, plus open row
 };
 
 // Every buffer the batch update needs; all grow-only.
@@ -201,7 +216,9 @@ struct TrainScratch {
   std::vector<double> sample_loss;  // [tile pos]
   std::vector<double> sample_grad;  // [tile pos][param], row-major
   std::vector<double> batch_grad;   // num_params
-  std::vector<double> prefix_grad;  // num_params
+  // Running gradient prefix of the exact scan and the stored scatter
+  // (num_params); the bucket scan keeps its prefix in the proposal buffer.
+  std::vector<double> prefix_grad;
   // Batch row -> tile position of the current node (-1 = not in node);
   // doubles as the membership mask of the FeatureOrder filter.
   std::vector<std::int32_t> tile_pos;
@@ -634,26 +651,38 @@ inline void ProposeFromBuckets(const CandidateUpdateParams& params,
                 return scratch->slot_bucket[a] < scratch->slot_bucket[b];
               });
 
+    // The running gradient prefix lives in the proposal buffer's open row,
+    // so a proposal needs no copy: the first slot after a commit writes
+    // row p = row p-1 + slot, the other slots add in place -- the adds of
+    // the plain running sum, so the same bits. The last slot completes the
+    // full batch, which is no split, so the scan stops before it.
     double run_loss = 0.0;
-    std::fill(scratch->prefix_grad.begin(), scratch->prefix_grad.end(), 0.0);
     double run_count = 0.0;
-    for (std::size_t seen = 1; seen <= occupied; ++seen) {
+    double* prefix = scratch->proposals.OpenRow();
+    std::fill(prefix, prefix + k, 0.0);
+    const double* committed = nullptr;  // row the open row continues
+    for (std::size_t seen = 1; seen < occupied; ++seen) {
       const std::size_t s = scratch->slot_order[seen - 1];
       run_loss += scratch->slot_loss[s];
       const double* slot_grad =
           scratch->slot_count[s] == 1.0
               ? scratch->sample_grad.data() + scratch->slot_row[s] * k
               : scratch->slot_grad.data() + s * k;
-      kernels::Add(scratch->prefix_grad.data(), slot_grad, k);
+      if (committed != nullptr) {
+        kernels::Sum(committed, slot_grad, prefix, k);
+        committed = nullptr;
+      } else {
+        kernels::Add(prefix, slot_grad, k);
+      }
       run_count += scratch->slot_count[s];
-      if (seen == occupied) break;  // the full batch is no split
       if (seen % proposal_stride != 0) continue;
 
       // The bucket prefix is a proposal; its gain estimate uses the same
       // expressions as the exact scan (EstimatedGain).
-      scratch->proposals.Push(j, scratch->slot_max[s], run_loss,
-                              scratch->prefix_grad, run_count);
+      scratch->proposals.Commit(j, scratch->slot_max[s], run_loss, run_count);
       ScoreProposals(lambda, batch_loss, n, false, scratch);
+      prefix = scratch->proposals.OpenRow();
+      committed = scratch->proposals.grad(scratch->proposals.size() - 1).data();
     }
   }
   ScoreProposals(lambda, batch_loss, n, true, scratch);

@@ -109,30 +109,54 @@ int ModelTree<Model>::BestCandidateOf(const Node& node, double reference_loss,
 
 // --- Training ----------------------------------------------------------------
 
+namespace {
+
+// Marks a thread's training scratch busy for the duration of one fit.
+class ScratchLease {
+ public:
+  explicit ScratchLease(bool* in_use) : in_use_(in_use) {
+    DMT_CHECK(!*in_use_);  // a fit re-entered on this thread
+    *in_use_ = true;
+  }
+  ~ScratchLease() { *in_use_ = false; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+ private:
+  bool* in_use_;
+};
+
+}  // namespace
+
 template <typename Model>
 void ModelTree<Model>::FitClean(const BatchType& batch) {
+  // Grow-only and shared by every tree of this Model type that the thread
+  // trains, so a cold tree costs no training allocations of its own.
+  thread_local TrainScratch scratch;
+  thread_local bool in_use = false;
+  const ScratchLease lease(&in_use);
   ++time_step_;
-  scratch_.root_rows.resize(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) scratch_.root_rows[i] = i;
+  scratch.root_rows.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) scratch.root_rows[i] = i;
   // Lazy ascending-value orders, shared by every node: a feature is sorted
   // the first time an evaluating node asks for it, so batches on which the
   // scheduler defers every node never sort at all.
-  BeginFeatureOrders(batch, config_.num_features, &scratch_);
-  UpdateNode(root_.get(), batch, scratch_.root_rows, 0);
+  BeginFeatureOrders(batch, config_.num_features, &scratch);
+  UpdateNode(root_.get(), batch, scratch.root_rows, 0, &scratch);
 }
 
 template <typename Model>
 void ModelTree<Model>::UpdateNode(Node* node, const BatchType& batch,
                                   std::span<const std::size_t> rows,
-                                  std::size_t depth) {
+                                  std::size_t depth, TrainScratch* scratch) {
   if (rows.empty()) return;
   if (!node->is_leaf()) {
-    if (scratch_.left_rows.size() <= depth) {
-      scratch_.left_rows.resize(depth + 1);
-      scratch_.right_rows.resize(depth + 1);
+    if (scratch->left_rows.size() <= depth) {
+      scratch->left_rows.resize(depth + 1);
+      scratch->right_rows.resize(depth + 1);
     }
-    std::vector<std::size_t>& left_rows = scratch_.left_rows[depth];
-    std::vector<std::size_t>& right_rows = scratch_.right_rows[depth];
+    std::vector<std::size_t>& left_rows = scratch->left_rows[depth];
+    std::vector<std::size_t>& right_rows = scratch->right_rows[depth];
     left_rows.clear();
     right_rows.clear();
     {
@@ -152,11 +176,11 @@ void ModelTree<Model>::UpdateNode(Node* node, const BatchType& batch,
     // valid.
     const std::span<const std::size_t> left_span(left_rows);
     const std::span<const std::size_t> right_span(right_rows);
-    UpdateNode(node->left.get(), batch, left_span, depth + 1);
-    UpdateNode(node->right.get(), batch, right_span, depth + 1);
+    UpdateNode(node->left.get(), batch, left_span, depth + 1, scratch);
+    UpdateNode(node->right.get(), batch, right_span, depth + 1, scratch);
   }
 
-  const bool evaluated = UpdateStatistics(node, batch, rows);
+  const bool evaluated = UpdateStatistics(node, batch, rows, scratch);
   if (!evaluated) return;  // deferred: no structural checks this batch
 
   if (node->is_leaf()) {
@@ -168,7 +192,8 @@ void ModelTree<Model>::UpdateNode(Node* node, const BatchType& batch,
 
 template <typename Model>
 bool ModelTree<Model>::UpdateStatistics(Node* node, const BatchType& batch,
-                                        std::span<const std::size_t> rows) {
+                                        std::span<const std::size_t> rows,
+                                        TrainScratch* scratch) {
   const CandidateUpdateParams params{
       .num_features = config_.num_features,
       .max_candidates = config_.max_candidates,
@@ -189,7 +214,7 @@ bool ModelTree<Model>::UpdateStatistics(Node* node, const BatchType& batch,
     obs::ScopedPhaseTimer model_timer(telemetry_.phase_model_step);
     batch_loss = AccumulateNodeStatistics(
         batch, rows, &node->model, &node->loss_sum,
-        std::span<double>(node->grad_sum), &node->count, &scratch_);
+        std::span<double>(node->grad_sum), &node->count, scratch);
   }
 
   // Scheduler decision AFTER absorbing this batch, so gain_test_every = 1
@@ -203,7 +228,7 @@ bool ModelTree<Model>::UpdateStatistics(Node* node, const BatchType& batch,
   if (!due && !dirty) {
     // Phase 2, skip path: stored candidates still absorb the batch.
     obs::ScopedPhaseTimer scatter_timer(telemetry_.phase_scatter);
-    ScatterStoredOnly(batch, rows, &node->candidates, &scratch_);
+    ScatterStoredOnly(batch, rows, &node->candidates, scratch);
     DMT_TELEMETRY_COUNT(telemetry_.gain_tests_skipped);
     return false;
   }
@@ -214,7 +239,7 @@ bool ModelTree<Model>::UpdateStatistics(Node* node, const BatchType& batch,
     obs::ScopedPhaseTimer gain_timer(telemetry_.phase_gain_battery);
     ScatterAndPropose(params, batch, rows, batch_loss, node->loss_sum,
                       std::span<const double>(node->grad_sum), node->count,
-                      &node->candidates, &scratch_);
+                      &node->candidates, scratch);
   }
   node->samples_since_test = 0.0;
   node->loss_since_test = 0.0;

@@ -200,6 +200,11 @@ class ModelTree {
 
   // One time step (Algorithm 1 at every node on the paths) on a batch whose
   // rows are all finite with valid labels/targets; the front-ends filter.
+  // The training buffers are the calling thread's TrainScratch, shared by
+  // every tree of this Model type the thread trains, so a tree holds no
+  // training buffers between fits. A fit must not start another fit on
+  // the same thread before it returns (it never waits on other work, so
+  // none does); a re-entry fails a DMT_CHECK.
   void FitClean(const BatchType& batch);
 
   // Best stored candidate (row into the node's store, -1 if none) by gain
@@ -226,16 +231,18 @@ class ModelTree {
   std::unique_ptr<Node> MakeLeaf(const Model* warm_start_from);
   // Bottom-up batch update (Algorithm 1 at every node on the paths). The
   // row span stays valid for the call's duration (it points into
-  // scratch_.root_rows or a depth-indexed partition buffer).
+  // scratch->root_rows or a depth-indexed partition buffer).
   void UpdateNode(Node* node, const BatchType& batch,
-                  std::span<const std::size_t> rows, std::size_t depth);
+                  std::span<const std::size_t> rows, std::size_t depth,
+                  TrainScratch* scratch);
   // Two-phase statistics update (candidate_update.h engine): always
   // accumulates the model step, tallies and stored-candidate scatter, then
   // consults the dirty-node scheduler. Returns true when this node was
   // evaluated this batch (fresh proposals made, counters reset) -- the
   // caller runs the structural checks only then.
   bool UpdateStatistics(Node* node, const BatchType& batch,
-                        std::span<const std::size_t> rows);
+                        std::span<const std::size_t> rows,
+                        TrainScratch* scratch);
   void CheckLeafSplit(Node* node, std::size_t depth);
   void CheckInnerReplacement(Node* node, std::size_t depth);
   void RecordEvent(StructuralEvent event);
@@ -245,7 +252,6 @@ class ModelTree {
   Rng rng_;
   int model_params_ = 0;  // k: free parameters of one simple model
   std::unique_ptr<Node> root_;
-  TrainScratch scratch_;  // grow-only training buffers (zero-alloc steady state)
   std::size_t time_step_ = 0;
   std::vector<StructuralEvent> events_;
   std::size_t splits_performed_ = 0;

@@ -30,18 +30,28 @@ void AppendDouble(std::string* out, double value) {
   out->append(buffer);
 }
 
+// The value under `name`, value-initialized on first use.
+template <typename Map>
+typename Map::mapped_type* FindOrAdd(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), typename Map::mapped_type{}).first;
+  }
+  return &it->second;
+}
+
 }  // namespace
 
-std::uint64_t* TelemetryRegistry::Counter(const std::string& name) {
-  return &counters_[name];
+std::uint64_t* TelemetryRegistry::Counter(std::string_view name) {
+  return FindOrAdd(counters_, name);
 }
 
-double* TelemetryRegistry::Gauge(const std::string& name) {
-  return &gauges_[name];
+double* TelemetryRegistry::Gauge(std::string_view name) {
+  return FindOrAdd(gauges_, name);
 }
 
-PhaseTimer* TelemetryRegistry::Timer(const std::string& name) {
-  return &timers_[name];
+PhaseTimer* TelemetryRegistry::Timer(std::string_view name) {
+  return FindOrAdd(timers_, name);
 }
 
 std::string TelemetryRegistry::CountersJson() const {

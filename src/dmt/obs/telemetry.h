@@ -30,8 +30,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace dmt::obs {
 
@@ -50,10 +52,12 @@ class TelemetryRegistry {
 
   // Returns the (zero-initialized on first use) metric with `name`. The
   // returned pointer is stable for the registry's lifetime: storage is
-  // node-based (std::map), which never relocates values on insert.
-  std::uint64_t* Counter(const std::string& name);
-  double* Gauge(const std::string& name);
-  PhaseTimer* Timer(const std::string& name);
+  // node-based (std::map), which never relocates values on insert. The
+  // maps compare transparently, so finding an existing metric allocates
+  // nothing; only a first use copies the name into a key.
+  std::uint64_t* Counter(std::string_view name);
+  double* Gauge(std::string_view name);
+  PhaseTimer* Timer(std::string_view name);
 
   std::size_t num_counters() const { return counters_.size(); }
 
@@ -67,9 +71,9 @@ class TelemetryRegistry {
   std::string ToJson() const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, PhaseTimer> timers_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, double, std::less<>> gauges_;
+  std::map<std::string, PhaseTimer, std::less<>> timers_;
 };
 
 // RAII phase measurement; a null timer skips the clock reads entirely.

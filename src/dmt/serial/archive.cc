@@ -6,24 +6,13 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <type_traits>
-
-#if !defined(__GLIBCXX__)
-#error "the mt19937_64 state codec reads libstdc++'s engine layout"
-#endif
 
 namespace dmt::serial {
 
 namespace {
 
-// libstdc++'s std::mt19937_64 is exactly its 312 state words followed by
-// the index of the next word to draw (a size_t), so the codec copies the
-// engine to and from 313 words instead of going through iostreams.
-constexpr std::size_t kEngineWords = std::mt19937_64::state_size + 1;
-static_assert(std::mt19937_64::state_size == 312);
-static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-static_assert(sizeof(std::mt19937_64) == kEngineWords * sizeof(std::uint64_t));
-static_assert(std::is_trivially_copyable_v<std::mt19937_64>);
+// The text holds the 312 state words, then the index of the next word.
+constexpr std::size_t kEngineWords = Mt19937_64::kStateSize + 1;
 
 // Longest EngineText: 313 words of 20 digits and 312 spaces.
 constexpr std::size_t kMaxEngineText = kEngineWords * 21 - 1;
@@ -47,34 +36,36 @@ char* FormatEightDigits(std::uint32_t chunk, char* out) {
   return out + 8;
 }
 
-// Writes EngineText into `buffer` (kMaxEngineText bytes); returns its
-// length. Each word is split at 10^16 and 10^8 so that all the digit
-// arithmetic is on 32-bit values: the leading chunk goes through to_chars,
-// every chunk after it is 8 digits with its leading zeros.
-std::size_t FormatEngine(const std::mt19937_64& engine, char* buffer) {
+// Writes `word` in decimal at `out`. It is split at 10^16 and 10^8 so that
+// all the digit arithmetic is on 32-bit values: the leading chunk goes
+// through to_chars, every chunk after it is 8 digits with its leading
+// zeros.
+char* FormatWord(std::uint64_t word, char* out, char* end) {
   constexpr std::uint64_t k1e8 = 100'000'000;
   constexpr std::uint64_t k1e16 = k1e8 * k1e8;
-  std::uint64_t words[kEngineWords];
-  std::memcpy(words, &engine, sizeof(words));
+  if (word < k1e8) {
+    return std::to_chars(out, end, static_cast<std::uint32_t>(word)).ptr;
+  }
+  if (word < k1e16) {
+    out = std::to_chars(out, end, static_cast<std::uint32_t>(word / k1e8)).ptr;
+    return FormatEightDigits(static_cast<std::uint32_t>(word % k1e8), out);
+  }
+  const std::uint64_t low = word % k1e16;
+  out = std::to_chars(out, end, static_cast<std::uint32_t>(word / k1e16)).ptr;
+  out = FormatEightDigits(static_cast<std::uint32_t>(low / k1e8), out);
+  return FormatEightDigits(static_cast<std::uint32_t>(low % k1e8), out);
+}
+
+// Writes EngineText into `buffer` (kMaxEngineText bytes); returns its
+// length.
+std::size_t FormatEngine(const Mt19937_64& engine, char* buffer) {
   char* const end = buffer + kMaxEngineText;
   char* out = buffer;
-  for (std::size_t i = 0; i < kEngineWords; ++i) {
-    if (i > 0) *out++ = ' ';
-    const std::uint64_t word = words[i];
-    if (word < k1e8) {
-      out = std::to_chars(out, end, static_cast<std::uint32_t>(word)).ptr;
-    } else if (word < k1e16) {
-      out = std::to_chars(out, end, static_cast<std::uint32_t>(word / k1e8))
-                .ptr;
-      out = FormatEightDigits(static_cast<std::uint32_t>(word % k1e8), out);
-    } else {
-      const std::uint64_t low = word % k1e16;
-      out = std::to_chars(out, end, static_cast<std::uint32_t>(word / k1e16))
-                .ptr;
-      out = FormatEightDigits(static_cast<std::uint32_t>(low / k1e8), out);
-      out = FormatEightDigits(static_cast<std::uint32_t>(low % k1e8), out);
-    }
+  for (const std::uint64_t word : engine.words()) {
+    out = FormatWord(word, out, end);
+    *out++ = ' ';
   }
+  out = FormatWord(engine.index(), out, end);
   return static_cast<std::size_t>(out - buffer);
 }
 
@@ -95,12 +86,12 @@ std::uint64_t ParseEngineWord(const char** pos, const char* end) {
 
 }  // namespace
 
-std::string EngineText(const std::mt19937_64& engine) {
+std::string EngineText(const Mt19937_64& engine) {
   char buffer[kMaxEngineText];
   return std::string(buffer, FormatEngine(engine, buffer));
 }
 
-void ParseEngineText(std::string_view text, std::mt19937_64* engine) {
+void ParseEngineText(std::string_view text, Mt19937_64* engine) {
   const char* pos = text.data();
   const char* const end = pos + text.size();
   std::uint64_t words[kEngineWords];
@@ -113,9 +104,11 @@ void ParseEngineText(std::string_view text, std::mt19937_64* engine) {
     words[i] = ParseEngineWord(&pos, end);
   }
   Check(pos == end, "malformed RNG engine state: trailing bytes");
-  Check(words[kEngineWords - 1] <= std::mt19937_64::state_size,
+  Check(words[kEngineWords - 1] <= Mt19937_64::kStateSize,
         "malformed RNG engine state: index out of range");
-  std::memcpy(static_cast<void*>(engine), words, sizeof(words));
+  engine->SetState(std::span<const std::uint64_t, Mt19937_64::kStateSize>(
+                       words, Mt19937_64::kStateSize),
+                   words[kEngineWords - 1]);
 }
 
 void Writer::WriteExact(const void* src, std::size_t n) {
@@ -171,7 +164,7 @@ void Writer::VecF64(const std::vector<double>& v) {
   for (double x : v) F64(x);
 }
 
-void Writer::Engine(const std::mt19937_64& engine) {
+void Writer::Engine(const Mt19937_64& engine) {
   char buffer[kMaxEngineText];
   const std::size_t n = FormatEngine(engine, buffer);
   Size(n);
@@ -295,7 +288,7 @@ std::vector<double> Reader::VecF64Exact(std::size_t n) {
   return v;
 }
 
-void Reader::Engine(std::mt19937_64* engine) {
+void Reader::Engine(Mt19937_64* engine) {
   char buffer[kMaxEngineText];
   const std::size_t n = Size(kMaxEngineText);
   ReadExact(buffer, n);

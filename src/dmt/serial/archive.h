@@ -17,11 +17,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "dmt/common/random.h"
 
 namespace dmt::serial {
 
@@ -80,16 +81,17 @@ inline double CheckedFinite(double v, const char* what) {
   return v;
 }
 
-// Canonical text of a std::mt19937_64 state: the 312 state words, then
-// the index of the next word to draw (0..312), in decimal without sign or
+// Canonical text of an MT19937-64 state: the 312 state words, then the
+// index of the next word to draw (0..312), in decimal without sign or
 // leading zeros, separated by single spaces -- byte for byte what
-// libstdc++'s operator<< writes. Every archive that holds an RNG (and the
-// serve manifests' injection generators) stores this text.
-std::string EngineText(const std::mt19937_64& engine);
+// libstdc++'s operator<< writes for the equal std::mt19937_64. Every
+// archive that holds an RNG (and the serve manifests' injection
+// generators) stores this text.
+std::string EngineText(const Mt19937_64& engine);
 // Inverse of EngineText. Accepts only the canonical text (313 unsigned
 // decimals separated by single spaces, index <= 312, nothing after it) and
 // throws SerialError on anything else.
-void ParseEngineText(std::string_view text, std::mt19937_64* engine);
+void ParseEngineText(std::string_view text, Mt19937_64* engine);
 
 // Little-endian binary writer. Throws SerialError if the underlying stream
 // rejects a write (disk full, closed pipe), so a torn save never goes
@@ -110,8 +112,8 @@ class Writer {
   void F32(float v);   // raw IEEE-754 bit pattern (f32 candidate gradients)
   void Str(std::string_view s);
   void VecF64(const std::vector<double>& v);
-  // std::mt19937_64 state as a length-prefixed EngineText.
-  void Engine(const std::mt19937_64& engine);
+  // Engine state as a length-prefixed EngineText.
+  void Engine(const Mt19937_64& engine);
 
  private:
   void WriteExact(const void* src, std::size_t n);
@@ -152,7 +154,7 @@ class Reader {
   // Like VecF64 but the archived length must equal `n` exactly.
   std::vector<double> VecF64Exact(std::size_t n);
   // Length-prefixed EngineText; throws SerialError unless canonical.
-  void Engine(std::mt19937_64* engine);
+  void Engine(Mt19937_64* engine);
 
  private:
   void ReadExact(void* dst, std::size_t n);

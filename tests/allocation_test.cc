@@ -331,6 +331,24 @@ TEST(AllocationRegressionTest, DmtTrainsWithoutAllocatingWithTelemetry) {
 #endif
 }
 
+// Attaching looks each metric up by name. The registry's maps compare
+// transparently, so a name that is already there is found without building
+// a std::string (most dmt.* names exceed the small-string buffer): a
+// second tree attaching to the same registry allocates nothing.
+TEST(AllocationRegressionTest, DmtReattachesTelemetryWithoutAllocating) {
+#ifdef DMT_UNDER_SANITIZER
+  GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
+#else
+  obs::TelemetryRegistry registry;
+  core::DynamicModelTree first({.num_features = kFeatures, .num_classes = 2});
+  first.AttachTelemetry(&registry);
+  core::DynamicModelTree second({.num_features = kFeatures, .num_classes = 2});
+  alloc_count::Reset();
+  second.AttachTelemetry(&registry);
+  EXPECT_EQ(alloc_count::allocations, 0u) << "AttachTelemetry allocated";
+#endif
+}
+
 TEST(AllocationRegressionTest, VfdtScoresWithoutAllocatingWithTelemetry) {
   trees::Vfdt model({.num_features = kFeatures, .num_classes = kClasses});
   obs::TelemetryRegistry registry;

@@ -1,13 +1,18 @@
-// Tests for the mt19937_64 state codec of serial/archive (EngineText,
-// ParseEngineText, Writer::Engine, Reader::Engine). The encoder must write
-// exactly the text of libstdc++'s operator<<, the decoder must restore an
-// equal engine, and the decoder accepts nothing but that canonical text:
-// any other input -- a truncation, a byte flip, a sign, a doubled space, a
+// Tests for dmt::Mt19937_64 (common/random.h) and its state codec in
+// serial/archive (EngineText, ParseEngineText, Writer::Engine,
+// Reader::Engine). std::mt19937_64 is the reference: the engine must draw
+// the same words from every seed and the same values through every std::
+// distribution and std::shuffle, and its text must be exactly what
+// libstdc++'s operator<< writes for the equal std engine. The decoder must
+// restore an equal engine and accept nothing but that canonical text: any
+// other input -- a truncation, a byte flip, a sign, a doubled space, a
 // wrong word count, an index past 312, trailing bytes -- is a SerialError
 // or an engine whose own text is the input, never a crash or another
 // exception.
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
@@ -15,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dmt/common/random.h"
 #include "dmt/serial/archive.h"
 #include "dmt/serial/model_io.h"
 
@@ -34,10 +40,24 @@ std::string StreamText(const std::mt19937_64& engine) {
   return out.str();
 }
 
+// The std engine whose state `text` is, read by libstdc++'s operator>>.
+std::mt19937_64 StdEngineOf(const std::string& text) {
+  std::istringstream in(text);
+  std::mt19937_64 engine;
+  in >> engine;
+  EXPECT_FALSE(in.fail());
+  return engine;
+}
+
+// What operator<< writes for the std engine equal to `engine`.
+std::string StreamText(const Mt19937_64& engine) {
+  return StreamText(StdEngineOf(serial::EngineText(engine)));
+}
+
 // Outcome of decoding one hostile text: a SerialError, or an engine whose
 // canonical text is the input itself. Any other exception fails the test.
 void ExpectRejectedOrCanonical(const std::string& text) {
-  std::mt19937_64 engine;
+  Mt19937_64 engine;
   try {
     serial::ParseEngineText(text, &engine);
   } catch (const serial::SerialError&) {
@@ -47,7 +67,7 @@ void ExpectRejectedOrCanonical(const std::string& text) {
 }
 
 void ExpectRejected(const std::string& text, const char* what) {
-  std::mt19937_64 engine;
+  Mt19937_64 engine;
   EXPECT_THROW(serial::ParseEngineText(text, &engine), serial::SerialError)
       << what;
 }
@@ -71,13 +91,102 @@ std::pair<std::size_t, std::size_t> EngineTextSpan(const std::string& bytes) {
   return {best_start, best_length};
 }
 
+TEST(EngineCodecTest, WordsEqualStdEngineOverThreeTwists) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE(seed);
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    ASSERT_EQ(serial::EngineText(engine), StreamText(reference));
+    for (std::size_t i = 0; i < 3 * Mt19937_64::kStateSize + 7; ++i) {
+      ASSERT_EQ(engine(), reference()) << "word " << i;
+    }
+    ASSERT_EQ(serial::EngineText(engine), StreamText(reference));
+    engine.seed(seed + 1);
+    reference.seed(seed + 1);
+    ASSERT_EQ(engine(), reference());
+  }
+  Mt19937_64 default_seeded;
+  std::mt19937_64 default_reference;
+  EXPECT_EQ(default_seeded(), default_reference());
+}
+
+TEST(EngineCodecTest, TextEqualsStreamOperatorAtEveryIndex) {
+  // Draws reach the indices 1..312 (a draw at 312 twists and takes word 0),
+  // index 0 only a decoded state: so each index 0..312 is set by text on
+  // both engines, which then draw in lockstep across the next twist.
+  std::mt19937_64 source(99);
+  for (int i = 0; i < 400; ++i) source();
+  const std::string text = StreamText(source);
+  const std::string words = text.substr(0, text.rfind(' ') + 1);
+  for (std::size_t index = 0; index <= Mt19937_64::kStateSize; ++index) {
+    SCOPED_TRACE(index);
+    const std::string state = words + std::to_string(index);
+    Mt19937_64 engine;
+    serial::ParseEngineText(state, &engine);
+    std::mt19937_64 reference = StdEngineOf(state);
+    ASSERT_EQ(StreamText(reference), state);
+    ASSERT_EQ(serial::EngineText(engine), state);
+    for (std::size_t i = 0; i <= Mt19937_64::kStateSize; ++i) {
+      ASSERT_EQ(engine(), reference()) << "word " << i;
+    }
+    ASSERT_EQ(serial::EngineText(engine), StreamText(reference));
+  }
+}
+
+TEST(EngineCodecTest, DistributionsAndShuffleDrawTheSameValues) {
+  // One distribution object per engine, kept across draws, so the cached
+  // second normal of each pair is pinned too.
+  Mt19937_64 engine(2024);
+  std::mt19937_64 reference(2024);
+  std::uniform_int_distribution<int> small_int(-3, 17);
+  std::uniform_int_distribution<int> small_int_ref(-3, 17);
+  std::uniform_int_distribution<std::uint64_t> full_word;
+  std::uniform_int_distribution<std::uint64_t> full_word_ref;
+  std::uniform_real_distribution<double> uniform(-1.0, 2.0);
+  std::uniform_real_distribution<double> uniform_ref(-1.0, 2.0);
+  std::normal_distribution<double> normal(0.5, 2.0);
+  std::normal_distribution<double> normal_ref(0.5, 2.0);
+  // Below and above libstdc++'s switch to the rejection method (mean 12).
+  std::poisson_distribution<int> poisson(3.5);
+  std::poisson_distribution<int> poisson_ref(3.5);
+  std::poisson_distribution<int> wide_poisson(40.0);
+  std::poisson_distribution<int> wide_poisson_ref(40.0);
+  std::bernoulli_distribution bernoulli(0.3);
+  std::bernoulli_distribution bernoulli_ref(0.3);
+  std::discrete_distribution<int> discrete({1.0, 2.0, 0.0, 3.5, 0.25});
+  std::discrete_distribution<int> discrete_ref({1.0, 2.0, 0.0, 3.5, 0.25});
+  for (int i = 0; i < 2000; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(small_int(engine), small_int_ref(reference));
+    ASSERT_EQ(full_word(engine), full_word_ref(reference));
+    ASSERT_EQ(uniform(engine), uniform_ref(reference));
+    ASSERT_EQ(normal(engine), normal_ref(reference));
+    ASSERT_EQ(poisson(engine), poisson_ref(reference));
+    ASSERT_EQ(wide_poisson(engine), wide_poisson_ref(reference));
+    ASSERT_EQ(bernoulli(engine), bernoulli_ref(reference));
+    ASSERT_EQ(discrete(engine), discrete_ref(reference));
+  }
+  std::vector<int> shuffled(100);
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  std::vector<int> shuffled_ref = shuffled;
+  for (int round = 0; round < 20; ++round) {
+    std::shuffle(shuffled.begin(), shuffled.end(), engine);
+    std::shuffle(shuffled_ref.begin(), shuffled_ref.end(), reference);
+    ASSERT_EQ(shuffled, shuffled_ref) << round;
+  }
+  EXPECT_EQ(serial::EngineText(engine), StreamText(reference));
+}
+
 TEST(EngineCodecTest, TextEqualsStreamOperatorAndRoundTrips) {
   // 0..700 draws: the fresh index 312, every index 1..312 and a second
-  // regeneration of the state words.
-  std::mt19937_64 engine(0x5eed);
+  // regeneration of the state words, in lockstep with the std engine.
+  Mt19937_64 engine(0x5eed);
+  std::mt19937_64 reference(0x5eed);
   for (int draws = 0; draws <= 700; ++draws) {
     SCOPED_TRACE(draws);
-    const std::string expected = StreamText(engine);
+    const std::string expected = StreamText(reference);
     ASSERT_EQ(serial::EngineText(engine), expected);
 
     std::ostringstream out;
@@ -90,13 +199,13 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorAndRoundTrips) {
 
     std::istringstream in(out.str());
     serial::Reader reader(in);
-    std::mt19937_64 decoded;
+    Mt19937_64 decoded;
     reader.Engine(&decoded);
     ASSERT_TRUE(decoded == engine);
-    std::mt19937_64 continued = engine;
+    Mt19937_64 continued = engine;
     for (int i = 0; i < 1000; ++i) ASSERT_EQ(decoded(), continued());
 
-    engine();
+    ASSERT_EQ(engine(), reference());
   }
 }
 
@@ -117,7 +226,7 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorOnEveryDigitChunkEdge) {
         std::uint64_t{10'000'000'000'000'000}}) {
     for (std::uint64_t w = edge - 3; w <= edge + 3; ++w) words.push_back(w);
   }
-  std::mt19937_64 draw(0xc4a1);
+  Mt19937_64 draw(0xc4a1);
   std::uint64_t low = 0;
   std::uint64_t high = 9;
   for (int digits = 1; digits <= 20; ++digits) {
@@ -128,7 +237,7 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorOnEveryDigitChunkEdge) {
   }
 
   // 312 state words per engine, then an index that walks 0..312.
-  const std::size_t state = std::mt19937_64::state_size;
+  const std::size_t state = Mt19937_64::kStateSize;
   for (std::size_t first = 0, index = 0; first < words.size();
        first += state, index = (index + 97) % (state + 1)) {
     std::string text;
@@ -137,7 +246,7 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorOnEveryDigitChunkEdge) {
       text.push_back(' ');
     }
     text.append(std::to_string(index));
-    std::mt19937_64 engine;
+    Mt19937_64 engine;
     serial::ParseEngineText(text, &engine);
     ASSERT_EQ(serial::EngineText(engine), StreamText(engine)) << first;
     ASSERT_EQ(serial::EngineText(engine), text) << first;
@@ -145,7 +254,7 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorOnEveryDigitChunkEdge) {
 }
 
 TEST(EngineCodecTest, NonCanonicalTextsAreSerialErrors) {
-  std::mt19937_64 engine(7);
+  Mt19937_64 engine(7);
   for (int i = 0; i < 5; ++i) engine();
   const std::string text = serial::EngineText(engine);
   const std::size_t first_space = text.find(' ');
@@ -173,7 +282,7 @@ TEST(EngineCodecTest, NonCanonicalTextsAreSerialErrors) {
   ExpectRejected("", "empty");
 
   // The canonical boundary values load.
-  std::mt19937_64 decoded;
+  Mt19937_64 decoded;
   serial::ParseEngineText(text.substr(0, last_space + 1) + "312", &decoded);
   serial::ParseEngineText(text.substr(0, last_space + 1) + "0", &decoded);
   EXPECT_EQ(serial::EngineText(decoded), text.substr(0, last_space + 1) + "0");
@@ -187,7 +296,7 @@ TEST(EngineCodecTest, EveryTruncationAndByteFlipOfAnArchiveTextIsSafe) {
   ASSERT_GT(length, 5000u);
   const std::string text = archive.substr(offset, length);
   {
-    std::mt19937_64 engine;
+    Mt19937_64 engine;
     serial::ParseEngineText(text, &engine);
     ASSERT_EQ(StreamText(engine), text);
   }
