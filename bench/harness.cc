@@ -20,14 +20,11 @@
 #include "dmt/robust/failpoint.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/ensemble/online_bagging.h"
-#include "dmt/ensemble/online_boosting.h"
 #include "dmt/linear/glm_classifier.h"
 #include "dmt/serial/model_io.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/sgt.h"
 #include "dmt/trees/vfdt.h"
 #include "sweep_cache.h"
 #include "sweep_manifest.h"
@@ -115,7 +112,9 @@ constexpr const char kUsage[] =
     "         --bad-input skip|impute|throw\n"
     "         --cell-timeout SECONDS --resume\n"
     "         --snapshot-every N --snapshot-dir D\n"
-    "         --dmt-exact\n";
+    "         --dmt-exact\n"
+    "models:  DMT FIMT-DD VFDT(MC) VFDT(NBA) HT-Ada EFDT ForestEns\n"
+    "         BaggingEns GLM\n";
 
 // Usage errors (unknown flag, missing value, malformed spec) exit 2: the
 // conventional bad-invocation code, distinct from runtime failures (1).
@@ -180,6 +179,9 @@ Options ParseOptions(int argc, char** argv) {
       }
     } else if (arg == "--models") {
       options.models = SplitCsv(next());
+      for (const std::string& name : options.models) {
+        if (!IsModelName(name)) UsageError("unknown model: " + name);
+      }
     } else if (arg == "--jobs") {
       options.jobs = next_u64();
     } else if (arg == "--no-cache") {
@@ -312,25 +314,6 @@ std::unique_ptr<Classifier> MakeModel(const std::string& name,
     config.pool = pool;
     return std::make_unique<ensemble::LeveragingBagging>(config);
   }
-  if (name == "OzaBag") {
-    ensemble::OnlineBaggingConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    return std::make_unique<ensemble::OnlineBagging>(config);
-  }
-  if (name == "OzaBoost") {
-    ensemble::OnlineBoostingConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    return std::make_unique<ensemble::OnlineBoosting>(config);
-  }
-  if (name == "SGT") {
-    trees::SgtConfig config;
-    config.num_features = num_features;
-    return std::make_unique<trees::SgtClassifier>(config, num_classes);
-  }
   if (name == "GLM") {
     linear::GlmConfig config;
     config.num_features = num_features;
@@ -340,6 +323,11 @@ std::unique_ptr<Classifier> MakeModel(const std::string& name,
   }
   std::fprintf(stderr, "unknown model: %s\n", name.c_str());
   std::exit(1);
+}
+
+bool IsModelName(const std::string& name) {
+  const std::vector<std::string> all = AllModels();
+  return name == "GLM" || std::find(all.begin(), all.end(), name) != all.end();
 }
 
 bool IsDatasetName(const std::string& name) {

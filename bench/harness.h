@@ -141,11 +141,10 @@ std::vector<std::string> StandaloneModels();
 // Stand-alone + ensemble models of Table II, in row order.
 std::vector<std::string> AllModels();
 
-// Builds a classifier by paper row name: "DMT", "FIMT-DD", "VFDT(MC)",
-// "VFDT(NBA)", "HT-Ada", "EFDT", "ForestEns", "BaggingEns", "OzaBag",
-// "OzaBoost", "SGT", "GLM". A non-null `pool` is lent to the ensembles
-// (ForestEns / BaggingEns) for member training and batch scoring; it must
-// outlive the returned model.
+// Builds a classifier by paper row name: one of AllModels() or "GLM" (see
+// IsModelName); any other name prints an error and exits 1. A non-null
+// `pool` is lent to the ensembles (ForestEns / BaggingEns) for member
+// training and batch scoring; it must outlive the returned model.
 std::unique_ptr<Classifier> MakeModel(const std::string& name,
                                       int num_features, int num_classes,
                                       std::uint64_t seed,
@@ -200,6 +199,11 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
 const CellResult* FindCell(const std::vector<CellResult>& cells,
                            const std::string& dataset,
                            const std::string& model);
+
+// True when `name` is a model MakeModel builds: AllModels() plus "GLM".
+// The binaries check names at parse time, so an unknown or retired one is
+// a usage error (exit 2) rather than MakeModel's exit 1 mid-run.
+bool IsModelName(const std::string& name);
 
 // True when `name` is a built-in data set (streams::AllDatasets). The
 // binaries check names at parse time, so an unknown one is a usage error

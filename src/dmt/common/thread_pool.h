@@ -1,8 +1,8 @@
 // Fixed-size work-stealing thread pool.
 //
 // Backbone of the parallel prequential sweep (bench/harness.cc) and of the
-// optional parallel ensemble training (ensemble/, `num_threads` config
-// knob). The pool never influences results: every task must carry its own
+// optional parallel ensemble training (ensemble/, the borrowed `pool`
+// config field). The pool never influences results: every task must carry its own
 // deterministic RNG state (seeded from data identity, never from thread
 // identity or scheduling order), so outputs are bit-identical at any pool
 // size.

@@ -18,8 +18,6 @@
 #include "dmt/drift/page_hinkley.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/ensemble/online_bagging.h"
-#include "dmt/ensemble/online_boosting.h"
 #include "dmt/eval/metrics.h"
 #include "dmt/eval/prequential.h"
 #include "dmt/eval/regression_prequential.h"
@@ -40,7 +38,6 @@
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/fimtdd_regressor.h"
 #include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/sgt.h"
 #include "dmt/trees/vfdt.h"
 
 #endif  // DMT_DMT_H_

@@ -90,20 +90,8 @@ void AdaptiveRandomForest::TrainMemberBatch(Member* member,
   }
 }
 
-ThreadPool* AdaptiveRandomForest::WorkerPool() const {
-  if (config_.pool != nullptr) return config_.pool;
-  if (config_.num_threads > 1 && members_.size() > 1) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(
-          std::min<std::size_t>(config_.num_threads, members_.size()));
-    }
-    return pool_.get();
-  }
-  return nullptr;
-}
-
 void AdaptiveRandomForest::PartialFit(const Batch& batch) {
-  ThreadPool* pool = WorkerPool();
+  ThreadPool* pool = config_.pool;
   if (pool != nullptr && members_.size() > 1) {
     std::vector<std::future<void>> futures;
     futures.reserve(members_.size());
@@ -174,7 +162,7 @@ void AdaptiveRandomForest::PredictBatch(const Batch& batch,
                                         ProbaMatrix* out) const {
   const std::size_t c = static_cast<std::size_t>(config_.num_classes);
   out->Reshape(batch.size(), c);
-  ThreadPool* pool = WorkerPool();
+  ThreadPool* pool = config_.pool;
   if (pool == nullptr || batch.size() < 2) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       PredictProbaInto(batch.row(i), out->row(i));

@@ -41,16 +41,14 @@ struct AdaptiveRandomForestConfig {
   double drift_delta = 0.001;
   // 0 derives sqrt(num_features) + 1.
   int subspace_size = 0;
-  // >1 trains members on an internally owned thread pool, one task per
-  // member and batch. Off by default. Results are identical to sequential
-  // training: each member owns its RNG, so training is order- and
-  // schedule-independent.
-  int num_threads = 1;
-  // Optional borrowed pool shared with the caller (e.g. the sweep engine).
-  // When set it takes precedence over `num_threads` and no pool is owned;
-  // waits use helping (ThreadPool::RunOneTask) so that nesting ensemble
-  // tasks inside a task running on the same pool cannot deadlock. The pool
-  // must outlive the ensemble.
+  // Optional borrowed pool shared with the caller (e.g. the sweep engine's
+  // --member-parallel). When set, members train on it, one task per member
+  // and batch, and PredictBatch fans row chunks over it; null (the
+  // default) is sequential. Results are identical either way: each member
+  // owns its RNG, so training is order- and schedule-independent. Waits
+  // use helping (ThreadPool::RunOneTask) so that nesting ensemble tasks
+  // inside a task running on the same pool cannot deadlock. The pool must
+  // outlive the ensemble.
   ThreadPool* pool = nullptr;
   trees::VfdtConfig base;
   std::uint64_t seed = 42;
@@ -83,9 +81,9 @@ class AdaptiveRandomForest : public Classifier {
   // Full state: ensemble config, every member's tree (plus the background
   // tree when one is running), both ADWIN detectors, the cumulative member
   // tallies, the member RNGs and the ensemble RNG (engines written last so
-  // Load restores them after all constructor draws). The borrowed pool /
-  // num_threads are runtime knobs and are not persisted: a restored forest
-  // trains sequentially until reconfigured.
+  // Load restores them after all constructor draws). The borrowed pool is
+  // a runtime knob and is not persisted: a restored forest trains
+  // sequentially.
   void Save(std::ostream& out) const override;
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<AdaptiveRandomForest> LoadBody(serial::Reader& reader);
@@ -115,9 +113,6 @@ class AdaptiveRandomForest : public Classifier {
   std::unique_ptr<trees::Vfdt> MakeTree(Rng* rng);
   void TrainMemberInstance(Member* member, std::span<const double> x, int y);
   void TrainMemberBatch(Member* member, const Batch& batch);
-  // The borrowed pool if one was injected, else the lazily built owned
-  // pool, else nullptr (sequential).
-  ThreadPool* WorkerPool() const;
   // Adds the member-tally deltas since the last flush to the attached
   // counters; runs on the coordinating thread after every PartialFit.
   void FlushTelemetry();
@@ -125,7 +120,6 @@ class AdaptiveRandomForest : public Classifier {
   AdaptiveRandomForestConfig config_;
   Rng rng_;
   std::vector<Member> members_;
-  mutable std::unique_ptr<ThreadPool> pool_;  // lazy, when num_threads > 1
   // One member-probability row reused across PredictProbaInto calls; makes
   // single-instance scoring allocation-free but not concurrency-safe on a
   // shared instance (PredictBatch gives each worker task its own row).

@@ -98,20 +98,8 @@ bool LeveragingBagging::TrainMemberBatch(std::size_t m, const Batch& batch) {
   return fired;
 }
 
-ThreadPool* LeveragingBagging::WorkerPool() const {
-  if (config_.pool != nullptr) return config_.pool;
-  if (config_.num_threads > 1 && members_.size() > 1) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(
-          std::min<std::size_t>(config_.num_threads, members_.size()));
-    }
-    return pool_.get();
-  }
-  return nullptr;
-}
-
 void LeveragingBagging::PartialFit(const Batch& batch) {
-  ThreadPool* pool = WorkerPool();
+  ThreadPool* pool = config_.pool;
   if (pool != nullptr && members_.size() > 1) {
     // Parallel mode (off by default): member training is independent, only
     // the worst-member reset couples members, so the reset decision is
@@ -151,7 +139,7 @@ void LeveragingBagging::PredictBatch(const Batch& batch,
                                      ProbaMatrix* out) const {
   const std::size_t c = static_cast<std::size_t>(config_.num_classes);
   out->Reshape(batch.size(), c);
-  ThreadPool* pool = WorkerPool();
+  ThreadPool* pool = config_.pool;
   if (pool == nullptr || batch.size() < 2) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       PredictProbaInto(batch.row(i), out->row(i));

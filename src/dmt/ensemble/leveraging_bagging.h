@@ -36,15 +36,12 @@ struct LeveragingBaggingConfig {
   int num_learners = 3;  // as in the paper's experiments
   double poisson_lambda = 6.0;
   double adwin_delta = 0.002;
-  // >1 trains members on an internally owned thread pool, one task per
-  // member and batch. Off by default. Each member owns its RNG, so member
-  // state is deterministic at any thread count; the worst-member reset
-  // (which couples members) moves from per-instance to per-batch
-  // granularity in parallel mode.
-  int num_threads = 1;
-  // Optional borrowed pool shared with the caller; overrides `num_threads`
-  // (same contract as AdaptiveRandomForestConfig::pool). Note that any
-  // parallel mode changes the reset granularity as described above.
+  // Optional borrowed pool shared with the caller (same contract as
+  // AdaptiveRandomForestConfig::pool); null (the default) is sequential.
+  // When set, members train on it, one task per member and batch. Each
+  // member owns its RNG, so member state is deterministic at any pool
+  // size; the worst-member reset (which couples members) moves from
+  // per-instance to per-batch granularity in parallel mode.
   ThreadPool* pool = nullptr;
   trees::VfdtConfig base;  // num_features/num_classes are filled in
   std::uint64_t seed = 42;
@@ -76,7 +73,7 @@ class LeveragingBagging : public Classifier {
   // --- Persistence (binary archive; see serial/archive.h) ---
   // Full state: config, member trees, per-member ADWIN detectors and
   // detection tallies, member RNGs and the ensemble RNG (engines last).
-  // num_threads / pool are runtime knobs and are not persisted.
+  // The borrowed pool is a runtime knob and is not persisted.
   void Save(std::ostream& out) const override;
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<LeveragingBagging> LoadBody(serial::Reader& reader);
@@ -88,7 +85,6 @@ class LeveragingBagging : public Classifier {
   // fired at least once (parallel path only).
   bool TrainMemberBatch(std::size_t m, const Batch& batch);
   void ResetWorstMember();
-  ThreadPool* WorkerPool() const;
   void FlushTelemetry();
 
   LeveragingBaggingConfig config_;
@@ -100,7 +96,6 @@ class LeveragingBagging : public Classifier {
   // Cumulative ADWIN detections per member (the detectors themselves are
   // replaced on reset, so their num_detections cannot serve as counters).
   std::vector<std::size_t> member_detections_;
-  mutable std::unique_ptr<ThreadPool> pool_;  // lazy, when num_threads > 1
   // Member-probability row reused by PredictProbaInto (not concurrency-safe
   // on a shared instance; PredictBatch tasks use their own rows).
   mutable std::vector<double> member_scratch_;

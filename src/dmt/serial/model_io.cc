@@ -10,13 +10,10 @@
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/ensemble/online_bagging.h"
-#include "dmt/ensemble/online_boosting.h"
 #include "dmt/linear/glm_classifier.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/sgt.h"
 #include "dmt/trees/vfdt.h"
 
 namespace dmt::serial {
@@ -46,6 +43,12 @@ class StringSink : public std::streambuf {
   std::string* bytes_;
 };
 
+SerialError RetiredLearner(const char* learner) {
+  std::string message = "archive holds a retired learner: ";
+  message.append(learner).append("; this build cannot load it");
+  return SerialError(message);
+}
+
 }  // namespace
 
 std::unique_ptr<Classifier> LoadClassifier(std::istream& in) {
@@ -62,18 +65,20 @@ std::unique_ptr<Classifier> LoadClassifier(std::istream& in) {
       return trees::HoeffdingAdaptiveTree::LoadBody(reader);
     case kTagFimtDd:
       return trees::FimtDd::LoadBody(reader);
-    case kTagSgt:
-      return trees::SgtClassifier::LoadBody(reader);
     case kTagGlmClassifier:
       return linear::GlmClassifier::LoadBody(reader);
     case kTagArf:
       return ensemble::AdaptiveRandomForest::LoadBody(reader);
     case kTagLevBag:
       return ensemble::LeveragingBagging::LoadBody(reader);
+    case kTagGaussianNb:
+      throw RetiredLearner("Gaussian naive Bayes");
+    case kTagSgt:
+      throw RetiredLearner("Stochastic Gradient Tree (SGT)");
     case kTagOzaBag:
-      return ensemble::OnlineBagging::LoadBody(reader);
+      throw RetiredLearner("Online Bagging (OzaBag)");
     case kTagOzaBoost:
-      return ensemble::OnlineBoosting::LoadBody(reader);
+      throw RetiredLearner("Online Boosting (OzaBoost)");
     default:
       throw SerialError("archive tag does not name a classifier");
   }

@@ -29,21 +29,28 @@ inline constexpr std::uint32_t kTagHat = FourCC('H', 'A', 'T', 'T');
 inline constexpr std::uint32_t kTagFimtDd = FourCC('F', 'I', 'M', 'T');
 inline constexpr std::uint32_t kTagFimtDdRegressor =
     FourCC('F', 'I', 'M', 'R');
-inline constexpr std::uint32_t kTagSgt = FourCC('S', 'G', 'T', 'C');
 inline constexpr std::uint32_t kTagGlmClassifier = FourCC('G', 'L', 'M', 'C');
 inline constexpr std::uint32_t kTagGlm = FourCC('G', 'L', 'M', 'M');
 inline constexpr std::uint32_t kTagLinearRegressor =
     FourCC('L', 'I', 'N', 'R');
-// Retired: the standalone Gaussian naive Bayes classifier was removed. The
-// tag stays reserved and no build reads it.
-inline constexpr std::uint32_t kTagGaussianNb = FourCC('G', 'S', 'N', 'B');
 inline constexpr std::uint32_t kTagArf = FourCC('A', 'R', 'F', 'E');
 inline constexpr std::uint32_t kTagLevBag = FourCC('L', 'V', 'B', 'G');
+
+// Retired tags: the learners below were removed (none appears in the
+// paper's evaluation). Each tag stays reserved, is never reused, and
+// LoadClassifier refuses it with a SerialError naming the learner.
+// Standalone Gaussian naive Bayes classifier.
+inline constexpr std::uint32_t kTagGaussianNb = FourCC('G', 'S', 'N', 'B');
+// Stochastic Gradient Tree (one-vs-rest classifier).
+inline constexpr std::uint32_t kTagSgt = FourCC('S', 'G', 'T', 'C');
+// Online (Oza) Bagging.
 inline constexpr std::uint32_t kTagOzaBag = FourCC('O', 'Z', 'B', 'G');
+// Online (Oza) Boosting.
 inline constexpr std::uint32_t kTagOzaBoost = FourCC('O', 'Z', 'B', 'S');
 
 // Reads one archive and reconstructs whichever Classifier it holds.
-// Throws SerialError on malformed input or a non-classifier tag.
+// Throws SerialError on malformed input, a non-classifier tag or a retired
+// tag (the message names the retired learner).
 std::unique_ptr<Classifier> LoadClassifier(std::istream& in);
 std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path);
 

@@ -4,14 +4,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dmt/common/kernels.h"
 #include "dmt/common/math.h"
 #include "dmt/common/parse.h"
 #include "dmt/common/random.h"
+#include "dmt/common/sanitize.h"
 #include "dmt/common/stats.h"
 #include "dmt/common/table.h"
 #include "dmt/common/types.h"
@@ -209,6 +213,81 @@ TEST(ParseDoubleTest, MatchesStrtodOnPrintedDoubles) {
     std::snprintf(buffer, sizeof(buffer), "%.6f", rng.Uniform());
     ExpectParsesLikeStrtod(buffer);
   }
+}
+
+TEST(MathTest, ClampProbKeepsProbabilitiesInsideTheOpenInterval) {
+  EXPECT_EQ(ClampProb(0.0), kProbEpsilon);
+  EXPECT_EQ(ClampProb(-3.0), kProbEpsilon);
+  EXPECT_EQ(ClampProb(1.0), 1.0 - kProbEpsilon);
+  EXPECT_EQ(ClampProb(7.0), 1.0 - kProbEpsilon);
+  EXPECT_EQ(ClampProb(0.25), 0.25);
+  EXPECT_EQ(SafeLog(0.0), std::log(kProbEpsilon));
+}
+
+TEST(MathTest, AddInPlaceAddsElementwise) {
+  std::vector<double> v = {1.0, -2.0, 0.5};
+  const std::vector<double> w = {0.25, 2.0, -0.5};
+  AddInPlace(v, w);
+  EXPECT_EQ(v, (std::vector<double>{1.25, 0.0, 0.0}));
+}
+
+TEST(KernelSumTest, SameBitsAsCopyThenAddAtEveryLength) {
+  // ProposeFromBuckets writes each bucket prefix as row p = row p-1 + slot;
+  // that must equal copying the previous row and adding the slot in place.
+  Rng rng(5);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::vector<double> a(n);
+    std::vector<double> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.Uniform() * 1e3 - 5e2;
+      b[i] = rng.Uniform() * 1e-3;
+    }
+    std::vector<double> out(n, -1.0);
+    kernels::Sum(a.data(), b.data(), out.data(), n);
+    std::vector<double> reference = a;
+    kernels::Add(reference.data(), b.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                std::bit_cast<std::uint64_t>(reference[i]))
+          << "n " << n << " i " << i;
+    }
+  }
+}
+
+TEST(RowIsFiniteTest, RejectsAnyNanOrInfinity) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(RowIsFinite(std::vector<double>{}));
+  EXPECT_TRUE(RowIsFinite(std::vector<double>{0.0, -0.0, 1e308, 5e-324}));
+  EXPECT_FALSE(RowIsFinite(std::vector<double>{0.0, nan}));
+  EXPECT_FALSE(RowIsFinite(std::vector<double>{inf, 0.0}));
+  EXPECT_FALSE(RowIsFinite(std::vector<double>{1.0, -inf, 2.0}));
+}
+
+TEST(ParseU64Test, AcceptsDecimalDigitsUpToTheMaximum) {
+  EXPECT_EQ(ParseU64("0"), 0u);
+  EXPECT_EQ(ParseU64("42"), 42u);
+  EXPECT_EQ(ParseU64("007"), 7u);  // leading zeros are decimal, not octal
+  EXPECT_EQ(ParseU64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ParseU64Test, RejectsSignsWhitespaceAndTrailingGarbage) {
+  for (const std::string_view text :
+       {std::string_view(""), std::string_view("-1"), std::string_view("+1"),
+        std::string_view(" 1"), std::string_view("\t1"),
+        std::string_view("1 "), std::string_view("1\n"),
+        std::string_view("12x"), std::string_view("1e3"),
+        std::string_view("0x10"), std::string_view("1.0"),
+        std::string_view("1,000"), std::string_view("1\0" "2", 3)}) {
+    EXPECT_FALSE(ParseU64(text).has_value())
+        << "'" << std::string(text) << "'";
+  }
+}
+
+TEST(ParseU64Test, RejectsValuesAboveTheMaximum) {
+  EXPECT_FALSE(ParseU64("18446744073709551616").has_value());
+  EXPECT_FALSE(ParseU64("99999999999999999999999").has_value());
 }
 
 }  // namespace

@@ -12,15 +12,12 @@
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/ensemble/online_bagging.h"
-#include "dmt/ensemble/online_boosting.h"
 #include "dmt/eval/prequential.h"
 #include "dmt/linear/glm_classifier.h"
 #include "dmt/streams/datasets.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/sgt.h"
 #include "dmt/trees/vfdt.h"
 
 namespace dmt {
@@ -62,18 +59,6 @@ std::unique_ptr<Classifier> Make(const std::string& name, int m, int c) {
     return std::make_unique<ensemble::LeveragingBagging>(
         ensemble::LeveragingBaggingConfig{.num_features = m,
                                           .num_classes = c});
-  }
-  if (name == "OzaBag") {
-    return std::make_unique<ensemble::OnlineBagging>(
-        ensemble::OnlineBaggingConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "OzaBoost") {
-    return std::make_unique<ensemble::OnlineBoosting>(
-        ensemble::OnlineBoostingConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "SGT") {
-    return std::make_unique<trees::SgtClassifier>(
-        trees::SgtConfig{.num_features = m}, c);
   }
   return std::make_unique<linear::GlmClassifier>(
       linear::GlmConfig{.num_features = m, .num_classes = c});
@@ -122,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
     ModelsAndClassCounts, ClassifierContractTest,
     ::testing::Combine(::testing::Values("DMT", "FIMT-DD", "VFDT", "VFDT-NBA",
                                          "HT-Ada", "EFDT", "ARF", "LevBag",
-                                         "OzaBag", "OzaBoost", "SGT", "GLM"),
+                                         "GLM"),
                        ::testing::Values(2, 5)));
 
 // The batch-first scoring core (PredictProbaInto / PredictBatch) must
@@ -174,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllModelsOnStreams, BatchScoringEquivalenceTest,
     ::testing::Combine(::testing::Values("DMT", "FIMT-DD", "VFDT", "VFDT-NBA",
                                          "HT-Ada", "EFDT", "ARF", "LevBag",
-                                         "OzaBag", "OzaBoost", "SGT", "GLM"),
+                                         "GLM"),
                        ::testing::Values("SEA", "Agrawal")));
 
 // DMT must beat the always-majority baseline on every Table I stream at
@@ -212,24 +197,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("Electricity", "Airlines", "Bank", "TueEyeQ", "Poker",
                       "KDD", "Covertype", "Gas", "Insects-Abr", "Insects-Inc",
                       "SEA", "Agrawal", "Hyperplane"));
-
-TEST(OnlineBaggingTest, LearnsSimpleConcept) {
-  ensemble::OnlineBagging ensemble(
-      {.num_features = 2, .num_classes = 2, .num_learners = 3});
-  Rng rng(21);
-  Batch batch(2);
-  for (int i = 0; i < 4000; ++i) {
-    std::vector<double> x = {rng.Uniform(), rng.Uniform()};
-    batch.Add(x, x[0] <= 0.5 ? 0 : 1);
-  }
-  ensemble.PartialFit(batch);
-  int correct = 0;
-  for (int i = 0; i < 500; ++i) {
-    std::vector<double> x = {rng.Uniform(), rng.Uniform()};
-    correct += ensemble.Predict(x) == (x[0] <= 0.5 ? 0 : 1);
-  }
-  EXPECT_GT(correct, 450);
-}
 
 }  // namespace
 }  // namespace dmt

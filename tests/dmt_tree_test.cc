@@ -1,4 +1,6 @@
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include "dmt/common/types.h"
 #include "dmt/core/candidate.h"
 #include "dmt/core/dynamic_model_tree.h"
+#include "dmt/serial/archive.h"
 
 namespace dmt::core {
 namespace {
@@ -373,6 +376,163 @@ TEST_P(DmtSeedTest, SolvesXorAcrossSeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DmtSeedTest, ::testing::Values(1, 2, 3, 4, 5));
+
+// --- Replace vs. prune in one evaluation ------------------------------------
+//
+// When an inner node passes both the replace test, Eq. (4), and the prune
+// test, Eq. (5), in the same evaluation, CheckInnerReplacement prunes if
+// prune_gain >= replace_gain (the smaller tree wins a tie) and replaces
+// otherwise (one of the unspecified behaviours of streaming trees listed
+// by Manapragada et al.). The gains are read off a twin tree: the same
+// state under an epsilon so small that no test passes, so the twin's
+// post-batch root holds exactly the statistics the checked tree compared.
+
+// A DMT whose root gains can be inspected and whose state can be restored
+// from an archive under another config (lambda or epsilon).
+class GainProbe : public DynamicModelTree {
+ public:
+  explicit GainProbe(const DmtConfig& config) : DynamicModelTree(config) {}
+
+  // Replaces this tree's state, not its config, by the archived tree's.
+  void RestoreState(const std::string& bytes) {
+    std::istringstream in(bytes, std::ios::binary);
+    serial::Reader reader(in);
+    reader.Header();
+    reader.I32();  // features
+    reader.I32();  // classes
+    LoadConfig(reader, ModelTree::config().num_features);
+    LoadState(reader);
+  }
+
+  // Eq. (5) at the root, as CheckInnerReplacement computes it.
+  double PruneGain() const { return LeafLoss(*root()) - root()->loss_sum; }
+
+  // Eq. (4) at the root; the best candidate must not be the current split.
+  double ReplaceGain() const {
+    double gain = 0.0;
+    const int best = BestCandidateOf(*root(), LeafLoss(*root()), &gain);
+    EXPECT_GE(best, 0);
+    EXPECT_FALSE(root()->candidates.feature(best) == root()->split_feature &&
+                 root()->candidates.value(best) == root()->split_value);
+    return gain;
+  }
+
+ private:
+  static double LeafLoss(const Node& node) {
+    if (node.is_leaf()) return node.loss_sum;
+    return LeafLoss(*node.left) + LeafLoss(*node.right);
+  }
+};
+
+std::string ArchiveOf(const DynamicModelTree& tree) {
+  std::ostringstream out(std::ios::binary);
+  tree.Save(out);
+  return out.str();
+}
+
+DmtConfig ExactConfig(double gradient_step_size, double epsilon) {
+  return {.num_features = 2,
+          .num_classes = 2,
+          .gradient_step_size = gradient_step_size,
+          .epsilon = epsilon,
+          .gain_test_every = 1,
+          .gain_test_threshold = 0.0,
+          .order_buckets = 0,
+          .candidate_grad_f32 = false};
+}
+
+// Trains XOR until the first split (one inner node, two leaves) and then
+// draws one batch of the drifted concept y = [x1 > 0.5]: the left leaf
+// keeps fitting, the right leaf is now wrong, and the root fits the new
+// concept on its own.
+struct SplitThenDrift {
+  std::string archive;
+  Batch drift{2};
+};
+
+SplitThenDrift MakeSplitThenDrift(int drift_rows) {
+  SplitThenDrift out;
+  DynamicModelTree tree(ExactConfig(0.2, 1e-8));
+  Rng rng(1);
+  while (tree.NumInnerNodes() == 0) {
+    Batch batch(2);
+    FillXor(&rng, &batch, 100);
+    tree.PartialFit(batch);
+  }
+  EXPECT_EQ(tree.NumInnerNodes(), 1u);
+  EXPECT_EQ(tree.events().size(), 1u);
+  out.archive = ArchiveOf(tree);
+  for (int i = 0; i < drift_rows; ++i) {
+    const std::vector<double> x = {rng.Uniform(), rng.Uniform()};
+    out.drift.Add(x, x[1] > 0.5 ? 1 : 0);
+  }
+  return out;
+}
+
+struct RootGains {
+  double prune = 0.0;
+  double replace = 0.0;
+};
+
+// The gains the root of `setup`'s tree compares after the drift batch under
+// `gradient_step_size`; no test passes in the twin (epsilon 1e-300).
+RootGains TwinGains(const SplitThenDrift& setup, double gradient_step_size) {
+  GainProbe twin(ExactConfig(gradient_step_size, 1e-300));
+  twin.RestoreState(setup.archive);
+  twin.PartialFit(setup.drift);
+  EXPECT_EQ(twin.NumInnerNodes(), 1u);
+  EXPECT_EQ(twin.events().size(), 0u);
+  return {.prune = twin.PruneGain(), .replace = twin.ReplaceGain()};
+}
+
+TEST(DmtReplacePruneTest, PruneWinsWhenItsGainIsAtLeastTheReplaceGain) {
+  // With lambda = 0 the candidate loss estimate of Eq. (4) is the node's
+  // own loss, so replace_gain equals prune_gain: a tie, which the prune
+  // takes.
+  const SplitThenDrift setup = MakeSplitThenDrift(1000);
+  const RootGains gains = TwinGains(setup, 0.0);
+  GainProbe tree(ExactConfig(0.0, 1e-8));
+  tree.RestoreState(setup.archive);
+  const double threshold = tree.PruneThreshold(2);
+  ASSERT_EQ(tree.ReplaceThreshold(2), threshold);
+  ASSERT_GE(gains.prune, threshold);
+  ASSERT_GE(gains.replace, threshold);
+  ASSERT_GE(gains.prune, gains.replace);
+
+  tree.PartialFit(setup.drift);
+  ASSERT_EQ(tree.events().size(), 1u);
+  const StructuralEvent& event = tree.events().back();
+  EXPECT_EQ(event.kind, StructuralEvent::Kind::kPruneToLeaf);
+  EXPECT_EQ(event.gain, gains.prune);
+  EXPECT_EQ(event.threshold, threshold);
+  EXPECT_EQ(event.depth, 0u);
+  EXPECT_EQ(tree.num_prunes(), 1u);
+  EXPECT_EQ(tree.num_subtree_replacements(), 0u);
+  EXPECT_EQ(tree.NumInnerNodes(), 0u);
+}
+
+TEST(DmtReplacePruneTest, ReplaceWinsWhenItsGainIsLarger) {
+  // With lambda > 0 Eq. (4) subtracts the candidate's gradient step, so the
+  // replace gain exceeds the prune gain whenever both pass.
+  const SplitThenDrift setup = MakeSplitThenDrift(500);
+  const RootGains gains = TwinGains(setup, 0.2);
+  GainProbe tree(ExactConfig(0.2, 1e-8));
+  tree.RestoreState(setup.archive);
+  const double threshold = tree.ReplaceThreshold(2);
+  ASSERT_GE(gains.prune, threshold);
+  ASSERT_GT(gains.replace, gains.prune);
+
+  tree.PartialFit(setup.drift);
+  ASSERT_EQ(tree.events().size(), 1u);
+  const StructuralEvent& event = tree.events().back();
+  EXPECT_EQ(event.kind, StructuralEvent::Kind::kReplaceSplit);
+  EXPECT_EQ(event.gain, gains.replace);
+  EXPECT_EQ(event.threshold, threshold);
+  EXPECT_EQ(event.depth, 0u);
+  EXPECT_EQ(tree.num_prunes(), 0u);
+  EXPECT_EQ(tree.num_subtree_replacements(), 1u);
+  EXPECT_EQ(tree.NumInnerNodes(), 1u);
+}
 
 }  // namespace
 }  // namespace dmt::core

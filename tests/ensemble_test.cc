@@ -12,8 +12,6 @@
 #include "dmt/drift/adwin.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/ensemble/online_bagging.h"
-#include "dmt/ensemble/online_boosting.h"
 #include "dmt/serial/archive.h"
 #include "dmt/serial/model_io.h"
 
@@ -136,40 +134,13 @@ TEST(ArfTest, SubspaceSizeDefaultsToSqrtM) {
   EXPECT_GT(correct, 350);
 }
 
-TEST(ArfTest, ParallelTrainingBitIdenticalToSequential) {
-  // ARF members are fully independent (each owns its RNG and detectors),
-  // so training them on the pool must reproduce the sequential forest
-  // exactly: same splits, same parameters, same predictions.
-  const AdaptiveRandomForestConfig base{
-      .num_features = 2, .num_classes = 2, .num_learners = 4, .seed = 11};
-  AdaptiveRandomForestConfig parallel_config = base;
-  parallel_config.num_threads = 4;
-  AdaptiveRandomForest sequential(base);
-  AdaptiveRandomForest parallel(parallel_config);
-
-  Rng rng(6);
-  for (int b = 0; b < 12; ++b) {
-    Batch batch(2);
-    FillAxisConcept(&rng, &batch, 400, /*flipped=*/b >= 8);
-    sequential.PartialFit(batch);
-    parallel.PartialFit(batch);
-  }
-  EXPECT_EQ(sequential.NumSplits(), parallel.NumSplits());
-  EXPECT_EQ(sequential.NumParameters(), parallel.NumParameters());
-  EXPECT_EQ(sequential.num_promotions(), parallel.num_promotions());
-  Rng test_rng(7);
-  Batch test(2);
-  FillAxisConcept(&test_rng, &test, 500, /*flipped=*/true);
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    ASSERT_EQ(sequential.Predict(test.row(i)), parallel.Predict(test.row(i)))
-        << "prediction diverged at test instance " << i;
-  }
-}
-
 TEST(ArfTest, InjectedPoolBitIdenticalToSequential) {
-  // A borrowed pool (shared with a caller, e.g. the sweep engine) must
-  // behave exactly like the owned pool: training stays bit-identical to
-  // sequential, and batch scoring over the pool matches row-by-row scoring.
+  // ARF members are fully independent (each owns its RNG and detectors),
+  // so training them on a borrowed pool (shared with a caller, e.g. the
+  // sweep engine) must reproduce the sequential forest exactly: the same
+  // archive (the pool itself is not archived), splits, parameters and
+  // predictions, and batch scoring over the pool matches row-by-row
+  // scoring.
   const AdaptiveRandomForestConfig base{
       .num_features = 2, .num_classes = 2, .num_learners = 4, .seed = 11};
   ThreadPool pool(3);
@@ -185,7 +156,10 @@ TEST(ArfTest, InjectedPoolBitIdenticalToSequential) {
     sequential.PartialFit(batch);
     injected.PartialFit(batch);
   }
+  EXPECT_EQ(serial::SaveClassifierToString(injected),
+            serial::SaveClassifierToString(sequential));
   EXPECT_EQ(sequential.NumSplits(), injected.NumSplits());
+  EXPECT_EQ(sequential.NumParameters(), injected.NumParameters());
   EXPECT_EQ(sequential.num_promotions(), injected.num_promotions());
 
   Rng test_rng(7);
@@ -199,14 +173,17 @@ TEST(ArfTest, InjectedPoolBitIdenticalToSequential) {
     sequential.PredictProbaInto(test.row(i), row);
     ASSERT_EQ(batched.row(i)[0], row[0]) << "row " << i;
     ASSERT_EQ(batched.row(i)[1], row[1]) << "row " << i;
+    ASSERT_EQ(sequential.Predict(test.row(i)), injected.Predict(test.row(i)))
+        << "prediction diverged at test instance " << i;
   }
 }
 
 TEST(LeveragingBaggingTest, ParallelTrainingLearnsAndAdapts) {
   // LevBag couples members through the worst-member reset, which moves to
   // batch granularity in parallel mode -- so assert behavior, not bits.
+  ThreadPool pool(3);
   LeveragingBagging ensemble({.num_features = 2, .num_classes = 2,
-                              .num_learners = 3, .num_threads = 3});
+                              .num_learners = 3, .pool = &pool});
   Rng rng(9);
   for (int b = 0; b < 10; ++b) {
     Batch batch(2);
@@ -279,76 +256,6 @@ void ExpectArchiveEndsWith(const Model& model, const std::string& expected) {
   ASSERT_GT(archive.size(), expected.size());
   EXPECT_TRUE(archive.ends_with(expected))
       << "weighted member updates diverged from the repeat loop";
-}
-
-TEST(WeightedMemberTest, OnlineBaggingMatchesRepeatLoop) {
-  const OnlineBaggingConfig config{.num_features = 2,
-                                   .num_classes = 2,
-                                   .num_learners = 3,
-                                   .poisson_lambda = 6.0,
-                                   .base = kSmallGrace,
-                                   .seed = 5};
-  OnlineBagging ensemble(config);
-  Rng rng(config.seed);
-  std::vector<std::unique_ptr<Vfdt>> members;
-  for (int i = 0; i < config.num_learners; ++i) {
-    members.push_back(MakeReferenceTree(config.base, 2, 2, 0, &rng));
-  }
-  for (const Batch& batch : DriftingBatches()) {
-    ensemble.PartialFit(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      for (auto& member : members) {
-        RepeatTrain(member.get(), batch.row(i), batch.label(i),
-                    rng.Poisson(config.poisson_lambda));
-      }
-    }
-  }
-  std::ostringstream expected;
-  serial::Writer writer(expected);
-  for (const auto& member : members) member->SaveBody(writer);
-  writer.Engine(rng.engine());
-  ExpectArchiveEndsWith(ensemble, expected.str());
-}
-
-TEST(WeightedMemberTest, OnlineBoostingMatchesRepeatLoop) {
-  const OnlineBoostingConfig config{
-      .num_features = 2, .num_classes = 2, .base = kSmallGrace, .seed = 6};
-  OnlineBoosting ensemble(config);
-  struct Member {
-    std::unique_ptr<Vfdt> tree;
-    double correct = 0.0;
-    double wrong = 0.0;
-  };
-  Rng rng(config.seed);
-  std::vector<Member> members;
-  for (int i = 0; i < config.num_learners; ++i) {
-    members.push_back({MakeReferenceTree(config.base, 2, 2, 0, &rng)});
-  }
-  for (const Batch& batch : DriftingBatches()) {
-    ensemble.PartialFit(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::span<const double> x = batch.row(i);
-      const int y = batch.label(i);
-      double lambda = 1.0;
-      for (Member& member : members) {
-        RepeatTrain(member.tree.get(), x, y, rng.Poisson(lambda));
-        double& hits =
-            member.tree->Predict(x) == y ? member.correct : member.wrong;
-        hits += lambda;
-        lambda *= (member.correct + member.wrong) / (2.0 * hits);
-        lambda = std::min(lambda, 100.0);
-      }
-    }
-  }
-  std::ostringstream expected;
-  serial::Writer writer(expected);
-  for (const Member& member : members) {
-    member.tree->SaveBody(writer);
-    writer.F64(member.correct);
-    writer.F64(member.wrong);
-  }
-  writer.Engine(rng.engine());
-  ExpectArchiveEndsWith(ensemble, expected.str());
 }
 
 // Leveraging Bagging reference; `per_batch` mirrors the parallel mode
@@ -436,12 +343,33 @@ TEST(WeightedMemberTest, LeveragingBaggingMatchesRepeatLoop) {
 TEST(WeightedMemberTest, LeveragingBaggingMemberBatchMatchesRepeatLoop) {
   LeveragingBaggingConfig config{
       .num_features = 2, .num_classes = 2, .base = kSmallGrace, .seed = 8};
-  config.num_threads = 2;
+  ThreadPool pool(2);
+  config.pool = &pool;
   const std::vector<Batch> batches = DriftingBatches();
   LeveragingBagging ensemble(config);
   for (const Batch& batch : batches) ensemble.PartialFit(batch);
   ExpectArchiveEndsWith(ensemble, LeveragingBaggingReference(
                                       config, batches, /*per_batch=*/true));
+}
+
+TEST(LeveragingBaggingTest, SingleMemberTrainsPerInstanceEvenWithAPool) {
+  // With one member there is nothing to fan out: a lent pool is ignored,
+  // so the member reset keeps its per-instance timing and the archive
+  // equals sequential training's.
+  const LeveragingBaggingConfig base{
+      .num_features = 2, .num_classes = 2, .num_learners = 1, .seed = 5};
+  ThreadPool pool(2);
+  LeveragingBaggingConfig pooled_config = base;
+  pooled_config.pool = &pool;
+  LeveragingBagging sequential(base);
+  LeveragingBagging pooled(pooled_config);
+  for (const Batch& batch : DriftingBatches()) {
+    sequential.PartialFit(batch);
+    pooled.PartialFit(batch);
+  }
+  EXPECT_GE(sequential.num_resets(), 1u);
+  EXPECT_EQ(serial::SaveClassifierToString(pooled),
+            serial::SaveClassifierToString(sequential));
 }
 
 TEST(WeightedMemberTest, AdaptiveRandomForestMatchesRepeatLoop) {

@@ -27,6 +27,9 @@
 
 #include "dmt/common/random.h"
 #include "dmt/common/thread_pool.h"
+#include "dmt/core/dynamic_model_tree.h"
+#include "dmt/serial/model_io.h"
+#include "dmt/streams/datasets.h"
 #include "dmt/robust/failpoint.h"
 #include "harness.h"
 #include "sweep_cache.h"
@@ -847,6 +850,109 @@ TEST(ParseOptionsDeathTest, UnknownDatasetExitsWithCode2) {
   const char* argv[] = {"bench", "--datasets", "SEA,Nope"};
   EXPECT_EXIT(bench::ParseOptions(3, const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2), "unknown dataset: Nope");
+}
+
+// An unknown or retired model name is a usage error at parse time, not
+// MakeModel's exit 1 once a sweep cell starts.
+TEST(ParseOptionsDeathTest, RetiredModelExitsWithCode2) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"bench", "--models", "DMT,SGT"};
+  EXPECT_EXIT(bench::ParseOptions(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown model: SGT");
+}
+
+TEST(ParseOptionsTest, ListsKeepTheirOrderAndDropEmptyItems) {
+  const char* argv[] = {"bench", "--models", "GLM,,DMT,", "--datasets",
+                        ",Agrawal,SEA"};
+  const bench::Options options =
+      bench::ParseOptions(5, const_cast<char**>(argv));
+  EXPECT_EQ(options.models, (std::vector<std::string>{"GLM", "DMT"}));
+  EXPECT_EQ(options.datasets, (std::vector<std::string>{"Agrawal", "SEA"}));
+}
+
+// ----------------------------------------------------- model and data names
+
+TEST(ModelNameTest, IsModelNameAcceptsExactlyTheBuildableModels) {
+  std::vector<std::string> buildable = bench::AllModels();
+  buildable.push_back("GLM");
+  for (const std::string& name : buildable) {
+    EXPECT_TRUE(bench::IsModelName(name)) << name;
+  }
+  for (const char* name : {"SGT", "OzaBag", "OzaBoost", "dmt", "VFDT", "ARF",
+                           "LevBag", "DMT ", ""}) {
+    EXPECT_FALSE(bench::IsModelName(name)) << "'" << name << "'";
+  }
+}
+
+TEST(ModelNameTest, StandaloneModelsLeadAllModelsInTableOrder) {
+  EXPECT_EQ(bench::StandaloneModels(),
+            (std::vector<std::string>{"DMT", "FIMT-DD", "VFDT(MC)",
+                                      "VFDT(NBA)", "HT-Ada", "EFDT"}));
+  std::vector<std::string> all = bench::StandaloneModels();
+  all.push_back("ForestEns");
+  all.push_back("BaggingEns");
+  EXPECT_EQ(bench::AllModels(), all);
+}
+
+TEST(ModelNameTest, MakeModelBuildsTheNamedLearner) {
+  const std::map<std::string, std::string> learner = {
+      {"DMT", "DMT"},         {"FIMT-DD", "FIMT-DD"},
+      {"VFDT(MC)", "VFDT(MC)"}, {"VFDT(NBA)", "VFDT(NBA)"},
+      {"HT-Ada", "HT-Ada"},   {"EFDT", "EFDT"},
+      {"ForestEns", "ARF"},   {"BaggingEns", "LevBag"},
+      {"GLM", "GLM"}};
+  for (const auto& [name, learner_name] : learner) {
+    ASSERT_TRUE(bench::IsModelName(name)) << name;
+    const std::unique_ptr<Classifier> model = bench::MakeModel(name, 4, 3, 9);
+    ASSERT_NE(model, nullptr) << name;
+    EXPECT_EQ(model->name(), learner_name) << name;
+    EXPECT_EQ(model->num_classes(), 3) << name;
+  }
+}
+
+TEST(ModelNameTest, DmtExactOptionBuildsTheExactPipeline) {
+  bench::Options options;
+  options.dmt_exact = true;
+  const core::DmtConfig exact{.num_features = 4,
+                              .num_classes = 3,
+                              .gain_test_every = 1,
+                              .gain_test_threshold = 0.0,
+                              .order_buckets = 0,
+                              .candidate_grad_f32 = false,
+                              .seed = 9};
+  EXPECT_EQ(serial::SaveClassifierToString(
+                *bench::MakeModel("DMT", 4, 3, 9, nullptr, &options)),
+            serial::SaveClassifierToString(core::DynamicModelTree(exact)));
+  core::DmtConfig bucketed{.num_features = 4, .num_classes = 3};
+  bucketed.seed = 9;
+  EXPECT_EQ(serial::SaveClassifierToString(*bench::MakeModel("DMT", 4, 3, 9)),
+            serial::SaveClassifierToString(core::DynamicModelTree(bucketed)));
+}
+
+TEST(DatasetNameTest, IsDatasetNameIsExactAndCaseSensitive) {
+  for (const streams::DatasetSpec& spec : streams::AllDatasets()) {
+    EXPECT_TRUE(bench::IsDatasetName(spec.name)) << spec.name;
+  }
+  for (const char* name : {"sea", "SEA ", "Insects", "Fried", ""}) {
+    EXPECT_FALSE(bench::IsDatasetName(name)) << "'" << name << "'";
+  }
+}
+
+TEST(DatasetNameTest, SelectedDatasetsDefaultsToTableOneAndKeepsFilterOrder) {
+  bench::Options options;
+  std::vector<std::string> names;
+  for (const streams::DatasetSpec& spec : bench::SelectedDatasets(options)) {
+    names.push_back(spec.name);
+  }
+  EXPECT_EQ(names.size(), 13u);
+  EXPECT_EQ(names.front(), "Electricity");
+  EXPECT_EQ(names.back(), "Hyperplane");
+  options.datasets = {"SEA", "Electricity"};
+  const std::vector<streams::DatasetSpec> selected =
+      bench::SelectedDatasets(options);
+  ASSERT_EQ(selected.size(), 2u);
+  EXPECT_EQ(selected[0].name, "SEA");
+  EXPECT_EQ(selected[1].name, "Electricity");
 }
 
 // ----------------------------------------------- artifact name collisions

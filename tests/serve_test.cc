@@ -28,6 +28,7 @@
 #include "dmt/common/random.h"
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/linear/glm_classifier.h"
+#include "dmt/obs/telemetry.h"
 #include "dmt/robust/faulty_stream.h"
 #include "dmt/serial/model_io.h"
 #include "dmt/serve/bridge.h"
@@ -660,6 +661,38 @@ TEST(ServeEngineTest, ImputePolicyZeroFillsFeaturesButNeverLabels) {
 }
 
 // ------------------------------------------------------- telemetry export
+
+TEST(CompactJsonTest, DropsOnlyLineBreaksAndTheirIndentation) {
+  EXPECT_EQ(serve::CompactJson("{\n  \"a b\": 1,\n\t\"c\": [1, 2]\n}\n"),
+            "{\"a b\": 1,\"c\": [1, 2]}");
+  EXPECT_EQ(serve::CompactJson("{\"x\": 0}"), "{\"x\": 0}");
+  obs::TelemetryRegistry registry;
+  registry.Counter("serve.requests");
+  *registry.Counter("serve.bad_rows") += 3;
+  const std::string line = serve::CompactJson(registry.ToJson());
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  EXPECT_TRUE(testjson::IsValidJson(line)) << line;
+  EXPECT_NE(line.find("\"serve.bad_rows\": 3"), std::string::npos) << line;
+}
+
+TEST(JsonlExporterTest, CountsTheLinesItCannotWrite) {
+  serve::JsonlExporter unopened(::testing::TempDir() +
+                                "no_such_dir/telemetry.jsonl");
+  EXPECT_FALSE(unopened.ok());
+  unopened.WriteLine("{}");
+  unopened.WriteLine("{}");
+  EXPECT_EQ(unopened.lines_written(), 0u);
+  EXPECT_EQ(unopened.lines_dropped(), 2u);
+
+  std::ostringstream sink;
+  serve::JsonlExporter exporter(&sink);
+  exporter.WriteLine("{\"a\": 1}");
+  sink.setstate(std::ios::badbit);  // the sink fails mid-run
+  exporter.WriteLine("{\"a\": 2}");
+  EXPECT_EQ(exporter.lines_written(), 1u);
+  EXPECT_EQ(exporter.lines_dropped(), 1u);
+  EXPECT_EQ(sink.str(), "{\"a\": 1}\n");
+}
 
 TEST(ServeEngineTest, ExporterEmitsValidJsonlUnderNanTraffic) {
   std::ostringstream sink;

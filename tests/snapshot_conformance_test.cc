@@ -11,16 +11,22 @@
 // Golden archives pinned under bench/goldens/ make a silent format break
 // impossible: any byte change fails with a version-bump instruction.
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,8 +36,6 @@
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/ensemble/online_bagging.h"
-#include "dmt/ensemble/online_boosting.h"
 #include "dmt/linear/glm.h"
 #include "dmt/linear/glm_classifier.h"
 #include "dmt/linear/linear_regressor.h"
@@ -41,15 +45,14 @@
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/fimtdd_regressor.h"
 #include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/sgt.h"
 #include "dmt/trees/vfdt.h"
 
 namespace dmt {
 namespace {
 
 constexpr const char* kAllClassifiers[] = {
-    "DMT",    "FIMT-DD", "VFDT",   "VFDT-NBA", "HT-Ada", "EFDT",
-    "ARF",    "LevBag",  "OzaBag", "OzaBoost", "SGT",    "GLM"};
+    "DMT", "FIMT-DD", "VFDT",   "VFDT-NBA", "HT-Ada",
+    "EFDT", "ARF",    "LevBag", "GLM"};
 
 std::unique_ptr<Classifier> Make(const std::string& name, int m, int c) {
   if (name == "DMT") {
@@ -87,18 +90,6 @@ std::unique_ptr<Classifier> Make(const std::string& name, int m, int c) {
     return std::make_unique<ensemble::LeveragingBagging>(
         ensemble::LeveragingBaggingConfig{.num_features = m,
                                           .num_classes = c});
-  }
-  if (name == "OzaBag") {
-    return std::make_unique<ensemble::OnlineBagging>(
-        ensemble::OnlineBaggingConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "OzaBoost") {
-    return std::make_unique<ensemble::OnlineBoosting>(
-        ensemble::OnlineBoostingConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "SGT") {
-    return std::make_unique<trees::SgtClassifier>(
-        trees::SgtConfig{.num_features = m}, c);
   }
   return std::make_unique<linear::GlmClassifier>(
       linear::GlmConfig{.num_features = m, .num_classes = c});
@@ -502,26 +493,52 @@ TEST(SnapshotDecodeHeaderTest, UnknownTagThrows) {
   EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError);
 }
 
+// `bytes` with its header's learner tag (the u32 after magic and version)
+// replaced by `tag`.
+std::string Retagged(std::string bytes, std::uint32_t tag) {
+  bytes[8] = static_cast<char>(tag & 0xFF);
+  bytes[9] = static_cast<char>((tag >> 8) & 0xFF);
+  bytes[10] = static_cast<char>((tag >> 16) & 0xFF);
+  bytes[11] = static_cast<char>((tag >> 24) & 0xFF);
+  return bytes;
+}
+
 TEST(SnapshotDecodeHeaderTest, ForeignTagNeverEscapesSerialError) {
   // Retag a GLM archive as every other learner: the dispatcher will try to
   // decode a foreign body, which must be rejected (or, pathologically,
   // decode) without UB.
   const std::string bytes = SmallArchive("GLM");
   const std::uint32_t tags[] = {
-      serial::kTagDmtClassifier, serial::kTagVfdt, serial::kTagEfdt,
-      serial::kTagHat,           serial::kTagFimtDd, serial::kTagSgt,
-      serial::kTagArf,           serial::kTagLevBag, serial::kTagOzaBag,
-      serial::kTagOzaBoost};
+      serial::kTagDmtClassifier, serial::kTagVfdt,   serial::kTagEfdt,
+      serial::kTagHat,           serial::kTagFimtDd, serial::kTagArf,
+      serial::kTagLevBag};
   for (const std::uint32_t tag : tags) {
-    std::string mutated = bytes;
-    mutated[8] = static_cast<char>(tag & 0xFF);
-    mutated[9] = static_cast<char>((tag >> 8) & 0xFF);
-    mutated[10] = static_cast<char>((tag >> 16) & 0xFF);
-    mutated[11] = static_cast<char>((tag >> 24) & 0xFF);
-    std::istringstream in(mutated, std::ios::binary);
+    std::istringstream in(Retagged(bytes, tag), std::ios::binary);
     try {
       serial::LoadClassifier(in);
     } catch (const serial::SerialError&) {
+    }
+  }
+}
+
+TEST(SnapshotDecodeHeaderTest, RetiredTagThrowsSerialErrorNamingTheLearner) {
+  // A retired tag is refused at the dispatcher, before any body byte is
+  // read, with a message that names the learner the archive came from.
+  const std::string bytes = SmallArchive("GLM");
+  const std::pair<std::uint32_t, const char*> retired[] = {
+      {serial::kTagGaussianNb, "Gaussian naive Bayes"},
+      {serial::kTagSgt, "Stochastic Gradient Tree"},
+      {serial::kTagOzaBag, "OzaBag"},
+      {serial::kTagOzaBoost, "OzaBoost"}};
+  for (const auto& [tag, learner] : retired) {
+    std::istringstream in(Retagged(bytes, tag), std::ios::binary);
+    try {
+      serial::LoadClassifier(in);
+      ADD_FAILURE() << learner << ": retired tag loaded";
+    } catch (const serial::SerialError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("retired"), std::string::npos) << what;
+      EXPECT_NE(what.find(learner), std::string::npos) << what;
     }
   }
 }
@@ -1142,6 +1159,198 @@ TEST_P(V2CompatTest, Version2ArchiveLoadsTrainsAndResavesAsV3) {
 
 INSTANTIATE_TEST_SUITE_P(FrozenV2, V2CompatTest,
                          ::testing::Values("DMT", "GLM", "ARF"));
+
+// --- Archive primitives -----------------------------------------------------
+
+std::string Written(const std::function<void(serial::Writer&)>& write) {
+  std::ostringstream out(std::ios::binary);
+  serial::Writer writer(out);
+  write(writer);
+  return out.str();
+}
+
+TEST(ArchivePrimitivesTest, FloatsRoundTripBitExact) {
+  const double f64s[] = {-0.0,
+                         5e-324,
+                         std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::bit_cast<double>(0x7FF8000000000123ULL)};
+  const float f32s[] = {-0.0f, 1e-45f, std::numeric_limits<float>::max(),
+                        std::numeric_limits<float>::infinity(),
+                        std::bit_cast<float>(0x7FC00123u)};
+  const std::string bytes = Written([&](serial::Writer& writer) {
+    for (const double v : f64s) writer.F64(v);
+    for (const float v : f32s) writer.F32(v);
+  });
+  ASSERT_EQ(bytes.size(), 5u * 8u + 5u * 4u);
+  std::istringstream in(bytes, std::ios::binary);
+  serial::Reader reader(in);
+  for (const double v : f64s) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.F64()),
+              std::bit_cast<std::uint64_t>(v));
+  }
+  for (const float v : f32s) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(reader.F32()),
+              std::bit_cast<std::uint32_t>(v));
+  }
+}
+
+TEST(ArchivePrimitivesTest, IntegersAreLittleEndianAndRoundTripAtTheirLimits) {
+  EXPECT_EQ(Written([](serial::Writer& w) { w.U32(0x01020304u); }),
+            std::string("\x04\x03\x02\x01", 4));
+  const std::string bytes = Written([](serial::Writer& writer) {
+    writer.U8(255);
+    writer.I32(std::numeric_limits<std::int32_t>::min());
+    writer.I64(std::numeric_limits<std::int64_t>::min());
+    writer.U64(std::numeric_limits<std::uint64_t>::max());
+    writer.Bool(true);
+  });
+  std::istringstream in(bytes, std::ios::binary);
+  serial::Reader reader(in);
+  EXPECT_EQ(reader.U8(), 255u);
+  EXPECT_EQ(reader.I32(), std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(reader.I64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(reader.U64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(reader.Bool());
+}
+
+TEST(ArchivePrimitivesTest, BoolAndSizeRejectOutOfRangeValues) {
+  {
+    std::istringstream in(std::string(1, '\x02'), std::ios::binary);
+    serial::Reader reader(in);
+    EXPECT_THROW(reader.Bool(), serial::SerialError);
+  }
+  std::istringstream in(Written([](serial::Writer& w) { w.Size(11); }),
+                        std::ios::binary);
+  serial::Reader reader(in);
+  EXPECT_THROW(reader.Size(10), serial::SerialError);
+}
+
+TEST(ArchivePrimitivesTest, CheckedRangeAndCheckedFiniteNameTheField) {
+  EXPECT_EQ(serial::CheckedRange(4, 0, 4, "depth"), 4);
+  EXPECT_EQ(serial::CheckedFinite(-0.5, "weight"), -0.5);
+  try {
+    serial::CheckedRange(5, 0, 4, "depth");
+    ADD_FAILURE() << "5 is outside [0, 4]";
+  } catch (const serial::SerialError& e) {
+    EXPECT_EQ(std::string(e.what()), "depth out of range: 5");
+  }
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    try {
+      serial::CheckedFinite(v, "weight");
+      ADD_FAILURE() << v << " is not finite";
+    } catch (const serial::SerialError& e) {
+      EXPECT_EQ(std::string(e.what()), "weight is not finite");
+    }
+  }
+}
+
+TEST(ArchivePrimitivesTest, VectorLengthsAreBounded) {
+  const std::string bytes = Written([](serial::Writer& writer) {
+    writer.VecF64({1.0, 2.0, 3.0});
+  });
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    serial::Reader reader(in);
+    EXPECT_EQ(reader.VecF64Exact(3), (std::vector<double>{1.0, 2.0, 3.0}));
+  }
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    serial::Reader reader(in);
+    EXPECT_THROW(reader.VecF64Exact(2), serial::SerialError);
+  }
+  std::istringstream in(bytes, std::ios::binary);
+  serial::Reader reader(in);
+  EXPECT_THROW(reader.VecF64(2), serial::SerialError);
+}
+
+TEST(ArchivePrimitivesTest, EveryReadPastTheEndThrows) {
+  const std::string bytes = Written([](serial::Writer& writer) {
+    writer.U64(1);
+    writer.Str("abc");
+  });
+  // Each reader gets the record cut one byte short of what it needs.
+  const std::function<void(serial::Reader&)> reads[] = {
+      [](serial::Reader& r) { r.U8(); },
+      [](serial::Reader& r) { r.U32(); },
+      [](serial::Reader& r) { r.U64(); },
+      [](serial::Reader& r) { r.F64(); },
+      [](serial::Reader& r) { r.F32(); },
+      [](serial::Reader& r) { r.Str(16); }};
+  const std::size_t needs[] = {1, 4, 8, 8, 4, bytes.size() - 8};
+  for (std::size_t i = 0; i < std::size(reads); ++i) {
+    const std::size_t offset = i == 5 ? 8 : 0;
+    std::istringstream in(bytes.substr(offset, needs[i] - 1),
+                          std::ios::binary);
+    serial::Reader reader(in);
+    EXPECT_THROW(reads[i](reader), serial::SerialError) << "read " << i;
+  }
+}
+
+// --- Model files --------------------------------------------------------------
+
+TEST(ModelFileTest, LoadClassifierFromFileNamesAMissingPath) {
+  const std::string path =
+      ::testing::TempDir() + "model_file_test_missing.dmts";
+  std::filesystem::remove(path);
+  try {
+    serial::LoadClassifierFromFile(path);
+    ADD_FAILURE() << "a missing file loaded";
+  } catch (const serial::SerialError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ModelFileTest, SaveClassifierToFileReplacesTheFileAndLeavesNoTemp) {
+  const std::string path =
+      ::testing::TempDir() + "model_file_test_replace.dmts";
+  {
+    std::ofstream stale(path, std::ios::binary | std::ios::trunc);
+    stale << "a stale, longer file that the save must replace entirely";
+  }
+  const std::string bytes = SmallArchive("VFDT");
+  std::istringstream in(bytes, std::ios::binary);
+  const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
+  serial::SaveClassifierToFile(*model, path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::ifstream file(path, std::ios::binary);
+  std::stringstream saved;
+  saved << file.rdbuf();
+  EXPECT_EQ(saved.str(), bytes);
+  EXPECT_EQ(SnapshotOf(*serial::LoadClassifierFromFile(path)), bytes);
+  std::filesystem::remove(path);
+}
+
+TEST(ModelFileTest, SaveClassifierToStringReusesTheCallersBuffer) {
+  const std::unique_ptr<Classifier> model = Make("GLM", 3, 3);
+  std::string bytes(4096, 'x');
+  const std::size_t capacity = bytes.capacity();
+  serial::SaveClassifierToString(*model, &bytes);
+  EXPECT_EQ(bytes, serial::SaveClassifierToString(*model));
+  EXPECT_EQ(bytes.capacity(), capacity);
+  EXPECT_EQ(SnapshotOf(*serial::LoadClassifierFromString(bytes)), bytes);
+}
+
+TEST(ModelFileTest, LoadMemberVfdtRejectsForeignDimensions) {
+  const trees::Vfdt tree(trees::VfdtConfig{.num_features = 3, .num_classes = 2});
+  const std::string bytes =
+      Written([&](serial::Writer& writer) { tree.SaveBody(writer); });
+  {
+    std::istringstream in(bytes, std::ios::binary);
+    serial::Reader reader(in);
+    EXPECT_NE(serial::LoadMemberVfdt(reader, 3, 2), nullptr);
+  }
+  for (const auto& [features, classes] :
+       {std::pair{4, 2}, std::pair{3, 3}}) {
+    std::istringstream in(bytes, std::ios::binary);
+    serial::Reader reader(in);
+    EXPECT_THROW(serial::LoadMemberVfdt(reader, features, classes),
+                 serial::SerialError)
+        << features << " features, " << classes << " classes";
+  }
+}
 
 }  // namespace
 }  // namespace dmt

@@ -19,6 +19,7 @@
 #include "dmt/trees/fimtdd.h"
 #include "dmt/trees/fimtdd_regressor.h"
 #include "dmt/trees/hoeffding_adaptive.h"
+#include "dmt/trees/hoeffding_tree.h"
 #include "dmt/trees/observers.h"
 #include "dmt/trees/split_criteria.h"
 #include "dmt/trees/vfdt.h"
@@ -832,6 +833,82 @@ TEST(TreesOnSeaTest, AllTreesReachReasonableAccuracyOnStationarySea) {
     }
     EXPECT_GT(correct, 1600) << model->name();
   }
+}
+
+// --- The shared Hoeffding decision (hoeffding_tree.h) -----------------------
+
+TEST(HoeffdingSplitsTest, EpsilonUsesLog2OfTheClassCountAsRange) {
+  const VfdtConfig config{.num_features = 2, .num_classes = 4};
+  const double n = 250.0;
+  EXPECT_DOUBLE_EQ(HoeffdingEpsilon(config, n),
+                   std::sqrt(2.0 * 2.0 * std::log(1.0 / 1e-7) / (2.0 * n)));
+  EXPECT_EQ(HoeffdingEpsilon(config, 0.0), 2.0);  // no data: the full range
+}
+
+TEST(HoeffdingSplitsTest, SplitsOnlyWhenTheGapExceedsEpsilon) {
+  // tie_threshold 0 isolates the gap test.
+  const VfdtConfig config{
+      .num_features = 2, .num_classes = 2, .tie_threshold = 0.0};
+  const double n = 400.0;
+  const double epsilon = HoeffdingEpsilon(config, n);
+  const double runner_up = 0.1;
+  const SplitCandidate above{
+      .feature = 0, .threshold = 0.5, .merit = runner_up + epsilon * 1.01};
+  const SplitCandidate below{
+      .feature = 0, .threshold = 0.5, .merit = runner_up + epsilon * 0.99};
+  EXPECT_TRUE(HoeffdingSplits(config, above, runner_up, n));
+  EXPECT_FALSE(HoeffdingSplits(config, below, runner_up, n));
+  // A negative runner-up (EFDT's null split is 0) counts as 0.
+  const SplitCandidate over_zero{
+      .feature = 1, .threshold = 0.5, .merit = epsilon * 1.01};
+  EXPECT_TRUE(HoeffdingSplits(config, over_zero, -5.0, n));
+}
+
+TEST(HoeffdingSplitsTest, TieThresholdSplitsEqualMeritsOnceEpsilonIsSmall) {
+  const VfdtConfig config{.num_features = 2, .num_classes = 2};
+  const SplitCandidate best{.feature = 0, .threshold = 0.5, .merit = 0.3};
+  // epsilon(n) < 0.05 once n > ln(1e7) / (2 * 0.05^2) ~ 3224.
+  EXPECT_FALSE(HoeffdingSplits(config, best, 0.3, 3000.0));
+  EXPECT_TRUE(HoeffdingSplits(config, best, 0.3, 3500.0));
+}
+
+TEST(HoeffdingSplitsTest, NoFeatureOrNoPositiveMeritNeverSplits) {
+  const VfdtConfig config{.num_features = 2, .num_classes = 2};
+  const double n = 1e9;  // epsilon far below the tie threshold
+  EXPECT_FALSE(HoeffdingSplits(config, SplitCandidate{}, -1.0, n));
+  EXPECT_FALSE(HoeffdingSplits(
+      config, SplitCandidate{.feature = 0, .threshold = 0.5, .merit = 0.0},
+      -1.0, n));
+}
+
+TEST(NodeStatsTest, AttemptDueOncePerPeriodOfWeight) {
+  NodeStats stats(1, 2);
+  const std::vector<double> x = {0.5};
+  stats.Learn(x, 0, 3);
+  EXPECT_FALSE(stats.AttemptDue(4.0));
+  stats.Learn(x, 1);
+  EXPECT_TRUE(stats.AttemptDue(4.0));
+  EXPECT_FALSE(stats.AttemptDue(4.0));  // the mark moved up to the weight
+  stats.Learn(x, 1, 5);
+  EXPECT_TRUE(stats.AttemptDue(4.0));
+  EXPECT_EQ(stats.weight_seen, 9.0);
+  EXPECT_EQ(stats.weight_at_last_attempt, 9.0);
+}
+
+TEST(NodeStatsTest, MajorityAndPurityFollowTheClassCounts) {
+  NodeStats stats(1, 3);
+  std::vector<double> proba(3);
+  stats.MajorityProbaInto(proba);
+  EXPECT_EQ(proba, (std::vector<double>(3, 1.0 / 3.0)));
+  EXPECT_TRUE(stats.IsPure());
+  const std::vector<double> x = {0.0};
+  stats.Learn(x, 2, 2);
+  EXPECT_TRUE(stats.IsPure());
+  stats.Learn(x, 1, 2);
+  EXPECT_FALSE(stats.IsPure());
+  EXPECT_EQ(stats.MajorityClass(), 1);  // equal counts: the first class
+  stats.MajorityProbaInto(proba);
+  EXPECT_EQ(proba, (std::vector<double>{0.0, 0.5, 0.5}));
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ constexpr const char kUsage[] =
     "       [--inject nan=R,inf=R,missing=R,flip=R,truncate=R]\n"
     "       [--save-model FILE] [--load-model FILE]\n"
     "models: DMT FIMT-DD VFDT(MC) VFDT(NBA) HT-Ada EFDT ForestEns "
-    "BaggingEns SGT GLM\n"
+    "BaggingEns GLM\n"
     "snapshots: --save-model writes a binary model archive after the run\n"
     "(atomic rename); --load-model restores one instead of building --model\n"
     "fresh; --skip N discards the first N stream instances so a restored\n"
@@ -89,7 +89,12 @@ int main(int argc, char** argv) {
         UsageError("unknown dataset: " + dataset);
       }
     }
-    else if (arg == "--model") model_name = next();
+    else if (arg == "--model") {
+      model_name = next();
+      if (!bench::IsModelName(model_name)) {
+        UsageError("unknown model: " + model_name);
+      }
+    }
     else if (arg == "--samples") samples = next_u64();
     else if (arg == "--batch") batch_size = next_u64();
     else if (arg == "--seed") seed = next_u64();

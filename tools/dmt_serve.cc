@@ -65,7 +65,7 @@ constexpr const char kUsage[] =
     "score rows deterministically per stream (truncate drops a feature\n"
     "suffix).\n"
     "models: DMT FIMT-DD VFDT(MC) VFDT(NBA) HT-Ada EFDT ForestEns\n"
-    "BaggingEns OzaBag OzaBoost SGT GLM\n";
+    "BaggingEns GLM\n";
 
 // Usage errors and unusable state dirs exit 2, runtime failures exit 1.
 [[noreturn]] void UsageError(const std::string& message) {
@@ -146,8 +146,12 @@ int main(int argc, char** argv) {
       }
       return *parsed;
     };
-    if (arg == "--model") model_name = next();
-    else if (arg == "--features") features = next_u64();
+    if (arg == "--model") {
+      model_name = next();
+      if (!bench::IsModelName(model_name)) {
+        UsageError("unknown model: " + model_name);
+      }
+    } else if (arg == "--features") features = next_u64();
     else if (arg == "--classes") classes = next_u64();
     else if (arg == "--shards") config.num_shards = next_u64();
     else if (arg == "--seed") config.seed = next_u64();
@@ -203,17 +207,6 @@ int main(int argc, char** argv) {
   config.num_features = static_cast<int>(features);
   config.num_classes = static_cast<int>(classes);
 
-  // Validate the model name up front (MakeModel exits 1 on an unknown
-  // name, which would otherwise only fire at first request).
-  {
-    bool known = false;
-    for (const char* name :
-         {"DMT", "FIMT-DD", "VFDT(MC)", "VFDT(NBA)", "HT-Ada", "EFDT",
-          "ForestEns", "BaggingEns", "OzaBag", "OzaBoost", "SGT", "GLM"}) {
-      if (model_name == name) known = true;
-    }
-    if (!known) UsageError("unknown model: " + model_name);
-  }
   config.model_kind = model_name;
   config.factory = [&](const std::string& /*stream_id*/, std::uint64_t seed) {
     return bench::MakeModel(model_name, config.num_features,
