@@ -15,7 +15,13 @@
 // worker thread starts and never re-arms, so sweep workers touch disjoint
 // Failpoint objects (one per cell name) without synchronization.
 //
-// Defining DMT_FAILPOINTS_DISABLED compiles the macro out entirely (the
+// A *crash point* (DMT_CRASHPOINT) is a failpoint that ends the process
+// instead of throwing: _exit(kCrashExitCode), no destructors, no stream
+// flushes -- what a SIGKILL at that instruction leaves behind. The
+// serving engine's manifest writer has one at every step of a checkpoint
+// (serve/state_dir.h), armed through dmt_serve --failpoints.
+//
+// Defining DMT_FAILPOINTS_DISABLED compiles both macros out entirely (the
 // DMT_TELEMETRY_DISABLED pattern) for builds where even the dead branch
 // must go.
 #ifndef DMT_ROBUST_FAILPOINT_H_
@@ -26,9 +32,15 @@
 #include <stdexcept>
 #include <string>
 
+#include <unistd.h>
+
 #include "dmt/common/random.h"
 
 namespace dmt::robust {
+
+// Exit status of a process ended by a crash point; distinct from every
+// status the binaries return on their own (0, 1 and 2).
+inline constexpr int kCrashExitCode = 86;
 
 // Thrown by a firing failpoint. Distinct from data-dependent errors so
 // tests can assert the failure came from injection, not a real bug.
@@ -113,9 +125,13 @@ FailpointRegistry& GlobalFailpoints();
 
 // Call-site probe: `fp` is a cached Failpoint* (null when unarmed).
 // Throws FaultInjectedError when the failpoint decides to fire.
+// DMT_CRASHPOINT(fp) ends the process with _exit(kCrashExitCode) instead.
 #ifdef DMT_FAILPOINTS_DISABLED
 #define DMT_FAILPOINT(fp) \
   do {                    \
+  } while (0)
+#define DMT_CRASHPOINT(fp) \
+  do {                     \
   } while (0)
 #else
 #define DMT_FAILPOINT(fp)                                             \
@@ -124,6 +140,12 @@ FailpointRegistry& GlobalFailpoints();
       throw ::dmt::robust::FaultInjectedError("failpoint fired: " +   \
                                               (fp)->name());          \
     }                                                                 \
+  } while (0)
+#define DMT_CRASHPOINT(fp)                                    \
+  do {                                                        \
+    if ((fp) != nullptr && (fp)->Evaluate()) {                \
+      ::_exit(::dmt::robust::kCrashExitCode);                 \
+    }                                                         \
   } while (0)
 #endif
 

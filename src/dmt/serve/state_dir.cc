@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "dmt/robust/failpoint.h"
+
 namespace dmt::serve {
 
 namespace fs = std::filesystem;
@@ -123,11 +125,27 @@ Manifest DecodeManifest(serial::Reader& reader) {
   return manifest;
 }
 
+// Crash point `manifest.<seq>.<point>` of the manifest writer, with
+// `.<record>` appended when a record index is given (see WriteManifest in
+// the header); free while no failpoint is armed.
+constexpr std::size_t kNoRecord = ~std::size_t{0};
+
+void ManifestCrashPoint(std::uint64_t seq, const char* point,
+                        std::size_t record = kNoRecord) {
+  robust::FailpointRegistry& registry = robust::GlobalFailpoints();
+  if (registry.num_armed() == 0) return;
+  std::string name = "manifest." + std::to_string(seq) + ".";
+  name.append(point);
+  if (record != kNoRecord) name.append(".").append(std::to_string(record));
+  DMT_CRASHPOINT(registry.Find(name));
+}
+
 // Write-to-temp + rename of one encoded payload; shared by the manifest
 // and eviction-archive writers. Removes its own temp file on failure.
-template <typename EncodeFn>
+// `before_rename` runs once the temp file is complete.
+template <typename EncodeFn, typename BeforeRenameFn>
 void AtomicPublish(const std::string& path, const char* what,
-                   EncodeFn&& encode) {
+                   EncodeFn&& encode, BeforeRenameFn&& before_rename) {
   const std::string tmp = path + ".tmp";
   try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -143,6 +161,7 @@ void AtomicPublish(const std::string& path, const char* what,
     std::remove(tmp.c_str());
     throw;
   }
+  before_rename();
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw StateError(std::string("cannot publish ") + what + ": " + path);
@@ -197,14 +216,20 @@ void WriteManifest(
     const std::function<void(std::size_t, ManifestRecord*)>& record) {
   EnsureStateDir(dir);
   const std::string path = (fs::path(dir) / ManifestFileName(head.seq)).string();
-  AtomicPublish(path, "checkpoint manifest", [&](serial::Writer& writer) {
-    EncodeHead(writer, head, num_streams);
-    ManifestRecord next;
-    for (std::size_t i = 0; i < num_streams; ++i) {
-      record(i, &next);
-      EncodeRecord(writer, next);
-    }
-  });
+  ManifestCrashPoint(head.seq, "before_open");
+  AtomicPublish(
+      path, "checkpoint manifest",
+      [&](serial::Writer& writer) {
+        EncodeHead(writer, head, num_streams);
+        ManifestRecord next;
+        for (std::size_t i = 0; i < num_streams; ++i) {
+          record(i, &next);
+          EncodeRecord(writer, next);
+          ManifestCrashPoint(head.seq, "after_record", i);
+        }
+      },
+      [&head] { ManifestCrashPoint(head.seq, "before_rename"); });
+  ManifestCrashPoint(head.seq, "before_prune");
   // Prune: keep this manifest and its predecessor (the spare covers the
   // window between two checkpoints where the newest could be the one a
   // concurrent reader -- a backup script, say -- is still copying).
@@ -255,12 +280,14 @@ void WriteEvictionArchive(const std::string& dir, const std::string& stream_id,
                           const std::string& archive) {
   const std::string path =
       (fs::path(dir) / "evicted" / EvictionFileName(stream_id)).string();
-  AtomicPublish(path, "eviction archive",
-                [&stream_id, &archive](serial::Writer& writer) {
-                  writer.Header(kTagEviction);
-                  writer.Str(stream_id);
-                  writer.Str(archive);
-                });
+  AtomicPublish(
+      path, "eviction archive",
+      [&stream_id, &archive](serial::Writer& writer) {
+        writer.Header(kTagEviction);
+        writer.Str(stream_id);
+        writer.Str(archive);
+      },
+      [] {});
 }
 
 std::string ReadEvictionArchive(const std::string& dir,

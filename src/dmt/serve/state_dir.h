@@ -149,6 +149,14 @@ void WriteManifest(const std::string& dir, const Manifest& manifest);
 // through one reused buffer and the manifest is never whole in memory.
 // Anything `record` throws aborts the write: the temp file is removed and
 // the exception propagates.
+//
+// Each step of the write is a crash point (robust/failpoint.h) named after
+// the manifest's seq, armed in the process-global registry (dmt_serve
+// --failpoints 'manifest.3.before_rename=1'):
+//   manifest.<seq>.before_open       before the temp file opens
+//   manifest.<seq>.after_record.<i>  after stream record i (0-based)
+//   manifest.<seq>.before_rename     between the write and the rename
+//   manifest.<seq>.before_prune      after the rename, before pruning
 void WriteManifest(
     const std::string& dir, const ManifestHead& head, std::size_t num_streams,
     const std::function<void(std::size_t, ManifestRecord*)>& record);

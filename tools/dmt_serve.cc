@@ -34,6 +34,7 @@
 
 #include "dmt/common/parse.h"
 #include "dmt/common/sanitize.h"
+#include "dmt/robust/failpoint.h"
 #include "dmt/robust/faulty_stream.h"
 #include "dmt/serve/bridge.h"
 #include "dmt/serve/engine.h"
@@ -49,7 +50,7 @@ constexpr const char kUsage[] =
     "       [--bad-input skip|impute|throw] [--export FILE]\n"
     "       [--export-every N] [--socket PATH] [--state-dir DIR]\n"
     "       [--checkpoint-every N] [--max-streams N] [--idle-windows N]\n"
-    "       [--inject SPEC] [--dump-state]\n"
+    "       [--inject SPEC] [--failpoints SPEC] [--dump-state]\n"
     "protocol (one request per line, one response line per request):\n"
     "  train <stream> <f1,...,fN,label>   incremental update\n"
     "  score <stream> <f1,...,fN>         class prediction + probabilities\n"
@@ -64,6 +65,10 @@ constexpr const char kUsage[] =
     "--inject nan=R,inf=R,missing=R,flip=R,truncate=R corrupts train and\n"
     "score rows deterministically per stream (truncate drops a feature\n"
     "suffix).\n"
+    "--failpoints name=P,... arms crash points: manifest.<seq>.before_open,\n"
+    "manifest.<seq>.after_record.<i>, manifest.<seq>.before_rename and\n"
+    "manifest.<seq>.before_prune end the process (exit 86) at that step of\n"
+    "checkpoint <seq>.\n"
     "models: DMT FIMT-DD VFDT(MC) VFDT(NBA) HT-Ada EFDT ForestEns\n"
     "BaggingEns GLM\n";
 
@@ -125,6 +130,7 @@ int main(int argc, char** argv) {
   std::string model_name = "DMT";
   std::string export_path;
   std::string socket_path;
+  std::string failpoint_spec;
   bool dump_state = false;
   serve::ServeConfig config;
   std::uint64_t features = 0;
@@ -171,6 +177,15 @@ int main(int argc, char** argv) {
         config.inject = robust::FaultSpec::Parse(value);
       } catch (const std::invalid_argument& e) {
         UsageError(std::string("bad --inject value: ") + e.what());
+      }
+    } else if (arg == "--failpoints") {
+      // Validated on a scratch registry; armed once parsing is done.
+      failpoint_spec = next();
+      try {
+        robust::FailpointRegistry scratch;
+        scratch.ArmFromSpec(failpoint_spec, 0);
+      } catch (const std::invalid_argument& e) {
+        UsageError(std::string("bad --failpoints spec: ") + e.what());
       }
     } else if (arg == "--bad-input") {
       const std::string value = next();
@@ -224,6 +239,7 @@ int main(int argc, char** argv) {
     config.exporter = exporter.get();
   }
 
+  robust::GlobalFailpoints().ArmFromSpec(failpoint_spec, config.seed);
   InstallStopHandlers();
   std::optional<serve::ServeEngine> engine;
   try {
