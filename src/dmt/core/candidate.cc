@@ -113,6 +113,16 @@ double CandidateGain(const CandidateStore& store, std::size_t i,
                        node_count, reference_loss, lambda);
 }
 
+double CandidateGradientTerm(const CandidateStore& store, std::size_t i,
+                             std::span<const double> node_grad,
+                             double node_count, double lambda) {
+  const double count = store.count(i);
+  DMT_DCHECK(count > 0.0 && count < node_count);
+  return (lambda / count) * store.GradSquaredNorm(i) +
+         (lambda / (node_count - count)) *
+             store.GradSquaredNormDiff(node_grad, i);
+}
+
 void CandidateGains(const CandidateStore& store, std::size_t begin,
                     double node_loss, std::span<const double> node_grad,
                     double node_count, double reference_loss, double lambda,

@@ -277,6 +277,16 @@ double CandidateGain(const CandidateStore& store, std::size_t i,
                      double node_loss, std::span<const double> node_grad,
                      double node_count, double reference_loss, double lambda);
 
+// The gradient term of stored candidate `i`: (lambda / n_left) |g_left|^2 +
+// (lambda / n_right) |g_right|^2, by which Eq. (4)'s replace gain exceeds
+// Eq. (5)'s prune gain in exact arithmetic (both compare against the
+// subtree's leaf loss; the candidate's two sides sum to the node's own
+// loss). Zero -- with lambda 0, say -- means the two gains tie. The row
+// must not be degenerate.
+double CandidateGradientTerm(const CandidateStore& store, std::size_t i,
+                             std::span<const double> node_grad,
+                             double node_count, double lambda);
+
 // CandidateGain of rows begin .. begin + out.size() - 1 into `out`, four
 // rows per pass over the node gradient (CandidateStore::GradSquaredNorms4);
 // every value is bit-identical to CandidateGain of that row.

@@ -316,7 +316,15 @@ void ModelTree<Model>::CheckInnerReplacement(Node* node, std::size_t depth) {
 
   if (!replace_ok && !prune_ok) return;
 
-  if (prune_ok && (!replace_ok || prune_gain >= replace_gain)) {
+  // Of two passing alternatives the prune wins unless the replacement's
+  // gain is larger. The replace gain is the prune gain plus the
+  // candidate's gradient term in exact arithmetic, so the term decides:
+  // comparing the two rounded gains would let rounding break a tie.
+  if (prune_ok &&
+      (!replace_ok ||
+       CandidateGradientTerm(node->candidates, static_cast<std::size_t>(best),
+                             node->grad_sum, node->count,
+                             config_.gradient_step_size) <= 0.0)) {
     // Make the inner node a leaf: the smaller of the two alternatives
     // (Sec. IV-A: "to obtain the overall smaller tree").
     node->split_feature = -1;

@@ -511,6 +511,30 @@ TEST(DmtReplacePruneTest, PruneWinsWhenItsGainIsAtLeastTheReplaceGain) {
   EXPECT_EQ(tree.NumInnerNodes(), 0u);
 }
 
+TEST(DmtReplacePruneTest, PruneWinsATieThatRoundingBreaksTheOtherWay) {
+  // With lambda = 0 the two gains are equal in exact arithmetic. On this
+  // drift batch the rounded replace gain comes out above the rounded prune
+  // gain, yet the tie still goes to the prune: the gradient term, not the
+  // rounding, decides.
+  const SplitThenDrift setup = MakeSplitThenDrift(500);
+  const RootGains gains = TwinGains(setup, 0.0);
+  GainProbe tree(ExactConfig(0.0, 1e-8));
+  tree.RestoreState(setup.archive);
+  const double threshold = tree.PruneThreshold(2);
+  ASSERT_EQ(tree.ReplaceThreshold(2), threshold);
+  ASSERT_GE(gains.prune, threshold);
+  ASSERT_GT(gains.replace, gains.prune);
+
+  tree.PartialFit(setup.drift);
+  ASSERT_EQ(tree.events().size(), 1u);
+  const StructuralEvent& event = tree.events().back();
+  EXPECT_EQ(event.kind, StructuralEvent::Kind::kPruneToLeaf);
+  EXPECT_EQ(event.gain, gains.prune);
+  EXPECT_EQ(tree.num_prunes(), 1u);
+  EXPECT_EQ(tree.num_subtree_replacements(), 0u);
+  EXPECT_EQ(tree.NumInnerNodes(), 0u);
+}
+
 TEST(DmtReplacePruneTest, ReplaceWinsWhenItsGainIsLarger) {
   // With lambda > 0 Eq. (4) subtracts the candidate's gradient step, so the
   // replace gain exceeds the prune gain whenever both pass.
