@@ -56,7 +56,10 @@ inline std::uint64_t DeriveSeed(std::uint64_t base, std::string_view tag1,
 // term without a branch, (0 - (y & 1)) & a, where libstdc++ branches on
 // each random bit; a fresh engine's first draw twists all 312 words, a
 // large share of what creating a model costs. Owning the state also gives
-// the archive codec (serial::EngineText) a documented layout to read.
+// the archive codec (serial::EngineText) a documented layout to read, and
+// lets the engine count the words it hands out: a state reached by
+// seed(s) and n draws is rebuilt by seed(s) and discard(n), which is how
+// archives store a seeded generator (serial::Writer::Rng).
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -75,16 +78,34 @@ class Mt19937_64 {
       words_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
     }
     index_ = kStateSize;
+    draws_ = 0;
   }
 
   result_type operator()() {
     if (index_ >= kStateSize) Twist();
+    ++draws_;
     result_type z = words_[index_++];
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
     z ^= (z << 37) & 0xfff7eee000000000ULL;
     return z ^ (z >> 43);
   }
+
+  // Advances the state as `n` draws would, one twist per 312 words and
+  // without tempering any of them.
+  void discard(unsigned long long n) {
+    while (n > 0) {
+      if (index_ >= kStateSize) Twist();
+      const std::size_t step = static_cast<std::size_t>(
+          std::min<unsigned long long>(n, kStateSize - index_));
+      index_ += step;
+      draws_ += step;
+      n -= step;
+    }
+  }
+
+  // Words drawn or discarded since the last seed() or SetState().
+  std::uint64_t draws() const { return draws_; }
 
   // The state: 312 words, then the index of the next word to draw (0..312;
   // 312 twists before the next draw). serial::EngineText writes it.
@@ -95,9 +116,14 @@ class Mt19937_64 {
     DMT_CHECK(index <= kStateSize);
     std::copy(words.begin(), words.end(), words_.begin());
     index_ = index;
+    draws_ = 0;
   }
 
-  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+  // Equal engines draw equal words from here on; the draw count is
+  // history, not state.
+  friend bool operator==(const Mt19937_64& a, const Mt19937_64& b) {
+    return a.index_ == b.index_ && a.words_ == b.words_;
+  }
 
  private:
   void Twist() {
@@ -123,11 +149,23 @@ class Mt19937_64 {
 
   std::array<result_type, kStateSize> words_{};
   std::size_t index_ = kStateSize;
+  std::uint64_t draws_ = 0;
 };
 
+// The seeded generator of every stochastic component. It is a uniform
+// random bit generator itself, so std::shuffle and the std:: distributions
+// draw through it and the engine counts every word; no caller reaches the
+// engine to draw around the count.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 42) : engine_(seed) {}
+  using result_type = Mt19937_64::result_type;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
+
+  explicit Rng(std::uint64_t seed = 42) : engine_(seed), seed_(seed) {}
+
+  // One raw 64-bit word.
+  result_type operator()() { return engine_(); }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo = 0.0, double hi = 1.0) {
@@ -161,11 +199,31 @@ class Rng {
   // member / stream its own deterministic substream.
   Rng Fork() { return Rng(engine_()); }
 
-  Mt19937_64& engine() { return engine_; }
+  // --- Archive state (serial::Writer::Rng) ---------------------------------
+  // A counted Rng is its seed and the words drawn since. One restored from
+  // generator text (an archive of format 3 or older, or a text record) is
+  // uncounted: its history is unknown, so only the text can store it.
+  bool counted() const { return counted_; }
+  std::uint64_t seed() const { return seed_; }
+  std::uint64_t draws() const { return engine_.draws(); }
   const Mt19937_64& engine() const { return engine_; }
+  // The counted state: seeded with `seed`, then `draws` words discarded.
+  void Restore(std::uint64_t seed, std::uint64_t draws) {
+    engine_.seed(seed);
+    engine_.discard(draws);
+    seed_ = seed;
+    counted_ = true;
+  }
+  // An engine state of unknown history; the Rng becomes uncounted.
+  void Restore(const Mt19937_64& engine) {
+    engine_ = engine;
+    counted_ = false;
+  }
 
  private:
   Mt19937_64 engine_;
+  std::uint64_t seed_;
+  bool counted_ = true;
 };
 
 }  // namespace dmt

@@ -79,7 +79,7 @@ class DmtRegressor : public ModelTree<linear::LinearRegressor> {
   // --- Persistence (binary archive; see serial/archive.h) ------------------
   // Complete state: num_features, the ModelTree config half, the target
   // standardization statistics, then the ModelTree state half (structural
-  // counters, node records, RNG engine). The audit log is not persisted.
+  // counters, node records, audit log, RNG record).
   void Save(std::ostream& out) const;
   static std::unique_ptr<DmtRegressor> Load(std::istream& in);
 

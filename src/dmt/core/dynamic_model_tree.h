@@ -130,8 +130,8 @@ class DynamicModelTree : public Classifier,
   // model parameters, node and candidate statistics, RNG engine) with exact
   // floating-point round-trip, so a restored tree continues training
   // identically. The layout is num_features, num_classes, then the
-  // ModelTree config and state halves. The structural audit log is not
-  // persisted. LoadBody throws serial::SerialError on malformed input.
+  // ModelTree config and state halves, the structural audit log included.
+  // LoadBody throws serial::SerialError on malformed input.
   void Save(std::ostream& out) const override;
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<DynamicModelTree> LoadBody(serial::Reader& reader);

@@ -490,9 +490,19 @@ void ModelTree<Model>::SaveState(serial::Writer& writer) const {
     }
   };
   save_node(save_node, root_.get());
-  // Engine last: MakeLeaf draws initial model weights during Load, so the
-  // engine is restored only after the whole tree has been rebuilt.
-  writer.Engine(rng_.engine());
+  writer.Size(events_.size());
+  for (const StructuralEvent& event : events_) {
+    writer.U8(static_cast<std::uint8_t>(event.kind));
+    writer.Size(event.time_step);
+    writer.I32(event.feature);
+    writer.F64(event.value);
+    writer.F64(event.gain);
+    writer.F64(event.threshold);
+    writer.Size(event.depth);
+  }
+  // RNG last: MakeLeaf draws initial model weights during Load, so the
+  // generator is restored only after the whole tree has been rebuilt.
+  writer.Rng(rng_);
 }
 
 template <typename Model>
@@ -527,8 +537,27 @@ void ModelTree<Model>::LoadState(serial::Reader& reader) {
     return node;
   };
   root_ = load_node(load_node, 0);
-  // Engine last: the MakeLeaf calls above consumed construction-time draws.
-  reader.Engine(&rng_.engine());
+  events_.clear();
+  if (reader.version() >= 4) {
+    const std::size_t num_events = reader.Size(kMaxEvents);
+    for (std::size_t i = 0; i < num_events; ++i) {
+      StructuralEvent event;
+      event.kind = static_cast<StructuralEvent::Kind>(serial::CheckedRange(
+          reader.U8(), 0,
+          static_cast<std::int64_t>(StructuralEvent::Kind::kPruneToLeaf),
+          "DMT event kind"));
+      event.time_step = reader.Size(std::size_t{1} << 62);
+      event.feature = static_cast<int>(serial::CheckedRange(
+          reader.I32(), -1, config_.num_features - 1, "DMT event feature"));
+      event.value = reader.F64();
+      event.gain = reader.F64();
+      event.threshold = reader.F64();
+      event.depth = reader.Size(serial::kMaxTreeDepth);
+      events_.push_back(event);
+    }
+  }
+  // RNG last: the MakeLeaf calls above consumed construction-time draws.
+  reader.Rng(&rng_);
 }
 
 template class ModelTree<linear::Glm>;

@@ -218,10 +218,11 @@ class ModelTree {
   // dimensions), SaveConfig, its own state, then SaveState. SaveConfig
   // writes the shared config after num_features; SaveState writes the
   // structural counters, the recursive node records (exact floating-point
-  // round-trip, so a restored tree continues training identically) and the
-  // RNG engine, last because constructing the nodes during Load draws
-  // initial model weights. The audit log is not persisted. The loaders
-  // throw serial::SerialError on malformed input.
+  // round-trip, so a restored tree continues training identically), the
+  // audit log (format 4; older archives restore an empty one) and the RNG
+  // record, last because constructing the nodes during Load draws initial
+  // model weights. The loaders throw serial::SerialError on malformed
+  // input.
   void SaveConfig(serial::Writer& writer) const;
   static ModelTreeConfig LoadConfig(serial::Reader& reader, int num_features);
   void SaveState(serial::Writer& writer) const;

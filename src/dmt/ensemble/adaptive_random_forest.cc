@@ -41,7 +41,7 @@ std::unique_ptr<trees::Vfdt> AdaptiveRandomForest::MakeTree(Rng* rng) {
   base.num_features = config_.num_features;
   base.num_classes = config_.num_classes;
   base.subspace_size = config_.subspace_size;
-  base.seed = rng->Fork().engine()();
+  base.seed = rng->Fork()();
   return std::make_unique<trees::Vfdt>(base);
 }
 
@@ -232,7 +232,7 @@ void AdaptiveRandomForest::SaveBody(serial::Writer& writer) const {
     writer.Size(member.background_promotions);
     writer.Size(member.warnings);
     writer.Size(member.drifts);
-    writer.Engine(member.rng.engine());
+    writer.Rng(member.rng);
   }
   // Flush baselines, so counters attached after Load keep emitting pure
   // continuation deltas.
@@ -240,7 +240,7 @@ void AdaptiveRandomForest::SaveBody(serial::Writer& writer) const {
   writer.Size(telemetry_.last_promotions);
   writer.Size(telemetry_.last_warnings);
   writer.Size(telemetry_.last_drifts);
-  writer.Engine(rng_.engine());
+  writer.Rng(rng_);
 }
 
 std::unique_ptr<AdaptiveRandomForest> AdaptiveRandomForest::LoadBody(
@@ -285,13 +285,13 @@ std::unique_ptr<AdaptiveRandomForest> AdaptiveRandomForest::LoadBody(
     member.warnings = reader.Size(kMaxCounter);
     member.drifts = reader.Size(kMaxCounter);
     // Safe mid-record: nothing after this point draws from the member RNG.
-    reader.Engine(&member.rng.engine());
+    reader.Rng(&member.rng);
   }
   forest->telemetry_.last_background_starts = reader.Size(kMaxCounter);
   forest->telemetry_.last_promotions = reader.Size(kMaxCounter);
   forest->telemetry_.last_warnings = reader.Size(kMaxCounter);
   forest->telemetry_.last_drifts = reader.Size(kMaxCounter);
-  reader.Engine(&forest->rng_.engine());
+  reader.Rng(&forest->rng_);
   return forest;
 }
 

@@ -47,7 +47,7 @@ std::unique_ptr<trees::Vfdt> LeveragingBagging::MakeMember(Rng* rng) {
   trees::VfdtConfig base = config_.base;
   base.num_features = config_.num_features;
   base.num_classes = config_.num_classes;
-  base.seed = rng->Fork().engine()();
+  base.seed = rng->Fork()();
   return std::make_unique<trees::Vfdt>(base);
 }
 
@@ -185,12 +185,12 @@ void LeveragingBagging::SaveBody(serial::Writer& writer) const {
     members_[i]->SaveBody(writer);
     detectors_[i].Save(writer);
     writer.Size(member_detections_[i]);
-    writer.Engine(member_rngs_[i].engine());
+    writer.Rng(member_rngs_[i]);
   }
   // Flush baseline, so counters attached after Load keep emitting pure
   // continuation deltas.
   writer.Size(telemetry_.last_detections);
-  writer.Engine(rng_.engine());
+  writer.Rng(rng_);
 }
 
 std::unique_ptr<LeveragingBagging> LeveragingBagging::LoadBody(
@@ -222,10 +222,10 @@ std::unique_ptr<LeveragingBagging> LeveragingBagging::LoadBody(
     bagging->detectors_[i] = drift::Adwin::Load(reader);
     bagging->member_detections_[i] = reader.Size(kMaxCounter);
     // Safe mid-record: nothing after this point draws from this RNG.
-    reader.Engine(&bagging->member_rngs_[i].engine());
+    reader.Rng(&bagging->member_rngs_[i]);
   }
   bagging->telemetry_.last_detections = reader.Size(kMaxCounter);
-  reader.Engine(&bagging->rng_.engine());
+  reader.Rng(&bagging->rng_);
   return bagging;
 }
 

@@ -19,8 +19,11 @@ std::size_t ParamCount(int num_features, int num_classes) {
              : static_cast<std::size_t>(num_classes) * (num_features + 1);
 }
 
-// Defaults of the retired optimizer slots of the config record: constant
-// learning rate, plain SGD, momentum 0.9 and no L1 penalty.
+// Defaults of the retired optimizer slots that archives up to format 3
+// carry in the config record: constant learning rate, plain SGD, momentum
+// 0.9 and no L1 penalty. Format 3 state records also end in the empty
+// momentum and AdaGrad buffers. Format 4 writes none of these; loading an
+// older archive still checks them.
 constexpr std::uint32_t kRetiredSchedule = 0;
 constexpr std::uint32_t kRetiredOptimizer = 0;
 constexpr double kRetiredMomentumBeta = 0.9;
@@ -340,10 +343,6 @@ void SaveGlmConfig(serial::Writer& writer, const GlmConfig& config) {
   writer.I32(config.num_features);
   writer.I32(config.num_classes);
   writer.F64(config.learning_rate);
-  writer.U32(kRetiredSchedule);
-  writer.U32(kRetiredOptimizer);
-  writer.F64(kRetiredMomentumBeta);
-  writer.F64(kRetiredL1Penalty);
   writer.F64(config.init_scale);
   writer.U64(config.seed);
   writer.F64(config.max_gradient_norm);
@@ -361,14 +360,16 @@ GlmConfig LoadGlmConfig(serial::Reader& reader) {
                        "GLM parameter count");
   config.learning_rate =
       serial::CheckedFinite(reader.F64(), "GLM learning_rate");
-  serial::Check(reader.U32() == kRetiredSchedule,
-                "GLM schedule is retired: only the constant rate loads");
-  serial::Check(reader.U32() == kRetiredOptimizer,
-                "GLM optimizer is retired: only plain SGD loads");
-  CheckRetiredF64(reader, kRetiredMomentumBeta,
-                  "GLM momentum_beta is retired: only 0.9 loads");
-  CheckRetiredF64(reader, kRetiredL1Penalty,
-                  "GLM l1_penalty is retired: only 0.0 loads");
+  if (reader.version() <= 3) {
+    serial::Check(reader.U32() == kRetiredSchedule,
+                  "GLM schedule is retired: only the constant rate loads");
+    serial::Check(reader.U32() == kRetiredOptimizer,
+                  "GLM optimizer is retired: only plain SGD loads");
+    CheckRetiredF64(reader, kRetiredMomentumBeta,
+                    "GLM momentum_beta is retired: only 0.9 loads");
+    CheckRetiredF64(reader, kRetiredL1Penalty,
+                    "GLM l1_penalty is retired: only 0.0 loads");
+  }
   config.init_scale = serial::CheckedFinite(reader.F64(), "GLM init_scale");
   // normal_distribution requires sigma > 0; the constructor draws with it.
   serial::Check(config.init_scale > 0.0, "GLM init_scale is not positive");
@@ -381,9 +382,6 @@ GlmConfig LoadGlmConfig(serial::Reader& reader) {
 void Glm::SaveState(serial::Writer& writer) const {
   writer.Size(steps_);
   writer.VecF64(params_);
-  // The retired momentum and AdaGrad buffers, always empty.
-  writer.Size(0);
-  writer.Size(0);
   writer.U64(num_resets_);
   writer.U64(num_skipped_samples_);
 }
@@ -391,11 +389,13 @@ void Glm::SaveState(serial::Writer& writer) const {
 void Glm::LoadState(serial::Reader& reader) {
   steps_ = reader.Size(std::size_t{1} << 62);
   std::vector<double> params = reader.VecF64Exact(params_.size());
-  serial::Check(reader.U64() == 0,
-                "GLM velocity is retired: only an empty buffer loads");
-  serial::Check(reader.U64() == 0,
-                "GLM gradient accumulator is retired: only an empty buffer "
-                "loads");
+  if (reader.version() <= 3) {
+    serial::Check(reader.U64() == 0,
+                  "GLM velocity is retired: only an empty buffer loads");
+    serial::Check(reader.U64() == 0,
+                  "GLM gradient accumulator is retired: only an empty buffer "
+                  "loads");
+  }
   params_ = std::move(params);
   num_resets_ = reader.U64();
   num_skipped_samples_ = reader.U64();

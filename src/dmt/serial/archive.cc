@@ -7,6 +7,8 @@
 #include <istream>
 #include <ostream>
 
+#include "dmt/common/check.h"
+
 namespace dmt::serial {
 
 namespace {
@@ -82,6 +84,14 @@ std::uint64_t ParseEngineWord(const char** pos, const char* end) {
   Check(result.ec == std::errc(), "malformed RNG engine state: overflow");
   *pos = result.ptr;
   return value;
+}
+
+// Whether seeding with rng.seed() and discarding rng.draws() words
+// reproduces the live engine: the invariant the counted record relies on.
+[[maybe_unused]] bool CountedFormRebuilds(const dmt::Rng& rng) {
+  Mt19937_64 rebuilt(rng.seed());
+  rebuilt.discard(rng.draws());
+  return rebuilt == rng.engine();
 }
 
 }  // namespace
@@ -164,9 +174,17 @@ void Writer::VecF64(const std::vector<double>& v) {
   for (double x : v) F64(x);
 }
 
-void Writer::Engine(const Mt19937_64& engine) {
+void Writer::Rng(const dmt::Rng& rng) {
+  if (rng.counted() && rng.draws() <= kMaxRngDraws) {
+    DMT_DCHECK(CountedFormRebuilds(rng));
+    U8(static_cast<std::uint8_t>(RngForm::kCounted));
+    U64(rng.seed());
+    U64(rng.draws());
+    return;
+  }
+  U8(static_cast<std::uint8_t>(RngForm::kText));
   char buffer[kMaxEngineText];
-  const std::size_t n = FormatEngine(engine, buffer);
+  const std::size_t n = FormatEngine(rng.engine(), buffer);
   Size(n);
   WriteExact(buffer, n);
 }
@@ -288,11 +306,29 @@ std::vector<double> Reader::VecF64Exact(std::size_t n) {
   return v;
 }
 
-void Reader::Engine(Mt19937_64* engine) {
+void Reader::Rng(dmt::Rng* rng) {
+  if (version_ >= 4) {
+    const std::uint8_t form = U8();
+    if (form == static_cast<std::uint8_t>(RngForm::kCounted)) {
+      const std::uint64_t seed = U64();
+      const std::uint64_t draws = U64();
+      if (draws > kMaxRngDraws) {
+        throw SerialError("RNG record draws " + std::to_string(draws) +
+                          " exceed the bound " + std::to_string(kMaxRngDraws));
+      }
+      rng->Restore(seed, draws);
+      return;
+    }
+    if (form != static_cast<std::uint8_t>(RngForm::kText)) {
+      throw SerialError("unknown RNG record form " + std::to_string(form));
+    }
+  }
   char buffer[kMaxEngineText];
   const std::size_t n = Size(kMaxEngineText);
   ReadExact(buffer, n);
-  ParseEngineText(std::string_view(buffer, n), engine);
+  Mt19937_64 engine;
+  ParseEngineText(std::string_view(buffer, n), &engine);
+  rng->Restore(engine);
 }
 
 }  // namespace dmt::serial

@@ -44,8 +44,10 @@ inline constexpr std::uint32_t kMagic = FourCC('D', 'M', 'T', 'S');
 // (per-tree gain_test_every/gain_test_threshold knobs, per-node
 // samples_since_test/loss_since_test accumulators); 3 = training hot-path
 // knobs (per-tree order_buckets/candidate_grad_f32) and typed candidate
-// gradients (F32 rows when the store runs in float32 mode).
-inline constexpr std::uint32_t kFormatVersion = 3;
+// gradients (F32 rows when the store runs in float32 mode); 4 = seeded
+// generators stored as (seed, draws) RNG records, the retired GLM and VFDT
+// slots no longer written, and the DMT's structural event ring.
+inline constexpr std::uint32_t kFormatVersion = 4;
 // Oldest archive version this build still reads. v2 archives decode with
 // the hot-path knobs defaulted off (exact order statistics, f64 candidate
 // gradients), so a restored model continues training exactly as the build
@@ -84,14 +86,23 @@ inline double CheckedFinite(double v, const char* what) {
 // Canonical text of an MT19937-64 state: the 312 state words, then the
 // index of the next word to draw (0..312), in decimal without sign or
 // leading zeros, separated by single spaces -- byte for byte what
-// libstdc++'s operator<< writes for the equal std::mt19937_64. Every
-// archive that holds an RNG (and the serve manifests' injection
-// generators) stores this text.
+// libstdc++'s operator<< writes for the equal std::mt19937_64. Archives up
+// to format 3 store every generator as this text; format 4 only when the
+// counted form does not apply (see Writer::Rng).
 std::string EngineText(const Mt19937_64& engine);
 // Inverse of EngineText. Accepts only the canonical text (313 unsigned
 // decimals separated by single spaces, index <= 312, nothing after it) and
 // throws SerialError on anything else.
 void ParseEngineText(std::string_view text, Mt19937_64* engine);
+
+// The RNG record of format 4 opens with one of these forms.
+enum class RngForm : std::uint8_t {
+  kCounted = 0,  // u64 seed, u64 draws
+  kText = 1,     // length-prefixed EngineText
+};
+// Most draws a counted record may hold: rebuilding it discards at most
+// this many words (a few ms). A counted Rng past it is stored as text.
+inline constexpr std::uint64_t kMaxRngDraws = std::uint64_t{1} << 20;
 
 // Little-endian binary writer. Throws SerialError if the underlying stream
 // rejects a write (disk full, closed pipe), so a torn save never goes
@@ -112,8 +123,10 @@ class Writer {
   void F32(float v);   // raw IEEE-754 bit pattern (f32 candidate gradients)
   void Str(std::string_view s);
   void VecF64(const std::vector<double>& v);
-  // Engine state as a length-prefixed EngineText.
-  void Engine(const Mt19937_64& engine);
+  // The RNG record: RngForm::kCounted with the seed and the draw count when
+  // `rng` is counted and has drawn at most kMaxRngDraws words, else
+  // RngForm::kText with the engine's EngineText.
+  void Rng(const dmt::Rng& rng);
 
  private:
   void WriteExact(const void* src, std::size_t n);
@@ -153,8 +166,12 @@ class Reader {
   std::vector<double> VecF64(std::size_t max_len = kMaxVector);
   // Like VecF64 but the archived length must equal `n` exactly.
   std::vector<double> VecF64Exact(std::size_t n);
-  // Length-prefixed EngineText; throws SerialError unless canonical.
-  void Engine(Mt19937_64* engine);
+  // The RNG record into `*rng`: a counted record reseeds and discards, a
+  // text record (and every generator of a format 3 or older archive, a
+  // bare length-prefixed EngineText) leaves `*rng` uncounted. Throws
+  // SerialError on an unknown form, draws above kMaxRngDraws or text that
+  // is not canonical.
+  void Rng(dmt::Rng* rng);
 
  private:
   void ReadExact(void* dst, std::size_t n);

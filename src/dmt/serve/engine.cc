@@ -540,7 +540,6 @@ void ServeEngine::WriteCheckpoint() {
   // Each record is written as soon as it is built: a resident model is
   // encoded into archive_buffer_, a parked one is copied from its file
   // through the same buffer, so the checkpoint holds one archive at a time.
-  std::string inject_rng;
   try {
     WriteManifest(
         config_.state_dir, head, order.size(),
@@ -551,14 +550,9 @@ void ServeEngine::WriteCheckpoint() {
           record->rows_trained = state.rows_trained;
           record->last_touch = state.last_touch;
           record->last_window = state.last_window;
-          // The generator's canonical text, so a stream's fault-injection
-          // trace continues bit-identically across a checkpoint/recover
-          // cycle.
-          inject_rng.clear();
-          if (state.inject_rng != nullptr) {
-            inject_rng = serial::EngineText(state.inject_rng->engine());
-          }
-          record->inject_rng = inject_rng;
+          // The generator itself, so a stream's fault-injection trace
+          // continues bit-identically across a checkpoint/recover cycle.
+          record->inject_rng = state.inject_rng.get();
           if (record->resident) {
             serial::SaveClassifierToString(*state.model, &archive_buffer_);
           } else {
@@ -579,10 +573,9 @@ void ServeEngine::WriteCheckpoint() {
 }
 
 void ServeEngine::RecoverFromStateDir() {
-  const std::optional<Manifest> loaded =
-      LoadNewestManifest(config_.state_dir);
+  std::optional<Manifest> loaded = LoadNewestManifest(config_.state_dir);
   if (!loaded.has_value()) return;  // fresh state dir
-  const Manifest& m = *loaded;
+  Manifest& m = *loaded;
   // Config-stamp verification: every field below is part of the
   // determinism recipe, so skew is a typed refusal, never a silent reset.
   if (m.model_kind != config_.model_kind) {
@@ -640,23 +633,14 @@ void ServeEngine::RecoverFromStateDir() {
   next_checkpoint_seq_ = m.seq + 1;
 
   std::vector<StreamState*> resident;
-  for (const ManifestStream& entry : m.streams) {
+  for (ManifestStream& entry : m.streams) {
     StreamState state;
     state.id = entry.id;
     state.shard = ShardOf(entry.id, shards_.size());
     state.rows_trained = entry.rows_trained;
     state.last_touch = entry.last_touch;
     state.last_window = entry.last_window;
-    if (!entry.inject_rng.empty()) {
-      state.inject_rng = std::make_unique<Rng>(0);
-      try {
-        serial::ParseEngineText(entry.inject_rng,
-                                &state.inject_rng->engine());
-      } catch (const serial::SerialError& e) {
-        throw StateError("corrupt injection-generator state for stream '" +
-                         entry.id + "': " + e.what());
-      }
-    }
+    state.inject_rng = std::move(entry.inject_rng);
     if (entry.resident) {
       std::unique_ptr<Classifier> model;
       try {

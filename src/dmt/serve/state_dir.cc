@@ -77,7 +77,8 @@ void EncodeRecord(serial::Writer& writer, const ManifestRecord& record) {
   writer.U64(record.rows_trained);
   writer.U64(record.last_touch);
   writer.U64(record.last_window);
-  writer.Str(record.inject_rng);
+  writer.Bool(record.inject_rng != nullptr);
+  if (record.inject_rng != nullptr) writer.Rng(*record.inject_rng);
   writer.Str(record.archive);
 }
 
@@ -117,7 +118,19 @@ Manifest DecodeManifest(serial::Reader& reader) {
     stream.rows_trained = reader.U64();
     stream.last_touch = reader.U64();
     stream.last_window = reader.U64();
-    stream.inject_rng = reader.Str(kMaxRngText);
+    if (reader.version() <= 3) {
+      // Format 3 stored the generator as EngineText, "" when unused.
+      const std::string text = reader.Str(kMaxRngText);
+      if (!text.empty()) {
+        Mt19937_64 engine;
+        serial::ParseEngineText(text, &engine);
+        stream.inject_rng = std::make_unique<Rng>();
+        stream.inject_rng->Restore(engine);
+      }
+    } else if (reader.Bool()) {
+      stream.inject_rng = std::make_unique<Rng>();
+      reader.Rng(stream.inject_rng.get());
+    }
     stream.archive = reader.Str(kMaxArchive);
     serial::Check(!stream.archive.empty(), "manifest stream archive is empty");
     manifest.streams.push_back(std::move(stream));
@@ -206,7 +219,7 @@ void WriteManifest(const std::string& dir, const Manifest& manifest) {
                   const ManifestStream& stream = manifest.streams[i];
                   *record = {stream.id,          stream.resident,
                              stream.rows_trained, stream.last_touch,
-                             stream.last_window,  stream.inject_rng,
+                             stream.last_window,  stream.inject_rng.get(),
                              stream.archive};
                 });
 }

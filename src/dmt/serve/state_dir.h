@@ -30,12 +30,14 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "dmt/common/random.h"
 #include "dmt/serial/archive.h"
 
 namespace dmt::serve {
@@ -54,15 +56,17 @@ inline constexpr std::uint32_t kTagManifest =
 inline constexpr std::uint32_t kTagEviction =
     serial::FourCC('E', 'V', 'C', 'S');
 
-// One known stream: identity, lifecycle counters, and the full serial
-// archive bytes of its model (exactly what Classifier::Save writes).
+// One known stream: identity, lifecycle counters, its fault-injection
+// generator (an RNG record since format 4, EngineText before), and the full
+// serial archive bytes of its model (exactly what Classifier::Save
+// writes).
 struct ManifestStream {
   std::string id;
   bool resident = true;
   std::uint64_t rows_trained = 0;
   std::uint64_t last_touch = 0;   // request ordinal of the last touch (LRU)
   std::uint64_t last_window = 0;  // window of the last touch (TTL)
-  std::string inject_rng;         // textual mt19937_64 state; "" = unused
+  std::unique_ptr<Rng> inject_rng;  // fault-injection generator; null = unused
   std::string archive;
 };
 
@@ -119,7 +123,7 @@ struct ManifestRecord {
   std::uint64_t rows_trained = 0;
   std::uint64_t last_touch = 0;
   std::uint64_t last_window = 0;
-  std::string_view inject_rng;
+  const Rng* inject_rng = nullptr;
   std::string_view archive;
 };
 

@@ -40,7 +40,7 @@ bool FriedGenerator::NextInstance(RegressionInstance* out) {
   for (std::size_t p : config_.drift_points) {
     if (p == position_) {
       // Abrupt drift: shuffle which features carry the signal.
-      std::shuffle(roles_.begin(), roles_.end(), rng_.engine());
+      std::shuffle(roles_.begin(), roles_.end(), rng_);
     }
   }
   ++position_;

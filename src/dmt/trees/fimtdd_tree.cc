@@ -369,7 +369,7 @@ template <typename Target>
 void FimtDdTree<Target>::SaveState(serial::Writer& writer) const {
   writer.Size(num_prunes_);
   SaveNode(writer, *root_);
-  writer.Engine(rng_.engine());
+  writer.Rng(rng_);
 }
 
 template <typename Target>
@@ -377,7 +377,7 @@ void FimtDdTree<Target>::LoadState(serial::Reader& reader) {
   num_prunes_ = reader.Size(std::size_t{1} << 62);
   root_ = LoadNode(reader, 0);
   // Engine last: node construction above drew initial model weights.
-  reader.Engine(&rng_.engine());
+  reader.Rng(&rng_);
 }
 
 template class FimtDdTree<FimtDdClassTarget>;

@@ -46,20 +46,15 @@ struct Vfdt::Node : HoeffdingNode<Node> {
                                     std::size_t depth);
 };
 
-// The retired nominal-feature path left two slots in each node record: an
-// equality-split flag and a nominal observer list parallel to the numeric
-// one. Saves write them as the last trees with that path did (false, and
-// one empty record per numeric observer); loads reject anything else.
+// The retired nominal-feature path left two slots in each node record of
+// archives up to format 3: an equality-split flag and a nominal observer
+// list parallel to the numeric one, as the last trees with that path wrote
+// them (false, and one empty record per numeric observer). Format 4 writes
+// neither; loading an older archive rejects anything but those values.
 void Vfdt::Node::Save(serial::Writer& writer) const {
   SaveSplit(writer);
-  writer.Bool(false);
   writer.VecF64(class_counts);
   SaveObservers(writer);
-  writer.Size(observers.size());
-  for (std::size_t j = 0; j < observers.size(); ++j) {
-    writer.I32(static_cast<std::int32_t>(class_counts.size()));
-    writer.Size(0);
-  }
   writer.F64(weight_seen);
   writer.F64(weight_at_last_attempt);
   writer.F64(mc_correct);
@@ -72,19 +67,25 @@ std::unique_ptr<Vfdt::Node> Vfdt::Node::Load(serial::Reader& reader,
                                              std::size_t depth) {
   auto node = std::make_unique<Node>(config.num_features, config.num_classes);
   node->LoadSplit(reader, config.num_features, depth, "VFDT");
-  serial::Check(!reader.Bool(), "VFDT equality splits are retired");
+  const bool retired_slots = reader.version() <= 3;
+  if (retired_slots) {
+    serial::Check(!reader.Bool(), "VFDT equality splits are retired");
+  }
   node->class_counts =
       reader.VecF64Exact(static_cast<std::size_t>(config.num_classes));
   node->LoadObservers(reader, config.num_features, config.num_classes,
                       "VFDT");
-  serial::Check(reader.Size(static_cast<std::size_t>(config.num_features)) ==
-                    node->observers.size(),
-                "VFDT nominal observer count disagrees with the numeric one");
-  for (std::size_t j = 0; j < node->observers.size(); ++j) {
-    serial::Check(reader.I32() == config.num_classes,
-                  "observer class count disagrees with the owning tree");
-    serial::Check(reader.Size(serial::kMaxVector) == 0,
-                  "VFDT nominal observers are retired");
+  if (retired_slots) {
+    serial::Check(
+        reader.Size(static_cast<std::size_t>(config.num_features)) ==
+            node->observers.size(),
+        "VFDT nominal observer count disagrees with the numeric one");
+    for (std::size_t j = 0; j < node->observers.size(); ++j) {
+      serial::Check(reader.I32() == config.num_classes,
+                    "observer class count disagrees with the owning tree");
+      serial::Check(reader.Size(serial::kMaxVector) == 0,
+                    "VFDT nominal observers are retired");
+    }
   }
   node->weight_seen = reader.F64();
   node->weight_at_last_attempt = reader.F64();
@@ -171,7 +172,7 @@ void Vfdt::AttemptSplit(Node* leaf) {
   std::vector<int>& features = scanner_.AllFeatures(config_.num_features);
   if (config_.subspace_size > 0 &&
       config_.subspace_size < config_.num_features) {
-    std::shuffle(features.begin(), features.end(), rng_.engine());
+    std::shuffle(features.begin(), features.end(), rng_);
     features.resize(config_.subspace_size);
   }
   const SplitRanking ranking =
@@ -222,14 +223,14 @@ std::size_t Vfdt::NumSplits() const {
   return shape.inner + shape.leaves * per_leaf;
 }
 
-// The config record keeps the retired nominal-feature list as an empty
-// slot; a load rejects any other length.
+// Config records up to format 3 keep the retired nominal-feature list as
+// an empty slot, and loading one rejects any other length; format 4 drops
+// the slot.
 void SaveVfdtConfig(serial::Writer& writer, const VfdtConfig& config) {
   SaveHoeffdingHead(writer, config);
   writer.U32(static_cast<std::uint32_t>(config.leaf_prediction));
   writer.I32(config.num_split_candidates);
   writer.I32(config.subspace_size);
-  writer.Size(0);
   writer.U64(config.seed);
 }
 
@@ -243,8 +244,10 @@ VfdtConfig LoadVfdtConfig(serial::Reader& reader) {
       reader.I32(), 0, 1 << 20, "VFDT split candidate count"));
   config.subspace_size = static_cast<int>(serial::CheckedRange(
       reader.I32(), 0, serial::kMaxFeatures, "VFDT subspace size"));
-  serial::Check(reader.Size(serial::kMaxVector) == 0,
-                "VFDT nominal features are retired");
+  if (reader.version() <= 3) {
+    serial::Check(reader.Size(serial::kMaxVector) == 0,
+                  "VFDT nominal features are retired");
+  }
   config.seed = reader.U64();
   return config;
 }
@@ -252,15 +255,15 @@ VfdtConfig LoadVfdtConfig(serial::Reader& reader) {
 void Vfdt::SaveBody(serial::Writer& writer) const {
   SaveVfdtConfig(writer, config_);
   root_->Save(writer);
-  writer.Engine(rng_.engine());
+  writer.Rng(rng_);
 }
 
 std::unique_ptr<Vfdt> Vfdt::LoadBody(serial::Reader& reader) {
   const VfdtConfig config = LoadVfdtConfig(reader);
   auto tree = std::make_unique<Vfdt>(config);
   tree->root_ = Node::Load(reader, config, 0);
-  // Engine last: restored after every construction-time draw has happened.
-  reader.Engine(&tree->rng_.engine());
+  // RNG last: restored after every construction-time draw has happened.
+  reader.Rng(&tree->rng_);
   return tree;
 }
 

@@ -205,7 +205,7 @@ TEST(ParseDoubleTest, MatchesStrtodOnPrintedDoubles) {
   Rng rng(11);
   char buffer[64];
   for (int i = 0; i < 20000; ++i) {
-    const double value = std::bit_cast<double>(rng.engine()());
+    const double value = std::bit_cast<double>(rng());
     for (const char* format : {"%.17g", "%.10g", "%.4f", "%a"}) {
       std::snprintf(buffer, sizeof(buffer), format, value);
       ExpectParsesLikeStrtod(buffer);

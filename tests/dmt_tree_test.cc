@@ -481,8 +481,60 @@ RootGains TwinGains(const SplitThenDrift& setup, double gradient_step_size) {
   twin.RestoreState(setup.archive);
   twin.PartialFit(setup.drift);
   EXPECT_EQ(twin.NumInnerNodes(), 1u);
-  EXPECT_EQ(twin.events().size(), 0u);
+  EXPECT_EQ(twin.events().size(), 1u);  // only the archived split
   return {.prune = twin.PruneGain(), .replace = twin.ReplaceGain()};
+}
+
+// The audit log ("why have you split this node at time step u?") is part
+// of the archive since format 4, so a restore, an eviction or a crash
+// recovery keeps it. Each event record sits before the closing 17-byte RNG
+// record: kind (u8), time step (u64), feature (i32), value, gain and
+// threshold (f64) and depth (u64).
+TEST(DmtAuditLogTest, EventsSurviveSaveAndLoad) {
+  const SplitThenDrift setup = MakeSplitThenDrift(500);
+  {
+    GainProbe probe(ExactConfig(0.2, 1e-8));
+    probe.RestoreState(setup.archive);
+    probe.PartialFit(setup.drift);
+    ASSERT_EQ(probe.events().size(), 2u);  // the split, then a replacement
+    std::istringstream in(ArchiveOf(probe), std::ios::binary);
+    serial::Reader reader(in);
+    reader.Header();
+    const std::unique_ptr<DynamicModelTree> loaded =
+        DynamicModelTree::LoadBody(reader);
+    ASSERT_EQ(loaded->events().size(), probe.events().size());
+    for (std::size_t i = 0; i < probe.events().size(); ++i) {
+      const StructuralEvent& a = probe.events()[i];
+      const StructuralEvent& b = loaded->events()[i];
+      EXPECT_EQ(a.kind, b.kind);
+      EXPECT_EQ(a.time_step, b.time_step);
+      EXPECT_EQ(a.feature, b.feature);
+      EXPECT_EQ(a.value, b.value);
+      EXPECT_EQ(a.gain, b.gain);
+      EXPECT_EQ(a.threshold, b.threshold);
+      EXPECT_EQ(a.depth, b.depth);
+    }
+    EXPECT_EQ(ArchiveOf(*loaded), ArchiveOf(probe));
+  }
+
+  // A kind or a feature out of range is a SerialError.
+  const std::string bytes = setup.archive;
+  const std::size_t event = bytes.size() - 17 - 45;
+  ASSERT_EQ(bytes[event],
+            static_cast<char>(StructuralEvent::Kind::kSplit));
+  for (const auto& [offset, value] :
+       {std::pair<std::size_t, char>{0, 3}, {9, 2}, {9, -2}}) {
+    std::string edited = bytes;
+    edited[event + offset] = value;
+    if (value < 0) {
+      for (int i = 1; i < 4; ++i) edited[event + offset + i] = '\xff';
+    }
+    std::istringstream in(edited, std::ios::binary);
+    serial::Reader reader(in);
+    reader.Header();
+    EXPECT_THROW(DynamicModelTree::LoadBody(reader), serial::SerialError)
+        << offset << " " << static_cast<int>(value);
+  }
 }
 
 TEST(DmtReplacePruneTest, PruneWinsWhenItsGainIsAtLeastTheReplaceGain) {
@@ -500,7 +552,7 @@ TEST(DmtReplacePruneTest, PruneWinsWhenItsGainIsAtLeastTheReplaceGain) {
   ASSERT_GE(gains.prune, gains.replace);
 
   tree.PartialFit(setup.drift);
-  ASSERT_EQ(tree.events().size(), 1u);
+  ASSERT_EQ(tree.events().size(), 2u);  // the archived split, then this
   const StructuralEvent& event = tree.events().back();
   EXPECT_EQ(event.kind, StructuralEvent::Kind::kPruneToLeaf);
   EXPECT_EQ(event.gain, gains.prune);
@@ -526,7 +578,7 @@ TEST(DmtReplacePruneTest, PruneWinsATieThatRoundingBreaksTheOtherWay) {
   ASSERT_GT(gains.replace, gains.prune);
 
   tree.PartialFit(setup.drift);
-  ASSERT_EQ(tree.events().size(), 1u);
+  ASSERT_EQ(tree.events().size(), 2u);  // the archived split, then this
   const StructuralEvent& event = tree.events().back();
   EXPECT_EQ(event.kind, StructuralEvent::Kind::kPruneToLeaf);
   EXPECT_EQ(event.gain, gains.prune);
@@ -547,7 +599,7 @@ TEST(DmtReplacePruneTest, ReplaceWinsWhenItsGainIsLarger) {
   ASSERT_GT(gains.replace, gains.prune);
 
   tree.PartialFit(setup.drift);
-  ASSERT_EQ(tree.events().size(), 1u);
+  ASSERT_EQ(tree.events().size(), 2u);  // the archived split, then this
   const StructuralEvent& event = tree.events().back();
   EXPECT_EQ(event.kind, StructuralEvent::Kind::kReplaceSplit);
   EXPECT_EQ(event.gain, gains.replace);

@@ -1,6 +1,7 @@
-// Tests for dmt::Mt19937_64 (common/random.h) and its state codec in
-// serial/archive (EngineText, ParseEngineText, Writer::Engine,
-// Reader::Engine). std::mt19937_64 is the reference: the engine must draw
+// Tests for dmt::Mt19937_64 and dmt::Rng (common/random.h) and their
+// state codec in serial/archive (EngineText, ParseEngineText, the RNG
+// record of Writer::Rng / Reader::Rng). std::mt19937_64 is the reference:
+// the engine must draw
 // the same words from every seed and the same values through every std::
 // distribution and std::shuffle, and its text must be exactly what
 // libstdc++'s operator<< writes for the equal std engine. The decoder must
@@ -10,7 +11,9 @@
 // or an engine whose own text is the input, never a crash or another
 // exception.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <fstream>
 #include <numeric>
 #include <random>
@@ -21,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include "dmt/common/random.h"
+#include "dmt/common/types.h"
+#include "dmt/core/dynamic_model_tree.h"
 #include "dmt/serial/archive.h"
 #include "dmt/serial/model_io.h"
 
@@ -189,18 +194,25 @@ TEST(EngineCodecTest, TextEqualsStreamOperatorAndRoundTrips) {
     const std::string expected = StreamText(reference);
     ASSERT_EQ(serial::EngineText(engine), expected);
 
+    // An Rng holding this state with no known history writes the text
+    // form of the RNG record.
+    Rng uncounted;
+    uncounted.Restore(engine);
     std::ostringstream out;
     serial::Writer writer(out);
-    writer.Engine(engine);
+    writer.Rng(uncounted);
     std::ostringstream oracle;
     serial::Writer oracle_writer(oracle);
+    oracle_writer.U8(static_cast<std::uint8_t>(serial::RngForm::kText));
     oracle_writer.Str(expected);
     ASSERT_EQ(out.str(), oracle.str());
 
     std::istringstream in(out.str());
     serial::Reader reader(in);
-    Mt19937_64 decoded;
-    reader.Engine(&decoded);
+    Rng decoded_rng;
+    reader.Rng(&decoded_rng);
+    ASSERT_FALSE(decoded_rng.counted());
+    Mt19937_64 decoded = decoded_rng.engine();
     ASSERT_TRUE(decoded == engine);
     Mt19937_64 continued = engine;
     for (int i = 0; i < 1000; ++i) ASSERT_EQ(decoded(), continued());
@@ -289,11 +301,17 @@ TEST(EngineCodecTest, NonCanonicalTextsAreSerialErrors) {
 }
 
 TEST(EngineCodecTest, EveryTruncationAndByteFlipOfAnArchiveTextIsSafe) {
-  const std::string archive =
-      ReadFileBytes(std::string(DMT_SOURCE_DIR) + "/bench/goldens/DMT.dmts");
+  // A format 4 archive with a text RNG record: the continuation of a v3
+  // DMT, whose generator loaded uncounted and so keeps the text form.
+  const std::string archive = ReadFileBytes(
+      std::string(DMT_SOURCE_DIR) +
+      "/bench/goldens/compat/DMT_v3_continued.dmts");
   ASSERT_FALSE(archive.empty());
+  ASSERT_EQ(archive[4], 4);
   const auto [offset, length] = EngineTextSpan(archive);
   ASSERT_GT(length, 5000u);
+  ASSERT_EQ(archive[offset - 9],
+            static_cast<char>(serial::RngForm::kText));
   const std::string text = archive.substr(offset, length);
   {
     Mt19937_64 engine;
@@ -339,6 +357,174 @@ TEST(EngineCodecTest, EveryTruncationAndByteFlipOfAnArchiveTextIsSafe) {
       }
     }
   }
+}
+
+// --- The RNG record: (seed, draws) or text ----------------------------------
+
+std::string RecordOf(const Rng& rng) {
+  std::ostringstream out(std::ios::binary);
+  serial::Writer(out).Rng(rng);
+  return out.str();
+}
+
+// Decodes `record` as a format-`version` reader would.
+Rng FromRecord(const std::string& record, std::uint32_t version = 4) {
+  std::ostringstream framed(std::ios::binary);
+  serial::Writer writer(framed);
+  writer.U32(serial::kMagic);
+  writer.U32(version);
+  writer.U32(serial::FourCC('T', 'E', 'S', 'T'));
+  framed << record;
+  std::istringstream in(framed.str(), std::ios::binary);
+  serial::Reader reader(in);
+  reader.Header();
+  Rng rng;
+  reader.Rng(&rng);
+  EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
+  return rng;
+}
+
+// One way of drawing from an Rng; returns what it drew, as bits.
+using Draw = std::function<std::uint64_t(Rng&)>;
+
+std::vector<std::pair<const char*, Draw>> EveryDraw() {
+  return {
+      {"word", [](Rng& r) { return r(); }},
+      {"Uniform",
+       [](Rng& r) { return std::bit_cast<std::uint64_t>(r.Uniform(-1, 3)); }},
+      {"UniformInt",
+       [](Rng& r) { return static_cast<std::uint64_t>(r.UniformInt(0, 9)); }},
+      {"Gaussian",
+       [](Rng& r) { return std::bit_cast<std::uint64_t>(r.Gaussian(0, 2)); }},
+      {"Poisson",
+       [](Rng& r) { return static_cast<std::uint64_t>(r.Poisson(6.0)); }},
+      {"Bernoulli",
+       [](Rng& r) { return static_cast<std::uint64_t>(r.Bernoulli(0.3)); }},
+      {"Categorical",
+       [](Rng& r) {
+         return static_cast<std::uint64_t>(r.Categorical({0.5, 2.0, 1.0}));
+       }},
+      {"Fork", [](Rng& r) { return r.Fork()(); }},
+      {"shuffle",
+       [](Rng& r) {
+         std::vector<int> v(17);
+         std::iota(v.begin(), v.end(), 0);
+         std::shuffle(v.begin(), v.end(), r);
+         std::uint64_t h = 0;
+         for (const int x : v) h = h * 31 + static_cast<std::uint64_t>(x);
+         return h;
+       }},
+  };
+}
+
+TEST(RngRecordTest, CountedFormRebuildsTheLiveEngineAtEveryEdge) {
+  // Around each twist of the 312-word state, and at the bound: up to 2^20
+  // draws the record is (seed, draws); one more and it is the text.
+  const std::uint64_t bound = serial::kMaxRngDraws;
+  for (const auto& [name, draw] : EveryDraw()) {
+    SCOPED_TRACE(name);
+    for (const std::uint64_t target :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{311},
+          std::uint64_t{312}, std::uint64_t{313}, std::uint64_t{623},
+          std::uint64_t{624}, std::uint64_t{625}, bound, bound + 1}) {
+      SCOPED_TRACE(target);
+      Rng live(0xfeed);
+      // Reach the target through this draw (for its first few thousand
+      // words), then word by word: every word the draw takes must be
+      // counted, or the rebuilt engine differs.
+      while (live.draws() + 64 < std::min<std::uint64_t>(target, 4096)) {
+        draw(live);
+      }
+      while (live.draws() < target) live();
+      ASSERT_EQ(live.draws(), target);
+
+      const std::string record = RecordOf(live);
+      const bool counted = target <= bound;
+      ASSERT_EQ(record[0], static_cast<char>(counted
+                                                 ? serial::RngForm::kCounted
+                                                 : serial::RngForm::kText));
+      if (counted) ASSERT_EQ(record.size(), 17u);
+      Rng restored = FromRecord(record);
+      EXPECT_EQ(restored.counted(), counted);
+      ASSERT_TRUE(restored.engine() == live.engine());
+      EXPECT_EQ(RecordOf(restored), record);
+      for (int i = 0; i < 3; ++i) ASSERT_EQ(draw(restored), draw(live));
+      ASSERT_TRUE(restored.engine() == live.engine());
+    }
+  }
+}
+
+TEST(RngRecordTest, HostileRecordsAreSerialErrorsAtOnce) {
+  Rng rng(5);
+  for (int i = 0; i < 40; ++i) rng();
+  const std::string counted = RecordOf(rng);
+  ASSERT_EQ(counted.size(), 17u);
+
+  // Draws above the bound: rejected before any discard runs.
+  std::string over_bound = counted;
+  const std::uint64_t draws[] = {serial::kMaxRngDraws + 1,
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t d : draws) {
+    for (int i = 0; i < 8; ++i) {
+      over_bound[9 + i] = static_cast<char>(d >> (8 * i));
+    }
+    EXPECT_THROW(FromRecord(over_bound), serial::SerialError) << d;
+  }
+  // An unknown form.
+  for (const int form : {2, 3, 0x80, 0xff}) {
+    std::string unknown = counted;
+    unknown[0] = static_cast<char>(form);
+    EXPECT_THROW(FromRecord(unknown), serial::SerialError) << form;
+  }
+  // Every truncation of a counted and of a text record.
+  Rng text_rng;
+  text_rng.Restore(rng.engine());
+  const std::string text = RecordOf(text_rng);
+  ASSERT_EQ(text[0], static_cast<char>(serial::RngForm::kText));
+  for (const std::string& record : {counted, text}) {
+    for (std::size_t n = 0; n < record.size(); ++n) {
+      EXPECT_THROW(FromRecord(record.substr(0, n)), serial::SerialError) << n;
+    }
+  }
+}
+
+TEST(RngRecordTest, AVersion3GeneratorKeepsWritingText) {
+  // Format 3 stored a bare length-prefixed EngineText; such a generator
+  // has no known seed, so it stays uncounted however long it continues.
+  Mt19937_64 engine(77);
+  for (int i = 0; i < 1000; ++i) engine();
+  std::ostringstream v3(std::ios::binary);
+  serial::Writer(v3).Str(serial::EngineText(engine));
+  Rng rng = FromRecord(v3.str(), 3);
+  EXPECT_FALSE(rng.counted());
+  ASSERT_TRUE(rng.engine() == engine);
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(rng(), engine());
+  std::ostringstream expected(std::ios::binary);
+  serial::Writer expected_writer(expected);
+  expected_writer.U8(static_cast<std::uint8_t>(serial::RngForm::kText));
+  expected_writer.Str(serial::EngineText(engine));
+  EXPECT_EQ(RecordOf(rng), expected.str());
+}
+
+TEST(RngRecordTest, ServeSizedDmtArchivesInUnder512Bytes) {
+  // The shape of a serve stream: 4 features, 2 classes, a few dozen
+  // one-row batches. Its generator is 17 bytes of the archive.
+  core::DynamicModelTree tree({.num_features = 4, .num_classes = 2});
+  Rng rng(3);
+  for (int i = 0; i < 40; ++i) {
+    Batch batch(4);
+    std::vector<double> x(4);
+    for (double& v : x) v = rng.Uniform();
+    batch.Add(x, x[0] + x[1] > 1.0 ? 1 : 0);
+    tree.PartialFit(batch);
+  }
+  std::ostringstream out(std::ios::binary);
+  tree.Save(out);
+  const std::string archive = out.str();
+  EXPECT_LT(archive.size(), 512u);
+  ASSERT_GE(archive.size(), 17u);
+  EXPECT_EQ(archive[archive.size() - 17],
+            static_cast<char>(serial::RngForm::kCounted));
 }
 
 }  // namespace

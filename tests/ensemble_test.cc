@@ -228,7 +228,7 @@ std::unique_ptr<Vfdt> MakeReferenceTree(VfdtConfig base, int num_features,
   base.num_features = num_features;
   base.num_classes = num_classes;
   if (subspace_size > 0) base.subspace_size = subspace_size;
-  base.seed = rng->Fork().engine()();
+  base.seed = rng->Fork()();
   return std::make_unique<Vfdt>(base);
 }
 
@@ -323,10 +323,10 @@ std::string LeveragingBaggingReference(const LeveragingBaggingConfig& config,
     members[m]->SaveBody(writer);
     detectors[m].Save(writer);
     writer.Size(detections[m]);
-    writer.Engine(member_rngs[m].engine());
+    writer.Rng(member_rngs[m]);
   }
   writer.Size(0);  // telemetry flush baseline (no registry attached)
-  writer.Engine(rng.engine());
+  writer.Rng(rng);
   return expected.str();
 }
 
@@ -448,10 +448,10 @@ TEST(WeightedMemberTest, AdaptiveRandomForestMatchesRepeatLoop) {
     writer.Size(m.background_promotions);
     writer.Size(m.warnings);
     writer.Size(m.drifts);
-    writer.Engine(m.rng.engine());
+    writer.Rng(m.rng);
   }
   for (int i = 0; i < 4; ++i) writer.Size(0);  // telemetry flush baselines
-  writer.Engine(rng.engine());
+  writer.Rng(rng);
   ExpectArchiveEndsWith(ensemble, expected.str());
 }
 

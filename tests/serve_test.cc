@@ -363,7 +363,7 @@ TEST(ResponseFormatTest, MatchesPrintfG10) {
   Rng rng(77);
   for (int i = 0; i < 20000; ++i) {
     values.push_back(rng.Uniform());
-    values.push_back(std::bit_cast<double>(rng.engine()()));
+    values.push_back(std::bit_cast<double>(rng()));
   }
   for (const double value : values) {
     EXPECT_EQ(formatted(value), snprintf_g10(value))
@@ -835,6 +835,65 @@ TEST(ServeDurabilityTest, LruEvictionBoundsResidentStreams) {
   }
   EXPECT_GT(evictions, 0u);
   EXPECT_GT(warm_starts, 0u);
+}
+
+// A DMT archive ends in its RNG record: the counted form is one byte, the
+// seed and the draw count. Three hostile records -- draws above the bound,
+// an unknown form, the record cut short -- each make a restore and a warm
+// start answer ERR, and the server keeps serving.
+TEST(ServeDurabilityTest, HostileRngRecordsAnswerErrAndServingContinues) {
+  const std::string dir = FreshStateDir("serve_hostile_rng");
+  const std::string path = ::testing::TempDir() + "serve_hostile_rng.dmt";
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.batch_window = 1;
+  config.state_dir = dir;
+  config.max_streams = 1;
+  config.factory = DmtFactory(2, 2);
+  serve::ServeEngine engine(config);
+  RunLines(&engine, {"train r 0.1,0.9,1", "snapshot r " + path});
+  const std::string valid = ReadFileBytes(path);
+  const std::size_t record = valid.size() - 17;
+  ASSERT_EQ(valid[record],
+            static_cast<char>(serial::RngForm::kCounted));
+  std::string over_bound = valid;
+  const std::uint64_t draws = serial::kMaxRngDraws + 1;
+  for (int i = 0; i < 8; ++i) {
+    over_bound[record + 9 + i] = static_cast<char>(draws >> (8 * i));
+  }
+  std::string unknown_form = valid;
+  unknown_form[record] = 2;
+  const std::string truncated = valid.substr(0, record + 12);
+
+  int case_index = 0;
+  for (const std::string& hostile : {over_bound, unknown_form, truncated}) {
+    SCOPED_TRACE(case_index);
+    EXPECT_THROW(serial::LoadClassifierFromString(hostile),
+                 serial::SerialError);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << hostile;
+    }
+    std::vector<std::string> out = SplitLines(
+        RunLines(&engine, {"restore r " + path, "score r 0.2,0.5"}));
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind("ERR", 0), 0u) << out[0];
+    EXPECT_EQ(out[1].rfind("OK score r", 0), 0u) << out[1];
+
+    // Park a fresh stream (max_streams 1), swap its parked archive for the
+    // hostile one, and touch it again.
+    const std::string id = "w" + std::to_string(case_index++);
+    RunLines(&engine, {"train " + id + " 0.3,0.3,0", "train r 0.4,0.4,1"});
+    ASSERT_LE(engine.resident_streams(), 1u);
+    serve::WriteEvictionArchive(dir, id, hostile);
+    out = SplitLines(RunLines(
+        &engine, {"score " + id + " 0.2,0.5", "train r 0.5,0.5,0"}));
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind("ERR warm_start " + id, 0), 0u) << out[0];
+    EXPECT_EQ(out[1], "OK train r n=" + std::to_string(1 + 2 * case_index))
+        << out[1];
+  }
 }
 
 TEST(ServeDurabilityTest, EvictionIsByteInvisibleForGlm) {

@@ -468,9 +468,9 @@ TEST(SnapshotDecodeHeaderTest, BadMagicThrows) {
 
 TEST(SnapshotDecodeHeaderTest, VersionSkewThrows) {
   const std::string bytes = SmallArchive("GLM");
-  // 2 (kMinReadVersion) and 3 (kFormatVersion) decode; everything else
-  // must be rejected at the header.
-  for (const std::uint32_t version : {0u, 1u, 4u, 0xFFFFFFFFu}) {
+  // 2 (kMinReadVersion) through 4 (kFormatVersion) decode; everything
+  // else must be rejected at the header.
+  for (const std::uint32_t version : {0u, 1u, 5u, 0xFFFFFFFFu}) {
     std::string mutated = bytes;
     // The u32 version field sits right after the 4-byte magic (LE).
     mutated[4] = static_cast<char>(version & 0xFF);
@@ -610,6 +610,20 @@ std::uint64_t BitsOf(double value) {
   return bits;
 }
 
+// bench/goldens/compat/<file>: frozen archives of older formats.
+std::string CompatArchive(const std::string& file) {
+  const std::string path =
+      std::string(DMT_SOURCE_DIR) + "/bench/goldens/compat/" + file;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "missing frozen archive " << path;
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Format 3 GLM records carry retired slots that format 4 no longer
+// writes; only the format 3 reader checks them. The classifier tests below
+// edit the frozen bench/goldens/compat/GLM_v3.dmts.
 enum class RetiredSlot {
   kSchedule,
   kOptimizer,
@@ -619,8 +633,8 @@ enum class RetiredSlot {
   kGradAccum,
 };
 
-// Byte offset of `slot` in a GLM archive (GlmClassifier or standalone Glm:
-// both are header + SaveGlmConfig + SaveState) of `size` bytes. The config
+// Byte offset of `slot` in a format 3 GLM archive (GlmClassifier or
+// standalone Glm: both are header + config + state) of `size` bytes. The config
 // record follows the 12-byte header: num_features (i32), num_classes
 // (i32), learning_rate (f64), then the retired slots. The state record
 // ends with the velocity and gradient-accumulator lengths, then the
@@ -694,6 +708,19 @@ std::string StandaloneGlmArchive() {
   return out.str();
 }
 
+// The format 3 layout of format 4 GLM `bytes`: the version set to 3, the
+// four config slots inserted after the learning rate and the two empty
+// buffers before the closing resets and skipped-sample tallies.
+std::string AsFormat3Glm(const std::string& bytes) {
+  std::string v3 = bytes;
+  PutLittleEndian(&v3, 4, 3, 4);
+  v3.insert(v3.size() - 2 * 8, std::string(2 * 8, '\0'));
+  std::string config(4 + 4 + 8 + 8, '\0');
+  PutLittleEndian(&config, 8, BitsOf(0.9), 8);
+  v3.insert(RetiredSlotOffset(RetiredSlot::kSchedule, v3.size()), config);
+  return v3;
+}
+
 TEST(GlmRetiredSlotTest, UneditedArchiveLoadsAndResavesByteExact) {
   const std::string bytes = SmallArchive("GLM");
   std::istringstream in(bytes, std::ios::binary);
@@ -702,32 +729,39 @@ TEST(GlmRetiredSlotTest, UneditedArchiveLoadsAndResavesByteExact) {
 }
 
 TEST(GlmRetiredSlotTest, SavedSlotsHoldTheOldDefaults) {
-  for (const std::string& bytes :
-       {SmallArchive("GLM"), StandaloneGlmArchive()}) {
-    const auto slot = [&bytes](RetiredSlot s) {
-      return GetLittleEndian(bytes, RetiredSlotOffset(s, bytes.size()),
-                             RetiredSlotWidth(s));
-    };
-    EXPECT_EQ(slot(RetiredSlot::kSchedule), 0u);
-    EXPECT_EQ(slot(RetiredSlot::kOptimizer), 0u);
-    EXPECT_EQ(slot(RetiredSlot::kMomentumBeta), BitsOf(0.9));
-    EXPECT_EQ(slot(RetiredSlot::kL1Penalty), BitsOf(0.0));
-    EXPECT_EQ(slot(RetiredSlot::kVelocity), 0u);
-    EXPECT_EQ(slot(RetiredSlot::kGradAccum), 0u);
-  }
+  // Format 3 wrote the old defaults; format 4 writes the same archive
+  // without them.
+  const std::string v3 = CompatArchive("GLM_v3.dmts");
+  ASSERT_EQ(GetLittleEndian(v3, 4, 4), 3u);
+  const auto slot = [&v3](RetiredSlot s) {
+    return GetLittleEndian(v3, RetiredSlotOffset(s, v3.size()),
+                           RetiredSlotWidth(s));
+  };
+  EXPECT_EQ(slot(RetiredSlot::kSchedule), 0u);
+  EXPECT_EQ(slot(RetiredSlot::kOptimizer), 0u);
+  EXPECT_EQ(slot(RetiredSlot::kMomentumBeta), BitsOf(0.9));
+  EXPECT_EQ(slot(RetiredSlot::kL1Penalty), BitsOf(0.0));
+  EXPECT_EQ(slot(RetiredSlot::kVelocity), 0u);
+  EXPECT_EQ(slot(RetiredSlot::kGradAccum), 0u);
+
+  std::istringstream in(v3, std::ios::binary);
+  const std::string v4 = SnapshotOf(*serial::LoadClassifier(in));
+  EXPECT_EQ(GetLittleEndian(v4, 4, 4), 4u);
+  EXPECT_EQ(AsFormat3Glm(v4), v3);
 }
 
 TEST(GlmRetiredSlotTest, StandaloneGlmLoadRejectsEveryEdit) {
   const std::string bytes = StandaloneGlmArchive();
-  {
-    std::istringstream in(bytes, std::ios::binary);
+  const std::string v3 = AsFormat3Glm(bytes);
+  for (const std::string& archive : {bytes, v3}) {
+    std::istringstream in(archive, std::ios::binary);
     const std::unique_ptr<linear::Glm> model = linear::Glm::Load(in);
     std::ostringstream again(std::ios::binary);
     model->Save(again);
     EXPECT_EQ(again.str(), bytes);
   }
   for (const RetiredSlotEdit& edit : kRetiredSlotEdits) {
-    std::istringstream in(WithEdit(bytes, edit), std::ios::binary);
+    std::istringstream in(WithEdit(v3, edit), std::ios::binary);
     EXPECT_THROW(linear::Glm::Load(in), serial::SerialError) << edit.name;
   }
 }
@@ -736,7 +770,7 @@ class GlmRetiredSlotEditTest
     : public ::testing::TestWithParam<RetiredSlotEdit> {};
 
 TEST_P(GlmRetiredSlotEditTest, ClassifierLoadThrowsSerialError) {
-  const std::string bytes = SmallArchive("GLM");
+  const std::string bytes = CompatArchive("GLM_v3.dmts");
   std::istringstream in(WithEdit(bytes, GetParam()), std::ios::binary);
   EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError);
 }
@@ -747,12 +781,14 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// VFDT records keep the slots of the retired nominal-feature path: the
-// config's nominal feature list, each node's equality-split flag and its
-// nominal observer list, parallel to the numeric one. Saves write them
-// empty (count 0, false, and per numeric observer a record of the tree's
-// class count with no values); loads reject anything else, so no archive
-// can bring back an equality split or nominal statistics.
+// Format 3 VFDT records keep the slots of the retired nominal-feature
+// path: the config's nominal feature list, each node's equality-split flag
+// and its nominal observer list, parallel to the numeric one. Format 3
+// saves wrote them empty (count 0, false, and per numeric observer a
+// record of the tree's class count with no values); loads reject anything
+// else, so no archive can bring back an equality split or nominal
+// statistics. Format 4 writes none of them. The tests below edit the
+// frozen bench/goldens/compat/{VFDT,ARF}_v3.dmts.
 struct NominalSlots {
   std::size_t config_count = 0;    // u64 nominal feature count
   std::size_t inner_equality = 0;  // u8 flag of the first inner node
@@ -822,16 +858,10 @@ NominalSlots FindNominalSlots(const std::string& bytes, std::size_t pos) {
   return slots;
 }
 
-// A VFDT archive and an ARF archive whose first member has split.
+// A format 3 VFDT archive and a format 3 ARF archive whose first member
+// has split.
 std::string NominalSlotArchive(const std::string& name) {
-  std::unique_ptr<Classifier> model = Make(name, 3, 3);
-  Rng rng(71);
-  for (int b = 0; b < 8; ++b) {
-    Batch batch(3);
-    FillConcept(&rng, &batch, 3, 3, 250, false);
-    model->PartialFit(batch);
-  }
-  return SnapshotOf(*model);
+  return CompatArchive(name + "_v3.dmts");
 }
 
 // The nominal slots of a VFDT archive, whose body follows the 12-byte
@@ -894,11 +924,13 @@ std::string WithNominalEdit(const std::string& bytes,
 constexpr const char* kNominalSlotModels[] = {"VFDT", "ARF"};
 
 TEST(VfdtRetiredNominalSlotTest, UneditedArchivesLoadAndResaveByteExact) {
+  // The format 4 re-save of a format 3 archive re-saves byte-exact.
   for (const char* name : kNominalSlotModels) {
-    const std::string bytes = NominalSlotArchive(name);
-    std::istringstream in(bytes, std::ios::binary);
-    const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
-    EXPECT_EQ(SnapshotOf(*model), bytes) << name;
+    std::istringstream in(NominalSlotArchive(name), std::ios::binary);
+    const std::string bytes = SnapshotOf(*serial::LoadClassifier(in));
+    EXPECT_EQ(GetLittleEndian(bytes, 4, 4), 4u) << name;
+    std::istringstream again(bytes, std::ios::binary);
+    EXPECT_EQ(SnapshotOf(*serial::LoadClassifier(again)), bytes) << name;
   }
 }
 
@@ -1085,34 +1117,31 @@ TEST(RegressorGoldenArchiveTest, FimtDdRegressorPinnedFormat) {
   });
 }
 
-// --- Backward compatibility: version-2 archives still load ----------------
+// --- Backward compatibility: older archives still load --------------------
 //
-// bench/goldens/compat/<learner>_v2.dmts are frozen format-version-2
-// archives (the pre-hot-path format: no order_buckets /
-// candidate_grad_f32 config fields, full-f64 candidate gradients). A v3
-// reader must keep decoding them -- kMinReadVersion stays at 2 -- and a
-// restored model must keep training and re-save as a well-formed v3
-// archive. These files are never regenerated; they pin the old bytes.
+// bench/goldens/compat/<learner>_v<N>.dmts are frozen archives of format
+// N: v2 predates the hot-path config fields (no order_buckets /
+// candidate_grad_f32, full-f64 candidate gradients); v3 stores every
+// generator as EngineText and carries the retired GLM and VFDT slots. The
+// current reader keeps decoding both (kMinReadVersion stays at 2); a
+// restored model must keep training and re-save in the current format.
+// These files are never regenerated; they pin the old bytes.
 
-class V2CompatTest : public ::testing::TestWithParam<const char*> {};
+// Loads the frozen format-`version` archive of `name`, trains it on five
+// more batches and returns the re-saved archive.
+std::string ContinuedCompatArchive(const std::string& name, int version) {
+  const std::string file =
+      SanitizeName(name) + "_v" + std::to_string(version) + ".dmts";
+  const std::string old_bytes = CompatArchive(file);
+  EXPECT_GE(old_bytes.size(), 8u);
+  if (old_bytes.size() < 8) return {};
+  EXPECT_EQ(static_cast<unsigned char>(old_bytes[4]), version)
+      << file << " is not a version-" << version << " archive; compat files "
+      << "are frozen and must never be regenerated";
 
-TEST_P(V2CompatTest, Version2ArchiveLoadsTrainsAndResavesAsV3) {
-  const std::string name = GetParam();
-  const std::string path = std::string(DMT_SOURCE_DIR) +
-                           "/bench/goldens/compat/" + SanitizeName(name) +
-                           "_v2.dmts";
-  std::ifstream in_file(path, std::ios::binary);
-  ASSERT_TRUE(in_file) << "missing frozen v2 archive " << path;
-  std::stringstream buffer;
-  buffer << in_file.rdbuf();
-  const std::string v2_bytes = buffer.str();
-  ASSERT_GE(v2_bytes.size(), 8u);
-  ASSERT_EQ(static_cast<unsigned char>(v2_bytes[4]), 2u)
-      << path << " is not a version-2 archive; compat files are frozen "
-      << "and must never be regenerated";
-
-  std::unique_ptr<Classifier> model = Restore(v2_bytes);
-  ASSERT_NE(model, nullptr) << name;
+  std::unique_ptr<Classifier> model = Restore(old_bytes);
+  EXPECT_NE(model, nullptr) << name;
+  if (model == nullptr) return {};
 
   // The restore must keep learning (a v2 DMT continues with the archived
   // exact-scan / f64 candidate semantics) and keep predicting sanely.
@@ -1129,36 +1158,68 @@ TEST_P(V2CompatTest, Version2ArchiveLoadsTrainsAndResavesAsV3) {
   for (const double p : proba) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-9) << name;
 
-  // Re-saving writes the current format; the new archive must self-identify
-  // as v3 and round-trip bit-identically through the v3 reader.
-  const std::string v3_bytes = SnapshotOf(*model);
-  ASSERT_GE(v3_bytes.size(), 8u);
-  EXPECT_EQ(static_cast<unsigned char>(v3_bytes[4]), 3u) << name;
-  std::unique_ptr<Classifier> reloaded = Restore(v3_bytes);
-  ASSERT_NE(reloaded, nullptr) << name;
-  EXPECT_EQ(SnapshotOf(*reloaded), v3_bytes) << name;
+  // Re-saving writes the current format, which must round-trip
+  // bit-identically through the current reader.
+  const std::string bytes = SnapshotOf(*model);
+  EXPECT_GE(bytes.size(), 8u);
+  if (bytes.size() < 8) return {};
+  EXPECT_EQ(static_cast<unsigned char>(bytes[4]), serial::kFormatVersion)
+      << name;
+  std::unique_ptr<Classifier> reloaded = Restore(bytes);
+  EXPECT_NE(reloaded, nullptr) << name;
+  if (reloaded != nullptr) EXPECT_EQ(SnapshotOf(*reloaded), bytes) << name;
+  return bytes;
+}
 
-  // The continuation itself is pinned by bytes in
-  // bench/goldens/compat/<learner>_v2_continued.dmts. For the DMT this is
-  // the only pin of the amortized scheduler's sort-based f64 path: v2
-  // configs load with order_buckets = 0 and candidate_grad_f32 = false.
-  const std::string continued_path = std::string(DMT_SOURCE_DIR) +
-                                     "/bench/goldens/compat/" +
-                                     SanitizeName(name) + "_v2_continued.dmts";
-  std::ifstream continued_file(continued_path, std::ios::binary);
-  ASSERT_TRUE(continued_file) << "missing continuation golden "
-                              << continued_path;
-  std::stringstream continued;
-  continued << continued_file.rdbuf();
-  EXPECT_TRUE(v3_bytes == continued.str())
-      << name << ": the continued v2 archive no longer matches "
-      << continued_path << " (" << v3_bytes.size() << " vs "
-      << continued.str().size() << " bytes). The file is frozen; the "
-      << "training path it pins has changed.";
+// Checks the continuation of the frozen format-`version` archive of `name`
+// against bench/goldens/compat/<learner>_v<version>_continued.dmts, the
+// pinned bytes of the current format. DMT_UPDATE_GOLDENS=1 writes a
+// missing pin; an existing one is never rewritten.
+void ExpectPinnedContinuation(const std::string& name, int version) {
+  const std::string bytes = ContinuedCompatArchive(name, version);
+  ASSERT_FALSE(bytes.empty());
+  const std::string file = SanitizeName(name) + "_v" +
+                           std::to_string(version) + "_continued.dmts";
+  const std::string path =
+      std::string(DMT_SOURCE_DIR) + "/bench/goldens/compat/" + file;
+  if (std::getenv("DMT_UPDATE_GOLDENS") != nullptr &&
+      !std::ifstream(path, std::ios::binary)) {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+    GTEST_SKIP() << "wrote " << path;
+  }
+  const std::string pinned = CompatArchive(file);
+  EXPECT_TRUE(pinned == bytes)
+      << name << ": the continued v" << version << " archive no longer "
+      << "matches " << file << " (" << bytes.size() << " vs "
+      << pinned.size() << " bytes). The file is frozen; the training path "
+      << "it pins has changed.";
+}
+
+// For the DMT the v2 continuation is the only pin of the amortized
+// scheduler's sort-based f64 path: v2 configs load with order_buckets = 0
+// and candidate_grad_f32 = false.
+class V2CompatTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(V2CompatTest, Version2ArchiveLoadsTrainsAndResavesAsV4) {
+  ExpectPinnedContinuation(GetParam(), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(FrozenV2, V2CompatTest,
                          ::testing::Values("DMT", "GLM", "ARF"));
+
+// The four learners that hold a retired slot or a generator: the DMT's
+// generator, the GLM's and VFDT's retired slots, the ARF's generators.
+// Every generator of a v3 archive loads uncounted and keeps the text form;
+// one created after the load (an ARF member replaced on drift) is counted.
+class V3CompatTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(V3CompatTest, Version3ArchiveLoadsTrainsAndResavesAsV4) {
+  ExpectPinnedContinuation(GetParam(), 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(FrozenV3, V3CompatTest,
+                         ::testing::Values("DMT", "GLM", "ARF", "VFDT"));
 
 // --- Archive primitives -----------------------------------------------------
 

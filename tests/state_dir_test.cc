@@ -60,8 +60,14 @@ serve::Manifest MakeManifest(std::uint64_t seq) {
   alpha.rows_trained = 41;
   alpha.last_touch = 99;
   alpha.last_window = 7;
+  // A generator of unknown history, as a format 3 manifest loads it: the
+  // text form of the RNG record.
+  Mt19937_64 engine(99);
+  for (int i = 0; i < 400; ++i) engine();
+  alpha.inject_rng = std::make_unique<Rng>();
+  alpha.inject_rng->Restore(engine);
   alpha.archive = "alpha-model-archive-bytes";  // opaque to the manifest
-  m.streams.push_back(alpha);
+  m.streams.push_back(std::move(alpha));
 
   serve::ManifestStream beta;
   beta.id = "beta";
@@ -69,9 +75,10 @@ serve::Manifest MakeManifest(std::uint64_t seq) {
   beta.rows_trained = 19;
   beta.last_touch = 55;
   beta.last_window = 3;
-  beta.inject_rng = "123 456 789 101112";
+  beta.inject_rng = std::make_unique<Rng>(123);
+  for (int i = 0; i < 5; ++i) (*beta.inject_rng)();
   beta.archive = "beta-model-archive-bytes";
-  m.streams.push_back(beta);
+  m.streams.push_back(std::move(beta));
   return m;
 }
 
@@ -105,7 +112,14 @@ TEST(StateDirTest, ManifestRoundTripPreservesEveryField) {
   EXPECT_EQ(loaded->streams[0].archive, "alpha-model-archive-bytes");
   EXPECT_EQ(loaded->streams[1].id, "beta");
   EXPECT_FALSE(loaded->streams[1].resident);
-  EXPECT_EQ(loaded->streams[1].inject_rng, "123 456 789 101112");
+  ASSERT_NE(loaded->streams[0].inject_rng, nullptr);
+  EXPECT_FALSE(loaded->streams[0].inject_rng->counted());
+  EXPECT_TRUE(loaded->streams[0].inject_rng->engine() ==
+              written.streams[0].inject_rng->engine());
+  ASSERT_NE(loaded->streams[1].inject_rng, nullptr);
+  EXPECT_TRUE(loaded->streams[1].inject_rng->counted());
+  EXPECT_EQ(loaded->streams[1].inject_rng->seed(), 123u);
+  EXPECT_EQ(loaded->streams[1].inject_rng->draws(), 5u);
 }
 
 TEST(StateDirTest, EmptyOrMissingDirIsAFreshStart) {
