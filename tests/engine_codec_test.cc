@@ -443,7 +443,9 @@ TEST(RngRecordTest, CountedFormRebuildsTheLiveEngineAtEveryEdge) {
       ASSERT_EQ(record[0], static_cast<char>(counted
                                                  ? serial::RngForm::kCounted
                                                  : serial::RngForm::kText));
-      if (counted) ASSERT_EQ(record.size(), 17u);
+      if (counted) {
+        ASSERT_EQ(record.size(), 17u);
+      }
       Rng restored = FromRecord(record);
       EXPECT_EQ(restored.counted(), counted);
       ASSERT_TRUE(restored.engine() == live.engine());

@@ -1167,7 +1167,9 @@ std::string ContinuedCompatArchive(const std::string& name, int version) {
       << name;
   std::unique_ptr<Classifier> reloaded = Restore(bytes);
   EXPECT_NE(reloaded, nullptr) << name;
-  if (reloaded != nullptr) EXPECT_EQ(SnapshotOf(*reloaded), bytes) << name;
+  if (reloaded != nullptr) {
+    EXPECT_EQ(SnapshotOf(*reloaded), bytes) << name;
+  }
   return bytes;
 }
 
