@@ -18,8 +18,9 @@
 // A *crash point* (DMT_CRASHPOINT) is a failpoint that ends the process
 // instead of throwing: _exit(kCrashExitCode), no destructors, no stream
 // flushes -- what a SIGKILL at that instruction leaves behind. The
-// serving engine's manifest writer has one at every step of a checkpoint
-// (serve/state_dir.h), armed through dmt_serve --failpoints.
+// serving engine's manifest writer has one at every step of a checkpoint,
+// and its park log one after every append and before every compaction's
+// rename (serve/state_dir.h), armed through dmt_serve --failpoints.
 //
 // Defining DMT_FAILPOINTS_DISABLED compiles both macros out entirely (the
 // DMT_TELEMETRY_DISABLED pattern) for builds where even the dead branch

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,6 +104,42 @@ enum class RngForm : std::uint8_t {
 // Most draws a counted record may hold: rebuilding it discards at most
 // this many words (a few ms). A counted Rng past it is stored as text.
 inline constexpr std::uint64_t kMaxRngDraws = std::uint64_t{1} << 20;
+
+// In-memory byte streams for a Writer or Reader, neither buffering nor
+// copying: StringSink appends every byte written through it to a
+// caller-owned string, ViewSource reads a caller-owned byte range in place.
+class StringSink : public std::streambuf {
+ public:
+  explicit StringSink(std::string* bytes) : bytes_(bytes) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    bytes_->append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) {
+      return traits_type::not_eof(c);
+    }
+    bytes_->push_back(traits_type::to_char_type(c));
+    return c;
+  }
+
+ private:
+  std::string* bytes_;
+};
+
+class ViewSource : public std::streambuf {
+ public:
+  explicit ViewSource(std::string_view bytes) {
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
+  // Bytes not read yet.
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(egptr() - gptr());
+  }
+};
 
 // Little-endian binary writer. Throws SerialError if the underlying stream
 // rejects a write (disk full, closed pipe), so a torn save never goes

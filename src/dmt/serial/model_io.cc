@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
 
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
@@ -19,29 +18,6 @@
 namespace dmt::serial {
 
 namespace {
-
-// Appends every byte written through it to a caller-owned string; no
-// buffer of its own, so nothing is copied out afterwards.
-class StringSink : public std::streambuf {
- public:
-  explicit StringSink(std::string* bytes) : bytes_(bytes) {}
-
- protected:
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    bytes_->append(s, static_cast<std::size_t>(n));
-    return n;
-  }
-  int_type overflow(int_type c) override {
-    if (traits_type::eq_int_type(c, traits_type::eof())) {
-      return traits_type::not_eof(c);
-    }
-    bytes_->push_back(traits_type::to_char_type(c));
-    return c;
-  }
-
- private:
-  std::string* bytes_;
-};
 
 SerialError RetiredLearner(const char* learner) {
   std::string message = "archive holds a retired learner: ";

@@ -31,17 +31,6 @@ std::size_t ShardOf(const std::string& id, std::size_t num_shards) {
   return static_cast<std::size_t>(SplitMix64(h) % num_shards);
 }
 
-// True when the parked file of `stream_id` decodes to exactly `archive`;
-// a missing, unreadable or foreign file is not a match.
-bool ParkedArchiveHolds(const std::string& dir, const std::string& stream_id,
-                        const std::string& archive) {
-  try {
-    return ReadEvictionArchive(dir, stream_id) == archive;
-  } catch (const StateError&) {
-    return false;
-  }
-}
-
 // Appends `value` in decimal, exactly as std::to_string spells it.
 template <typename Int>
 void AppendInt(std::string* out, Int value) {
@@ -114,10 +103,9 @@ ServeEngine::StreamState* ServeEngine::FindOrCreateStream(
 
 bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
   try {
-    const std::string archive =
-        ReadEvictionArchive(config_.state_dir, stream->id);
+    park_log_.Read(stream->parked, stream->id, &archive_buffer_);
     std::unique_ptr<Classifier> model =
-        serial::LoadClassifierFromString(archive);
+        serial::LoadClassifierFromString(archive_buffer_);
     if (model->num_classes() != config_.num_classes) {
       throw StateError("parked archive has " +
                        std::to_string(model->num_classes()) +
@@ -128,9 +116,9 @@ bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
     model->AttachTelemetry(&shard->telemetry);
     stream->model = std::move(model);
     LruPushBack(stream);
-    // The parked file is now stale (the resident model trains on); the
+    // The parked record is now stale (the resident model trains on); the
     // next eviction or checkpoint re-serializes from memory.
-    RemoveEvictionArchive(config_.state_dir, stream->id);
+    park_log_.Forget(stream->parked);
     ++shard->num_streams;
     *shard->resident_streams = static_cast<double>(shard->num_streams);
     *shard->warm_starts += 1;
@@ -357,9 +345,10 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
         --shard->num_streams;
         *shard->resident_streams = static_cast<double>(shard->num_streams);
         --resident_;
-      } else if (!config_.state_dir.empty()) {
-        // A dropped stream must not be resurrectable from its parked file.
-        RemoveEvictionArchive(config_.state_dir, request_.stream_id);
+      } else {
+        // Nothing refers to the parked record any more, so a recreated
+        // stream of this id starts fresh.
+        park_log_.Forget(state.parked);
       }
       streams_.erase(it);
       ++drops_;
@@ -473,12 +462,27 @@ void ServeEngine::EvictAtBoundary() {
       EvictStream(stream);
     }
   }
+  if (park_log_.NeedsCompaction()) CompactParkLog();
+}
+
+void ServeEngine::CompactParkLog() {
+  std::vector<ParkSlot*> live;
+  for (auto& [id, state] : streams_) {
+    if (state.model == nullptr) live.push_back(&state.parked);
+  }
+  try {
+    park_log_.Compact(std::move(live));
+  } catch (const StateError& e) {
+    // The old log stays in use; the next window tries again.
+    ++state_errors_;
+    std::fprintf(stderr, "dmt_serve: %s\n", e.what());
+  }
 }
 
 bool ServeEngine::EvictStream(StreamState* stream) {
   try {
     serial::SaveClassifierToString(*stream->model, &archive_buffer_);
-    WriteEvictionArchive(config_.state_dir, stream->id, archive_buffer_);
+    stream->parked = park_log_.Append(stream->id, archive_buffer_);
   } catch (const std::exception& e) {
     // Never silently lose state: a stream that cannot be parked stays
     // resident and serving continues.
@@ -538,7 +542,7 @@ void ServeEngine::WriteCheckpoint() {
               return a->id < b->id;
             });
   // Each record is written as soon as it is built: a resident model is
-  // encoded into archive_buffer_, a parked one is copied from its file
+  // encoded into archive_buffer_, a parked one is copied from the park log
   // through the same buffer, so the checkpoint holds one archive at a time.
   try {
     WriteManifest(
@@ -556,7 +560,7 @@ void ServeEngine::WriteCheckpoint() {
           if (record->resident) {
             serial::SaveClassifierToString(*state.model, &archive_buffer_);
           } else {
-            ReadEvictionArchive(config_.state_dir, state.id, &archive_buffer_);
+            park_log_.Read(state.parked, state.id, &archive_buffer_);
           }
           record->archive = archive_buffer_;
         });
@@ -574,7 +578,10 @@ void ServeEngine::WriteCheckpoint() {
 
 void ServeEngine::RecoverFromStateDir() {
   std::optional<Manifest> loaded = LoadNewestManifest(config_.state_dir);
-  if (!loaded.has_value()) return;  // fresh state dir
+  if (!loaded.has_value()) {  // fresh state dir
+    park_log_.Open(config_.state_dir);
+    return;
+  }
   Manifest& m = *loaded;
   // Config-stamp verification: every field below is part of the
   // determinism recipe, so skew is a typed refusal, never a silent reset.
@@ -632,6 +639,10 @@ void ServeEngine::RecoverFromStateDir() {
   state_errors_ = t.state_errors;
   next_checkpoint_seq_ = m.seq + 1;
 
+  // The manifest is the only authority: whatever log a crashed run left
+  // (torn, stale, or per-stream files of an older build) is never read.
+  // Its parked streams are re-appended to a truncated log in one write.
+  park_log_.Open(config_.state_dir);
   std::vector<StreamState*> resident;
   for (ManifestStream& entry : m.streams) {
     StreamState state;
@@ -661,12 +672,8 @@ void ServeEngine::RecoverFromStateDir() {
       ++shard->num_streams;
       *shard->resident_streams = static_cast<double>(shard->num_streams);
       ++resident_;
-    } else if (!ParkedArchiveHolds(config_.state_dir, entry.id,
-                                   entry.archive)) {
-      // Re-materialize the parked file so a later touch can warm-start
-      // without going back to the manifest. A file that already holds
-      // these bytes (the usual case on a restart) is left in place.
-      WriteEvictionArchive(config_.state_dir, entry.id, entry.archive);
+    } else {
+      state.parked = park_log_.Stage(entry.id, entry.archive);
     }
     const auto [it, inserted] = streams_.emplace(entry.id, std::move(state));
     if (!inserted) {
@@ -683,6 +690,7 @@ void ServeEngine::RecoverFromStateDir() {
                      return a->last_touch < b->last_touch;
                    });
   for (StreamState* stream : resident) LruPushBack(stream);
+  park_log_.Flush();
 }
 
 void ServeEngine::ProcessShard(Shard* shard, const std::vector<Routed>& items,

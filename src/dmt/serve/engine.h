@@ -47,6 +47,7 @@
 #include "dmt/serve/exporter.h"
 #include "dmt/serve/request.h"
 #include "dmt/serve/shard.h"
+#include "dmt/serve/state_dir.h"
 
 namespace dmt::serve {
 
@@ -84,7 +85,7 @@ struct ServeConfig {
   std::size_t export_every = 0;
 
   // --- Durability and lifecycle (DESIGN.md Sec. 15) ---
-  // Directory for checkpoint manifests and eviction archives; "" disables
+  // Directory for checkpoint manifests and the park log; "" disables
   // the whole durability layer. When set, the constructor recovers from
   // the newest complete manifest (throwing StateError on corruption or a
   // config-stamp mismatch) and Finish() writes a final checkpoint.
@@ -97,11 +98,13 @@ struct ServeConfig {
   // Requires state_dir.
   std::size_t checkpoint_every = 0;
   // Resident-stream bound: after each window, least-recently-touched
-  // resident streams are evicted (parked to disk) until at most this many
-  // remain. 0 = unbounded. Requires state_dir.
+  // resident streams are evicted (appended to the park log and dropped
+  // from memory) until at most this many remain. 0 = unbounded. Requires
+  // state_dir.
   std::size_t max_streams = 0;
   // TTL: after each window, resident streams untouched for more than this
-  // many windows are evicted. 0 = no TTL. Requires state_dir.
+  // many windows are evicted to the park log. 0 = no TTL. Requires
+  // state_dir.
   std::size_t idle_windows = 0;
   // Deterministic fault injection on the request path: train/score rows
   // are corrupted at these rates by a per-stream Rng seeded
@@ -146,6 +149,8 @@ class ServeEngine {
   std::size_t resident_streams() const { return resident_; }
   std::size_t num_shards() const { return shards_.size(); }
   const Shard& shard(std::size_t i) const { return *shards_[i]; }
+  // The parked streams' records (closed when there is no state dir).
+  const ParkLog& park_log() const { return park_log_; }
   std::uint64_t windows() const { return windows_; }
   std::uint64_t checkpoints() const { return checkpoints_; }
 
@@ -153,9 +158,10 @@ class ServeEngine {
   struct StreamState {
     std::string id;
     std::size_t shard = 0;
-    // Null while the stream is parked on disk (evicted); warm-started
-    // transparently on the next touch.
+    // Null while the stream is parked (evicted); warm-started
+    // transparently on the next touch from its park log record.
     std::unique_ptr<Classifier> model;
+    ParkSlot parked;  // the park log record; meaningful while model is null
     std::uint64_t rows_trained = 0;  // accepted rows, counted at routing
     std::uint64_t last_touch = 0;    // global request ordinal (LRU key)
     std::uint64_t last_window = 0;   // window of the last touch (TTL key)
@@ -164,7 +170,8 @@ class ServeEngine {
     StreamState* lru_prev = nullptr;
     StreamState* lru_next = nullptr;
     // Lazily created on the first injected draw; survives eviction in
-    // memory and checkpoints as textual mt19937_64 state.
+    // memory and checkpoints as an RNG record, (seed, draws) while it is
+    // counted (serial/archive.h).
     std::unique_ptr<Rng> inject_rng;
     // ProcessShard's per-stream grouping: `group` is valid while
     // `group_tag` equals the current window's tag. Only the stream's own
@@ -197,6 +204,7 @@ class ServeEngine {
   void LruUnlink(StreamState* stream);
   void EvictAtBoundary();
   bool EvictStream(StreamState* stream);
+  void CompactParkLog();
   void WriteCheckpoint();
   void RecoverFromStateDir();
   void ExportTelemetry();
@@ -246,8 +254,12 @@ class ServeEngine {
   StreamState* lru_head_ = nullptr;
   StreamState* lru_tail_ = nullptr;
   std::uint64_t next_checkpoint_seq_ = 1;
-  // One model archive at a time: eviction encodes into it and a checkpoint
-  // passes every stream's archive through it. Grow-only.
+  // Parked streams' models, opened (truncated) at startup when there is a
+  // state dir and compacted after a window's evictions once its dead bytes
+  // exceed its live ones.
+  ParkLog park_log_;
+  // One model archive at a time: eviction encodes into it, and warm starts
+  // and checkpoints read parked ones back through it. Grow-only.
   std::string archive_buffer_;
   std::uint64_t evictions_ = 0;
   std::uint64_t warm_starts_ = 0;

@@ -1,8 +1,16 @@
 #include "dmt/serve/state_dir.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <istream>
+#include <ostream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "dmt/robust/failpoint.h"
 
@@ -138,19 +146,44 @@ Manifest DecodeManifest(serial::Reader& reader) {
   return manifest;
 }
 
-// Crash point `manifest.<seq>.<point>` of the manifest writer, with
-// `.<record>` appended when a record index is given (see WriteManifest in
-// the header); free while no failpoint is armed.
-constexpr std::size_t kNoRecord = ~std::size_t{0};
+// Crash point `<prefix>.<n>.<point>`, with `.<index>` appended when an
+// index is given: the manifest writer's `manifest.<seq>.*` (see
+// WriteManifest in the header) and the park log's `park.*`. Free while no
+// failpoint is armed.
+constexpr std::size_t kNoIndex = ~std::size_t{0};
 
-void ManifestCrashPoint(std::uint64_t seq, const char* point,
-                        std::size_t record = kNoRecord) {
+void CrashPoint(const char* prefix, std::uint64_t n, const char* point,
+                std::size_t index = kNoIndex) {
   robust::FailpointRegistry& registry = robust::GlobalFailpoints();
   if (registry.num_armed() == 0) return;
-  std::string name = "manifest." + std::to_string(seq) + ".";
-  name.append(point);
-  if (record != kNoRecord) name.append(".").append(std::to_string(record));
+  std::string name(prefix);
+  name.append(".").append(std::to_string(n)).append(".").append(point);
+  if (index != kNoIndex) name.append(".").append(std::to_string(index));
   DMT_CRASHPOINT(registry.Find(name));
+}
+
+// One eviction record: the bytes of a park log record and of a
+// single-file eviction archive alike.
+void EncodeEvictionRecord(serial::Writer& writer, std::string_view stream_id,
+                          std::string_view archive) {
+  writer.Header(kTagEviction);
+  writer.Str(stream_id);
+  writer.Str(archive);
+}
+
+// Decodes one eviction record into `*archive`. Throws StateError naming
+// `where` when the record holds another stream, SerialError when it is
+// malformed.
+template <typename Where>
+void DecodeEvictionRecord(serial::Reader& reader, std::string_view stream_id,
+                          const Where& where, std::string* archive) {
+  reader.Header(kTagEviction);
+  reader.Str(kMaxStreamId, archive);  // the recorded id, checked first
+  if (*archive != stream_id) {
+    throw StateError(where() + " holds stream '" + *archive + "', expected '" +
+                     std::string(stream_id) + "'");
+  }
+  reader.Str(kMaxArchive, archive);
 }
 
 // Write-to-temp + rename of one encoded payload; shared by the manifest
@@ -229,7 +262,7 @@ void WriteManifest(
     const std::function<void(std::size_t, ManifestRecord*)>& record) {
   EnsureStateDir(dir);
   const std::string path = (fs::path(dir) / ManifestFileName(head.seq)).string();
-  ManifestCrashPoint(head.seq, "before_open");
+  CrashPoint("manifest", head.seq, "before_open");
   AtomicPublish(
       path, "checkpoint manifest",
       [&](serial::Writer& writer) {
@@ -238,11 +271,11 @@ void WriteManifest(
         for (std::size_t i = 0; i < num_streams; ++i) {
           record(i, &next);
           EncodeRecord(writer, next);
-          ManifestCrashPoint(head.seq, "after_record", i);
+          CrashPoint("manifest", head.seq, "after_record", i);
         }
       },
-      [&head] { ManifestCrashPoint(head.seq, "before_rename"); });
-  ManifestCrashPoint(head.seq, "before_prune");
+      [&head] { CrashPoint("manifest", head.seq, "before_rename"); });
+  CrashPoint("manifest", head.seq, "before_prune");
   // Prune: keep this manifest and its predecessor (the spare covers the
   // window between two checkpoints where the newest could be the one a
   // concurrent reader -- a backup script, say -- is still copying).
@@ -296,22 +329,13 @@ void WriteEvictionArchive(const std::string& dir, const std::string& stream_id,
   AtomicPublish(
       path, "eviction archive",
       [&stream_id, &archive](serial::Writer& writer) {
-        writer.Header(kTagEviction);
-        writer.Str(stream_id);
-        writer.Str(archive);
+        EncodeEvictionRecord(writer, stream_id, archive);
       },
       [] {});
 }
 
 std::string ReadEvictionArchive(const std::string& dir,
                                 const std::string& stream_id) {
-  std::string archive;
-  ReadEvictionArchive(dir, stream_id, &archive);
-  return archive;
-}
-
-void ReadEvictionArchive(const std::string& dir, const std::string& stream_id,
-                         std::string* archive) {
   const std::string path =
       (fs::path(dir) / "evicted" / EvictionFileName(stream_id)).string();
   std::ifstream in(path, std::ios::binary);
@@ -319,24 +343,193 @@ void ReadEvictionArchive(const std::string& dir, const std::string& stream_id,
     throw StateError("no eviction archive for stream '" + stream_id +
                      "': " + path);
   }
+  std::string archive;
   try {
     serial::Reader reader(in);
-    reader.Header(kTagEviction);
-    const std::string recorded = reader.Str(kMaxStreamId);
-    if (recorded != stream_id) {
-      throw StateError("eviction archive " + path + " holds stream '" +
-                       recorded + "', expected '" + stream_id + "'");
-    }
-    reader.Str(kMaxArchive, archive);
+    DecodeEvictionRecord(
+        reader, stream_id, [&path] { return "eviction archive " + path; },
+        &archive);
   } catch (const serial::SerialError& e) {
     throw StateError("corrupt eviction archive " + path + ": " + e.what());
   }
+  return archive;
 }
 
-void RemoveEvictionArchive(const std::string& dir,
-                           const std::string& stream_id) {
-  std::error_code ec;
-  fs::remove(fs::path(dir) / "evicted" / EvictionFileName(stream_id), ec);
+namespace {
+
+// pwrite / pread of all `size` bytes, retrying short transfers; false on
+// an error or (pread) the end of the file.
+bool WriteAll(int fd, const char* data, std::size_t size, off_t offset) {
+  while (size > 0) {
+    const ssize_t n = ::pwrite(fd, data, size, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
+bool ReadAll(int fd, char* data, std::size_t size, off_t offset) {
+  while (size > 0) {
+    const ssize_t n = ::pread(fd, data, size, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
+std::string Errno() { return std::strerror(errno); }
+
+}  // namespace
+
+ParkLog::~ParkLog() { Close(); }
+
+void ParkLog::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+void ParkLog::Open(const std::string& dir) {
+  Close();
+  path_ = (fs::path(dir) / "evicted" / "parked.log").string();
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
+    throw StateError("cannot open park log " + path_ + ": " + Errno());
+  }
+  live_bytes_ = 0;
+  dead_bytes_ = 0;
+  appends_ = 0;
+  compactions_ = 0;
+  staged_.clear();
+}
+
+ParkSlot ParkLog::Stage(std::string_view stream_id, std::string_view archive) {
+  const std::size_t begin = staged_.size();
+  serial::StringSink sink(&staged_);
+  std::ostream out(&sink);
+  serial::Writer writer(out);
+  EncodeEvictionRecord(writer, stream_id, archive);
+  return {live_bytes_ + dead_bytes_ + begin, staged_.size() - begin};
+}
+
+void ParkLog::Flush() {
+  const std::uint64_t end = live_bytes_ + dead_bytes_;
+  const bool written =
+      fd_ >= 0 && WriteAll(fd_, staged_.data(), staged_.size(),
+                           static_cast<off_t>(end));
+  const std::size_t size = staged_.size();
+  staged_.clear();
+  if (!written) {
+    throw StateError("cannot append to park log " + path_ + ": " + Errno());
+  }
+  live_bytes_ += size;
+}
+
+ParkSlot ParkLog::Append(std::string_view stream_id, std::string_view archive) {
+  const ParkSlot slot = Stage(stream_id, archive);
+  Flush();
+  CrashPoint("park", ++appends_, "after_append");
+  return slot;
+}
+
+void ParkLog::Read(const ParkSlot& slot, std::string_view stream_id,
+                   std::string* archive) {
+  // Built only for an error: a warm start reads on the request path.
+  const auto where = [&slot, this] {
+    return "park log record at offset " + std::to_string(slot.offset) +
+           " of " + path_;
+  };
+  record_.resize(slot.size);
+  if (!ReadAll(fd_, record_.data(), record_.size(),
+               static_cast<off_t>(slot.offset))) {
+    throw StateError(where() + " is cut short");
+  }
+  serial::ViewSource source(record_);
+  std::istream in(&source);
+  try {
+    serial::Reader reader(in);
+    DecodeEvictionRecord(reader, stream_id, where, archive);
+  } catch (const serial::SerialError& e) {
+    throw StateError("corrupt " + where() + ": " + e.what());
+  }
+  if (source.remaining() != 0) {
+    throw StateError(where() + " has " + std::to_string(source.remaining()) +
+                     " bytes past its end");
+  }
+}
+
+void ParkLog::Forget(const ParkSlot& slot) {
+  live_bytes_ -= slot.size;
+  dead_bytes_ += slot.size;
+}
+
+void ParkLog::Compact(std::vector<ParkSlot*> order) {
+  std::sort(order.begin(), order.end(),
+            [](const ParkSlot* a, const ParkSlot* b) {
+              return a->offset < b->offset;
+            });
+  const std::string tmp = path_ + ".tmp";
+  const int out = ::open(tmp.c_str(),
+                         O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (out < 0) {
+    throw StateError("cannot compact park log: " + tmp + ": " + Errno());
+  }
+  // Copies the records in bounded chunks; their new offsets are applied
+  // only once the rewritten log has replaced the old one.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  std::vector<std::uint64_t> offsets;
+  offsets.reserve(order.size());
+  std::uint64_t written = 0;
+  std::string failure;
+  staged_.clear();
+  for (const ParkSlot* slot : order) {
+    offsets.push_back(written + staged_.size());
+    const std::size_t at = staged_.size();
+    staged_.resize(at + slot->size);
+    if (!ReadAll(fd_, staged_.data() + at, slot->size,
+                 static_cast<off_t>(slot->offset))) {
+      failure = "record at offset " + std::to_string(slot->offset) +
+                " is cut short";
+      break;
+    }
+    if (staged_.size() >= kChunk) {
+      if (!WriteAll(out, staged_.data(), staged_.size(),
+                    static_cast<off_t>(written))) {
+        failure = Errno();
+        break;
+      }
+      written += staged_.size();
+      staged_.clear();
+    }
+  }
+  if (failure.empty()) {
+    if (WriteAll(out, staged_.data(), staged_.size(),
+                 static_cast<off_t>(written))) {
+      written += staged_.size();
+    } else {
+      failure = Errno();
+    }
+  }
+  staged_.clear();
+  if (failure.empty()) {
+    CrashPoint("park.compact", ++compactions_, "before_rename");
+    if (std::rename(tmp.c_str(), path_.c_str()) != 0) failure = Errno();
+  }
+  if (!failure.empty()) {
+    ::close(out);
+    std::remove(tmp.c_str());
+    throw StateError("cannot compact park log " + path_ + ": " + failure);
+  }
+  Close();
+  fd_ = out;
+  for (std::size_t i = 0; i < order.size(); ++i) order[i]->offset = offsets[i];
+  live_bytes_ = written;
+  dead_bytes_ = 0;
 }
 
 }  // namespace dmt::serve

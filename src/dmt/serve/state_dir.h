@@ -1,6 +1,6 @@
 // Durability layer of the serving engine (DESIGN.md Sec. 15): engine-wide
-// checkpoint manifests plus per-stream eviction archives, both living in
-// one `--state-dir` directory.
+// checkpoint manifests plus the park log of evicted streams, both living
+// in one `--state-dir` directory.
 //
 // A *manifest* is a single self-contained file holding the full engine
 // state at one window boundary: a config stamp (model kind, dimensions,
@@ -13,16 +13,20 @@
 // complete manifest; a crash mid-write leaves a stale `.tmp` behind and
 // the previous manifest intact.
 //
-// An *eviction archive* parks one idle stream's model on disk
-// (`evicted/<sanitized>-<fnv64>.dmts`). The file wraps the raw serial
-// archive with the stream id, which is verified on load, so a filename
-// hash collision (or a stale file from a dropped stream) surfaces as a
-// typed error instead of silently warm-starting the wrong model.
+// The *park log* (`evicted/parked.log`) holds the models of idle streams
+// that eviction took out of memory: one append-only file, one *eviction
+// record* per parked stream. A record wraps the raw serial archive with
+// the stream id, which is verified on load, so a record read from the
+// wrong place surfaces as a typed error instead of silently warm-starting
+// the wrong model. The log is scratch space, never a recovery source: a
+// restart truncates it and re-appends the parked streams of the manifest.
+// The same record, alone in `evicted/<sanitized>-<fnv64>.dmts`, is the
+// single-file form of older builds (WriteEvictionArchive).
 //
 // Every failure mode of this layer -- unreadable directory, truncated or
-// bit-flipped manifest, version skew, config-stamp mismatch, foreign
-// eviction archive -- raises StateError. Nothing here aborts, and decode
-// hardening is inherited from serial::Reader (bounds-checked reads,
+// bit-flipped manifest, version skew, config-stamp mismatch, foreign or
+// corrupt eviction record -- raises StateError. Nothing here aborts, and
+// decode hardening is inherited from serial::Reader (bounds-checked reads,
 // capped counts).
 #ifndef DMT_SERVE_STATE_DIR_H_
 #define DMT_SERVE_STATE_DIR_H_
@@ -132,7 +136,7 @@ struct ManifestRecord {
 std::string ManifestFileName(std::uint64_t seq);
 
 // Collision-resistant, filesystem-safe file name for one stream's
-// eviction archive: a sanitized prefix of the id plus the 16-hex-digit
+// single-file eviction archive: a sanitized prefix of the id plus the 16-hex-digit
 // FNV-1a of the full id (ids are arbitrary request tokens and may contain
 // '/', '..', etc.). The id stored *inside* the file is authoritative.
 std::string EvictionFileName(const std::string& stream_id);
@@ -172,26 +176,90 @@ void WriteManifest(
 // to guess, it never silently falls back to an older checkpoint.
 std::optional<Manifest> LoadNewestManifest(const std::string& dir);
 
-// Parks one stream's serial archive in dir/evicted/ (write-to-temp +
-// rename). `archive` holds the raw model archive bytes. Throws StateError
-// on write failure.
+// Where one parked stream's eviction record lies in the park log.
+struct ParkSlot {
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+};
+
+// The park log: `dir/evicted/parked.log`, opened once and written only by
+// appending records (pwrite at the tracked end, so bytes past it -- a torn
+// append -- are simply overwritten by the next one). Taking a record back
+// (warm start, drop) only marks its bytes dead; Compact rewrites the live
+// records into `parked.log.tmp` and renames it over the log. Not
+// thread-safe: the serving engine calls it from its routing thread only.
+//
+// Two crash points (robust/failpoint.h), armed like the manifest's:
+//   park.<k>.after_append            after the k-th Append (1-based)
+//   park.compact.<k>.before_rename   between the k-th compaction's write
+//                                    and its rename
+class ParkLog {
+ public:
+  ParkLog() = default;
+  ~ParkLog();
+  ParkLog(const ParkLog&) = delete;
+  ParkLog& operator=(const ParkLog&) = delete;
+
+  // Opens dir/evicted/parked.log truncated to empty (creating it), closing
+  // any log opened before. Throws StateError.
+  void Open(const std::string& dir);
+
+  // Queues one record in memory and returns where it will lie; Flush
+  // writes every queued record with one write. Recovery rebuilds the log
+  // this way. Throws StateError when the write fails; the queued slots
+  // are then void and the log is as before.
+  ParkSlot Stage(std::string_view stream_id, std::string_view archive);
+  void Flush();
+  // Stage + Flush of one record.
+  ParkSlot Append(std::string_view stream_id, std::string_view archive);
+
+  // Reads the record at `slot` back into `*archive`, replacing its
+  // contents but keeping its capacity. Throws StateError when the record
+  // is cut short, malformed, longer than `slot`, or holds another stream.
+  void Read(const ParkSlot& slot, std::string_view stream_id,
+            std::string* archive);
+
+  // Marks the record at `slot` dead; its bytes stay until a compaction.
+  void Forget(const ParkSlot& slot);
+
+  // Dead bytes exceed live ones: a compaction would at least halve the log.
+  bool NeedsCompaction() const { return dead_bytes_ > live_bytes_; }
+  // Rewrites the records at `live` (every live slot, in any order) back to
+  // back in log order and moves each slot to its new offset. Throws
+  // StateError on failure, leaving the log and every slot unchanged.
+  void Compact(std::vector<ParkSlot*> live);
+
+  std::uint64_t live_bytes() const { return live_bytes_; }
+  std::uint64_t dead_bytes() const { return dead_bytes_; }
+
+ private:
+  void Close();
+
+  std::string path_;
+  int fd_ = -1;
+  // The log's length is live_bytes_ + dead_bytes_: every byte written is
+  // one or the other.
+  std::uint64_t live_bytes_ = 0;
+  std::uint64_t dead_bytes_ = 0;
+  std::uint64_t appends_ = 0;      // Append calls since Open (crash points)
+  std::uint64_t compactions_ = 0;  // Compact calls since Open
+  std::string staged_;             // queued records; compaction output
+  std::string record_;             // one record read back
+};
+
+// Single-file form of one eviction record, `dir/evicted/` +
+// EvictionFileName(stream_id), written to temp + renamed. Older builds
+// parked every stream this way; the serving engine no longer calls these,
+// and only the benchmark probe (perfbench/trace.cc) still times them.
+// Throws StateError on write failure.
 void WriteEvictionArchive(const std::string& dir, const std::string& stream_id,
                           const std::string& archive);
 
-// Loads a parked stream's archive bytes back, verifying the id recorded
+// Loads a single-file eviction archive back, verifying the id recorded
 // inside the file. Throws StateError if the file is missing, malformed,
 // or holds a different stream.
 std::string ReadEvictionArchive(const std::string& dir,
                                 const std::string& stream_id);
-// The same into `*archive`, replacing its contents but keeping its
-// capacity.
-void ReadEvictionArchive(const std::string& dir, const std::string& stream_id,
-                         std::string* archive);
-
-// Deletes a parked stream's archive (a dropped stream must not be
-// resurrectable from disk). Missing files are ignored.
-void RemoveEvictionArchive(const std::string& dir,
-                           const std::string& stream_id);
 
 }  // namespace dmt::serve
 

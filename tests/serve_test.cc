@@ -20,7 +20,6 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -837,10 +836,137 @@ TEST(ServeDurabilityTest, LruEvictionBoundsResidentStreams) {
   EXPECT_GT(warm_starts, 0u);
 }
 
+std::string ParkLogPath(const std::string& state_dir) {
+  return state_dir + "/evicted/parked.log";
+}
+
+// `drop` of a parked stream forgets its park log record: the recreated
+// stream starts fresh, and the next manifest does not list the dropped one.
+TEST(ServeDurabilityTest, DroppedParkedStreamCannotBeResurrected) {
+  const std::string dir = FreshStateDir("serve_drop_parked");
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.batch_window = 1;
+  config.model_kind = "GLM";
+  config.state_dir = dir;
+  config.max_streams = 1;
+  config.factory = GlmFactory(2, 2);
+  serve::ServeEngine engine(config);
+  std::vector<std::string> out = SplitLines(RunLines(
+      &engine, {"train u 0.2,0.8,1", "train u 0.7,0.3,0", "train v 0.5,0.5,1",
+                "drop u"}));
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[3], "OK drop u");
+  EXPECT_EQ(engine.num_streams(), 1u);
+  EXPECT_EQ(engine.park_log().live_bytes(), 0u);  // v is resident
+  const std::optional<serve::Manifest> manifest = serve::LoadNewestManifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->streams.size(), 1u);
+  EXPECT_EQ(manifest->streams[0].id, "v");
+
+  // The recreated u trains from n=1 and scores like a never-seen stream.
+  out = SplitLines(
+      RunLines(&engine, {"train u 0.1,0.1,0", "score u 0.4,0.6"}));
+  serve::ServeConfig fresh_config = config;
+  fresh_config.state_dir.clear();
+  fresh_config.max_streams = 0;
+  serve::ServeEngine fresh(fresh_config);
+  const std::vector<std::string> expected = SplitLines(
+      RunLines(&fresh, {"train u 0.1,0.1,0", "score u 0.4,0.6"}));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], "OK train u n=1");
+  EXPECT_EQ(out, expected);
+}
+
+// 5000 evict/warm-start cycles: six streams round robin over three
+// resident slots, one request per window, so every window warm-starts one
+// stream and parks another. Compaction keeps the log at most twice its
+// live bytes plus one record after every window, and it is byte-invisible:
+// the responses and the final manifest match an engine that never evicts,
+// up to which streams are resident and the eviction tallies.
+TEST(ServeDurabilityTest, CompactionBoundsTheParkLogInvisibly) {
+  std::vector<std::string> script;
+  for (std::size_t i = 0; i < 5000; ++i) {
+    const std::string id = std::string("c").append(std::to_string(i % 6));
+    const double x = static_cast<double>(i % 97) / 97.0;
+    std::ostringstream line;
+    if (i % 3 == 2) {
+      line << "score " << id << ' ' << x << ",0.5";
+    } else {
+      line << "train " << id << ' ' << x << ",0.5," << (i / 6) % 2;
+    }
+    script.push_back(line.str());
+  }
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.batch_window = 1;
+  config.model_kind = "GLM";
+  config.checkpoint_every = 500;
+  config.factory = GlmFactory(2, 2);
+
+  serve::ServeConfig unbounded_config = config;
+  unbounded_config.state_dir = FreshStateDir("serve_compact_ref");
+  serve::ServeEngine unbounded(unbounded_config);
+  const std::string expected = RunLines(&unbounded, script);
+
+  config.state_dir = FreshStateDir("serve_compact");
+  config.max_streams = 3;
+  serve::ServeEngine engine(config);
+  const serve::ParkLog& log = engine.park_log();
+  std::ostringstream out;
+  std::uint64_t record = 0;  // one GLM stream's record size
+  std::size_t compactions = 0;
+  for (const std::string& line : script) {
+    const std::uint64_t dead_before = log.dead_bytes();
+    engine.ServeLine(line, out);
+    if (dead_before > 0 && log.dead_bytes() == 0) ++compactions;
+    if (record == 0 && log.live_bytes() > 0) record = log.live_bytes();
+    const std::uint64_t size = std::filesystem::file_size(ParkLogPath(
+        config.state_dir));
+    ASSERT_EQ(size, log.live_bytes() + log.dead_bytes()) << line;
+    ASSERT_LE(size, 2 * log.live_bytes() + record) << line;
+  }
+  engine.Finish(out);
+  EXPECT_EQ(out.str(), expected);
+  EXPECT_EQ(log.live_bytes(), 3 * record);
+  EXPECT_GT(compactions, 1000u);
+
+  const std::optional<serve::Manifest> bounded_manifest =
+      serve::LoadNewestManifest(config.state_dir);
+  const std::optional<serve::Manifest> unbounded_manifest =
+      serve::LoadNewestManifest(unbounded_config.state_dir);
+  ASSERT_TRUE(bounded_manifest.has_value());
+  ASSERT_TRUE(unbounded_manifest.has_value());
+  const serve::Manifest& a = *bounded_manifest;
+  const serve::Manifest& b = *unbounded_manifest;
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_GE(a.tallies.evictions, 4997u);
+  EXPECT_GE(a.tallies.warm_starts, 4994u);
+  EXPECT_EQ(b.tallies.evictions, 0u);
+  EXPECT_EQ(a.tallies.requests, b.tallies.requests);
+  EXPECT_EQ(a.tallies.train_rows, b.tallies.train_rows);
+  EXPECT_EQ(a.tallies.checkpoints, b.tallies.checkpoints);
+  EXPECT_EQ(a.tallies.state_errors, 0u);
+  ASSERT_EQ(a.streams.size(), b.streams.size());
+  std::size_t parked = 0;
+  for (std::size_t i = 0; i < a.streams.size(); ++i) {
+    SCOPED_TRACE(a.streams[i].id);
+    EXPECT_EQ(a.streams[i].id, b.streams[i].id);
+    EXPECT_EQ(a.streams[i].rows_trained, b.streams[i].rows_trained);
+    EXPECT_EQ(a.streams[i].last_touch, b.streams[i].last_touch);
+    EXPECT_EQ(a.streams[i].archive, b.streams[i].archive);
+    if (!a.streams[i].resident) ++parked;
+  }
+  EXPECT_EQ(parked, 3u);
+}
+
 // A DMT archive ends in its RNG record: the counted form is one byte, the
 // seed and the draw count. Three hostile records -- draws above the bound,
 // an unknown form, the record cut short -- each make a restore and a warm
-// start answer ERR, and the server keeps serving.
+// start answer ERR, and the server keeps serving. For the warm start the
+// parked stream's record is corrupted in place in the park log.
 TEST(ServeDurabilityTest, HostileRngRecordsAnswerErrAndServingContinues) {
   const std::string dir = FreshStateDir("serve_hostile_rng");
   const std::string path = ::testing::TempDir() + "serve_hostile_rng.dmt";
@@ -854,21 +980,26 @@ TEST(ServeDurabilityTest, HostileRngRecordsAnswerErrAndServingContinues) {
   serve::ServeEngine engine(config);
   RunLines(&engine, {"train r 0.1,0.9,1", "snapshot r " + path});
   const std::string valid = ReadFileBytes(path);
-  const std::size_t record = valid.size() - 17;
-  ASSERT_EQ(valid[record],
-            static_cast<char>(serial::RngForm::kCounted));
-  std::string over_bound = valid;
-  const std::uint64_t draws = serial::kMaxRngDraws + 1;
-  for (int i = 0; i < 8; ++i) {
-    over_bound[record + 9 + i] = static_cast<char>(draws >> (8 * i));
-  }
-  std::string unknown_form = valid;
-  unknown_form[record] = 2;
-  const std::string truncated = valid.substr(0, record + 12);
+  // Makes `bytes`, whose RNG record starts at `record`, hostile case
+  // `which`.
+  const auto corrupt = [](int which, std::size_t record, std::string* bytes) {
+    ASSERT_EQ((*bytes)[record], static_cast<char>(serial::RngForm::kCounted));
+    if (which == 0) {
+      const std::uint64_t draws = serial::kMaxRngDraws + 1;
+      for (int i = 0; i < 8; ++i) {
+        (*bytes)[record + 9 + i] = static_cast<char>(draws >> (8 * i));
+      }
+    } else if (which == 1) {
+      (*bytes)[record] = 2;  // unknown form
+    } else {
+      bytes->resize(record + 12);  // truncated
+    }
+  };
 
-  int case_index = 0;
-  for (const std::string& hostile : {over_bound, unknown_form, truncated}) {
-    SCOPED_TRACE(case_index);
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE(which);
+    std::string hostile = valid;
+    corrupt(which, valid.size() - 17, &hostile);
     EXPECT_THROW(serial::LoadClassifierFromString(hostile),
                  serial::SerialError);
     {
@@ -881,17 +1012,24 @@ TEST(ServeDurabilityTest, HostileRngRecordsAnswerErrAndServingContinues) {
     EXPECT_EQ(out[0].rfind("ERR", 0), 0u) << out[0];
     EXPECT_EQ(out[1].rfind("OK score r", 0), 0u) << out[1];
 
-    // Park a fresh stream (max_streams 1), swap its parked archive for the
-    // hostile one, and touch it again.
-    const std::string id = "w" + std::to_string(case_index++);
+    // Park a fresh stream (max_streams 1): its record is the newest in the
+    // log, so the log ends in its archive's RNG record. Corrupt that in
+    // place and touch the stream again.
+    const std::string id = "w" + std::to_string(which);
     RunLines(&engine, {"train " + id + " 0.3,0.3,0", "train r 0.4,0.4,1"});
     ASSERT_LE(engine.resident_streams(), 1u);
-    serve::WriteEvictionArchive(dir, id, hostile);
+    std::string log = ReadFileBytes(ParkLogPath(dir));
+    ASSERT_GT(log.size(), 17u);
+    corrupt(which, log.size() - 17, &log);
+    {
+      std::ofstream file(ParkLogPath(dir), std::ios::binary | std::ios::trunc);
+      file << log;
+    }
     out = SplitLines(RunLines(
         &engine, {"score " + id + " 0.2,0.5", "train r 0.5,0.5,0"}));
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].rfind("ERR warm_start " + id, 0), 0u) << out[0];
-    EXPECT_EQ(out[1], "OK train r n=" + std::to_string(1 + 2 * case_index))
+    EXPECT_EQ(out[1], "OK train r n=" + std::to_string(3 + 2 * which))
         << out[1];
   }
 }
@@ -1052,18 +1190,26 @@ TEST(ServeDurabilityTest, RecoveryWithEvictionIsShardInvariant) {
   EXPECT_EQ(tails[0], tails[1]);
 }
 
-// Inode of `path`, or 0 when it cannot be stat'ed. A rewrite publishes a
-// new file by rename, so an unchanged inode means the file was left alone.
-ino_t InodeOf(const std::string& path) {
-  struct stat info;
-  return ::stat(path.c_str(), &info) == 0 ? info.st_ino : 0;
+// The serial encoding of `id` as a record field: its u64 length, then its
+// bytes. The newest match in a park log is the id of the stream's newest
+// record.
+std::string EncodedId(const std::string& id) {
+  std::string bytes(8, '\0');
+  for (int i = 0; i < 8; ++i) {
+    bytes[static_cast<std::size_t>(i)] =
+        static_cast<char>(static_cast<std::uint64_t>(id.size()) >> (8 * i));
+  }
+  return bytes + id;
 }
 
-TEST(ServeDurabilityTest, RecoveryRewritesOnlyParkedFilesThatDiffer) {
+TEST(ServeDurabilityTest, RecoveryRebuildsTheParkLogFromTheManifest) {
   // 12 streams over 3 resident slots; checkpoints every 4 windows of 8, so
   // the newest manifest of a run abandoned after request 96 covers exactly
   // those 96 and parks 9 streams. The tail then scores every stream once,
-  // warm-starting each parked one from its file.
+  // warm-starting each parked one from the rebuilt log. Whatever the
+  // crashed run left in evicted/ -- no log, half a log, another run's log,
+  // per-stream files of an older build -- the restart continues byte for
+  // byte.
   std::vector<std::string> script = RevisitingScript(96, 12);
   const std::size_t covered = 96;
   for (int s = 0; s < 12; ++s) {
@@ -1088,78 +1234,65 @@ TEST(ServeDurabilityTest, RecoveryRewritesOnlyParkedFilesThatDiffer) {
       SplitLines(RunLines(&reference, script));
   ASSERT_EQ(expected.size(), script.size());
 
-  const std::string dir = FreshStateDir("serve_reparked");
-  config.state_dir = dir;
-  {
-    serve::ServeEngine doomed(config);
-    std::ostringstream sink;
-    for (std::size_t i = 0; i < covered; ++i) doomed.ServeLine(script[i], sink);
-  }
-  const std::optional<serve::Manifest> manifest =
-      serve::LoadNewestManifest(dir);
-  ASSERT_TRUE(manifest.has_value());
-  ASSERT_EQ(manifest->tallies.requests, covered);
-  std::vector<const serve::ManifestStream*> parked;
-  for (const serve::ManifestStream& entry : manifest->streams) {
-    if (!entry.resident) parked.push_back(&entry);
-  }
-  ASSERT_GE(parked.size(), 6u);
-  const auto path_of = [&dir](const std::string& id) {
-    return dir + "/evicted/" + serve::EvictionFileName(id);
-  };
-  for (const serve::ManifestStream* entry : parked) {
-    ASSERT_EQ(serve::ReadEvictionArchive(dir, entry->id), entry->archive);
-  }
+  const char* const kTampers[] = {"delete", "truncate", "swap", "old files"};
+  for (const std::string tamper : kTampers) {
+    SCOPED_TRACE(tamper);
+    const std::string dir = FreshStateDir("serve_reparked");
+    config.state_dir = dir;
+    {
+      serve::ServeEngine doomed(config);
+      std::ostringstream sink;
+      for (std::size_t i = 0; i < covered; ++i) {
+        doomed.ServeLine(script[i], sink);
+      }
+    }
+    const std::optional<serve::Manifest> manifest =
+        serve::LoadNewestManifest(dir);
+    ASSERT_TRUE(manifest.has_value());
+    ASSERT_EQ(manifest->tallies.requests, covered);
+    std::vector<const serve::ManifestStream*> parked;
+    std::uint64_t parked_bytes = 0;
+    for (const serve::ManifestStream& entry : manifest->streams) {
+      if (entry.resident) continue;
+      parked.push_back(&entry);
+      // Header (magic, version, tag), then the id and the archive, each
+      // after its u64 length.
+      parked_bytes += 12 + 8 + entry.id.size() + 8 + entry.archive.size();
+    }
+    ASSERT_GE(parked.size(), 6u);
 
-  // Tamper with four parked files; the rest stay identical.
-  const serve::ManifestStream& missing = *parked[0];
-  const serve::ManifestStream& truncated = *parked[1];
-  const serve::ManifestStream& foreign = *parked[2];
-  const serve::ManifestStream& stale = *parked[3];
-  std::filesystem::remove(path_of(missing.id));
-  const std::string whole = ReadFileBytes(path_of(truncated.id));
-  std::ofstream(path_of(truncated.id), std::ios::binary | std::ios::trunc)
-      .write(whole.data(), static_cast<std::streamsize>(whole.size() / 2));
-  std::filesystem::copy_file(
-      path_of(parked[4]->id), path_of(foreign.id),
-      std::filesystem::copy_options::overwrite_existing);
-  {
-    // Stale: this stream's model one training row away from the manifest.
-    std::unique_ptr<Classifier> model =
-        serial::LoadClassifierFromString(stale.archive);
-    const double row[] = {0.5, 0.5};
-    Batch batch(2);
-    batch.Add(row, 1);
-    model->PartialFit(batch);
-    const std::string newer = serial::SaveClassifierToString(*model);
-    ASSERT_NE(newer, stale.archive);
-    serve::WriteEvictionArchive(dir, stale.id, newer);
-  }
-  std::vector<ino_t> untouched;
-  for (std::size_t i = 4; i < parked.size(); ++i) {
-    untouched.push_back(InodeOf(path_of(parked[i]->id)));
-    ASSERT_NE(untouched.back(), 0u);
-  }
+    const std::string log = ParkLogPath(dir);
+    if (tamper == "delete") {
+      ASSERT_TRUE(std::filesystem::remove(log));
+    } else if (tamper == "truncate") {
+      std::filesystem::resize_file(log, std::filesystem::file_size(log) / 2);
+    } else if (tamper == "swap") {
+      std::filesystem::copy_file(
+          ParkLogPath(reference_config.state_dir), log,
+          std::filesystem::copy_options::overwrite_existing);
+    } else {
+      // Every parked stream's single file holds the next one's model.
+      for (std::size_t i = 0; i < parked.size(); ++i) {
+        serve::WriteEvictionArchive(
+            dir, parked[i]->id, parked[(i + 1) % parked.size()]->archive);
+      }
+    }
 
-  serve::ServeEngine recovered(config);
-  for (const serve::ManifestStream* entry :
-       {&missing, &truncated, &foreign, &stale}) {
-    EXPECT_EQ(serve::ReadEvictionArchive(dir, entry->id), entry->archive)
-        << entry->id;
-  }
-  for (std::size_t i = 4; i < parked.size(); ++i) {
-    EXPECT_EQ(InodeOf(path_of(parked[i]->id)), untouched[i - 4])
-        << "identical parked file of " << parked[i]->id << " was rewritten";
-  }
-  std::ostringstream out;
-  for (std::size_t i = covered; i < script.size(); ++i) {
-    recovered.ServeLine(script[i], out);
-  }
-  recovered.Finish(out);
-  const std::vector<std::string> tail = SplitLines(out.str());
-  ASSERT_EQ(tail.size(), script.size() - covered);
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_EQ(tail[i], expected[covered + i]) << "response " << (covered + i);
+    serve::ServeEngine recovered(config);
+    // Rebuilt with exactly the manifest's parked streams, nothing dead.
+    EXPECT_EQ(recovered.park_log().live_bytes(), parked_bytes);
+    EXPECT_EQ(recovered.park_log().dead_bytes(), 0u);
+    EXPECT_EQ(std::filesystem::file_size(log), parked_bytes);
+    std::ostringstream out;
+    for (std::size_t i = covered; i < script.size(); ++i) {
+      recovered.ServeLine(script[i], out);
+    }
+    recovered.Finish(out);
+    const std::vector<std::string> tail = SplitLines(out.str());
+    ASSERT_EQ(tail.size(), script.size() - covered);
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(tail[i], expected[covered + i]) << "response " << (covered + i);
+    }
   }
 }
 
@@ -1173,9 +1306,10 @@ std::uint64_t StatsField(const std::string& line, const std::string& name) {
 }
 
 TEST(ServeDurabilityTest, FailedCheckpointKeepsThePreviousManifest) {
-  // Checkpoints every 4 windows of 8: request 96 publishes manifest 3. The
-  // parked file of the stream listed last is then deleted, so the next
-  // checkpoint fails after every other record went into its temp file.
+  // Checkpoints every 4 windows of 8: request 96 publishes manifest 3. A
+  // byte of the id in the park log record of the parked stream listed last
+  // is then flipped, so the next checkpoint fails after every other record
+  // went into its temp file.
   const std::size_t covered = 96;
   std::vector<std::string> script = RevisitingScript(covered, 12);
 
@@ -1202,8 +1336,14 @@ TEST(ServeDurabilityTest, FailedCheckpointKeepsThePreviousManifest) {
   }
   ASSERT_FALSE(victim.empty());
   ASSERT_NE(victim, before->streams.front().id);
-  ASSERT_TRUE(std::filesystem::remove(dir + "/evicted/" +
-                                      serve::EvictionFileName(victim)));
+  {
+    std::string log = ReadFileBytes(ParkLogPath(dir));
+    const std::size_t at = log.rfind(EncodedId(victim));
+    ASSERT_NE(at, std::string::npos);
+    log[at + 8] = static_cast<char>(log[at + 8] ^ 0x20);  // 's' -> 'S'
+    std::ofstream file(ParkLogPath(dir), std::ios::binary | std::ios::trunc);
+    file << log;
+  }
 
   // Four more windows that never touch the victim, then `stats`.
   for (const std::string& line : RevisitingScript(400, 12)) {

@@ -224,13 +224,13 @@ TEST(StateDirTest, FormatVersionSkewIsATypedError) {
 
 // ------------------------------------------------------ eviction archives
 
-TEST(StateDirTest, EvictionArchiveRoundTripAndRemoval) {
+TEST(StateDirTest, EvictionArchiveRoundTrip) {
   const std::string dir = FreshDir("state_evict");
   serve::EnsureStateDir(dir);
   serve::WriteEvictionArchive(dir, "user/42", "parked-model-bytes");
   EXPECT_EQ(serve::ReadEvictionArchive(dir, "user/42"), "parked-model-bytes");
-  serve::RemoveEvictionArchive(dir, "user/42");
-  EXPECT_THROW(serve::ReadEvictionArchive(dir, "user/42"), serve::StateError);
+  // A stream that was never parked has no file: a typed error.
+  EXPECT_THROW(serve::ReadEvictionArchive(dir, "user/43"), serve::StateError);
 }
 
 TEST(StateDirTest, ForeignEvictionArchiveIsDetected) {
@@ -269,6 +269,146 @@ TEST(StateDirTest, EvictionFileNamesAreSafeAndDistinct) {
   std::string long_b = long_a;
   long_b.back() = 'y';
   EXPECT_NE(serve::EvictionFileName(long_a), serve::EvictionFileName(long_b));
+}
+
+// ------------------------------------------------------------ park log
+
+std::string ParkLogPath(const std::string& dir) {
+  return dir + "/evicted/parked.log";
+}
+
+// A park log record holds exactly the bytes of a single-file eviction
+// archive: header, id, archive.
+TEST(ParkLogTest, RecordsAreTheSingleFileArchiveBytes) {
+  const std::string dir = FreshDir("park_log_bytes");
+  serve::EnsureStateDir(dir);
+  serve::WriteEvictionArchive(dir, "user/42", "parked-model-bytes");
+  serve::ParkLog log;
+  log.Open(dir);
+  const serve::ParkSlot slot = log.Append("user/42", "parked-model-bytes");
+  EXPECT_EQ(slot.offset, 0u);
+  EXPECT_EQ(ReadFileBytes(ParkLogPath(dir)),
+            ReadFileBytes(dir + "/evicted/" +
+                          serve::EvictionFileName("user/42")));
+  EXPECT_EQ(log.live_bytes(), slot.size);
+}
+
+TEST(ParkLogTest, AppendReadForgetAndCompact) {
+  const std::string dir = FreshDir("park_log_compact");
+  serve::EnsureStateDir(dir);
+  serve::ParkLog log;
+  log.Open(dir);
+  serve::ParkSlot a = log.Append("alice", "alice-bytes");
+  serve::ParkSlot b = log.Append("bob", std::string(300, 'b'));
+  serve::ParkSlot c = log.Append("carol", "carol-bytes");
+  EXPECT_EQ(b.offset, a.size);
+  EXPECT_EQ(c.offset, a.size + b.size);
+  std::string archive;
+  log.Read(b, "bob", &archive);
+  EXPECT_EQ(archive, std::string(300, 'b'));
+  // Reading a record as another stream's is a typed error.
+  EXPECT_THROW(log.Read(a, "bob", &archive), serve::StateError);
+
+  log.Forget(b);
+  EXPECT_EQ(log.dead_bytes(), b.size);
+  EXPECT_TRUE(log.NeedsCompaction());  // 300+ dead bytes, ~70 live
+  log.Compact({&c, &a});               // any order; log order is kept
+  EXPECT_EQ(a.offset, 0u);
+  EXPECT_EQ(c.offset, a.size);
+  EXPECT_EQ(log.dead_bytes(), 0u);
+  EXPECT_EQ(log.live_bytes(), a.size + c.size);
+  EXPECT_EQ(fs::file_size(ParkLogPath(dir)), a.size + c.size);
+  EXPECT_FALSE(fs::exists(ParkLogPath(dir) + ".tmp"));
+  log.Read(c, "carol", &archive);
+  EXPECT_EQ(archive, "carol-bytes");
+  // Appends continue after the compacted records.
+  const serve::ParkSlot d = log.Append("dave", "dave-bytes");
+  EXPECT_EQ(d.offset, a.size + c.size);
+  log.Read(a, "alice", &archive);
+  EXPECT_EQ(archive, "alice-bytes");
+  log.Read(d, "dave", &archive);
+  EXPECT_EQ(archive, "dave-bytes");
+}
+
+TEST(ParkLogTest, FailedCompactionKeepsTheLogAndItsSlots) {
+  const std::string dir = FreshDir("park_log_failed_compact");
+  serve::EnsureStateDir(dir);
+  serve::ParkLog log;
+  log.Open(dir);
+  serve::ParkSlot a = log.Append("alice", "alice-bytes");
+  const serve::ParkSlot b = log.Append("bob", std::string(300, 'b'));
+  log.Forget(b);
+  // A directory where the rewritten log would go: the compaction cannot
+  // open its temp file.
+  fs::create_directories(ParkLogPath(dir) + ".tmp");
+  const serve::ParkSlot before = a;
+  EXPECT_THROW(log.Compact({&a}), serve::StateError);
+  EXPECT_EQ(a.offset, before.offset);
+  EXPECT_EQ(log.dead_bytes(), b.size);
+  std::string archive;
+  log.Read(a, "alice", &archive);
+  EXPECT_EQ(archive, "alice-bytes");
+}
+
+TEST(ParkLogTest, OpenTruncatesALeftOverLog) {
+  const std::string dir = FreshDir("park_log_reopen");
+  serve::EnsureStateDir(dir);
+  WriteFileBytes(ParkLogPath(dir), "bytes of a crashed run");
+  serve::ParkLog log;
+  log.Open(dir);
+  EXPECT_EQ(fs::file_size(ParkLogPath(dir)), 0u);
+  const serve::ParkSlot slot = log.Stage("erin", "erin-bytes");
+  EXPECT_EQ(fs::file_size(ParkLogPath(dir)), 0u);  // staged, not written
+  log.Flush();
+  std::string archive;
+  log.Read(slot, "erin", &archive);
+  EXPECT_EQ(archive, "erin-bytes");
+}
+
+// Every truncation and every byte flip of one record (the second in the
+// log) is a typed StateError, except a flip inside the archive payload,
+// which the record cannot detect: it comes back flipped, for the model
+// decoder to judge.
+TEST(ParkLogTest, EveryTruncationAndByteFlipOfARecordIsTyped) {
+  const std::string dir = FreshDir("park_log_fuzz");
+  serve::EnsureStateDir(dir);
+  serve::ParkLog log;
+  log.Open(dir);
+  log.Append("alice", "alice-bytes");
+  const std::string payload = "carol-model-bytes";
+  const serve::ParkSlot slot = log.Append("carol", payload);
+  const std::string whole = ReadFileBytes(ParkLogPath(dir));
+  ASSERT_EQ(whole.size(), slot.offset + slot.size);
+  const std::size_t payload_at = slot.size - payload.size();
+  std::string archive;
+  for (std::size_t cut = 0; cut < slot.size; ++cut) {
+    WriteFileBytes(ParkLogPath(dir), whole.substr(0, slot.offset + cut));
+    EXPECT_THROW(log.Read(slot, "carol", &archive), serve::StateError)
+        << "truncation at record byte " << cut << " was accepted";
+  }
+  for (std::size_t at = 0; at < slot.size; ++at) {
+    std::string flipped = whole;
+    char& byte = flipped[slot.offset + at];
+    byte = static_cast<char>(byte ^ 0xff);
+    WriteFileBytes(ParkLogPath(dir), flipped);
+    if (at < payload_at) {
+      EXPECT_THROW(log.Read(slot, "carol", &archive), serve::StateError)
+          << "flip of record byte " << at << " was accepted";
+    } else {
+      std::string expected = payload;
+      expected[at - payload_at] =
+          static_cast<char>(expected[at - payload_at] ^ 0xff);
+      log.Read(slot, "carol", &archive);
+      EXPECT_EQ(archive, expected) << "flip of record byte " << at;
+    }
+  }
+  // A record followed by junk inside its slot: longer than its fields.
+  WriteFileBytes(ParkLogPath(dir), whole + "junk");
+  const serve::ParkSlot longer = {slot.offset, slot.size + 4};
+  EXPECT_THROW(log.Read(longer, "carol", &archive), serve::StateError);
+  WriteFileBytes(ParkLogPath(dir), whole);
+  log.Read(slot, "carol", &archive);
+  EXPECT_EQ(archive, payload);
 }
 
 }  // namespace

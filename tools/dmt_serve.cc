@@ -68,7 +68,9 @@ constexpr const char kUsage[] =
     "--failpoints name=P,... arms crash points: manifest.<seq>.before_open,\n"
     "manifest.<seq>.after_record.<i>, manifest.<seq>.before_rename and\n"
     "manifest.<seq>.before_prune end the process (exit 86) at that step of\n"
-    "checkpoint <seq>.\n"
+    "checkpoint <seq>; park.<k>.after_append after the k-th record parked\n"
+    "and park.compact.<k>.before_rename before the k-th park log compaction\n"
+    "replaces the log.\n"
     "models: DMT FIMT-DD VFDT(MC) VFDT(NBA) HT-Ada EFDT ForestEns\n"
     "BaggingEns GLM\n";
 

@@ -1,15 +1,17 @@
 #!/bin/sh
-# A server that dies at any step of any checkpoint recovers from the newest
-# complete manifest and continues byte for byte. For a small GLM script and
-# a small DMT script, at --shards 1 and 4, the script arms each crash point
-# of the manifest writer in turn (dmt_serve --failpoints, named in
-# src/dmt/serve/state_dir.h): before the temp file opens, after every
-# stream record, between the write and the rename, and after the rename
-# before pruning, for every checkpoint of the run including the final one.
-# The crashed run must exit 86; a restart on its state dir must answer the
-# requests the recovered manifest does not cover exactly as an
-# uninterrupted run does. --max-streams parks streams, so records are
-# copied from eviction archives as well as encoded from live models.
+# A server that dies at any step of any checkpoint, or of the park log,
+# recovers from the newest complete manifest and continues byte for byte.
+# For a small GLM script and a small DMT script, at --shards 1 and 4, the
+# script arms each crash point in turn (dmt_serve --failpoints, named in
+# src/dmt/serve/state_dir.h): of the manifest writer, before the temp file
+# opens, after every stream record, between the write and the rename, and
+# after the rename before pruning, for every checkpoint of the run
+# including the final one; of the park log, after every appended record and
+# before the rename of every compaction. The crashed run must exit 86; a
+# restart on its state dir must answer the requests the recovered manifest
+# does not cover exactly as an uninterrupted run does. --max-streams parks
+# streams, so records are copied from the park log as well as encoded from
+# live models, and the log is compacted at least once.
 #
 # usage: checkpoint_crash_points.sh DMT_SERVE WORK_DIR
 serve=$1 work=$2
@@ -82,6 +84,20 @@ for model in GLM DMT; do
       seq=$((seq + 1))
     done
     [ "$seq" -gt 3 ] || fail "$model: only $((seq - 1)) checkpoints ran"
+    k=1
+    while :; do
+      crash "park.$k.after_append"
+      [ $? -eq 2 ] || break
+      k=$((k + 1))
+    done
+    [ "$k" -gt 10 ] || fail "$model: only $((k - 1)) records were parked"
+    k=1
+    while :; do
+      crash "park.compact.$k.before_rename"
+      [ $? -eq 2 ] || break
+      k=$((k + 1))
+    done
+    [ "$k" -gt 1 ] || fail "$model: the park log was never compacted"
   done
 done
 echo "$crashes crash points recovered"
