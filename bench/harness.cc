@@ -27,7 +27,6 @@
 #include "dmt/trees/hoeffding_adaptive.h"
 #include "dmt/trees/vfdt.h"
 #include "sweep_cache.h"
-#include "sweep_manifest.h"
 
 namespace dmt::bench {
 
@@ -504,43 +503,22 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
     robust::GlobalFailpoints().ArmFromSpec(options.failpoint_spec,
                                            options.seed);
   }
-  const bool faulted =
-      !options.inject_spec.empty() || !options.failpoint_spec.empty();
 
-  // Series runs bypass the cache entirely (cells never store series), and
-  // so do member-parallel runs: LevBag's reset granularity differs in
-  // parallel mode, so those cells must never mix with sequential ones.
-  // Telemetry runs bypass it too: a cached cell carries no registry, so a
-  // hit would silently return empty counters. Faulted runs (--inject /
-  // --failpoints) bypass it because their numbers are deliberately
-  // corrupted and must never poison clean runs.
-  // Snapshot runs bypass it as well: a cache hit skips the cell entirely,
-  // so no snapshot file would ever be written. --dmt-exact runs bypass it
-  // because cache keys do not encode the DMT mode: an exact run must never
-  // poison (or be poisoned by) a default sweep.
-  const bool cache_enabled = options.use_cache && !options.keep_series &&
-                             !options.member_parallel && !options.telemetry &&
-                             !faulted && options.snapshot_every == 0 &&
-                             !options.dmt_exact;
+  // Every finished cell is recorded whenever the cache is on. An `ok`
+  // record is reused unless the run must execute the cell for something a
+  // record does not hold: per-batch series, telemetry registries, snapshots
+  // or the --inject fault counts. A `failed` record is honoured only under
+  // --resume; otherwise the cell is retried. The key holds every option
+  // that can change a row (RowOptionsHash), so no option needs a bypass.
+  const bool reuse_ok = options.use_cache && !options.keep_series &&
+                        !options.telemetry && options.snapshot_every == 0 &&
+                        options.inject_spec.empty();
   SweepCache cache(options.cache_dir);
-
-  // Progress manifest (checkpointed after every cell, crash-safe). Keyed by
-  // (samples, seed, fault specs): a faulted sweep can never satisfy a clean
-  // --resume. Shares the cache root, so --no-cache disables it too.
-  std::unique_ptr<SweepManifest> manifest;
-  if (options.use_cache) {
-    manifest = std::make_unique<SweepManifest>(
-        options.cache_dir,
-        ManifestKey{options.max_samples, options.seed, options.inject_spec,
-                    options.failpoint_spec});
-    if (options.resume) {
-      const std::size_t recovered = manifest->Load();
-      if (recovered > 0) {
-        std::fprintf(stderr, "[sweep] resuming: %zu cells recorded in %s\n",
-                     recovered, manifest->path().c_str());
-      }
-    }
-  }
+  const std::uint64_t row_options = RowOptionsHash(options);
+  auto key_of = [&](const std::string& dataset, const std::string& model) {
+    return CellKey{dataset, model, options.max_samples, options.seed,
+                   row_options};
+  };
 
   struct Pending {
     const streams::DatasetSpec* spec;
@@ -553,35 +531,17 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
   std::size_t index = 0;
   for (const streams::DatasetSpec& spec : datasets) {
     for (const std::string& model : wanted) {
-      if (options.resume && manifest != nullptr) {
-        if (const std::optional<ManifestEntry> entry =
-                manifest->Find(spec.name, model);
-            entry.has_value() && entry->failed) {
-          // Recorded failure: render FAILED without re-running the cell.
-          // (`ok` cells fall through to the cache; a miss recomputes.)
-          CellResult cell;
-          cell.dataset = spec.name;
-          cell.model = model;
-          cell.failed = true;
-          cell.error = entry->error;
-          results[index++] = std::move(cell);
-          continue;
-        }
-      }
-      const CellKey key{spec.name, model, options.max_samples, options.seed};
-      if (cache_enabled) {
-        if (std::optional<CellResult> hit = cache.Load(key)) {
-          if (manifest != nullptr) {
-            manifest->Record(spec.name, model, {false, ""});
-          }
-          results[index++] = std::move(*hit);
+      if (options.use_cache) {
+        std::optional<CellResult> record = cache.Load(key_of(spec.name, model));
+        if (record && (record->failed ? options.resume : reuse_ok)) {
+          results[index++] = std::move(*record);
           continue;
         }
       }
       pending.push_back({&spec, &model, index++});
     }
   }
-  if (pending.empty()) return results;  // telemetry runs never cache-hit
+  if (pending.empty()) return results;
 
   const std::size_t jobs = std::min<std::size_t>(
       options.jobs == 0 ? ThreadPool::DefaultThreads() : options.jobs,
@@ -628,16 +588,19 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
     }
     cell.dataset = task.spec->name;  // failure paths skip RunCell's fill-in
     cell.model = *task.model;
-    if (!cell.failed && cache_enabled) {
-      CellResult stripped = cell;
-      stripped.f1_series.clear();
-      stripped.splits_series.clear();
-      cache.Store({task.spec->name, *task.model, options.max_samples,
-                   options.seed},
-                  stripped);
-    }
-    if (manifest != nullptr) {
-      manifest->Record(cell.dataset, cell.model, {cell.failed, cell.error});
+    if (options.use_cache) {
+      if (cache.Store(key_of(cell.dataset, cell.model), cell)) {
+        // "--failpoints record:<dataset>/<model>=1" ends the process right
+        // after this cell's record is in place, as a SIGKILL there would:
+        // the crash that --resume must pick up from, made deterministic.
+        DMT_CRASHPOINT(robust::GlobalFailpoints().Find(
+            "record:" + cell.dataset + "/" + cell.model));
+      } else {
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        std::fprintf(stderr, "[sweep] cannot record %s / %s in %s\n",
+                     cell.dataset.c_str(), cell.model.c_str(),
+                     options.cache_dir.c_str());
+      }
     }
     const bool failed = cell.failed;
     const std::string error = cell.error;

@@ -9,20 +9,21 @@
 //   --models a,b    comma-separated model filter (default: per-table set)
 //   --jobs N        worker threads for the sweep (default 0 = hardware
 //                   concurrency; 1 = run inline on the calling thread)
-//   --no-cache      recompute even if cached cells exist
+//   --no-cache      compute every cell and record none
 //   --cache-dir D   cache root (default bench_cache/)
 //   --member-parallel
 //                   share the sweep thread pool with ensemble member
 //                   training and batch scoring (ARF / LevBag). Opt-in
 //                   because LevBag's worst-member reset moves to batch
 //                   granularity in parallel mode, so its numbers can differ
-//                   from the sequential defaults; such runs bypass the
-//                   sweep cache entirely.
+//                   from the sequential defaults; such runs keep cell
+//                   records of their own.
 //   --telemetry     attach one obs::TelemetryRegistry per cell and write a
 //                   TELEMETRY_<dataset>__<model>.json artifact next to the
 //                   BENCH_*.json outputs. Counters are seed-deterministic;
-//                   timer sections are wall-clock. Telemetry runs bypass
-//                   the sweep cache (cached cells carry no registries).
+//                   timer sections are wall-clock. Telemetry runs
+//                   compute every cell (records carry no registries) and
+//                   keep records of their own (the timers move Table V).
 //   --telemetry-dir D
 //                   directory for the telemetry artifacts (default ".")
 //   --inject SPEC   wrap every cell's stream in a robust::FaultyStream
@@ -30,23 +31,27 @@
 //                   faulty_stream.h). The injection RNG is seeded
 //                   DeriveSeed(cell_seed, "inject") so fault traces and the
 //                   resulting metrics are bit-identical at any --jobs value.
-//                   Inject runs bypass the sweep cache.
+//                   Inject runs compute every cell (records carry no fault
+//                   counts) and keep records of their own.
 //   --failpoints SPEC
 //                   arm deterministic failpoints ("cell:SEA/GLM=1,...", see
 //                   failpoint.h) in the process-global registry before any
-//                   worker starts. Failpoint runs bypass the sweep cache.
+//                   worker starts. "record:SEA/GLM=1" is a crash point: the
+//                   process exits 86 right after that cell's record is in
+//                   place. Failpoint runs keep records of their own.
 //   --bad-input P   what RunPrequential does with rows carrying non-finite
 //                   features or bad labels: skip (default) / impute / throw
 //   --cell-timeout S
 //                   soft per-cell deadline in seconds (checked between
 //                   batches); a cell exceeding it renders FAILED. 0 = off.
-//   --resume        skip cells already recorded in this sweep's manifest:
-//                   `ok` cells reload from the sweep cache (recomputed on a
-//                   cache miss), `failed` cells render FAILED un-rerun
+//   --resume        skip every cell recorded under this run's key: `ok`
+//                   records reload (as they do without --resume), `failed`
+//                   ones render FAILED un-rerun instead of being retried
 //   --snapshot-every N
 //                   checkpoint every cell's model every N batches into
 //                   --snapshot-dir (atomic rename; see serial/model_io.h).
-//                   Snapshot runs bypass the sweep cache.
+//                   Snapshot runs compute every cell (a reloaded record
+//                   would write no snapshot).
 //   --snapshot-dir D
 //                   snapshot directory (default bench_snapshots/)
 //   --dmt-exact     run DMT cells in the paper-exact pipeline
@@ -55,16 +60,17 @@
 //                   evaluates every batch through the exact sort-based scan
 //                   with full-precision gradients, bit-identical to the
 //                   pre-scheduler pipeline. Without it DMT cells run the
-//                   fast DmtConfig defaults. Exact runs bypass the sweep
-//                   cache (cache keys do not encode the mode).
+//                   fast DmtConfig defaults. Exact runs keep cell records
+//                   of their own.
 //
 // Supervision: RunSweep wraps every cell in try/catch. A throwing cell is
 // retried once with the identical derived seed (deterministic faults fail
 // identically; transient ones -- OOM, disk -- get a second chance), then
-// recorded as FAILED in the table instead of aborting the sweep. Progress
-// is checkpointed after every cell into a crash-safe manifest
-// (sweep_manifest.h, atomic rename) enabling --resume after a crash or
-// SIGKILL.
+// recorded as FAILED in the table instead of aborting the sweep. Every
+// finished cell, `ok` or `failed`, is published as one record (temp file +
+// atomic rename, sweep_cache.h) unless --no-cache, so a crash or SIGKILL
+// leaves each cell recorded in full or not at all, and --resume picks up
+// where the sweep stopped.
 //
 // Parallelism and determinism: RunSweep dispatches every (dataset, model)
 // cell as an independent task on a work-stealing thread pool. Each cell's
@@ -72,11 +78,12 @@
 // never from thread identity or scheduling order -- so the numbers are
 // bit-identical at any --jobs value, including --jobs 1.
 //
-// Because Tables II-VI all derive from the same prequential sweep, the
-// harness caches each finished cell under bench_cache/cells/, one file per
-// (dataset, model, samples, seed) written via atomic rename (safe under
-// concurrent sweeps); the first table binary computes, the rest reuse, and
-// a filtered run can never poison a later full run. See sweep_cache.h.
+// Because Tables II-VI all derive from the same prequential sweep, those
+// records double as its cache: one file per (dataset, model, samples, seed,
+// row options) under bench_cache/cells/, where the row options are every
+// flag that can change a printed row. The first table binary computes, the
+// rest reuse, and neither a filtered nor a faulted run can poison a later
+// clean one. See sweep_cache.h.
 #ifndef DMT_BENCH_HARNESS_H_
 #define DMT_BENCH_HARNESS_H_
 
@@ -109,9 +116,9 @@ struct Options {
   // Record per-cell telemetry registries and write JSON artifacts.
   bool telemetry = false;
   std::string telemetry_dir = ".";
-  // Fault injection / supervision (see the flag docs above). Runs with a
-  // non-empty inject or failpoint spec bypass the sweep cache: their
-  // numbers are deliberately corrupted and must never poison clean runs.
+  // Fault injection / supervision (see the flag docs above). Both specs
+  // are part of every cell record's key, so their deliberately corrupted
+  // numbers never poison clean runs.
   std::string inject_spec;
   std::string failpoint_spec;
   BadInputPolicy bad_input_policy = BadInputPolicy::kSkip;
@@ -121,12 +128,10 @@ struct Options {
   // cell saves its learner to
   // <snapshot_dir>/SNAPSHOT_<dataset>__<model>.bin via the atomic-rename
   // publish of serial::SaveClassifierToFile. 0 disables. Snapshot runs
-  // bypass the sweep cache (a cache hit skips the cell and would write no
-  // snapshot).
+  // compute every cell (a reloaded record would write no snapshot).
   std::size_t snapshot_every = 0;
   std::string snapshot_dir = "bench_snapshots";
-  // Run DMT cells in the paper-exact pipeline (see the flag doc above);
-  // bypasses the sweep cache.
+  // Run DMT cells in the paper-exact pipeline (see the flag doc above).
   bool dmt_exact = false;
 };
 

@@ -3,47 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "dmt/common/check.h"
+#include "dmt/streams/scaler.h"
 
 namespace dmt::eval {
 
 namespace {
-
-// Min-max scaler over RegressionBatch features (targets left untouched).
-class BatchScaler {
- public:
-  explicit BatchScaler(std::size_t num_features)
-      : mins_(num_features, std::numeric_limits<double>::max()),
-        maxs_(num_features, std::numeric_limits<double>::lowest()) {}
-
-  // Per-row update-then-transform, like OnlineMinMaxScaler: updating the
-  // ranges with the whole batch first would leak within-batch future
-  // statistics into earlier rows (test-then-train violation).
-  void FitTransform(linear::RegressionBatch* batch) {
-    for (std::size_t i = 0; i < batch->size(); ++i) {
-      std::span<double> row = batch->mutable_row(i);
-      for (std::size_t j = 0; j < row.size(); ++j) {
-        // Guard like OnlineMinMaxScaler: one NaN would poison the range.
-        if (!std::isfinite(row[j])) continue;
-        mins_[j] = std::min(mins_[j], row[j]);
-        maxs_[j] = std::max(maxs_[j], row[j]);
-      }
-      for (std::size_t j = 0; j < row.size(); ++j) {
-        if (!std::isfinite(row[j])) continue;  // keep faults visible
-        const double range = maxs_[j] - mins_[j];
-        row[j] = range <= 0.0
-                     ? 0.5
-                     : std::clamp((row[j] - mins_[j]) / range, 0.0, 1.0);
-      }
-    }
-  }
-
- private:
-  std::vector<double> mins_;
-  std::vector<double> maxs_;
-};
 
 // RegressionBatch analogue of SanitizeBatch: a non-finite target always
 // drops the row; non-finite features follow the policy (imputed with 0.0).
@@ -100,7 +66,7 @@ RegressionPrequentialResult RunRegressionPrequential(
   }
 
   RegressionPrequentialResult result;
-  BatchScaler scaler(stream->num_features());
+  streams::OnlineMinMaxScaler scaler(stream->num_features());
   linear::RegressionBatch batch(stream->num_features());
   // Reused across batches; grows once to the batch size.
   std::vector<double> predictions;
@@ -125,12 +91,8 @@ RegressionPrequentialResult RunRegressionPrequential(
     const std::span<double> preds(predictions.data(), batch.size());
 
     const auto start = std::chrono::steady_clock::now();
-    if (model.predict_batch) {
-      model.predict_batch(batch, preds);
-    } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        preds[i] = model.predict(batch.row(i));
-      }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      preds[i] = model.predict(batch.row(i));
     }
     model.partial_fit(batch);
     const auto end = std::chrono::steady_clock::now();

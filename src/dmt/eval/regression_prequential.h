@@ -48,11 +48,6 @@ struct RegressorApi {
   std::function<double(std::span<const double>)> predict;
   std::function<void(const linear::RegressionBatch&)> partial_fit;
   std::function<std::size_t()> num_splits;
-  // Optional batch scoring hook writing one prediction per row into `out`
-  // (sized batch.size() by the harness). When empty, the harness falls back
-  // to calling `predict` per row into the same reusable buffer.
-  std::function<void(const linear::RegressionBatch&, std::span<double>)>
-      predict_batch;
 };
 
 // Convenience adapter for any model with Predict/PartialFit/NumSplits.
@@ -64,7 +59,6 @@ RegressorApi MakeRegressorApi(Model* model) {
         model->PartialFit(batch);
       },
       [model]() { return model->NumSplits(); },
-      {},
   };
 }
 

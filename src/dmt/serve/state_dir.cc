@@ -396,7 +396,15 @@ void ParkLog::Close() {
 
 void ParkLog::Open(const std::string& dir) {
   Close();
-  path_ = (fs::path(dir) / "evicted" / "parked.log").string();
+  const fs::path evicted = fs::path(dir) / "evicted";
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(evicted, ec)) {
+    if (entry.path().extension() == ".dmts") {
+      std::error_code remove_ec;
+      fs::remove(entry.path(), remove_ec);
+    }
+  }
+  path_ = (evicted / "parked.log").string();
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     throw StateError("cannot open park log " + path_ + ": " + Errno());

@@ -21,7 +21,8 @@
 // the wrong model. The log is scratch space, never a recovery source: a
 // restart truncates it and re-appends the parked streams of the manifest.
 // The same record, alone in `evicted/<sanitized>-<fnv64>.dmts`, is the
-// single-file form of older builds (WriteEvictionArchive).
+// single-file form of older builds (WriteEvictionArchive); opening the log
+// removes such files.
 //
 // Every failure mode of this layer -- unreadable directory, truncated or
 // bit-flipped manifest, version skew, config-stamp mismatch, foreign or
@@ -201,7 +202,9 @@ class ParkLog {
   ParkLog& operator=(const ParkLog&) = delete;
 
   // Opens dir/evicted/parked.log truncated to empty (creating it), closing
-  // any log opened before. Throws StateError.
+  // any log opened before, and removes the per-stream `evicted/*.dmts`
+  // files older builds parked streams in (nothing reads them; the manifest
+  // holds every parked stream). Throws StateError.
   void Open(const std::string& dir);
 
   // Queues one record in memory and returns where it will lie; Flush

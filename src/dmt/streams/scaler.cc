@@ -4,27 +4,39 @@
 #include <cmath>
 
 #include "dmt/common/check.h"
+#include "dmt/linear/linear_regressor.h"
 
 namespace dmt::streams {
+
+// Strictly per row, update-then-transform: updating the ranges with the
+// whole batch before rescaling any row would leak within-batch future
+// statistics into earlier rows -- a test-then-train protocol violation (an
+// observation may only be preprocessed with information available before
+// it arrived).
+void OnlineMinMaxScaler::FitTransformRow(std::span<double> row) {
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    // std::min(x, NaN) is NaN when NaN is the second argument, so one
+    // bad value would otherwise poison the range permanently.
+    if (!std::isfinite(row[j])) continue;
+    mins_[j] = std::min(mins_[j], row[j]);
+    maxs_[j] = std::max(maxs_[j], row[j]);
+  }
+  Transform(row);
+}
 
 void OnlineMinMaxScaler::FitTransform(Batch* batch) {
   DMT_CHECK(batch != nullptr);
   DMT_CHECK(batch->num_features() == mins_.size());
-  // Strictly per row, update-then-transform: updating the ranges with the
-  // whole batch before rescaling any row would leak within-batch future
-  // statistics into earlier rows -- a test-then-train protocol violation
-  // (an observation may only be preprocessed with information available
-  // before it arrived).
   for (std::size_t i = 0; i < batch->size(); ++i) {
-    const std::span<double> row = batch->mutable_row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      // std::min(x, NaN) is NaN when NaN is the second argument, so one
-      // bad value would otherwise poison the range permanently.
-      if (!std::isfinite(row[j])) continue;
-      mins_[j] = std::min(mins_[j], row[j]);
-      maxs_[j] = std::max(maxs_[j], row[j]);
-    }
-    Transform(row);
+    FitTransformRow(batch->mutable_row(i));
+  }
+}
+
+void OnlineMinMaxScaler::FitTransform(linear::RegressionBatch* batch) {
+  DMT_CHECK(batch != nullptr);
+  DMT_CHECK(batch->num_features() == mins_.size());
+  for (std::size_t i = 0; i < batch->size(); ++i) {
+    FitTransformRow(batch->mutable_row(i));
   }
 }
 

@@ -12,6 +12,10 @@
 
 #include "dmt/common/types.h"
 
+namespace dmt::linear {
+class RegressionBatch;
+}  // namespace dmt::linear
+
 namespace dmt::streams {
 
 class OnlineMinMaxScaler {
@@ -24,8 +28,10 @@ class OnlineMinMaxScaler {
   // ranges, then is transformed with them, so no row sees statistics of a
   // later observation (prequential test-then-train protocol). Non-finite
   // values (NaN/Inf) never enter the ranges -- folding a NaN into min/max
-  // would poison that feature's range for the rest of the stream.
+  // would poison that feature's range for the rest of the stream. Only
+  // the features are scaled: labels and regression targets pass through.
   void FitTransform(Batch* batch);
+  void FitTransform(linear::RegressionBatch* batch);
 
   // Rescales one observation with the current ranges (no update).
   // Non-finite values pass through unchanged: clamping an Inf to 1.0 would
@@ -39,6 +45,8 @@ class OnlineMinMaxScaler {
   void MidpointsInto(std::span<double> out) const;
 
  private:
+  void FitTransformRow(std::span<double> row);
+
   std::vector<double> mins_;
   std::vector<double> maxs_;
 };

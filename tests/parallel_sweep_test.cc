@@ -16,6 +16,7 @@
 #include <map>
 #include <numeric>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,7 +34,6 @@
 #include "dmt/robust/failpoint.h"
 #include "harness.h"
 #include "sweep_cache.h"
-#include "sweep_manifest.h"
 
 namespace dmt {
 namespace {
@@ -478,6 +478,7 @@ TEST_F(SweepCacheTest, KeyIncludesDatasetModelSamplesAndSeed) {
   EXPECT_FALSE(cache.Load({"SEA", "DMT", 1000, 42}).has_value());
   EXPECT_FALSE(cache.Load({"SEA", "GLM", 2000, 42}).has_value());
   EXPECT_FALSE(cache.Load({"SEA", "GLM", 1000, 43}).has_value());
+  EXPECT_FALSE(cache.Load({"SEA", "GLM", 1000, 42, 1}).has_value());
 }
 
 TEST_F(SweepCacheTest, RoundTripsThroughDisk) {
@@ -488,19 +489,160 @@ TEST_F(SweepCacheTest, RoundTripsThroughDisk) {
   cell.f1_std = 0.125;
   cell.splits_mean = 3.0;
   cell.params_mean = 17.5;
+  cell.time_mean = 1.0 / 3.0;  // no short decimal form
+  cell.time_std = 2.5e-7;
   {
     bench::SweepCache writer(dir_);
-    writer.Store({"SEA", "VFDT(MC)", 1000, 7}, cell);
+    ASSERT_TRUE(writer.Store({"SEA", "VFDT(MC)", 1000, 7}, cell));
   }
   bench::SweepCache reader(dir_);  // fresh instance: must come from disk
   const auto loaded = reader.Load({"SEA", "VFDT(MC)", 1000, 7});
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->dataset, "SEA");
   EXPECT_EQ(loaded->model, "VFDT(MC)");
-  EXPECT_DOUBLE_EQ(loaded->f1_mean, 0.625);
-  EXPECT_DOUBLE_EQ(loaded->f1_std, 0.125);
-  EXPECT_DOUBLE_EQ(loaded->splits_mean, 3.0);
-  EXPECT_DOUBLE_EQ(loaded->params_mean, 17.5);
+  EXPECT_FALSE(loaded->failed);
+  EXPECT_EQ(loaded->f1_mean, 0.625);
+  EXPECT_EQ(loaded->f1_std, 0.125);
+  EXPECT_EQ(loaded->splits_mean, 3.0);
+  EXPECT_EQ(loaded->params_mean, 17.5);
+  EXPECT_EQ(loaded->time_mean, 1.0 / 3.0);
+  EXPECT_EQ(loaded->time_std, 2.5e-7);
+}
+
+// A failed cell is recorded too, its error flattened into the record's
+// last field.
+TEST_F(SweepCacheTest, FailedRecordRoundTripsThroughDisk) {
+  bench::CellResult cell;
+  cell.dataset = "SEA";
+  cell.model = "DMT";
+  cell.failed = true;
+  cell.error = "boom, with commas\nand a newline";
+  ASSERT_TRUE(bench::SweepCache(dir_).Store({"SEA", "DMT", 1000, 42}, cell));
+  const auto loaded = bench::SweepCache(dir_).Load({"SEA", "DMT", 1000, 42});
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(loaded->failed);
+  EXPECT_EQ(loaded->error, "boom; with commas;and a newline");
+  EXPECT_FALSE(bench::SweepCache(dir_).Load({"SEA", "EFDT", 1000, 42}));
+}
+
+// Every option that can change a printed row is part of the key, and no
+// other option is: a faulted, exact or telemetry run never shares a record
+// with a clean one, while --jobs, --resume or a timeout do not matter.
+TEST(SweepCacheKeyTest, RowOptionsSeparateRecords) {
+  const bench::Options clean;
+  const std::uint64_t base = bench::RowOptionsHash(clean);
+  std::vector<bench::Options> variants(6, clean);
+  variants[0].dmt_exact = true;
+  variants[1].member_parallel = true;
+  variants[2].inject_spec = "nan=0.01";
+  variants[3].bad_input_policy = BadInputPolicy::kImputeMidpoint;
+  variants[4].failpoint_spec = "cell:SEA/GLM=1";
+  variants[5].telemetry = true;
+  std::set<std::uint64_t> seen = {base};
+  for (const bench::Options& variant : variants) {
+    EXPECT_TRUE(seen.insert(bench::RowOptionsHash(variant)).second);
+  }
+  bench::Options same = clean;
+  same.jobs = 3;
+  same.resume = true;
+  same.cell_timeout_seconds = 5.0;
+  same.cache_dir = "elsewhere";
+  same.datasets = {"SEA"};
+  EXPECT_EQ(bench::RowOptionsHash(same), base);
+
+  const bench::CellKey key{"SEA", "GLM", 1000, 42, base};
+  bench::CellKey other = key;
+  other.row_options = bench::RowOptionsHash(variants[0]);
+  EXPECT_NE(bench::SweepCache::CellFileName(key),
+            bench::SweepCache::CellFileName(other));
+}
+
+// Every truncation and every byte flip of a record is a miss: a cut or
+// garbled record never yields numbers, and never another cell's.
+TEST(SweepCacheKeyTest, CutOrGarbledRecordIsAMiss) {
+  bench::CellResult ok;
+  ok.dataset = "SEA";
+  ok.model = "VFDT(MC)";
+  ok.f1_mean = 0.7312345678901234;
+  ok.f1_std = 0.3412345678901234;
+  ok.splits_mean = 12.25;
+  ok.splits_std = 1.0 / 7.0;
+  ok.params_mean = 301.0;
+  ok.params_std = 0.0;
+  ok.time_mean = 1.25e-5;
+  ok.time_std = 3.0e-7;
+  bench::CellResult failed;
+  failed.dataset = "SEA";
+  failed.model = "GLM";
+  failed.failed = true;
+  failed.error = "failpoint fired: cell:SEA/GLM";
+  for (const bench::CellResult& cell : {ok, failed}) {
+    SCOPED_TRACE(cell.model);
+    const bench::CellKey key{cell.dataset, cell.model, 1000, 42};
+    const std::string record = bench::SweepCache::FormatRecord(cell);
+    const auto intact = bench::SweepCache::ParseRecord(record, key);
+    ASSERT_TRUE(intact.has_value());
+    EXPECT_EQ(bench::SweepCache::FormatRecord(*intact), record);
+    // Filed under another cell's name, the record is that cell's miss.
+    EXPECT_FALSE(bench::SweepCache::ParseRecord(
+        record, {"Agrawal", cell.model, 1000, 42}));
+    EXPECT_FALSE(bench::SweepCache::ParseRecord(
+        record, {cell.dataset, "DMT", 1000, 42}));
+    for (std::size_t cut = 0; cut < record.size(); ++cut) {
+      EXPECT_FALSE(bench::SweepCache::ParseRecord(record.substr(0, cut), key))
+          << "cut at " << cut;
+    }
+    EXPECT_FALSE(bench::SweepCache::ParseRecord(record + "\n", key));
+    std::string flipped = record;
+    for (std::size_t at = 0; at < record.size(); ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        if (static_cast<char>(byte) == record[at]) continue;
+        flipped[at] = static_cast<char>(byte);
+        EXPECT_FALSE(bench::SweepCache::ParseRecord(flipped, key))
+            << "byte " << at << " set to " << byte;
+      }
+      flipped[at] = record[at];
+    }
+  }
+}
+
+// On disk: a record cut after f1_mean and a cell file of the old ten-field
+// format are misses, and a store leaves nothing but its record behind.
+TEST_F(SweepCacheTest, CutAndOldFormatFilesAreMisses) {
+  const bench::CellKey key{"SEA", "GLM", 1000, 42};
+  const std::string path = dir_ + "/" + bench::SweepCache::CellFileName(key);
+  bench::CellResult cell;
+  cell.dataset = "SEA";
+  cell.model = "GLM";
+  cell.f1_mean = 0.73;
+  cell.f1_std = 0.34;
+  bench::SweepCache cache(dir_);
+  ASSERT_TRUE(cache.Store(key, cell));
+  ASSERT_TRUE(cache.Load(key).has_value());
+
+  const std::string record = bench::SweepCache::FormatRecord(cell);
+  const std::size_t after_f1 = record.find(",0.34");
+  ASSERT_NE(after_f1, std::string::npos);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << record.substr(0, after_f1);
+  EXPECT_FALSE(cache.Load(key).has_value());
+
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << "dataset,model,f1_mean,f1_std,splits_mean,splits_std,params_mean,"
+         "params_std,time_mean,time_std\n"
+         "SEA,GLM,0.73,0.34,0,0,0,0,0,0\n";
+  EXPECT_FALSE(cache.Load(key).has_value());
+
+  // Nothing but the published record is left in the directory.
+  std::filesystem::remove(path);
+  ASSERT_TRUE(cache.Store(key, cell));
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(path).parent_path())) {
+    EXPECT_EQ(entry.path().string(), path);
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 TEST_F(SweepCacheTest, ConcurrentStoresAndLoadsAreSafe) {
@@ -686,41 +828,59 @@ TEST(RobustSweepTest, CellTimeoutRendersFailedWithoutAbort) {
       << cells[0].error;
 }
 
-// ------------------------------------------------------------- manifest
+// ----------------------------------------------------- records and resume
 
-TEST_F(SweepCacheTest, ManifestRoundTripsThroughDisk) {
-  const bench::ManifestKey key{1'000, 42, "", ""};
-  {
-    bench::SweepManifest writer(dir_, key);
-    writer.Record("SEA", "GLM", {false, ""});
-    writer.Record("SEA", "DMT", {true, "boom, with commas\nand a newline"});
-  }
-  bench::SweepManifest reader(dir_, key);
-  EXPECT_EQ(reader.Load(), 2u);
-  const auto ok = reader.Find("SEA", "GLM");
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_FALSE(ok->failed);
-  const auto bad = reader.Find("SEA", "DMT");
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_TRUE(bad->failed);
-  // The error survives flattened to one CSV cell: no commas, no newlines.
-  EXPECT_NE(bad->error.find("boom"), std::string::npos);
-  EXPECT_EQ(bad->error.find(','), std::string::npos);
-  EXPECT_EQ(bad->error.find('\n'), std::string::npos);
-  EXPECT_FALSE(reader.Find("SEA", "EFDT").has_value());
+// A record cut short on disk is recomputed -- not read as numbers -- and
+// republished whole.
+TEST_F(SweepCacheTest, GarbledRecordIsRecomputed) {
+  bench::Options options = SmallSweepOptions(dir_);
+  options.datasets = {"SEA"};
+  options.models = {"GLM", "VFDT(MC)"};
+  options.jobs = 1;
+  const std::vector<bench::CellResult> first =
+      bench::RunSweep(options.models, options);
+  const bench::CellKey key{"SEA", "GLM", options.max_samples, options.seed,
+                           bench::RowOptionsHash(options)};
+  const std::string path = dir_ + "/" + bench::SweepCache::CellFileName(key);
+  ASSERT_TRUE(std::filesystem::exists(path));
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+
+  const std::vector<bench::CellResult> second =
+      bench::RunSweep(options.models, options);
+  ExpectCellsBitIdentical(first, second);
+  EXPECT_TRUE(bench::SweepCache(dir_).Load(key).has_value());
 }
 
-TEST(SweepManifestTest, FileNameSeparatesFaultConfigurations) {
-  const bench::ManifestKey clean{1'000, 42, "", ""};
-  EXPECT_NE(bench::SweepManifest::FileName(clean),
-            bench::SweepManifest::FileName({2'000, 42, "", ""}));
-  EXPECT_NE(bench::SweepManifest::FileName(clean),
-            bench::SweepManifest::FileName({1'000, 43, "", ""}));
-  // A faulted sweep must never satisfy a clean --resume (or vice versa).
-  EXPECT_NE(bench::SweepManifest::FileName(clean),
-            bench::SweepManifest::FileName({1'000, 42, "nan=0.01", ""}));
-  EXPECT_NE(bench::SweepManifest::FileName(clean),
-            bench::SweepManifest::FileName({1'000, 42, "", "cell:SEA/GLM=1"}));
+// --dmt-exact cells are recorded under a key of their own: a default run
+// on the same cache never reads them, and a second exact run reuses them
+// without computing a cell.
+TEST_F(SweepCacheTest, ExactRunsKeepRecordsOfTheirOwn) {
+  bench::Options exact = SmallSweepOptions(dir_);
+  exact.datasets = {"SEA"};
+  exact.models = {"DMT"};
+  exact.jobs = 1;
+  exact.dmt_exact = true;
+  // Never fires, but counts every time the cell starts.
+  exact.failpoint_spec = "cell:SEA/DMT=0";
+  const std::vector<bench::CellResult> exact_cells =
+      bench::RunSweep(exact.models, exact);
+  ASSERT_EQ(exact_cells.size(), 1u);
+
+  bench::Options fast = exact;
+  fast.dmt_exact = false;
+  fast.failpoint_spec.clear();
+  bench::Options fresh = fast;
+  fresh.use_cache = false;
+  ExpectCellsBitIdentical(bench::RunSweep(fast.models, fast),
+                          bench::RunSweep(fresh.models, fresh));
+
+  const std::vector<bench::CellResult> again =
+      bench::RunSweep(exact.models, exact);
+  ExpectCellsBitIdentical(exact_cells, again);
+  EXPECT_EQ(again[0].time_mean, exact_cells[0].time_mean);
+  robust::Failpoint* fp = robust::GlobalFailpoints().Find("cell:SEA/DMT");
+  ASSERT_NE(fp, nullptr);
+  EXPECT_EQ(fp->hits(), 0u);
 }
 
 TEST_F(SweepCacheTest, ResumeSkipsRecordedFailureWithoutRerun) {
@@ -736,11 +896,15 @@ TEST_F(SweepCacheTest, ResumeSkipsRecordedFailureWithoutRerun) {
   ASSERT_NE(broken, nullptr);
   EXPECT_TRUE(broken->failed);
 
-  // Every cell -- ok and failed -- was checkpointed into the manifest.
-  bench::SweepManifest manifest(
-      dir_, {options.max_samples, options.seed, options.inject_spec,
-             options.failpoint_spec});
-  EXPECT_EQ(manifest.Load(), 4u);
+  // Every cell -- ok and failed -- was recorded.
+  const bench::SweepCache cache(dir_);
+  for (const bench::CellResult& cell : first) {
+    const auto record = cache.Load({cell.dataset, cell.model,
+                                    options.max_samples, options.seed,
+                                    bench::RowOptionsHash(options)});
+    ASSERT_TRUE(record.has_value()) << cell.dataset << " / " << cell.model;
+    EXPECT_EQ(record->failed, cell.failed);
+  }
 
   options.resume = true;
   const std::vector<bench::CellResult> resumed =
@@ -755,8 +919,8 @@ TEST_F(SweepCacheTest, ResumeSkipsRecordedFailureWithoutRerun) {
   robust::Failpoint* fp = robust::GlobalFailpoints().Find("cell:SEA/GLM");
   ASSERT_NE(fp, nullptr);
   EXPECT_EQ(fp->hits(), 0u);
-  // The surviving cells reproduce their numbers exactly (faulted runs
-  // bypass the sweep cache, so the `ok` cells recompute deterministically).
+  // The surviving cells reproduce their numbers exactly, reloaded from the
+  // records of the failpoint run.
   for (const auto& dataset : {"SEA", "Agrawal"}) {
     for (const auto& model : {"GLM", "DMT"}) {
       const bench::CellResult* a = bench::FindCell(first, dataset, model);

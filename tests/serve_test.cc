@@ -1209,7 +1209,7 @@ TEST(ServeDurabilityTest, RecoveryRebuildsTheParkLogFromTheManifest) {
   // warm-starting each parked one from the rebuilt log. Whatever the
   // crashed run left in evicted/ -- no log, half a log, another run's log,
   // per-stream files of an older build -- the restart continues byte for
-  // byte.
+  // byte, and it removes the per-stream files.
   std::vector<std::string> script = RevisitingScript(96, 12);
   const std::size_t covered = 96;
   for (int s = 0; s < 12; ++s) {
@@ -1279,6 +1279,10 @@ TEST(ServeDurabilityTest, RecoveryRebuildsTheParkLogFromTheManifest) {
     }
 
     serve::ServeEngine recovered(config);
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir + "/evicted")) {
+      EXPECT_NE(entry.path().extension(), ".dmts") << entry.path();
+    }
     // Rebuilt with exactly the manifest's parked streams, nothing dead.
     EXPECT_EQ(recovered.park_log().live_bytes(), parked_bytes);
     EXPECT_EQ(recovered.park_log().dead_bytes(), 0u);

@@ -3,6 +3,7 @@
 // corruption contract -- a truncated, bit-flipped, version-skewed or
 // foreign file always surfaces as a typed StateError, never UB, abort or
 // a silently wrong recovery.
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -282,15 +283,34 @@ std::string ParkLogPath(const std::string& dir) {
 TEST(ParkLogTest, RecordsAreTheSingleFileArchiveBytes) {
   const std::string dir = FreshDir("park_log_bytes");
   serve::EnsureStateDir(dir);
-  serve::WriteEvictionArchive(dir, "user/42", "parked-model-bytes");
   serve::ParkLog log;
-  log.Open(dir);
+  log.Open(dir);  // before the single file: Open removes such files
+  serve::WriteEvictionArchive(dir, "user/42", "parked-model-bytes");
   const serve::ParkSlot slot = log.Append("user/42", "parked-model-bytes");
   EXPECT_EQ(slot.offset, 0u);
   EXPECT_EQ(ReadFileBytes(ParkLogPath(dir)),
             ReadFileBytes(dir + "/evicted/" +
                           serve::EvictionFileName("user/42")));
   EXPECT_EQ(log.live_bytes(), slot.size);
+}
+
+// Opening the log reclaims the per-stream files older builds parked
+// streams in, and touches nothing else.
+TEST(ParkLogTest, OpenRemovesOldPerStreamFiles) {
+  const std::string dir = FreshDir("park_log_reclaim");
+  serve::EnsureStateDir(dir);
+  serve::WriteEvictionArchive(dir, "alice", "alice-bytes");
+  serve::WriteEvictionArchive(dir, "bob", "bob-bytes");
+  std::ofstream(dir + "/evicted/notes.txt") << "kept";
+  serve::ParkLog log;
+  log.Open(dir);
+  std::vector<std::string> left;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir + "/evicted")) {
+    left.push_back(entry.path().filename().string());
+  }
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(left, (std::vector<std::string>{"notes.txt", "parked.log"}));
 }
 
 TEST(ParkLogTest, AppendReadForgetAndCompact) {
