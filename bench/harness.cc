@@ -16,16 +16,8 @@
 #include "dmt/common/random.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/common/thread_pool.h"
-#include "dmt/core/dynamic_model_tree.h"
 #include "dmt/robust/failpoint.h"
-#include "dmt/ensemble/adaptive_random_forest.h"
-#include "dmt/ensemble/leveraging_bagging.h"
-#include "dmt/linear/glm_classifier.h"
 #include "dmt/serial/model_io.h"
-#include "dmt/trees/efdt.h"
-#include "dmt/trees/fimtdd.h"
-#include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/vfdt.h"
 #include "sweep_cache.h"
 
 namespace dmt::bench {
@@ -174,12 +166,14 @@ Options ParseOptions(int argc, char** argv) {
     } else if (arg == "--datasets") {
       options.datasets = SplitCsv(next());
       for (const std::string& name : options.datasets) {
-        if (!IsDatasetName(name)) UsageError("unknown dataset: " + name);
+        if (!streams::IsDatasetName(name)) {
+          UsageError("unknown dataset: " + name);
+        }
       }
     } else if (arg == "--models") {
       options.models = SplitCsv(next());
       for (const std::string& name : options.models) {
-        if (!IsModelName(name)) UsageError("unknown model: " + name);
+        if (!serial::IsModelName(name)) UsageError("unknown model: " + name);
       }
     } else if (arg == "--jobs") {
       options.jobs = next_u64();
@@ -255,84 +249,8 @@ std::unique_ptr<Classifier> MakeModel(const std::string& name,
                                       int num_features, int num_classes,
                                       std::uint64_t seed, ThreadPool* pool,
                                       const Options* options) {
-  if (name == "DMT") {
-    core::DmtConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    if (options != nullptr && options->dmt_exact) {
-      config.gain_test_every = 1;
-      config.gain_test_threshold = 0.0;
-      config.order_buckets = 0;
-      config.candidate_grad_f32 = false;
-    }
-    return std::make_unique<core::DynamicModelTree>(config);
-  }
-  if (name == "FIMT-DD") {
-    trees::FimtDdConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    return std::make_unique<trees::FimtDd>(config);
-  }
-  if (name == "VFDT(MC)" || name == "VFDT(NBA)") {
-    trees::VfdtConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.leaf_prediction = name == "VFDT(MC)"
-                                 ? trees::LeafPrediction::kMajorityClass
-                                 : trees::LeafPrediction::kNaiveBayesAdaptive;
-    config.seed = seed;
-    return std::make_unique<trees::Vfdt>(config);
-  }
-  if (name == "HT-Ada") {
-    trees::HatConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    return std::make_unique<trees::HoeffdingAdaptiveTree>(config);
-  }
-  if (name == "EFDT") {
-    trees::EfdtConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    return std::make_unique<trees::Efdt>(config);
-  }
-  if (name == "ForestEns") {
-    ensemble::AdaptiveRandomForestConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    config.pool = pool;
-    return std::make_unique<ensemble::AdaptiveRandomForest>(config);
-  }
-  if (name == "BaggingEns") {
-    ensemble::LeveragingBaggingConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    config.pool = pool;
-    return std::make_unique<ensemble::LeveragingBagging>(config);
-  }
-  if (name == "GLM") {
-    linear::GlmConfig config;
-    config.num_features = num_features;
-    config.num_classes = num_classes;
-    config.seed = seed;
-    return std::make_unique<linear::GlmClassifier>(config);
-  }
-  std::fprintf(stderr, "unknown model: %s\n", name.c_str());
-  std::exit(1);
-}
-
-bool IsModelName(const std::string& name) {
-  const std::vector<std::string> all = AllModels();
-  return name == "GLM" || std::find(all.begin(), all.end(), name) != all.end();
-}
-
-bool IsDatasetName(const std::string& name) {
-  const std::vector<streams::DatasetSpec> all = streams::AllDatasets();
-  return std::any_of(all.begin(), all.end(),
-                     [&](const auto& spec) { return spec.name == name; });
+  return serial::MakeClassifier(name, num_features, num_classes, seed, pool,
+                                options != nullptr && options->dmt_exact);
 }
 
 std::vector<streams::DatasetSpec> SelectedDatasets(const Options& options) {

@@ -136,9 +136,10 @@ struct Options {
 };
 
 // Parses argv. `--help` prints the usage text to stdout and exits 0; an
-// unknown flag, a missing value, a malformed spec or an unknown data set
-// prints the usage text to stderr and exits 2 (the conventional usage-error
-// code, distinct from runtime failures exiting 1).
+// unknown flag, a missing value, a malformed spec or an unknown data set or
+// model (streams::IsDatasetName, serial::IsModelName) prints the usage text
+// to stderr and exits 2 (the conventional usage-error code, distinct from
+// runtime failures exiting 1).
 Options ParseOptions(int argc, char** argv);
 
 // Stand-alone models of the paper's Tables III-V, in row order.
@@ -146,10 +147,10 @@ std::vector<std::string> StandaloneModels();
 // Stand-alone + ensemble models of Table II, in row order.
 std::vector<std::string> AllModels();
 
-// Builds a classifier by paper row name: one of AllModels() or "GLM" (see
-// IsModelName); any other name prints an error and exits 1. A non-null
-// `pool` is lent to the ensembles (ForestEns / BaggingEns) for member
-// training and batch scoring; it must outlive the returned model.
+// serial::MakeClassifier (the learner registry, serial/model_io.h) with
+// --dmt-exact taken from `options`: one of AllModels() or "GLM"; any other
+// name throws std::invalid_argument. A non-null `pool` is lent to the
+// ensembles (ForestEns / BaggingEns); it must outlive the returned model.
 std::unique_ptr<Classifier> MakeModel(const std::string& name,
                                       int num_features, int num_classes,
                                       std::uint64_t seed,
@@ -204,16 +205,6 @@ std::vector<CellResult> RunSweep(const std::vector<std::string>& models,
 const CellResult* FindCell(const std::vector<CellResult>& cells,
                            const std::string& dataset,
                            const std::string& model);
-
-// True when `name` is a model MakeModel builds: AllModels() plus "GLM".
-// The binaries check names at parse time, so an unknown or retired one is
-// a usage error (exit 2) rather than MakeModel's exit 1 mid-run.
-bool IsModelName(const std::string& name);
-
-// True when `name` is a built-in data set (streams::AllDatasets). The
-// binaries check names at parse time, so an unknown one is a usage error
-// (exit 2) rather than the abort of streams::DatasetByName.
-bool IsDatasetName(const std::string& name);
 
 // Datasets selected by the options (defaults to all 13 of Table I).
 std::vector<streams::DatasetSpec> SelectedDatasets(const Options& options);

@@ -46,19 +46,7 @@ int main() {
   for (const char* name : {"DMT", "FIMT-DD", "VFDT(MC)", "HT-Ada"}) {
     Entry entry;
     entry.name = name;
-    if (entry.name == "DMT") {
-      entry.model = std::make_unique<core::DynamicModelTree>(
-          core::DmtConfig{.num_features = 33, .num_classes = 6});
-    } else if (entry.name == "FIMT-DD") {
-      entry.model = std::make_unique<trees::FimtDd>(
-          trees::FimtDdConfig{.num_features = 33, .num_classes = 6});
-    } else if (entry.name == "VFDT(MC)") {
-      entry.model = std::make_unique<trees::Vfdt>(
-          trees::VfdtConfig{.num_features = 33, .num_classes = 6});
-    } else {
-      entry.model = std::make_unique<trees::HoeffdingAdaptiveTree>(
-          trees::HatConfig{.num_features = 33, .num_classes = 6});
-    }
+    entry.model = serial::MakeClassifier(name, 33, 6, /*seed=*/42);
     entry.stream = make_stream();
     entry.scaler = std::make_unique<streams::OnlineMinMaxScaler>(33);
     entries.push_back(std::move(entry));

@@ -30,48 +30,19 @@ int main() {
   for (const char* name :
        {"DMT", "FIMT-DD", "VFDT(MC)", "VFDT(NBA)", "HT-Ada", "EFDT"}) {
     std::unique_ptr<streams::Stream> stream = spec.make(samples, 42);
-    std::unique_ptr<Classifier> model;
-    if (std::string(name) == "DMT") {
-      auto tree = std::make_unique<core::DynamicModelTree>(core::DmtConfig{
-          .num_features = static_cast<int>(spec.num_features),
-          .num_classes = static_cast<int>(spec.num_classes)});
-      dmt = std::move(tree);
-      // Evaluate the shared instance (kept for the report below).
-      eval::PrequentialConfig config;
-      config.expected_samples = samples;
-      const eval::PrequentialResult result =
-          eval::RunPrequential(stream.get(), dmt.get(), config);
-      rows.push_back({name, result.f1.mean(), result.num_splits.mean(),
-                      result.num_params.mean()});
-      continue;
-    }
-    if (std::string(name) == "FIMT-DD") {
-      model = std::make_unique<trees::FimtDd>(trees::FimtDdConfig{
-          .num_features = static_cast<int>(spec.num_features),
-          .num_classes = static_cast<int>(spec.num_classes)});
-    } else if (std::string(name) == "VFDT(MC)" ||
-               std::string(name) == "VFDT(NBA)") {
-      model = std::make_unique<trees::Vfdt>(trees::VfdtConfig{
-          .num_features = static_cast<int>(spec.num_features),
-          .num_classes = static_cast<int>(spec.num_classes),
-          .leaf_prediction = std::string(name) == "VFDT(MC)"
-                                 ? trees::LeafPrediction::kMajorityClass
-                                 : trees::LeafPrediction::kNaiveBayesAdaptive});
-    } else if (std::string(name) == "HT-Ada") {
-      model = std::make_unique<trees::HoeffdingAdaptiveTree>(trees::HatConfig{
-          .num_features = static_cast<int>(spec.num_features),
-          .num_classes = static_cast<int>(spec.num_classes)});
-    } else {
-      model = std::make_unique<trees::Efdt>(trees::EfdtConfig{
-          .num_features = static_cast<int>(spec.num_features),
-          .num_classes = static_cast<int>(spec.num_classes)});
-    }
+    std::unique_ptr<Classifier> model = serial::MakeClassifier(
+        name, static_cast<int>(spec.num_features),
+        static_cast<int>(spec.num_classes), /*seed=*/42);
     eval::PrequentialConfig config;
     config.expected_samples = samples;
     const eval::PrequentialResult result =
         eval::RunPrequential(stream.get(), model.get(), config);
     rows.push_back({name, result.f1.mean(), result.num_splits.mean(),
                     result.num_params.mean()});
+    if (std::string(name) == "DMT") {
+      // Keep the trained DMT for the report below.
+      dmt.reset(static_cast<core::DynamicModelTree*>(model.release()));
+    }
   }
 
   std::printf("Interpretability/complexity report on %s (%zu observations, "

@@ -24,6 +24,7 @@
 #include "dmt/linear/glm.h"
 #include "dmt/linear/glm_classifier.h"
 #include "dmt/linear/linear_regressor.h"
+#include "dmt/serial/model_io.h"
 #include "dmt/streams/agrawal.h"
 #include "dmt/streams/classic_generators.h"
 #include "dmt/streams/concept_stream.h"

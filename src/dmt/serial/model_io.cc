@@ -1,10 +1,14 @@
 #include "dmt/serial/model_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
@@ -25,7 +29,90 @@ SerialError RetiredLearner(const char* learner) {
   return SerialError(message);
 }
 
+struct LearnerArgs {
+  int num_features;
+  int num_classes;
+  std::uint64_t seed;
+  ThreadPool* pool;
+  bool dmt_exact;
+};
+
+using Builder = std::unique_ptr<Classifier> (*)(const LearnerArgs&);
+
+// A default `Config` with the dimensions, plus the seed and the borrowed
+// pool where the learner has them (HT-Ada and EFDT draw no randomness).
+template <typename Config>
+Config Sized(const LearnerArgs& args) {
+  Config config;
+  config.num_features = args.num_features;
+  config.num_classes = args.num_classes;
+  if constexpr (requires(Config c) { c.seed; }) config.seed = args.seed;
+  if constexpr (requires(Config c) { c.pool; }) config.pool = args.pool;
+  return config;
+}
+
+template <typename Model, typename Config>
+std::unique_ptr<Classifier> Build(const LearnerArgs& args) {
+  return std::make_unique<Model>(Sized<Config>(args));
+}
+
+std::unique_ptr<Classifier> BuildDmt(const LearnerArgs& args) {
+  core::DmtConfig config = Sized<core::DmtConfig>(args);
+  if (args.dmt_exact) {
+    config.gain_test_every = 1;
+    config.gain_test_threshold = 0.0;
+    config.order_buckets = 0;
+    config.candidate_grad_f32 = false;
+  }
+  return std::make_unique<core::DynamicModelTree>(config);
+}
+
+template <trees::LeafPrediction kLeaf>
+std::unique_ptr<Classifier> BuildVfdt(const LearnerArgs& args) {
+  trees::VfdtConfig config = Sized<trees::VfdtConfig>(args);
+  config.leaf_prediction = kLeaf;
+  return std::make_unique<trees::Vfdt>(config);
+}
+
+// The registry, in Table II row order with GLM last.
+constexpr std::pair<std::string_view, Builder> kLearners[] = {
+    {"DMT", BuildDmt},
+    {"FIMT-DD", Build<trees::FimtDd, trees::FimtDdConfig>},
+    {"VFDT(MC)", BuildVfdt<trees::LeafPrediction::kMajorityClass>},
+    {"VFDT(NBA)", BuildVfdt<trees::LeafPrediction::kNaiveBayesAdaptive>},
+    {"HT-Ada", Build<trees::HoeffdingAdaptiveTree, trees::HatConfig>},
+    {"EFDT", Build<trees::Efdt, trees::EfdtConfig>},
+    {"ForestEns", Build<ensemble::AdaptiveRandomForest,
+                        ensemble::AdaptiveRandomForestConfig>},
+    {"BaggingEns", Build<ensemble::LeveragingBagging,
+                         ensemble::LeveragingBaggingConfig>},
+    {"GLM", Build<linear::GlmClassifier, linear::GlmConfig>},
+};
+
+const std::pair<std::string_view, Builder>* FindLearner(
+    const std::string& name) {
+  const auto* it = std::find_if(
+      std::begin(kLearners), std::end(kLearners),
+      [&](const auto& learner) { return learner.first == name; });
+  return it == std::end(kLearners) ? nullptr : it;
+}
+
 }  // namespace
+
+bool IsModelName(const std::string& name) {
+  return FindLearner(name) != nullptr;
+}
+
+std::unique_ptr<Classifier> MakeClassifier(const std::string& name,
+                                           int num_features, int num_classes,
+                                           std::uint64_t seed,
+                                           ThreadPool* pool, bool dmt_exact) {
+  const auto* learner = FindLearner(name);
+  if (learner == nullptr) {
+    throw std::invalid_argument("unknown model: " + name);
+  }
+  return learner->second({num_features, num_classes, seed, pool, dmt_exact});
+}
 
 std::unique_ptr<Classifier> LoadClassifier(std::istream& in) {
   Reader reader(in);

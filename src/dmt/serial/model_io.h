@@ -1,8 +1,9 @@
-// Learner tags and whole-model archive entry points. Every learner writes
-// the shared header (serial/archive.h) with its own FourCC tag; the
-// functions here read that header once and dispatch to the right LoadBody.
-// This is the one load path for classifiers; the regressors and the bare
-// Glm / LinearRegressor support models keep a typed static Load.
+// The classifier registry: learner tags, the one by-name factory and the
+// whole-model archive entry points. Every learner writes the shared header
+// (serial/archive.h) with its own FourCC tag; the functions here read that
+// header once and dispatch to the right LoadBody. This is the one build and
+// load path for classifiers; the regressors and the bare Glm /
+// LinearRegressor support models keep a typed static Load.
 #ifndef DMT_SERIAL_MODEL_IO_H_
 #define DMT_SERIAL_MODEL_IO_H_
 
@@ -12,6 +13,10 @@
 
 #include "dmt/common/classifier.h"
 #include "dmt/serial/archive.h"
+
+namespace dmt {
+class ThreadPool;
+}  // namespace dmt
 
 namespace dmt::trees {
 class Vfdt;
@@ -47,6 +52,25 @@ inline constexpr std::uint32_t kTagSgt = FourCC('S', 'G', 'T', 'C');
 inline constexpr std::uint32_t kTagOzaBag = FourCC('O', 'Z', 'B', 'G');
 // Online (Oza) Boosting.
 inline constexpr std::uint32_t kTagOzaBoost = FourCC('O', 'Z', 'B', 'S');
+
+// True when `name` is a classifier MakeClassifier builds: the paper's
+// Table II rows (DMT, FIMT-DD, VFDT(MC), VFDT(NBA), HT-Ada, EFDT,
+// ForestEns, BaggingEns) plus GLM. Exact and case-sensitive; the retired
+// SGT, OzaBag and OzaBoost are not names.
+bool IsModelName(const std::string& name);
+
+// Builds a fresh classifier by registry name (see IsModelName) with every
+// other config field at its default. A non-null `pool` is lent to the
+// ensembles (ForestEns / BaggingEns) for member training and batch scoring;
+// it must outlive the returned model. `dmt_exact` runs a DMT in the
+// paper-exact pipeline (gain_test_every=1, gain_test_threshold=0,
+// order_buckets=0, candidate_grad_f32=false); other learners ignore it.
+// Throws std::invalid_argument naming an unknown model.
+std::unique_ptr<Classifier> MakeClassifier(const std::string& name,
+                                           int num_features, int num_classes,
+                                           std::uint64_t seed,
+                                           ThreadPool* pool = nullptr,
+                                           bool dmt_exact = false);
 
 // Reads one archive and reconstructs whichever Classifier it holds.
 // Throws SerialError on malformed input, a non-classifier tag or a retired

@@ -54,8 +54,8 @@ namespace dmt::serve {
 // Builds the learner for a newly observed stream id. `seed` is already
 // derived from the engine seed and the stream id; the factory must not
 // fold in any other entropy (clocks, addresses) or the determinism
-// contract breaks. dmt_serve wires this to bench::MakeModel, so any of the
-// serializable learners can serve.
+// contract breaks. dmt_serve wires this to serial::MakeClassifier, so any
+// learner of the registry (serial::IsModelName) can serve.
 using ModelFactory = std::function<std::unique_ptr<Classifier>(
     const std::string& stream_id, std::uint64_t seed)>;
 

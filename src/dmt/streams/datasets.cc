@@ -183,4 +183,11 @@ DatasetSpec DatasetByName(const std::string& name) {
   std::abort();
 }
 
+bool IsDatasetName(const std::string& name) {
+  const std::vector<DatasetSpec> all = AllDatasets();
+  return std::any_of(all.begin(), all.end(), [&](const DatasetSpec& spec) {
+    return spec.name == name;
+  });
+}
+
 }  // namespace dmt::streams

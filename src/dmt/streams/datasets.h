@@ -41,6 +41,11 @@ std::vector<DatasetSpec> AllDatasets();
 // Looks up a spec by name; aborts on unknown names.
 DatasetSpec DatasetByName(const std::string& name);
 
+// True when `name` is a built-in data set (AllDatasets), exact and
+// case-sensitive. The binaries check names at parse time, so an unknown one
+// is a usage error (exit 2) rather than the abort of DatasetByName.
+bool IsDatasetName(const std::string& name);
+
 // Effective sample count: full size capped at `max_samples` (0 = no cap).
 std::size_t EffectiveSamples(const DatasetSpec& spec, std::size_t max_samples);
 

@@ -21,9 +21,9 @@
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/linear/glm.h"
-#include "dmt/linear/glm_classifier.h"
 #include "dmt/linear/linear_regressor.h"
 #include "dmt/obs/telemetry.h"
+#include "dmt/serial/model_io.h"
 #include "dmt/serve/engine.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
@@ -66,7 +66,9 @@ Batch TrainAndMakeProbe(Classifier* model, std::uint64_t seed) {
   return batch;  // the last training batch doubles as the scoring probe
 }
 
-void ExpectZeroAllocScoring(Classifier* model, const Batch& probe) {
+// The parameters go unread in a sanitizer build, which skips the check.
+void ExpectZeroAllocScoring([[maybe_unused]] Classifier* model,
+                            [[maybe_unused]] const Batch& probe) {
 #ifdef DMT_UNDER_SANITIZER
   GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
 #else
@@ -162,8 +164,10 @@ std::vector<Batch> MakeBatches(int rounds, int per_batch, std::uint64_t seed,
 }
 
 template <typename Model, typename BatchT>
-void ExpectZeroAllocTraining(Model* model, const std::vector<BatchT>& warmup,
-                             const std::vector<BatchT>& measured) {
+void ExpectZeroAllocTraining(
+    [[maybe_unused]] Model* model,
+    [[maybe_unused]] const std::vector<BatchT>& warmup,
+    [[maybe_unused]] const std::vector<BatchT>& measured) {
 #ifdef DMT_UNDER_SANITIZER
   GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
 #else
@@ -397,13 +401,8 @@ TEST(AllocationRegressionTest, ServeRequestsWithoutAllocating) {
   serve::ServeConfig config;
   config.num_features = kServeFeatures;
   config.num_classes = kServeClasses;
-  config.factory = [](const std::string& /*id*/,
-                      std::uint64_t seed) -> std::unique_ptr<Classifier> {
-    linear::GlmConfig glm;
-    glm.num_features = kServeFeatures;
-    glm.num_classes = kServeClasses;
-    glm.seed = seed;
-    return std::make_unique<linear::GlmClassifier>(glm);
+  config.factory = [](const std::string& /*id*/, std::uint64_t seed) {
+    return serial::MakeClassifier("GLM", kServeFeatures, kServeClasses, seed);
   };
   serve::ServeEngine engine(std::move(config));
 

@@ -10,59 +10,12 @@
 #include "dmt/common/math.h"
 #include "dmt/common/random.h"
 #include "dmt/core/dynamic_model_tree.h"
-#include "dmt/ensemble/adaptive_random_forest.h"
-#include "dmt/ensemble/leveraging_bagging.h"
 #include "dmt/eval/prequential.h"
-#include "dmt/linear/glm_classifier.h"
 #include "dmt/streams/datasets.h"
-#include "dmt/trees/efdt.h"
-#include "dmt/trees/fimtdd.h"
-#include "dmt/trees/hoeffding_adaptive.h"
-#include "dmt/trees/vfdt.h"
+#include "learner_stems.h"
 
 namespace dmt {
 namespace {
-
-std::unique_ptr<Classifier> Make(const std::string& name, int m, int c) {
-  if (name == "DMT") {
-    return std::make_unique<core::DynamicModelTree>(
-        core::DmtConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "FIMT-DD") {
-    return std::make_unique<trees::FimtDd>(
-        trees::FimtDdConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "VFDT") {
-    return std::make_unique<trees::Vfdt>(
-        trees::VfdtConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "VFDT-NBA") {
-    return std::make_unique<trees::Vfdt>(trees::VfdtConfig{
-        .num_features = m,
-        .num_classes = c,
-        .leaf_prediction = trees::LeafPrediction::kNaiveBayesAdaptive});
-  }
-  if (name == "HT-Ada") {
-    return std::make_unique<trees::HoeffdingAdaptiveTree>(
-        trees::HatConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "EFDT") {
-    return std::make_unique<trees::Efdt>(
-        trees::EfdtConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "ARF") {
-    return std::make_unique<ensemble::AdaptiveRandomForest>(
-        ensemble::AdaptiveRandomForestConfig{.num_features = m,
-                                             .num_classes = c});
-  }
-  if (name == "LevBag") {
-    return std::make_unique<ensemble::LeveragingBagging>(
-        ensemble::LeveragingBaggingConfig{.num_features = m,
-                                          .num_classes = c});
-  }
-  return std::make_unique<linear::GlmClassifier>(
-      linear::GlmConfig{.num_features = m, .num_classes = c});
-}
 
 // (model, num_classes) sweep.
 class ClassifierContractTest
@@ -71,7 +24,8 @@ class ClassifierContractTest
 TEST_P(ClassifierContractTest, ProbabilitiesFormDistributionAndArgmax) {
   const auto [name, num_classes] = GetParam();
   const int m = 4;
-  std::unique_ptr<Classifier> model = Make(name, m, num_classes);
+  std::unique_ptr<Classifier> model =
+      teststems::MakeStem(name, m, num_classes);
   Rng rng(17);
   Batch batch(m);
   for (int i = 0; i < 600; ++i) {
@@ -105,9 +59,7 @@ TEST_P(ClassifierContractTest, ProbabilitiesFormDistributionAndArgmax) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndClassCounts, ClassifierContractTest,
-    ::testing::Combine(::testing::Values("DMT", "FIMT-DD", "VFDT", "VFDT-NBA",
-                                         "HT-Ada", "EFDT", "ARF", "LevBag",
-                                         "GLM"),
+    ::testing::Combine(::testing::ValuesIn(teststems::AllStems()),
                        ::testing::Values(2, 5)));
 
 // The batch-first scoring core (PredictProbaInto / PredictBatch) must
@@ -125,7 +77,7 @@ TEST_P(BatchScoringEquivalenceTest, IntoAndBatchMatchLegacyBitExact) {
   const streams::DatasetSpec spec = streams::DatasetByName(dataset);
   const int m = static_cast<int>(spec.num_features);
   const int c = static_cast<int>(spec.num_classes);
-  std::unique_ptr<Classifier> model = Make(model_name, m, c);
+  std::unique_ptr<Classifier> model = teststems::MakeStem(model_name, m, c);
   ASSERT_EQ(model->num_classes(), c);
 
   std::unique_ptr<streams::Stream> stream = spec.make(3000, 7);
@@ -157,9 +109,7 @@ TEST_P(BatchScoringEquivalenceTest, IntoAndBatchMatchLegacyBitExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModelsOnStreams, BatchScoringEquivalenceTest,
-    ::testing::Combine(::testing::Values("DMT", "FIMT-DD", "VFDT", "VFDT-NBA",
-                                         "HT-Ada", "EFDT", "ARF", "LevBag",
-                                         "GLM"),
+    ::testing::Combine(::testing::ValuesIn(teststems::AllStems()),
                        ::testing::Values("SEA", "Agrawal")));
 
 // DMT must beat the always-majority baseline on every Table I stream at

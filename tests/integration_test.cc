@@ -11,17 +11,13 @@
 
 #include "dmt/common/random.h"
 #include "dmt/core/dynamic_model_tree.h"
-#include "dmt/ensemble/adaptive_random_forest.h"
-#include "dmt/ensemble/leveraging_bagging.h"
 #include "dmt/eval/metrics.h"
 #include "dmt/eval/prequential.h"
-#include "dmt/linear/glm_classifier.h"
 #include "dmt/streams/concept_stream.h"
 #include "dmt/streams/datasets.h"
-#include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
-#include "dmt/trees/hoeffding_adaptive.h"
 #include "dmt/trees/vfdt.h"
+#include "learner_stems.h"
 
 namespace dmt {
 namespace {
@@ -176,34 +172,7 @@ TEST_P(EveryModelTest, RunsOnRepresentativeStreams) {
     const int m = static_cast<int>(spec.num_features);
     const int c = static_cast<int>(spec.num_classes);
 
-    std::unique_ptr<Classifier> model;
-    if (model_name == "DMT") {
-      model = std::make_unique<core::DynamicModelTree>(
-          core::DmtConfig{.num_features = m, .num_classes = c});
-    } else if (model_name == "FIMT-DD") {
-      model = std::make_unique<trees::FimtDd>(
-          trees::FimtDdConfig{.num_features = m, .num_classes = c});
-    } else if (model_name == "VFDT") {
-      model = std::make_unique<trees::Vfdt>(
-          trees::VfdtConfig{.num_features = m, .num_classes = c});
-    } else if (model_name == "HT-Ada") {
-      model = std::make_unique<trees::HoeffdingAdaptiveTree>(
-          trees::HatConfig{.num_features = m, .num_classes = c});
-    } else if (model_name == "EFDT") {
-      model = std::make_unique<trees::Efdt>(
-          trees::EfdtConfig{.num_features = m, .num_classes = c});
-    } else if (model_name == "ARF") {
-      model = std::make_unique<ensemble::AdaptiveRandomForest>(
-          ensemble::AdaptiveRandomForestConfig{.num_features = m,
-                                               .num_classes = c});
-    } else if (model_name == "LevBag") {
-      model = std::make_unique<ensemble::LeveragingBagging>(
-          ensemble::LeveragingBaggingConfig{.num_features = m,
-                                            .num_classes = c});
-    } else {
-      model = std::make_unique<linear::GlmClassifier>(
-          linear::GlmConfig{.num_features = m, .num_classes = c});
-    }
+    std::unique_ptr<Classifier> model = teststems::MakeStem(model_name, m, c);
 
     eval::PrequentialConfig config;
     config.expected_samples = samples;

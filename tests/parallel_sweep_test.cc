@@ -1016,8 +1016,8 @@ TEST(ParseOptionsDeathTest, UnknownDatasetExitsWithCode2) {
               ::testing::ExitedWithCode(2), "unknown dataset: Nope");
 }
 
-// An unknown or retired model name is a usage error at parse time, not
-// MakeModel's exit 1 once a sweep cell starts.
+// An unknown or retired model name is a usage error at parse time, not a
+// cell that fails on MakeClassifier's exception once the sweep starts.
 TEST(ParseOptionsDeathTest, RetiredModelExitsWithCode2) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char* argv[] = {"bench", "--models", "DMT,SGT"};
@@ -1036,18 +1036,6 @@ TEST(ParseOptionsTest, ListsKeepTheirOrderAndDropEmptyItems) {
 
 // ----------------------------------------------------- model and data names
 
-TEST(ModelNameTest, IsModelNameAcceptsExactlyTheBuildableModels) {
-  std::vector<std::string> buildable = bench::AllModels();
-  buildable.push_back("GLM");
-  for (const std::string& name : buildable) {
-    EXPECT_TRUE(bench::IsModelName(name)) << name;
-  }
-  for (const char* name : {"SGT", "OzaBag", "OzaBoost", "dmt", "VFDT", "ARF",
-                           "LevBag", "DMT ", ""}) {
-    EXPECT_FALSE(bench::IsModelName(name)) << "'" << name << "'";
-  }
-}
-
 TEST(ModelNameTest, StandaloneModelsLeadAllModelsInTableOrder) {
   EXPECT_EQ(bench::StandaloneModels(),
             (std::vector<std::string>{"DMT", "FIMT-DD", "VFDT(MC)",
@@ -1056,22 +1044,6 @@ TEST(ModelNameTest, StandaloneModelsLeadAllModelsInTableOrder) {
   all.push_back("ForestEns");
   all.push_back("BaggingEns");
   EXPECT_EQ(bench::AllModels(), all);
-}
-
-TEST(ModelNameTest, MakeModelBuildsTheNamedLearner) {
-  const std::map<std::string, std::string> learner = {
-      {"DMT", "DMT"},         {"FIMT-DD", "FIMT-DD"},
-      {"VFDT(MC)", "VFDT(MC)"}, {"VFDT(NBA)", "VFDT(NBA)"},
-      {"HT-Ada", "HT-Ada"},   {"EFDT", "EFDT"},
-      {"ForestEns", "ARF"},   {"BaggingEns", "LevBag"},
-      {"GLM", "GLM"}};
-  for (const auto& [name, learner_name] : learner) {
-    ASSERT_TRUE(bench::IsModelName(name)) << name;
-    const std::unique_ptr<Classifier> model = bench::MakeModel(name, 4, 3, 9);
-    ASSERT_NE(model, nullptr) << name;
-    EXPECT_EQ(model->name(), learner_name) << name;
-    EXPECT_EQ(model->num_classes(), 3) << name;
-  }
 }
 
 TEST(ModelNameTest, DmtExactOptionBuildsTheExactPipeline) {
@@ -1091,15 +1063,6 @@ TEST(ModelNameTest, DmtExactOptionBuildsTheExactPipeline) {
   bucketed.seed = 9;
   EXPECT_EQ(serial::SaveClassifierToString(*bench::MakeModel("DMT", 4, 3, 9)),
             serial::SaveClassifierToString(core::DynamicModelTree(bucketed)));
-}
-
-TEST(DatasetNameTest, IsDatasetNameIsExactAndCaseSensitive) {
-  for (const streams::DatasetSpec& spec : streams::AllDatasets()) {
-    EXPECT_TRUE(bench::IsDatasetName(spec.name)) << spec.name;
-  }
-  for (const char* name : {"sea", "SEA ", "Insects", "Fried", ""}) {
-    EXPECT_FALSE(bench::IsDatasetName(name)) << "'" << name << "'";
-  }
 }
 
 TEST(DatasetNameTest, SelectedDatasetsDefaultsToTableOneAndKeepsFilterOrder) {

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "dmt/common/random.h"
-#include "dmt/core/dynamic_model_tree.h"
 #include "dmt/linear/glm_classifier.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/robust/faulty_stream.h"
@@ -40,25 +39,11 @@
 namespace dmt {
 namespace {
 
-serve::ModelFactory GlmFactory(int features, int classes) {
-  return [features, classes](const std::string& /*id*/,
-                             std::uint64_t seed) -> std::unique_ptr<Classifier> {
-    linear::GlmConfig config;
-    config.num_features = features;
-    config.num_classes = classes;
-    config.seed = seed;
-    return std::make_unique<linear::GlmClassifier>(config);
-  };
-}
-
-serve::ModelFactory DmtFactory(int features, int classes) {
-  return [features, classes](const std::string& /*id*/,
-                             std::uint64_t seed) -> std::unique_ptr<Classifier> {
-    core::DmtConfig config;
-    config.num_features = features;
-    config.num_classes = classes;
-    config.seed = seed;
-    return std::make_unique<core::DynamicModelTree>(config);
+// What dmt_serve wires: the registry learner `model`, seeded per stream.
+serve::ModelFactory Factory(const std::string& model, int features,
+                            int classes) {
+  return [=](const std::string& /*id*/, std::uint64_t seed) {
+    return serial::MakeClassifier(model, features, classes, seed);
   };
 }
 
@@ -411,7 +396,7 @@ TEST(ServeEngineTest, ThousandStreamsByteIdenticalAcrossShardCounts) {
     config.num_shards = shard_counts[i];
     config.seed = 99;
     config.batch_window = 64;
-    config.factory = GlmFactory(2, 2);
+    config.factory = Factory("GLM", 2, 2);
     serve::ServeEngine engine(config);
     outputs[i] = RunLines(&engine, script);
     EXPECT_GE(engine.num_streams(), 1000u);
@@ -433,7 +418,7 @@ TEST(ServeEngineTest, DmtModelIsAlsoShardCountInvariant) {
     config.num_shards = shard_counts[i];
     config.seed = 7;
     config.batch_window = 32;
-    config.factory = DmtFactory(2, 2);
+    config.factory = Factory("DMT", 2, 2);
     serve::ServeEngine engine(config);
     outputs[i] = RunLines(&engine, script);
   }
@@ -451,7 +436,7 @@ TEST(ServeEngineTest, SameIdGetsSameModelRegardlessOfArrivalOrder) {
   serve::ServeConfig config;
   config.num_features = 2;
   config.num_classes = 2;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine1(config);
   serve::ServeEngine engine2(config);
   const std::vector<std::string> out1 = SplitLines(RunLines(&engine1, first_a));
@@ -471,7 +456,7 @@ TEST(ServeEngineTest, FullShardQueueRejectsWithRetryAfter) {
   config.num_shards = 1;
   config.batch_window = 8;
   config.queue_capacity = 2;
-  config.factory = GlmFactory(1, 2);
+  config.factory = Factory("GLM", 1, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> lines = {
       "train u 0.1,0", "train u 0.2,1", "train u 0.3,0", "train u 0.4,1"};
@@ -489,7 +474,7 @@ TEST(ServeEngineTest, DefaultQueueCapacityNeverRejects) {
   config.num_classes = 2;
   config.num_shards = 1;
   config.batch_window = 4;  // queue_capacity defaults to the window size
-  config.factory = GlmFactory(1, 2);
+  config.factory = Factory("GLM", 1, 2);
   serve::ServeEngine engine(config);
   std::vector<std::string> lines;
   for (int i = 0; i < 20; ++i) {
@@ -527,7 +512,7 @@ TEST(ServeEngineTest, LiveSnapshotBitIdenticalToOfflineArchive) {
   config.num_classes = 2;
   config.seed = 5;
   config.batch_window = 256;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   std::vector<std::string> lines;
   for (const std::vector<double>& row : rows) {
@@ -565,7 +550,7 @@ TEST(ServeEngineTest, RestoreRollsBackToSnapshotState) {
   serve::ServeConfig config;
   config.num_features = 2;
   config.num_classes = 2;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> lines = {
       "train u 0.1,0.9,1", "train u 0.9,0.1,0",
@@ -585,7 +570,7 @@ TEST(ServeEngineTest, SnapshotOfUnknownStreamIsAnError) {
   serve::ServeConfig config;
   config.num_features = 1;
   config.num_classes = 2;
-  config.factory = GlmFactory(1, 2);
+  config.factory = Factory("GLM", 1, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> out =
       SplitLines(RunLines(&engine, {"snapshot ghost /tmp/ghost.dmt"}));
@@ -597,7 +582,7 @@ TEST(ServeEngineTest, DropForgetsAndRecreatesFreshModel) {
   serve::ServeConfig config;
   config.num_features = 2;
   config.num_classes = 2;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> session = {
       "train u 0.2,0.8,1", "train u 0.7,0.3,0", "score u 0.5,0.5"};
@@ -621,7 +606,7 @@ TEST(ServeEngineTest, SkipPolicyDropsNonFiniteRows) {
   config.num_features = 2;
   config.num_classes = 2;
   config.bad_input_policy = BadInputPolicy::kSkip;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> out = SplitLines(RunLines(
       &engine, {"train u nan,0.5,1", "score u inf,0.5", "train u 0.1,0.2,5"}));
@@ -636,7 +621,7 @@ TEST(ServeEngineTest, ThrowPolicyRejectsWithoutAborting) {
   config.num_features = 2;
   config.num_classes = 2;
   config.bad_input_policy = BadInputPolicy::kThrow;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> out = SplitLines(
       RunLines(&engine, {"train u nan,0.5,1", "train u 0.1,0.5,1"}));
@@ -650,7 +635,7 @@ TEST(ServeEngineTest, ImputePolicyZeroFillsFeaturesButNeverLabels) {
   config.num_features = 2;
   config.num_classes = 2;
   config.bad_input_policy = BadInputPolicy::kImputeMidpoint;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> out = SplitLines(RunLines(
       &engine, {"train u nan,0.5,1", "train u 0.1,0.5,nan"}));
@@ -703,7 +688,7 @@ TEST(ServeEngineTest, ExporterEmitsValidJsonlUnderNanTraffic) {
   config.batch_window = 2;
   config.exporter = &exporter;
   config.export_every = 1;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   std::vector<std::string> lines;
   for (int i = 0; i < 6; ++i) {
@@ -735,7 +720,7 @@ TEST(ServeEngineTest, StatsPayloadIsValidJson) {
   serve::ServeConfig config;
   config.num_features = 1;
   config.num_classes = 2;
-  config.factory = GlmFactory(1, 2);
+  config.factory = Factory("GLM", 1, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> out =
       SplitLines(RunLines(&engine, {"train u 0.5,1", "stats"}));
@@ -750,7 +735,7 @@ TEST(ServeEngineTest, ParseErrorsGetOneResponseLineEach) {
   serve::ServeConfig config;
   config.num_features = 2;
   config.num_classes = 2;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::vector<std::string> out = SplitLines(RunLines(
       &engine, {"bogus", "train u 0.5", "train u 0.1,0.2,1", ""}));
@@ -807,7 +792,7 @@ TEST(ServeDurabilityTest, EvictionWithoutStateDirIsRefused) {
   config.num_features = 1;
   config.num_classes = 2;
   config.max_streams = 4;
-  config.factory = GlmFactory(1, 2);
+  config.factory = Factory("GLM", 1, 2);
   EXPECT_THROW(serve::ServeEngine engine(config), serve::StateError);
 }
 
@@ -818,7 +803,7 @@ TEST(ServeDurabilityTest, LruEvictionBoundsResidentStreams) {
   config.batch_window = 8;
   config.state_dir = FreshStateDir("serve_evict_bound");
   config.max_streams = 4;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   const std::string out =
       RunLines(&engine, RevisitingScript(400, 20));
@@ -851,7 +836,7 @@ TEST(ServeDurabilityTest, DroppedParkedStreamCannotBeResurrected) {
   config.model_kind = "GLM";
   config.state_dir = dir;
   config.max_streams = 1;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
   std::vector<std::string> out = SplitLines(RunLines(
       &engine, {"train u 0.2,0.8,1", "train u 0.7,0.3,0", "train v 0.5,0.5,1",
@@ -904,7 +889,7 @@ TEST(ServeDurabilityTest, CompactionBoundsTheParkLogInvisibly) {
   config.batch_window = 1;
   config.model_kind = "GLM";
   config.checkpoint_every = 500;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
 
   serve::ServeConfig unbounded_config = config;
   unbounded_config.state_dir = FreshStateDir("serve_compact_ref");
@@ -976,7 +961,7 @@ TEST(ServeDurabilityTest, HostileRngRecordsAnswerErrAndServingContinues) {
   config.batch_window = 1;
   config.state_dir = dir;
   config.max_streams = 1;
-  config.factory = DmtFactory(2, 2);
+  config.factory = Factory("DMT", 2, 2);
   serve::ServeEngine engine(config);
   RunLines(&engine, {"train r 0.1,0.9,1", "snapshot r " + path});
   const std::string valid = ReadFileBytes(path);
@@ -1041,7 +1026,7 @@ TEST(ServeDurabilityTest, EvictionIsByteInvisibleForGlm) {
   unbounded.num_classes = 2;
   unbounded.batch_window = 16;
   unbounded.seed = 3;
-  unbounded.factory = GlmFactory(2, 2);
+  unbounded.factory = Factory("GLM", 2, 2);
   serve::ServeEngine reference(unbounded);
   const std::string expected = RunLines(&reference, script);
 
@@ -1062,7 +1047,7 @@ TEST(ServeDurabilityTest, EvictionIsByteInvisibleForDmt) {
   unbounded.num_classes = 2;
   unbounded.batch_window = 16;
   unbounded.seed = 17;
-  unbounded.factory = DmtFactory(2, 2);
+  unbounded.factory = Factory("DMT", 2, 2);
   serve::ServeEngine reference(unbounded);
   const std::string expected = RunLines(&reference, script);
 
@@ -1093,7 +1078,7 @@ TEST(ServeDurabilityTest, ShardCountInvariantWithEvictionActive) {
         FreshStateDir("serve_evict_shards" + std::to_string(i));
     config.max_streams = 5;
     config.idle_windows = 3;
-    config.factory = GlmFactory(2, 2);
+    config.factory = Factory("GLM", 2, 2);
     serve::ServeEngine engine(config);
     outputs[i] = RunLines(&engine, script);
   }
@@ -1118,7 +1103,7 @@ TEST(ServeDurabilityTest, CheckpointRecoveryContinuesByteIdentically) {
   config.seed = 9;
   config.model_kind = "GLM";
   config.checkpoint_every = 2;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
 
   // Uninterrupted reference run, in its own state dir.
   serve::ServeConfig reference_config = config;
@@ -1172,7 +1157,7 @@ TEST(ServeDurabilityTest, RecoveryWithEvictionIsShardInvariant) {
     config.max_streams = 4;
     config.state_dir =
         FreshStateDir("serve_recover_shards" + std::to_string(i));
-    config.factory = GlmFactory(2, 2);
+    config.factory = Factory("GLM", 2, 2);
     {
       serve::ServeEngine doomed(config);
       std::ostringstream sink;
@@ -1225,7 +1210,7 @@ TEST(ServeDurabilityTest, RecoveryRebuildsTheParkLogFromTheManifest) {
   config.model_kind = "GLM";
   config.checkpoint_every = 4;
   config.max_streams = 3;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
 
   serve::ServeConfig reference_config = config;
   reference_config.state_dir = FreshStateDir("serve_reparked_ref");
@@ -1325,7 +1310,7 @@ TEST(ServeDurabilityTest, FailedCheckpointKeepsThePreviousManifest) {
   config.model_kind = "GLM";
   config.checkpoint_every = 4;
   config.max_streams = 3;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   const std::string dir = FreshStateDir("serve_failed_checkpoint");
   config.state_dir = dir;
   serve::ServeEngine engine(config);
@@ -1395,7 +1380,7 @@ TEST(ServeDurabilityTest, RecoveryRejectsConfigSkew) {
   config.num_classes = 2;
   config.model_kind = "GLM";
   config.state_dir = FreshStateDir("serve_skew");
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   {
     serve::ServeEngine engine(config);
     std::ostringstream out;
@@ -1427,7 +1412,7 @@ TEST(ServeDurabilityTest, CorruptManifestIsATypedRefusal) {
   config.num_features = 2;
   config.num_classes = 2;
   config.state_dir = FreshStateDir("serve_corrupt");
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   {
     serve::ServeEngine engine(config);
     std::ostringstream out;
@@ -1461,7 +1446,7 @@ TEST(ServeInjectionTest, ServerSurvivesFaultTrafficDeterministically) {
     config.seed = 77;
     config.inject = robust::FaultSpec::Parse(
         "nan=0.2,inf=0.1,missing=0.1,flip=0.3,truncate=0.15");
-    config.factory = GlmFactory(2, 2);
+    config.factory = Factory("GLM", 2, 2);
     serve::ServeEngine engine(config);
     std::ostringstream out;
     for (const std::string& line : script) engine.ServeLine(line, out);
@@ -1494,7 +1479,7 @@ TEST(ServeInjectionTest, InjectionTraceSurvivesCheckpointRecovery) {
   config.checkpoint_every = 2;
   config.inject =
       robust::FaultSpec::Parse("nan=0.25,missing=0.2,flip=0.3,truncate=0.1");
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
 
   serve::ServeConfig reference_config = config;
   reference_config.state_dir = FreshStateDir("serve_inject_ref");
@@ -1535,7 +1520,7 @@ TEST(ServeBridgeTest, AnswersPerLineOverOnePersistentConnection) {
   config.num_classes = 2;
   config.batch_window = 64;  // larger than the request count: only the
                              // idle flush can emit responses
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
   serve::ServeEngine engine(config);
 
   int fds[2];
@@ -1579,7 +1564,7 @@ TEST(ServeBridgeTest, BatchModeMatchesRunScriptAndServesUnterminatedTail) {
   config.num_features = 2;
   config.num_classes = 2;
   config.batch_window = 16;
-  config.factory = GlmFactory(2, 2);
+  config.factory = Factory("GLM", 2, 2);
 
   serve::ServeEngine reference(config);
   const std::string expected = RunLines(&reference, script);

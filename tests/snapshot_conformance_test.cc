@@ -21,6 +21,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <span>
@@ -34,66 +35,20 @@
 #include "dmt/common/random.h"
 #include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
-#include "dmt/ensemble/adaptive_random_forest.h"
-#include "dmt/ensemble/leveraging_bagging.h"
 #include "dmt/linear/glm.h"
-#include "dmt/linear/glm_classifier.h"
 #include "dmt/linear/linear_regressor.h"
 #include "dmt/obs/telemetry.h"
 #include "dmt/serial/model_io.h"
-#include "dmt/trees/efdt.h"
-#include "dmt/trees/fimtdd.h"
 #include "dmt/trees/fimtdd_regressor.h"
-#include "dmt/trees/hoeffding_adaptive.h"
 #include "dmt/trees/vfdt.h"
+#include "learner_stems.h"
 
 namespace dmt {
 namespace {
 
-constexpr const char* kAllClassifiers[] = {
-    "DMT", "FIMT-DD", "VFDT",   "VFDT-NBA", "HT-Ada",
-    "EFDT", "ARF",    "LevBag", "GLM"};
-
-std::unique_ptr<Classifier> Make(const std::string& name, int m, int c) {
-  if (name == "DMT") {
-    return std::make_unique<core::DynamicModelTree>(
-        core::DmtConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "FIMT-DD") {
-    return std::make_unique<trees::FimtDd>(
-        trees::FimtDdConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "VFDT") {
-    return std::make_unique<trees::Vfdt>(
-        trees::VfdtConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "VFDT-NBA") {
-    return std::make_unique<trees::Vfdt>(trees::VfdtConfig{
-        .num_features = m,
-        .num_classes = c,
-        .leaf_prediction = trees::LeafPrediction::kNaiveBayesAdaptive});
-  }
-  if (name == "HT-Ada") {
-    return std::make_unique<trees::HoeffdingAdaptiveTree>(
-        trees::HatConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "EFDT") {
-    return std::make_unique<trees::Efdt>(
-        trees::EfdtConfig{.num_features = m, .num_classes = c});
-  }
-  if (name == "ARF") {
-    return std::make_unique<ensemble::AdaptiveRandomForest>(
-        ensemble::AdaptiveRandomForestConfig{.num_features = m,
-                                             .num_classes = c});
-  }
-  if (name == "LevBag") {
-    return std::make_unique<ensemble::LeveragingBagging>(
-        ensemble::LeveragingBaggingConfig{.num_features = m,
-                                          .num_classes = c});
-  }
-  return std::make_unique<linear::GlmClassifier>(
-      linear::GlmConfig{.num_features = m, .num_classes = c});
-}
+using teststems::AllStems;
+using teststems::kClassifiers;
+using teststems::MakeStem;
 
 // Axis-aligned concept so every tree learner actually grows structure; the
 // `drifted` flag swaps the two decisive features, firing the drift
@@ -135,7 +90,7 @@ TEST_P(SnapshotConformanceTest, RoundTripContinuesBitIdentically) {
   const std::string name = GetParam();
   const int m = 3;
   const int c = 3;
-  std::unique_ptr<Classifier> model = Make(name, m, c);
+  std::unique_ptr<Classifier> model = MakeStem(name, m, c);
 
   // Phase 1: grow structure, then drift so detector/background state is
   // non-trivial at snapshot time.
@@ -196,12 +151,12 @@ TEST_P(SnapshotConformanceTest, RoundTripContinuesBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, SnapshotConformanceTest,
-                         ::testing::ValuesIn(kAllClassifiers));
+                         ::testing::ValuesIn(AllStems()));
 
 // Binary classification exercises the other GLM head (single-logit) and
 // the binary NB/observer paths.
 TEST(SnapshotConformanceBinaryTest, DmtBinaryRoundTrip) {
-  std::unique_ptr<Classifier> model = Make("DMT", 2, 2);
+  std::unique_ptr<Classifier> model = MakeStem("DMT", 2, 2);
   Rng rng(1);
   for (int b = 0; b < 100; ++b) {
     Batch batch(2);
@@ -410,7 +365,7 @@ TEST(SnapshotSupportTest, LinearRegressorRoundTripContinues) {
 // A small trained archive for the learner (shared per-test; training a few
 // hundred samples keeps the corruption sweeps fast).
 std::string SmallArchive(const std::string& name) {
-  std::unique_ptr<Classifier> model = Make(name, 3, 3);
+  std::unique_ptr<Classifier> model = MakeStem(name, 3, 3);
   Rng rng(61);
   for (int b = 0; b < 6; ++b) {
     Batch batch(3);
@@ -457,7 +412,7 @@ TEST_P(SnapshotDecodeTest, BitFlipsNeverEscapeSerialError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, SnapshotDecodeTest,
-                         ::testing::ValuesIn(kAllClassifiers));
+                         ::testing::ValuesIn(AllStems()));
 
 TEST(SnapshotDecodeHeaderTest, BadMagicThrows) {
   std::string bytes = SmallArchive("GLM");
@@ -1003,7 +958,7 @@ std::string SanitizeName(const std::string& name) {
 }
 
 std::string CanonicalArchive(const std::string& name) {
-  std::unique_ptr<Classifier> model = Make(name, 3, 3);
+  std::unique_ptr<Classifier> model = MakeStem(name, 3, 3);
   Rng rng(91);
   for (int b = 0; b < 8; ++b) {
     Batch batch(3);
@@ -1060,7 +1015,7 @@ TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, GoldenArchiveTest,
-                         ::testing::ValuesIn(kAllClassifiers));
+                         ::testing::ValuesIn(AllStems()));
 
 // bench/goldens/DMT-R.dmts pins the regression tree the same way. Its recipe
 // drifts from a step in x[0] to a step in x[2], so the pinned bytes come
@@ -1387,7 +1342,7 @@ TEST(ModelFileTest, SaveClassifierToFileReplacesTheFileAndLeavesNoTemp) {
 }
 
 TEST(ModelFileTest, SaveClassifierToStringReusesTheCallersBuffer) {
-  const std::unique_ptr<Classifier> model = Make("GLM", 3, 3);
+  const std::unique_ptr<Classifier> model = MakeStem("GLM", 3, 3);
   std::string bytes(4096, 'x');
   const std::size_t capacity = bytes.capacity();
   serial::SaveClassifierToString(*model, &bytes);
@@ -1412,6 +1367,46 @@ TEST(ModelFileTest, LoadMemberVfdtRejectsForeignDimensions) {
     EXPECT_THROW(serial::LoadMemberVfdt(reader, features, classes),
                  serial::SerialError)
         << features << " features, " << classes << " classes";
+  }
+}
+
+// --- The learner registry ---------------------------------------------------
+
+TEST(ModelNameTest, IsModelNameAcceptsExactlyTheBuildableModels) {
+  for (const auto& [stem, name] : kClassifiers) {
+    EXPECT_TRUE(serial::IsModelName(name)) << name;
+  }
+  for (const char* name : {"SGT", "OzaBag", "OzaBoost", "dmt", "VFDT", "ARF",
+                           "LevBag", "DMT ", ""}) {
+    EXPECT_FALSE(serial::IsModelName(name)) << "'" << name << "'";
+  }
+}
+
+TEST(ModelNameTest, MakeModelBuildsTheNamedLearner) {
+  const std::map<std::string, std::string> learner = {
+      {"DMT", "DMT"},           {"FIMT-DD", "FIMT-DD"},
+      {"VFDT(MC)", "VFDT(MC)"}, {"VFDT(NBA)", "VFDT(NBA)"},
+      {"HT-Ada", "HT-Ada"},     {"EFDT", "EFDT"},
+      {"ForestEns", "ARF"},     {"BaggingEns", "LevBag"},
+      {"GLM", "GLM"}};
+  for (const auto& [name, learner_name] : learner) {
+    ASSERT_TRUE(serial::IsModelName(name)) << name;
+    const std::unique_ptr<Classifier> model =
+        serial::MakeClassifier(name, 4, 3, 9);
+    ASSERT_NE(model, nullptr) << name;
+    EXPECT_EQ(model->name(), learner_name) << name;
+    EXPECT_EQ(model->num_classes(), 3) << name;
+  }
+}
+
+// The library never exits: an unknown or retired name is an exception
+// naming the model, which the binaries turn into a usage error at parse time.
+TEST(ModelNameTest, MakeClassifierThrowsNamingARetiredModel) {
+  try {
+    serial::MakeClassifier("SGT", 4, 3, 9);
+    ADD_FAILURE() << "SGT built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown model: SGT");
   }
 }
 

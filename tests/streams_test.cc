@@ -275,6 +275,15 @@ TEST(DatasetsTest, EffectiveSamplesCapsAtFullSize) {
   EXPECT_EQ(EffectiveSamples(spec, 1'000'000), 13'910u);
 }
 
+TEST(DatasetNameTest, IsDatasetNameIsExactAndCaseSensitive) {
+  for (const DatasetSpec& spec : AllDatasets()) {
+    EXPECT_TRUE(IsDatasetName(spec.name)) << spec.name;
+  }
+  for (const char* name : {"sea", "SEA ", "Insects", "Fried", ""}) {
+    EXPECT_FALSE(IsDatasetName(name)) << "'" << name << "'";
+  }
+}
+
 TEST(ScalerTest, MapsBatchIntoUnitRange) {
   OnlineMinMaxScaler scaler(2);
   Batch batch(2);

@@ -23,7 +23,6 @@
 #include "dmt/serial/model_io.h"
 #include "dmt/streams/csv_stream.h"
 #include "dmt/streams/datasets.h"
-#include "harness.h"
 
 namespace {
 
@@ -85,13 +84,13 @@ int main(int argc, char** argv) {
     else if (arg == "--label") label_column = next();
     else if (arg == "--dataset") {
       dataset = next();
-      if (!bench::IsDatasetName(dataset)) {
+      if (!streams::IsDatasetName(dataset)) {
         UsageError("unknown dataset: " + dataset);
       }
     }
     else if (arg == "--model") {
       model_name = next();
-      if (!bench::IsModelName(model_name)) {
+      if (!serial::IsModelName(model_name)) {
         UsageError("unknown model: " + model_name);
       }
     }
@@ -187,9 +186,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    model = bench::MakeModel(model_name,
-                             static_cast<int>(stream->num_features()),
-                             static_cast<int>(stream->num_classes()), seed);
+    model = serial::MakeClassifier(model_name,
+                                   static_cast<int>(stream->num_features()),
+                                   static_cast<int>(stream->num_classes()),
+                                   seed);
   }
 
   eval::PrequentialConfig config;

@@ -13,7 +13,6 @@
 #include "dmt/common/parse.h"
 #include "dmt/streams/classic_generators.h"
 #include "dmt/streams/datasets.h"
-#include "harness.h"
 
 namespace {
 
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--dataset") {
       dataset = next();
-      if (!bench::IsDatasetName(dataset)) {
+      if (!streams::IsDatasetName(dataset)) {
         UsageError("unknown dataset: " + dataset);
       }
     } else if (arg == "--generator") {

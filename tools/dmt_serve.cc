@@ -36,11 +36,11 @@
 #include "dmt/common/sanitize.h"
 #include "dmt/robust/failpoint.h"
 #include "dmt/robust/faulty_stream.h"
+#include "dmt/serial/model_io.h"
 #include "dmt/serve/bridge.h"
 #include "dmt/serve/engine.h"
 #include "dmt/serve/exporter.h"
 #include "dmt/serve/state_dir.h"
-#include "harness.h"
 
 namespace {
 
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--model") {
       model_name = next();
-      if (!bench::IsModelName(model_name)) {
+      if (!serial::IsModelName(model_name)) {
         UsageError("unknown model: " + model_name);
       }
     } else if (arg == "--features") features = next_u64();
@@ -226,8 +226,8 @@ int main(int argc, char** argv) {
 
   config.model_kind = model_name;
   config.factory = [&](const std::string& /*stream_id*/, std::uint64_t seed) {
-    return bench::MakeModel(model_name, config.num_features,
-                            config.num_classes, seed);
+    return serial::MakeClassifier(model_name, config.num_features,
+                                  config.num_classes, seed);
   };
 
   std::unique_ptr<serve::JsonlExporter> exporter;
