@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <span>
 #include <string_view>
@@ -152,6 +153,13 @@ class Mt19937_64 {
   std::uint64_t draws_ = 0;
 };
 
+// Most draws a counted generator record may hold (serial::Writer::Rng):
+// rebuilding it discards at most this many words (a few ms). A counted
+// Rng past it is stored as text, and a ParkedRng past it keeps its engine.
+inline constexpr std::uint64_t kMaxRngDraws = std::uint64_t{1} << 20;
+
+class ParkedRng;
+
 // The seeded generator of every stochastic component. It is a uniform
 // random bit generator itself, so std::shuffle and the std:: distributions
 // draw through it and the engine counts every word; no caller reaches the
@@ -221,9 +229,86 @@ class Rng {
   }
 
  private:
+  friend class ParkedRng;
+
   Mt19937_64 engine_;
   std::uint64_t seed_;
   bool counted_ = true;
+};
+
+// A generator that draws rarely, held between its draws as what rebuilds
+// it rather than as its 2.5 kB engine. A counted Rng parks as its seed and
+// draw count (16 bytes, nothing on the heap), and Unpark reseeds and
+// discards. One without a cheap rebuild -- uncounted (restored from
+// generator text) or past kMaxRngDraws -- parks its engine on the heap.
+// Bursts of Unpark, draws and Park draw the same words as one Rng, and
+// serial::Writer::Rng writes the same record for either, so a model that
+// draws only when it grows (core::ModelTree, trees::FimtDdTree) holds one
+// of these and archives the same bytes.
+class ParkedRng {
+ public:
+  explicit ParkedRng(std::uint64_t seed = 42) : seed_(seed) {}
+  ParkedRng(const ParkedRng& other)
+      : seed_(other.seed_), draws_(other.draws_) {
+    if (other.engine_ != nullptr) {
+      engine_ = std::make_unique<Mt19937_64>(*other.engine_);
+    }
+  }
+  ParkedRng& operator=(const ParkedRng& other) {
+    if (this != &other) *this = ParkedRng(other);
+    return *this;
+  }
+  ParkedRng(ParkedRng&&) noexcept = default;
+  ParkedRng& operator=(ParkedRng&&) noexcept = default;
+
+  // The live generator: seeded and advanced by the parked draws, or a copy
+  // of the parked engine (then uncounted).
+  Rng Unpark() const {
+    Rng rng(seed_);
+    if (engine_ != nullptr) {
+      rng.Restore(*engine_);
+    } else {
+      rng.engine_.discard(draws_);
+    }
+    return rng;
+  }
+
+  // Takes over the state of `rng`, which Unpark returned and drew from.
+  void Park(const Rng& rng) {
+    if (rng.counted() && rng.draws() <= kMaxRngDraws) {
+      Restore(rng.seed(), rng.draws());
+    } else {
+      Restore(rng.engine());
+    }
+  }
+
+  // --- Archive state (serial::Writer::Rng) ---------------------------------
+  // Counted while it holds no engine; seed() and draws() are its state.
+  bool counted() const { return engine_ == nullptr; }
+  std::uint64_t seed() const { return seed_; }
+  std::uint64_t draws() const { return draws_; }
+  // The parked engine of an uncounted generator; null while counted.
+  const Mt19937_64* engine() const { return engine_.get(); }
+  // The counted state, stored without seeding anything.
+  void Restore(std::uint64_t seed, std::uint64_t draws) {
+    DMT_CHECK(draws <= kMaxRngDraws);
+    seed_ = seed;
+    draws_ = draws;
+    engine_.reset();
+  }
+  // An engine state of unknown history; the generator becomes uncounted.
+  void Restore(const Mt19937_64& engine) {
+    if (engine_ == nullptr) {
+      engine_ = std::make_unique<Mt19937_64>(engine);
+    } else {
+      *engine_ = engine;
+    }
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t draws_ = 0;
+  std::unique_ptr<Mt19937_64> engine_;
 };
 
 }  // namespace dmt

@@ -25,7 +25,9 @@ ModelTree<Model>::ModelTree(const ModelTreeConfig& config,
   }
   model_config_.num_features = config.num_features;
   model_config_.learning_rate = config.learning_rate;
-  root_ = MakeLeaf(nullptr);
+  Rng rng = rng_.Unpark();
+  root_ = MakeLeaf(nullptr, &rng);
+  rng_.Park(rng);
   model_params_ = root_->model.num_params();
 }
 
@@ -59,11 +61,19 @@ void ModelTree<Model>::AttachTelemetry(obs::TelemetryRegistry* registry) {
 
 template <typename Model>
 std::unique_ptr<typename ModelTree<Model>::Node> ModelTree<Model>::MakeLeaf(
-    const Model* warm_start_from) {
-  auto node = std::make_unique<Node>(model_config_, &rng_,
+    const Model* warm_start_from, Rng* rng) {
+  auto node = std::make_unique<Node>(model_config_, rng,
                                      config_.candidate_grad_f32);
   if (warm_start_from != nullptr) node->model.WarmStartFrom(*warm_start_from);
   return node;
+}
+
+template <typename Model>
+void ModelTree<Model>::MakeChildren(Node* node) {
+  Rng rng = rng_.Unpark();
+  node->left = MakeLeaf(&node->model, &rng);
+  node->right = MakeLeaf(&node->model, &rng);
+  rng_.Park(rng);
 }
 
 // --- Thresholds (Sec. V-C) --------------------------------------------------
@@ -259,8 +269,7 @@ void ModelTree<Model>::CheckLeafSplit(Node* node, std::size_t depth) {
 
   node->split_feature = node->candidates.feature(best);
   node->split_value = node->candidates.value(best);
-  node->left = MakeLeaf(&node->model);
-  node->right = MakeLeaf(&node->model);
+  MakeChildren(node);
   // Restart this node's statistics window so the subtree comparisons of
   // Eqs. (4)-(5) are made over aligned windows.
   node->ResetStats();
@@ -344,8 +353,7 @@ void ModelTree<Model>::CheckInnerReplacement(Node* node, std::size_t depth) {
 
   node->split_feature = node->candidates.feature(best);
   node->split_value = node->candidates.value(best);
-  node->left = MakeLeaf(&node->model);
-  node->right = MakeLeaf(&node->model);
+  MakeChildren(node);
   node->ResetStats();
   ++replacements_;
   DMT_TELEMETRY_COUNT(telemetry_.replacements);
@@ -500,8 +508,8 @@ void ModelTree<Model>::SaveState(serial::Writer& writer) const {
     writer.F64(event.threshold);
     writer.Size(event.depth);
   }
-  // RNG last: MakeLeaf draws initial model weights during Load, so the
-  // generator is restored only after the whole tree has been rebuilt.
+  // RNG last: building a node draws initial model weights during Load, so
+  // the generator is restored only after the whole tree has been rebuilt.
   writer.Rng(rng_);
 }
 
@@ -511,11 +519,15 @@ void ModelTree<Model>::LoadState(serial::Reader& reader) {
   splits_performed_ = reader.Size(std::size_t{1} << 62);
   replacements_ = reader.Size(std::size_t{1} << 62);
   prunes_ = reader.Size(std::size_t{1} << 62);
+  // The weights a rebuilt node draws are overwritten by its archived model,
+  // so every node draws from one scratch generator, seeded once per thread:
+  // what it draws never reaches the tree.
+  thread_local Rng scratch;
   auto load_node = [&](auto&& self,
                        std::size_t depth) -> std::unique_ptr<Node> {
     serial::Check(depth <= serial::kMaxTreeDepth,
                   "DMT node depth exceeds the archive limit");
-    std::unique_ptr<Node> node = MakeLeaf(nullptr);
+    std::unique_ptr<Node> node = MakeLeaf(nullptr, &scratch);
     const std::int32_t split_feature = reader.I32();
     serial::Check(
         split_feature >= -1 && split_feature < config_.num_features,
@@ -556,7 +568,7 @@ void ModelTree<Model>::LoadState(serial::Reader& reader) {
       events_.push_back(event);
     }
   }
-  // RNG last: the MakeLeaf calls above consumed construction-time draws.
+  // RNG last, as written; the rebuilt nodes drew from the scratch.
   reader.Rng(&rng_);
 }
 

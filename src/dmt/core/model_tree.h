@@ -229,7 +229,11 @@ class ModelTree {
   void LoadState(serial::Reader& reader);
 
  private:
-  std::unique_ptr<Node> MakeLeaf(const Model* warm_start_from);
+  // A fresh leaf whose model draws its initial weights from `rng`.
+  std::unique_ptr<Node> MakeLeaf(const Model* warm_start_from, Rng* rng);
+  // Gives `node` two fresh children warm-started from its model, drawing
+  // both from one unparked generator.
+  void MakeChildren(Node* node);
   // Bottom-up batch update (Algorithm 1 at every node on the paths). The
   // row span stays valid for the call's duration (it points into
   // scratch->root_rows or a depth-indexed partition buffer).
@@ -250,7 +254,8 @@ class ModelTree {
 
   ModelTreeConfig config_;
   ModelConfig model_config_;
-  Rng rng_;
+  // Draws only when a leaf is made, so it is parked between (ParkedRng).
+  ParkedRng rng_;
   int model_params_ = 0;  // k: free parameters of one simple model
   std::unique_ptr<Node> root_;
   std::size_t time_step_ = 0;

@@ -177,14 +177,30 @@ void Writer::VecF64(const std::vector<double>& v) {
 void Writer::Rng(const dmt::Rng& rng) {
   if (rng.counted() && rng.draws() <= kMaxRngDraws) {
     DMT_DCHECK(CountedFormRebuilds(rng));
-    U8(static_cast<std::uint8_t>(RngForm::kCounted));
-    U64(rng.seed());
-    U64(rng.draws());
-    return;
+    CountedRng(rng.seed(), rng.draws());
+  } else {
+    TextRng(rng.engine());
   }
+}
+
+void Writer::Rng(const dmt::ParkedRng& rng) {
+  if (rng.counted()) {
+    CountedRng(rng.seed(), rng.draws());
+  } else {
+    TextRng(*rng.engine());
+  }
+}
+
+void Writer::CountedRng(std::uint64_t seed, std::uint64_t draws) {
+  U8(static_cast<std::uint8_t>(RngForm::kCounted));
+  U64(seed);
+  U64(draws);
+}
+
+void Writer::TextRng(const Mt19937_64& engine) {
   U8(static_cast<std::uint8_t>(RngForm::kText));
   char buffer[kMaxEngineText];
-  const std::size_t n = FormatEngine(rng.engine(), buffer);
+  const std::size_t n = FormatEngine(engine, buffer);
   Size(n);
   WriteExact(buffer, n);
 }
@@ -306,7 +322,8 @@ std::vector<double> Reader::VecF64Exact(std::size_t n) {
   return v;
 }
 
-void Reader::Rng(dmt::Rng* rng) {
+template <typename Generator>
+void Reader::RngRecord(Generator* generator) {
   if (version_ >= 4) {
     const std::uint8_t form = U8();
     if (form == static_cast<std::uint8_t>(RngForm::kCounted)) {
@@ -316,7 +333,7 @@ void Reader::Rng(dmt::Rng* rng) {
         throw SerialError("RNG record draws " + std::to_string(draws) +
                           " exceed the bound " + std::to_string(kMaxRngDraws));
       }
-      rng->Restore(seed, draws);
+      generator->Restore(seed, draws);
       return;
     }
     if (form != static_cast<std::uint8_t>(RngForm::kText)) {
@@ -328,7 +345,11 @@ void Reader::Rng(dmt::Rng* rng) {
   ReadExact(buffer, n);
   Mt19937_64 engine;
   ParseEngineText(std::string_view(buffer, n), &engine);
-  rng->Restore(engine);
+  generator->Restore(engine);
 }
+
+void Reader::Rng(dmt::Rng* rng) { RngRecord(rng); }
+
+void Reader::Rng(dmt::ParkedRng* rng) { RngRecord(rng); }
 
 }  // namespace dmt::serial

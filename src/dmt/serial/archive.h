@@ -101,9 +101,8 @@ enum class RngForm : std::uint8_t {
   kCounted = 0,  // u64 seed, u64 draws
   kText = 1,     // length-prefixed EngineText
 };
-// Most draws a counted record may hold: rebuilding it discards at most
-// this many words (a few ms). A counted Rng past it is stored as text.
-inline constexpr std::uint64_t kMaxRngDraws = std::uint64_t{1} << 20;
+// Most draws a counted record may hold (defined with the generators).
+using dmt::kMaxRngDraws;
 
 // In-memory byte streams for a Writer or Reader, neither buffering nor
 // copying: StringSink appends every byte written through it to a
@@ -164,8 +163,13 @@ class Writer {
   // `rng` is counted and has drawn at most kMaxRngDraws words, else
   // RngForm::kText with the engine's EngineText.
   void Rng(const dmt::Rng& rng);
+  // The same record for a parked generator: counted while it holds no
+  // engine, written straight from its seed and draw count.
+  void Rng(const dmt::ParkedRng& rng);
 
  private:
+  void CountedRng(std::uint64_t seed, std::uint64_t draws);
+  void TextRng(const Mt19937_64& engine);
   void WriteExact(const void* src, std::size_t n);
   std::ostream& out_;
 };
@@ -209,8 +213,14 @@ class Reader {
   // SerialError on an unknown form, draws above kMaxRngDraws or text that
   // is not canonical.
   void Rng(dmt::Rng* rng);
+  // The same into a parked generator: a counted record is stored without
+  // seeding, a text record parks its engine.
+  void Rng(dmt::ParkedRng* rng);
 
  private:
+  // Reads one RNG record into `generator` through its Restore overloads.
+  template <typename Generator>
+  void RngRecord(Generator* generator);
   void ReadExact(void* dst, std::size_t n);
   std::istream& in_;
   std::uint32_t version_ = kFormatVersion;

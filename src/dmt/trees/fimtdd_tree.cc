@@ -59,7 +59,9 @@ FimtDdTree<Target>::FimtDdTree(const Config& config)
   bin_width_ = (config.feature_hi - config.feature_lo) / config.num_bins;
   left_.resize(width_);
   right_.resize(width_);
-  root_ = MakeNode();
+  Rng rng = rng_.Unpark();
+  root_ = MakeNode(&rng);
+  rng_.Park(rng);
 }
 
 template <typename Target>
@@ -67,8 +69,8 @@ FimtDdTree<Target>::~FimtDdTree() = default;
 
 template <typename Target>
 std::unique_ptr<typename FimtDdTree<Target>::Node>
-FimtDdTree<Target>::MakeNode() {
-  auto node = std::make_unique<Node>(config_, histogram_size_, width_, &rng_);
+FimtDdTree<Target>::MakeNode(Rng* rng) {
+  auto node = std::make_unique<Node>(config_, histogram_size_, width_, rng);
   node->drift_test.BindTelemetry(ph_resets_counter_);
   return node;
 }
@@ -217,8 +219,10 @@ void FimtDdTree<Target>::AttemptSplit(Node* leaf) {
     DMT_TELEMETRY_COUNT(splits_counter_);
     leaf->split_feature = best_feature;
     leaf->split_value = best_threshold;
-    leaf->left = MakeNode();
-    leaf->right = MakeNode();
+    Rng rng = rng_.Unpark();
+    leaf->left = MakeNode(&rng);
+    leaf->right = MakeNode(&rng);
+    rng_.Park(rng);
     // Children warm-start from the parent's optimized model.
     leaf->left->model.WarmStartFrom(leaf->model);
     leaf->right->model.WarmStartFrom(leaf->model);
@@ -329,12 +333,14 @@ void FimtDdTree<Target>::SaveNode(serial::Writer& writer,
 
 template <typename Target>
 std::unique_ptr<typename FimtDdTree<Target>::Node>
-FimtDdTree<Target>::LoadNode(serial::Reader& reader, std::size_t depth) {
+FimtDdTree<Target>::LoadNode(serial::Reader& reader, std::size_t depth,
+                             Rng* scratch) {
   serial::Check(depth <= serial::kMaxTreeDepth,
                 "FIMT-DD node depth exceeds the archive limit");
-  // Construction draws initial model weights from rng_; LoadState restores
-  // the engine after the whole tree is rebuilt.
-  std::unique_ptr<Node> node = MakeNode();
+  // Construction draws initial model weights, which the archived model
+  // overwrites, from the scratch; LoadState restores rng_ after the whole
+  // tree is rebuilt.
+  std::unique_ptr<Node> node = MakeNode(scratch);
   const std::int32_t split_feature = reader.I32();
   serial::Check(split_feature >= -1 && split_feature < config_.num_features,
                 "FIMT-DD split feature out of range");
@@ -355,8 +361,8 @@ FimtDdTree<Target>::LoadNode(serial::Reader& reader, std::size_t depth) {
   node->drift_test = drift::PageHinkley::Load(reader);
   Target::LoadDrift(reader, &node->drift_state);
   if (!node->is_leaf()) {
-    node->left = LoadNode(reader, depth + 1);
-    node->right = LoadNode(reader, depth + 1);
+    node->left = LoadNode(reader, depth + 1, scratch);
+    node->right = LoadNode(reader, depth + 1, scratch);
   } else {
     // The training path indexes a histogram for every feature.
     serial::Check(num_histograms == features,
@@ -375,8 +381,10 @@ void FimtDdTree<Target>::SaveState(serial::Writer& writer) const {
 template <typename Target>
 void FimtDdTree<Target>::LoadState(serial::Reader& reader) {
   num_prunes_ = reader.Size(std::size_t{1} << 62);
-  root_ = LoadNode(reader, 0);
-  // Engine last: node construction above drew initial model weights.
+  // Seeded once per thread: what it draws never reaches the tree.
+  thread_local Rng scratch;
+  root_ = LoadNode(reader, 0, &scratch);
+  // RNG last, as written; the rebuilt nodes drew from the scratch.
   reader.Rng(&rng_);
 }
 

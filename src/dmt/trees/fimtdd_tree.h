@@ -98,9 +98,10 @@ class FimtDdTree {
   // config from grace_period through seed; LoadConfig reads it into a
   // config whose dimensions the front-end has already read. SaveState
   // writes the prune count, the recursive node records (histograms, target
-  // statistics, leaf model state, Page-Hinkley tests) and the RNG engine,
+  // statistics, leaf model state, Page-Hinkley tests) and the RNG record,
   // last because constructing the nodes during Load draws initial model
-  // weights. The loaders throw serial::SerialError on malformed input.
+  // weights (from a scratch generator; the archived models overwrite
+  // them). The loaders throw serial::SerialError on malformed input.
   void SaveConfig(serial::Writer& writer) const;
   static void LoadConfig(serial::Reader& reader, Config* config);
   void SaveState(serial::Writer& writer) const;
@@ -109,7 +110,8 @@ class FimtDdTree {
  private:
   struct Node;
 
-  std::unique_ptr<Node> MakeNode();
+  // A fresh leaf whose model draws its initial weights from `rng`.
+  std::unique_ptr<Node> MakeNode(Rng* rng);
   std::size_t BinOf(double value) const;
   // Resets `node` to an empty leaf (the Page-Hinkley prune).
   void Prune(Node* node);
@@ -117,10 +119,12 @@ class FimtDdTree {
   template <typename Fn>
   void ForEachNode(Fn fn) const;
   void SaveNode(serial::Writer& writer, const Node& node) const;
-  std::unique_ptr<Node> LoadNode(serial::Reader& reader, std::size_t depth);
+  std::unique_ptr<Node> LoadNode(serial::Reader& reader, std::size_t depth,
+                                 Rng* scratch);
 
   Config config_;
-  Rng rng_;
+  // Draws only when a node is made, so it is parked between (ParkedRng).
+  ParkedRng rng_;
   std::size_t width_;           // Target::StatsWidth(config_)
   std::size_t histogram_size_;  // doubles of one leaf's histograms
   double bin_width_;

@@ -2,6 +2,7 @@
 // contract on arbitrary inputs, and the DMT must beat the trivial
 // majority-class baseline on every surrogate stream family.
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -17,9 +18,17 @@
 namespace dmt {
 namespace {
 
+// The stems as strings: gtest prints a const char* inside a tuple as its
+// address, which would put a pointer into the ctest names, changing them
+// from build to build; a std::string prints as its quoted text.
+std::vector<std::string> StemStrings() {
+  const std::vector<const char*> stems = teststems::AllStems();
+  return {stems.begin(), stems.end()};
+}
+
 // (model, num_classes) sweep.
 class ClassifierContractTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ClassifierContractTest, ProbabilitiesFormDistributionAndArgmax) {
   const auto [name, num_classes] = GetParam();
@@ -59,7 +68,7 @@ TEST_P(ClassifierContractTest, ProbabilitiesFormDistributionAndArgmax) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndClassCounts, ClassifierContractTest,
-    ::testing::Combine(::testing::ValuesIn(teststems::AllStems()),
+    ::testing::Combine(::testing::ValuesIn(StemStrings()),
                        ::testing::Values(2, 5)));
 
 // The batch-first scoring core (PredictProbaInto / PredictBatch) must
@@ -69,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
 // classifier on prefixes of two synthetic Table I streams, interleaved with
 // training so grown trees and drift-reset ensembles are covered too.
 class BatchScoringEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(BatchScoringEquivalenceTest, IntoAndBatchMatchLegacyBitExact) {
@@ -109,7 +118,7 @@ TEST_P(BatchScoringEquivalenceTest, IntoAndBatchMatchLegacyBitExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModelsOnStreams, BatchScoringEquivalenceTest,
-    ::testing::Combine(::testing::ValuesIn(teststems::AllStems()),
+    ::testing::Combine(::testing::ValuesIn(StemStrings()),
                        ::testing::Values("SEA", "Agrawal")));
 
 // DMT must beat the always-majority baseline on every Table I stream at

@@ -1,6 +1,6 @@
-// Tests for dmt::Mt19937_64 and dmt::Rng (common/random.h) and their
-// state codec in serial/archive (EngineText, ParseEngineText, the RNG
-// record of Writer::Rng / Reader::Rng). std::mt19937_64 is the reference:
+// Tests for dmt::Mt19937_64, dmt::Rng and dmt::ParkedRng (common/random.h)
+// and their state codec in serial/archive (EngineText, ParseEngineText, the
+// RNG record of Writer::Rng / Reader::Rng). std::mt19937_64 is the reference:
 // the engine must draw
 // the same words from every seed and the same values through every std::
 // distribution and std::shuffle, and its text must be exactly what
@@ -25,9 +25,12 @@
 
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
+#include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/serial/archive.h"
 #include "dmt/serial/model_io.h"
+#include "dmt/trees/fimtdd.h"
+#include "dmt/trees/fimtdd_regressor.h"
 
 namespace dmt {
 namespace {
@@ -361,14 +364,18 @@ TEST(EngineCodecTest, EveryTruncationAndByteFlipOfAnArchiveTextIsSafe) {
 
 // --- The RNG record: (seed, draws) or text ----------------------------------
 
-std::string RecordOf(const Rng& rng) {
+// The record of an Rng or a ParkedRng.
+template <typename Generator>
+std::string RecordOf(const Generator& rng) {
   std::ostringstream out(std::ios::binary);
   serial::Writer(out).Rng(rng);
   return out.str();
 }
 
-// Decodes `record` as a format-`version` reader would.
-Rng FromRecord(const std::string& record, std::uint32_t version = 4) {
+// Decodes `record` as a format-`version` reader would, into a Generator
+// (an Rng or a ParkedRng).
+template <typename Generator = Rng>
+Generator FromRecord(const std::string& record, std::uint32_t version = 4) {
   std::ostringstream framed(std::ios::binary);
   serial::Writer writer(framed);
   writer.U32(serial::kMagic);
@@ -378,7 +385,7 @@ Rng FromRecord(const std::string& record, std::uint32_t version = 4) {
   std::istringstream in(framed.str(), std::ios::binary);
   serial::Reader reader(in);
   reader.Header();
-  Rng rng;
+  Generator rng;
   reader.Rng(&rng);
   EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
   return rng;
@@ -527,6 +534,171 @@ TEST(RngRecordTest, ServeSizedDmtArchivesInUnder512Bytes) {
   ASSERT_GE(archive.size(), 17u);
   EXPECT_EQ(archive[archive.size() - 17],
             static_cast<char>(serial::RngForm::kCounted));
+}
+
+// --- ParkedRng: a generator held as (seed, draws) between draws -----------
+
+TEST(ParkedRngTest, BurstsDrawTheWordsOfOneRng) {
+  // Unpark, a burst of draws, park, over and over: through every kind of
+  // draw and across twists, the words are those of one continuous Rng,
+  // and the parked state is the seed and the words drawn so far.
+  for (const auto& [name, draw] : EveryDraw()) {
+    SCOPED_TRACE(name);
+    Rng live(0xbeef);
+    ParkedRng parked(0xbeef);
+    for (int burst = 0; burst < 60; ++burst) {
+      SCOPED_TRACE(burst);
+      Rng rng = parked.Unpark();
+      ASSERT_TRUE(rng.counted());
+      ASSERT_TRUE(rng.engine() == live.engine());
+      for (int i = 0; i < burst + burst % 7; ++i) {
+        ASSERT_EQ(draw(rng), draw(live));
+      }
+      parked.Park(rng);
+      ASSERT_TRUE(parked.counted());
+      ASSERT_EQ(parked.engine(), nullptr);
+      ASSERT_EQ(parked.seed(), 0xbeefu);
+      ASSERT_EQ(parked.draws(), live.draws());
+    }
+    EXPECT_GT(live.draws(), 2 * Mt19937_64::kStateSize);
+  }
+}
+
+TEST(ParkedRngTest, BothCodecOverloadsWriteTheSameBytes) {
+  // A parked generator writes the record its live Rng writes: (seed,
+  // draws) up to the bound, the text one word past it, where it parks the
+  // engine instead. Read back into a ParkedRng, the record writes itself
+  // again and unparks to the live engine.
+  const std::uint64_t bound = serial::kMaxRngDraws;
+  for (const std::uint64_t target :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{311},
+        std::uint64_t{312}, std::uint64_t{313}, bound, bound + 1}) {
+    SCOPED_TRACE(target);
+    Rng live(0xfeed);
+    while (live.draws() < target) live();
+    ParkedRng parked;
+    parked.Park(live);
+    const bool counted = target <= bound;
+    EXPECT_EQ(parked.counted(), counted);
+    const std::string record = RecordOf(live);
+    ASSERT_EQ(record[0], static_cast<char>(counted
+                                               ? serial::RngForm::kCounted
+                                               : serial::RngForm::kText));
+    EXPECT_EQ(RecordOf(parked), record);
+
+    const ParkedRng read = FromRecord<ParkedRng>(record);
+    EXPECT_EQ(read.counted(), counted);
+    EXPECT_EQ(RecordOf(read), record);
+    Rng restored = read.Unpark();
+    ASSERT_TRUE(restored.engine() == live.engine());
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(restored(), live());
+  }
+}
+
+TEST(ParkedRngTest, AnUncountedV3EngineContinuesToThePinnedRecord) {
+  // The DMT of a format 3 archive holds its generator as bare text, so it
+  // parks uncounted. Drawn a word per burst, the parked engine reaches the
+  // generator of the pinned continuation and writes its record byte for
+  // byte, still as text; from there its bursts draw the words of one
+  // uncounted Rng and it keeps writing that Rng's record.
+  const std::string compat =
+      std::string(DMT_SOURCE_DIR) + "/bench/goldens/compat/";
+  const std::string v3 = ReadFileBytes(compat + "DMT_v3.dmts");
+  const std::string continued = ReadFileBytes(compat + "DMT_v3_continued.dmts");
+  ASSERT_EQ(v3[4], 3);
+  ASSERT_EQ(continued[4], 4);
+  const auto [v3_offset, v3_length] = EngineTextSpan(v3);
+  ASSERT_GT(v3_length, 5000u);
+  ParkedRng parked =
+      FromRecord<ParkedRng>(v3.substr(v3_offset - 8, v3_length + 8), 3);
+  ASSERT_FALSE(parked.counted());
+
+  const auto [offset, length] = EngineTextSpan(continued);
+  ASSERT_GT(length, 5000u);
+  const std::string pinned = continued.substr(offset - 9, length + 9);
+  ASSERT_EQ(pinned[0], static_cast<char>(serial::RngForm::kText));
+  Mt19937_64 target;
+  serial::ParseEngineText(continued.substr(offset, length), &target);
+
+  std::uint64_t words = 0;
+  while (!(*parked.engine() == target)) {
+    ASSERT_LT(words, std::uint64_t{1} << 16);
+    Rng rng = parked.Unpark();
+    ASSERT_FALSE(rng.counted());
+    rng();
+    parked.Park(rng);
+    ASSERT_FALSE(parked.counted());
+    ++words;
+  }
+  EXPECT_EQ(RecordOf(parked), pinned);
+
+  Rng live = parked.Unpark();
+  for (int burst = 0; burst < 40; ++burst) {
+    Rng rng = parked.Unpark();
+    for (int i = 0; i < 3 * burst; ++i) ASSERT_EQ(rng(), live());
+    parked.Park(rng);
+    ASSERT_FALSE(parked.counted());
+  }
+  EXPECT_GT(live.draws(), Mt19937_64::kStateSize);
+  EXPECT_EQ(RecordOf(parked), RecordOf(live));
+}
+
+TEST(ParkedRngTest, CopyAndMoveKeepTheHeapEngine) {
+  Mt19937_64 engine(77);
+  for (int i = 0; i < 1000; ++i) engine();
+  ParkedRng parked;
+  parked.Restore(engine);
+  ASSERT_FALSE(parked.counted());
+
+  ParkedRng copy(parked);
+  ASSERT_FALSE(copy.counted());
+  EXPECT_NE(copy.engine(), parked.engine());
+  EXPECT_TRUE(*copy.engine() == engine);
+  ParkedRng assigned(5);
+  assigned = parked;
+  ASSERT_FALSE(assigned.counted());
+  EXPECT_TRUE(*assigned.engine() == engine);
+  const ParkedRng& alias = assigned;
+  assigned = alias;
+  ASSERT_FALSE(assigned.counted());
+  EXPECT_TRUE(*assigned.engine() == engine);
+
+  // A copy draws on its own engine.
+  Rng rng = copy.Unpark();
+  rng();
+  copy.Park(rng);
+  EXPECT_FALSE(*copy.engine() == engine);
+  EXPECT_TRUE(*parked.engine() == engine);
+
+  const Mt19937_64* heap = parked.engine();
+  ParkedRng moved(std::move(parked));
+  EXPECT_EQ(moved.engine(), heap);
+  ParkedRng move_assigned(9);
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.engine(), heap);
+  EXPECT_EQ(RecordOf(move_assigned), RecordOf(assigned));
+
+  // A counted generator copies as its seed and draw count; assigning one
+  // drops the engine.
+  ParkedRng counted(11);
+  Rng drawn = counted.Unpark();
+  for (int i = 0; i < 5; ++i) drawn();
+  counted.Park(drawn);
+  assigned = counted;
+  EXPECT_TRUE(assigned.counted());
+  EXPECT_EQ(assigned.engine(), nullptr);
+  EXPECT_EQ(RecordOf(assigned), RecordOf(drawn));
+}
+
+TEST(ParkedRngTest, ModelTreesHoldNoEngine) {
+  // Every resident serve stream holds one tree; the 2.5 kB engine of an
+  // Rng would be most of it. Deterministic: the objects' own sizes, not
+  // what the allocator or the process reports.
+  EXPECT_LE(sizeof(ParkedRng), 24u);
+  EXPECT_LE(sizeof(core::DynamicModelTree), 512u);
+  EXPECT_LE(sizeof(core::DmtRegressor), 512u);
+  EXPECT_LE(sizeof(trees::FimtDd), 512u);
+  EXPECT_LE(sizeof(trees::FimtDdRegressor), 512u);
 }
 
 }  // namespace

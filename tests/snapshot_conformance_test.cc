@@ -624,12 +624,18 @@ bool IsRetiredBuffer(RetiredSlot slot) {
 }
 
 struct RetiredSlotEdit {
-  const char* name;  // test-name suffix
+  const char* name;  // ctest-name suffix (PrintTo)
   RetiredSlot slot;
   // Bit pattern written into a scalar slot; for a buffer, its length (one
   // zero f64 per element is inserted after it).
   std::uint64_t value;
 };
+
+// The ctest name of an edit's test ends in what this prints; gtest's
+// default would print the struct's bytes, its name pointer among them.
+void PrintTo(const RetiredSlotEdit& edit, std::ostream* os) {
+  *os << edit.name;
+}
 
 std::string WithEdit(const std::string& bytes, const RetiredSlotEdit& edit) {
   std::string mutated = bytes;
@@ -730,11 +736,8 @@ TEST_P(GlmRetiredSlotEditTest, ClassifierLoadThrowsSerialError) {
   EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSlots, GlmRetiredSlotEditTest, ::testing::ValuesIn(kRetiredSlotEdits),
-    [](const ::testing::TestParamInfo<RetiredSlotEdit>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(AllSlots, GlmRetiredSlotEditTest,
+                         ::testing::ValuesIn(kRetiredSlotEdits));
 
 // Format 3 VFDT records keep the slots of the retired nominal-feature
 // path: the config's nominal feature list, each node's equality-split flag
