@@ -1,5 +1,5 @@
 // Per-thread heap-allocation counters, used by the allocation-regression
-// test and the bench_micro_inference binary to pin the scoring core at zero
+// test and the bench_micro binary to pin training and scoring at zero
 // allocations per sample in steady state.
 //
 // Usage: a binary that wants counting places DMT_DEFINE_COUNTING_ALLOCATOR()

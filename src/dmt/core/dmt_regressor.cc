@@ -13,8 +13,9 @@ DmtRegressor::DmtRegressor(const DmtRegressorConfig& config)
     : DmtRegressor(ModelTreeConfigOf(config), RunningStats()) {}
 
 DmtRegressor::DmtRegressor(const ModelTreeConfig& config,
-                           const RunningStats& target_stats)
-    : ModelTree(config, {}),
+                           const RunningStats& target_stats,
+                           serial::Reader* archive)
+    : ModelTree(config, {}, archive),
       target_stats_(target_stats),
       standardized_(static_cast<std::size_t>(config.num_features)) {}
 
@@ -86,9 +87,8 @@ std::unique_ptr<DmtRegressor> DmtRegressor::Load(std::istream& in) {
   const double stats_mean = reader.F64();
   const double stats_m2 = reader.F64();
   target_stats.Restore(stats_n, stats_mean, stats_m2);
-  std::unique_ptr<DmtRegressor> tree(new DmtRegressor(config, target_stats));
-  tree->LoadState(reader);
-  return tree;
+  return std::unique_ptr<DmtRegressor>(
+      new DmtRegressor(config, target_stats, &reader));
 }
 
 }  // namespace dmt::core

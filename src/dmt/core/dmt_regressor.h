@@ -84,7 +84,9 @@ class DmtRegressor : public ModelTree<linear::LinearRegressor> {
   static std::unique_ptr<DmtRegressor> Load(std::istream& in);
 
  private:
-  DmtRegressor(const ModelTreeConfig& config, const RunningStats& target_stats);
+  // With `archive`, the tree's state is read from it (ModelTree).
+  DmtRegressor(const ModelTreeConfig& config, const RunningStats& target_stats,
+               serial::Reader* archive = nullptr);
 
   RunningStats target_stats_;  // online target standardization
   // Reused standardized-target copy of the incoming batch (grow-only).

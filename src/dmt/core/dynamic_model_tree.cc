@@ -14,8 +14,9 @@ DynamicModelTree::DynamicModelTree(const DmtConfig& config)
     : DynamicModelTree(ModelTreeConfigOf(config), config.num_classes) {}
 
 DynamicModelTree::DynamicModelTree(const ModelTreeConfig& config,
-                                   int num_classes)
-    : ModelTree(config, {.num_classes = num_classes}),  // GLM checks >= 2
+                                   int num_classes, serial::Reader* archive)
+    : ModelTree(config, {.num_classes = num_classes},  // GLM checks >= 2
+                archive),
       num_classes_(num_classes) {}
 
 // --- Training ----------------------------------------------------------------
@@ -145,10 +146,8 @@ std::unique_ptr<DynamicModelTree> DynamicModelTree::LoadBody(
                         static_cast<std::uint64_t>(num_classes) <=
                     static_cast<std::uint64_t>(serial::kMaxVector),
                 "DMT model dimensions exceed the archive limit");
-  std::unique_ptr<DynamicModelTree> tree(new DynamicModelTree(
-      LoadConfig(reader, num_features), num_classes));
-  tree->LoadState(reader);
-  return tree;
+  return std::unique_ptr<DynamicModelTree>(new DynamicModelTree(
+      LoadConfig(reader, num_features), num_classes, &reader));
 }
 
 }  // namespace dmt::core

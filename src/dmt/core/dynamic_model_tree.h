@@ -137,7 +137,9 @@ class DynamicModelTree : public Classifier,
   static std::unique_ptr<DynamicModelTree> LoadBody(serial::Reader& reader);
 
  private:
-  DynamicModelTree(const ModelTreeConfig& config, int num_classes);
+  // With `archive`, the tree's state is read from it (ModelTree).
+  DynamicModelTree(const ModelTreeConfig& config, int num_classes,
+                   serial::Reader* archive = nullptr);
 
   int num_classes_;
   // Lazily allocated copy buffer for batches containing non-finite rows;

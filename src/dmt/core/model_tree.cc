@@ -11,7 +11,8 @@ namespace dmt::core {
 
 template <typename Model>
 ModelTree<Model>::ModelTree(const ModelTreeConfig& config,
-                            ModelConfig model_config)
+                            ModelConfig model_config,
+                            serial::Reader* archive)
     : config_(config), model_config_(model_config), rng_(config.seed) {
   DMT_CHECK(config.num_features >= 1);
   DMT_CHECK(config.epsilon > 0.0 && config.epsilon <= 1.0);
@@ -25,9 +26,13 @@ ModelTree<Model>::ModelTree(const ModelTreeConfig& config,
   }
   model_config_.num_features = config.num_features;
   model_config_.learning_rate = config.learning_rate;
-  Rng rng = rng_.Unpark();
-  root_ = MakeLeaf(nullptr, &rng);
-  rng_.Park(rng);
+  if (archive != nullptr) {
+    LoadState(*archive);
+  } else {
+    Rng rng = rng_.Unpark();
+    root_ = MakeLeaf(nullptr, &rng);
+    rng_.Park(rng);
+  }
   model_params_ = root_->model.num_params();
 }
 
@@ -539,8 +544,7 @@ void ModelTree<Model>::LoadState(serial::Reader& reader) {
     node->samples_since_test = reader.F64();
     node->loss_since_test = reader.F64();
     node->model.LoadState(reader);
-    node->grad_sum = reader.VecF64Exact(
-        static_cast<std::size_t>(node->model.num_params()));
+    reader.VecF64Exact(node->grad_sum);
     node->candidates.Load(reader);
     if (!node->is_leaf()) {
       node->left = self(self, depth + 1);

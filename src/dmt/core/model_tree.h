@@ -189,8 +189,11 @@ class ModelTree {
   };
 
   // `model_config` carries the simple model's own settings (the class count
-  // of a GLM); its num_features and learning_rate come from `config`.
-  ModelTree(const ModelTreeConfig& config, ModelConfig model_config);
+  // of a GLM); its num_features and learning_rate come from `config`. The
+  // tree starts as one fresh leaf or, given `archive`, as the state
+  // SaveState wrote there (a loader's LoadState without the fresh leaf).
+  ModelTree(const ModelTreeConfig& config, ModelConfig model_config,
+            serial::Reader* archive = nullptr);
   ~ModelTree();
 
   const ModelTreeConfig& config() const { return config_; }

@@ -388,7 +388,7 @@ void Glm::SaveState(serial::Writer& writer) const {
 
 void Glm::LoadState(serial::Reader& reader) {
   steps_ = reader.Size(std::size_t{1} << 62);
-  std::vector<double> params = reader.VecF64Exact(params_.size());
+  reader.VecF64Exact(params_);
   if (reader.version() <= 3) {
     serial::Check(reader.U64() == 0,
                   "GLM velocity is retired: only an empty buffer loads");
@@ -396,7 +396,6 @@ void Glm::LoadState(serial::Reader& reader) {
                   "GLM gradient accumulator is retired: only an empty buffer "
                   "loads");
   }
-  params_ = std::move(params);
   num_resets_ = reader.U64();
   num_skipped_samples_ = reader.U64();
 }

@@ -154,7 +154,7 @@ void LinearRegressor::SaveState(serial::Writer& writer) const {
 }
 
 void LinearRegressor::LoadState(serial::Reader& reader) {
-  params_ = reader.VecF64Exact(params_.size());
+  reader.VecF64Exact(params_);
   num_resets_ = reader.U64();
   num_skipped_samples_ = reader.U64();
 }

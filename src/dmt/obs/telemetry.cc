@@ -8,8 +8,8 @@ namespace dmt::obs {
 namespace {
 
 // Counter names are library-chosen identifiers (ASCII, no quotes), so the
-// writer only needs to pass them through; matches the bench_json.h policy
-// of escaping-free hand-rolled serialization.
+// writer only needs to pass them through: escaping-free hand-rolled
+// serialization.
 void AppendQuoted(std::string* out, const std::string& name) {
   out->push_back('"');
   out->append(name);

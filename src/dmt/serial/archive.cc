@@ -322,6 +322,16 @@ std::vector<double> Reader::VecF64Exact(std::size_t n) {
   return v;
 }
 
+void Reader::VecF64Exact(std::span<double> out) {
+  const std::size_t n = Size(std::max<std::size_t>(out.size(), kMaxVector));
+  if (n != out.size()) {
+    throw SerialError("archived vector length " + std::to_string(n) +
+                      " does not match the expected " +
+                      std::to_string(out.size()));
+  }
+  for (double& v : out) v = F64();
+}
+
 template <typename Generator>
 void Reader::RngRecord(Generator* generator) {
   if (version_ >= 4) {

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <streambuf>
 #include <string>
@@ -207,6 +208,9 @@ class Reader {
   std::vector<double> VecF64(std::size_t max_len = kMaxVector);
   // Like VecF64 but the archived length must equal `n` exactly.
   std::vector<double> VecF64Exact(std::size_t n);
+  // The same into `out`, whose size is the expected length; allocates
+  // nothing.
+  void VecF64Exact(std::span<double> out);
   // The RNG record into `*rng`: a counted record reseeds and discards, a
   // text record (and every generator of a format 3 or older archive, a
   // bare length-prefixed EngineText) leaves `*rng` uncounted. Throws

@@ -1,8 +1,5 @@
 #include "dmt/trees/fimtdd.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "dmt/serial/model_io.h"
 
 namespace dmt::trees {
@@ -16,12 +13,14 @@ void FimtDdClassTarget::SaveStats(serial::Writer& writer, const double* stats,
 
 void FimtDdClassTarget::LoadStats(serial::Reader& reader, double* stats,
                                   std::size_t width) {
-  const std::vector<double> counts = reader.VecF64Exact(width - 1);
-  std::copy(counts.begin(), counts.end(), stats + 1);
+  reader.VecF64Exact(std::span<double>(stats + 1, width - 1));
   stats[0] = reader.F64();
 }
 
 FimtDd::FimtDd(const FimtDdConfig& config) : FimtDdTree(config) {}
+
+FimtDd::FimtDd(const FimtDdConfig& config, serial::Reader* archive)
+    : FimtDdTree(config, archive) {}
 
 FimtDd::~FimtDd() = default;
 
@@ -66,9 +65,7 @@ std::unique_ptr<FimtDd> FimtDd::LoadBody(serial::Reader& reader) {
   config.num_classes = static_cast<int>(serial::CheckedRange(
       reader.I32(), 2, serial::kMaxClasses, "FIMT-DD class count"));
   LoadConfig(reader, &config);
-  auto tree = std::make_unique<FimtDd>(config);
-  tree->LoadState(reader);
-  return tree;
+  return std::unique_ptr<FimtDd>(new FimtDd(config, &reader));
 }
 
 void FimtDd::Save(std::ostream& out) const {

@@ -124,6 +124,10 @@ class FimtDd : public Classifier, public FimtDdTree<FimtDdClassTarget> {
   void Save(std::ostream& out) const override;
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<FimtDd> LoadBody(serial::Reader& reader);
+
+ private:
+  // With `archive`, the tree's state is read from it (FimtDdTree).
+  FimtDd(const FimtDdConfig& config, serial::Reader* archive);
 };
 
 }  // namespace dmt::trees

@@ -30,6 +30,10 @@ void FimtDdRegressionTarget::LoadDrift(serial::Reader& reader,
 FimtDdRegressor::FimtDdRegressor(const FimtDdRegressorConfig& config)
     : FimtDdTree(config) {}
 
+FimtDdRegressor::FimtDdRegressor(const FimtDdRegressorConfig& config,
+                                 serial::Reader* archive)
+    : FimtDdTree(config, archive) {}
+
 void FimtDdRegressor::PartialFit(const linear::RegressionBatch& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     TrainInstance(batch.row(i), batch.target(i));
@@ -64,9 +68,8 @@ std::unique_ptr<FimtDdRegressor> FimtDdRegressor::Load(std::istream& in) {
   config.num_features = static_cast<int>(serial::CheckedRange(
       reader.I32(), 1, serial::kMaxFeatures, "FIMT-DD-R feature count"));
   LoadConfig(reader, &config);
-  auto tree = std::make_unique<FimtDdRegressor>(config);
-  tree->LoadState(reader);
-  return tree;
+  return std::unique_ptr<FimtDdRegressor>(
+      new FimtDdRegressor(config, &reader));
 }
 
 }  // namespace dmt::trees

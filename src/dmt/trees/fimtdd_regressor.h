@@ -107,6 +107,11 @@ class FimtDdRegressor : public FimtDdTree<FimtDdRegressionTarget> {
   // num_features, then the FimtDdTree config and state halves.
   void Save(std::ostream& out) const;
   static std::unique_ptr<FimtDdRegressor> Load(std::istream& in);
+
+ private:
+  // With `archive`, the tree's state is read from it (FimtDdTree).
+  FimtDdRegressor(const FimtDdRegressorConfig& config,
+                  serial::Reader* archive);
 };
 
 }  // namespace dmt::trees

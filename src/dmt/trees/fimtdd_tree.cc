@@ -45,7 +45,8 @@ struct FimtDdTree<Target>::Node {
 };
 
 template <typename Target>
-FimtDdTree<Target>::FimtDdTree(const Config& config)
+FimtDdTree<Target>::FimtDdTree(const Config& config,
+                               serial::Reader* archive)
     : config_(config), rng_(config.seed) {
   DMT_CHECK(config.num_features >= 1);
   DMT_CHECK(Target::NumTargets(config) >= 1);
@@ -59,6 +60,10 @@ FimtDdTree<Target>::FimtDdTree(const Config& config)
   bin_width_ = (config.feature_hi - config.feature_lo) / config.num_bins;
   left_.resize(width_);
   right_.resize(width_);
+  if (archive != nullptr) {
+    LoadState(*archive);
+    return;
+  }
   Rng rng = rng_.Unpark();
   root_ = MakeNode(&rng);
   rng_.Park(rng);
@@ -350,7 +355,7 @@ FimtDdTree<Target>::LoadNode(serial::Reader& reader, std::size_t depth,
   const std::size_t num_histograms = reader.Size(features);
   serial::Check(num_histograms == 0 || num_histograms == features,
                 "FIMT-DD histogram count is neither empty nor one per feature");
-  if (num_histograms == 0) node->histograms.clear();
+  if (num_histograms == 0) std::vector<double>().swap(node->histograms);
   for (std::size_t i = 0; i < node->histograms.size(); i += width_) {
     Target::LoadStats(reader, &node->histograms[i], width_);
   }

@@ -85,7 +85,10 @@ class FimtDdTree {
   void AttachTelemetry(obs::TelemetryRegistry* registry);
 
  protected:
-  explicit FimtDdTree(const Config& config);
+  // The tree starts as one fresh leaf or, given `archive`, as the state
+  // SaveState wrote there (a loader's LoadState without the fresh leaf).
+  explicit FimtDdTree(const Config& config,
+                      serial::Reader* archive = nullptr);
   ~FimtDdTree();
 
   const Config& config() const { return config_; }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -375,6 +376,31 @@ TEST(AllocationRegressionTest, GlmTrainsWithoutAllocating) {
   alloc_count::Reset();
   for (const Batch& batch : measured) model.Fit(batch);
   EXPECT_EQ(alloc_count::allocations, 0u) << "Glm::Fit allocated";
+#endif
+}
+
+// --- Loading: a load builds the archived tree and nothing else. The
+// archive constructors build no fresh root to throw away, and FIMT-DD reads
+// each histogram bin straight into the node, so its count does not grow
+// with the feature count.
+
+// Allocations of one serial::LoadClassifier of a fresh `name` archive.
+[[maybe_unused]] std::size_t FreshLoadAllocations(const std::string& name,
+                                                int num_features) {
+  std::istringstream in(serial::SaveClassifierToString(
+      *serial::MakeClassifier(name, num_features, 2, 7)));
+  alloc_count::Reset();
+  const std::unique_ptr<Classifier> model = serial::LoadClassifier(in);
+  return alloc_count::allocations;
+}
+
+TEST(AllocationRegressionTest, LoadsBuildNoThrowawayTree) {
+#ifdef DMT_UNDER_SANITIZER
+  GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
+#else
+  EXPECT_EQ(FreshLoadAllocations("FIMT-DD", 40),
+            FreshLoadAllocations("FIMT-DD", 4));
+  EXPECT_LE(FreshLoadAllocations("DMT", 4), 6u);
 #endif
 }
 

@@ -9,6 +9,7 @@
 #include "dmt/common/types.h"
 #include "dmt/core/candidate.h"
 #include "dmt/core/dynamic_model_tree.h"
+#include "dmt/linear/glm.h"
 #include "dmt/serial/archive.h"
 
 namespace dmt::core {
@@ -57,6 +58,89 @@ TEST(CandidateTest, ComplementLossUsesDifferenceStatistics) {
   EXPECT_DOUBLE_EQ(
       ApproxComplementLoss(10.0, parent_grad, 5.0, 4.0, left_grad, 2.0, 0.3),
       6.0 - 0.3 / 3.0 * 4.0);
+}
+
+// Eq. 7's gain is split evidence, a conservative lower bound on what a
+// candidate could achieve (one warm-started gradient step), not a loss
+// forecast. What the tree needs from it is the ranking: on a stream whose
+// concept boundary is x0 <= 0.5, the candidate with the largest
+// approximated gain must be the one whose really-trained, warm-started
+// left-child model improves most on the parent's loss.
+TEST(CandidateTest, ApproxGainRanksLikeTrainedChildren) {
+  constexpr double kLambda = 0.2;
+  struct Candidate {
+    int feature;
+    double value;
+    // Left-side statistics at the parent's parameters (Eq. 7 inputs).
+    double loss = 0.0;
+    std::vector<double> grad;
+    double count = 0.0;
+    // Ground truth: a child model trained on the left side only.
+    linear::Glm child;
+    double child_loss = 0.0;
+  };
+  linear::Glm parent({.num_features = 2, .num_classes = 2, .seed = 1});
+  const std::size_t num_params = parent.params().size();
+  std::vector<Candidate> candidates;
+  for (int feature : {0, 1}) {
+    for (double value : {0.25, 0.5, 0.75}) {
+      candidates.push_back(
+          {feature, value, 0.0, std::vector<double>(num_params, 0.0), 0.0,
+           linear::Glm({.num_features = 2, .num_classes = 2, .seed = 2})});
+      candidates.back().child.WarmStartFrom(parent);
+    }
+  }
+
+  Rng rng(3);
+  std::vector<double> grad_one(num_params);
+  for (int b = 0; b < 150; ++b) {
+    Batch batch(2);
+    for (int i = 0; i < 100; ++i) {
+      std::vector<double> x = {rng.Uniform(), rng.Uniform()};
+      batch.Add(x, x[0] <= 0.5 ? (x[1] <= 0.7 ? 1 : 0) : 0);
+    }
+    parent.Fit(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double loss =
+          parent.LossAndGradientOne(batch.row(i), batch.label(i), grad_one);
+      for (Candidate& candidate : candidates) {
+        if (batch.row(i)[candidate.feature] > candidate.value) continue;
+        candidate.loss += loss;
+        for (std::size_t p = 0; p < num_params; ++p) {
+          candidate.grad[p] += grad_one[p];
+        }
+        candidate.count += 1.0;
+      }
+    }
+    for (Candidate& candidate : candidates) {
+      Batch left(2);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch.row(i)[candidate.feature] <= candidate.value) {
+          left.Add(batch.row(i), batch.label(i));
+        }
+      }
+      candidate.child_loss += candidate.child.Loss(left);
+      candidate.child.Fit(left);
+    }
+  }
+
+  auto approx_gain = [&](const Candidate& c) {
+    return c.loss - ApproxCandidateLoss(c.loss, c.grad, c.count, kLambda);
+  };
+  auto true_gain = [](const Candidate& c) { return c.loss - c.child_loss; };
+  std::size_t best_approx = 0;
+  std::size_t best_true = 0;
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    if (approx_gain(candidates[i]) > approx_gain(candidates[best_approx])) {
+      best_approx = i;
+    }
+    if (true_gain(candidates[i]) > true_gain(candidates[best_true])) {
+      best_true = i;
+    }
+  }
+  EXPECT_EQ(best_approx, best_true);
+  EXPECT_EQ(candidates[best_approx].feature, 0);
+  EXPECT_EQ(candidates[best_approx].value, 0.5);
 }
 
 TEST(DmtTest, StartsAsSingleModelLeaf) {

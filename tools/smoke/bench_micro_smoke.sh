@@ -1,22 +1,24 @@
 #!/bin/sh
-# The scoring-core and training-core micro-benchmarks run to completion at
-# 2k rows and each writes a JSON document with a non-empty results array
-# (BENCH_infer.json, BENCH_train.json in the work dir). Allocations per
+# The micro-benchmark runs to completion at 2k rows and writes
+# BENCH_micro.json (in the work dir) with a non-empty results array whose
+# every row carries the six training and scoring fields. Allocations per
 # sample are pinned by dmt_allocation_test, timings by CI's perf gate.
 #
-# usage: bench_micro_smoke.sh BENCH_MICRO_INFERENCE BENCH_MICRO_TRAINING
-#                             WORK_DIR
-infer=$1 train=$2 work=$3
+# usage: bench_micro_smoke.sh BENCH_MICRO WORK_DIR
+micro=$1 work=$2
 fail() { echo "$*"; exit 1; }
 rm -rf "$work" && mkdir -p "$work" && cd "$work" || exit 1
 
-"$infer" --samples 2000 > infer.txt 2>&1 ||
-  fail "bench_micro_inference exited $?: $(cat infer.txt)"
-"$train" --samples 2000 > train.txt 2>&1 ||
-  fail "bench_micro_training exited $?: $(cat train.txt)"
-for json in BENCH_infer.json BENCH_train.json; do
-  [ -s "$json" ] || fail "$json missing or empty"
-  grep -A1 '"results": \[' "$json" | grep -q '{"dataset": ' ||
-    fail "$json has no results: $(cat "$json")"
+"$micro" --samples 2000 > micro.txt 2>&1 ||
+  fail "bench_micro exited $?: $(cat micro.txt)"
+json=BENCH_micro.json
+[ -s "$json" ] || fail "$json missing or empty"
+rows=$(grep -c '{"dataset": ' "$json")
+[ "$rows" -gt 0 ] || fail "$json has no results: $(cat "$json")"
+for field in fit_ns_per_sample fit_allocs_per_sample into_ns_per_sample \
+             into_allocs_per_sample batch_ns_per_sample \
+             batch_allocs_per_sample; do
+  [ "$(grep -c "\"$field\": [0-9]" "$json")" -eq "$rows" ] ||
+    fail "not every row of $json carries $field: $(cat "$json")"
 done
-echo "both micro-benchmarks ran and wrote their results"
+echo "bench_micro ran and wrote $rows rows with all six fields"
